@@ -7,6 +7,7 @@ failed verification), 2 input or schema error, 3 internal numeric error
 
 import argparse
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -22,12 +23,14 @@ from .errors import (
 from .polynomials import (
     ALGEBRAIC,
     FAMILIES,
+    FAMILY,
     TRIGONOMETRIC,
     FactoredForm,
     RootConfiguration,
     expand_from_roots,
+    gaps,
 )
-from .precision import eps, format_real, parse_real, working
+from .precision import format_real, parse_real, working
 from .report_io import (
     Problem,
     load_problem,
@@ -44,6 +47,7 @@ from .solver import (
     SolveSettings,
     TraceEntry,
     order_error_sequence,
+    order_floor,
     solve,
 )
 from .verification import verify_roots
@@ -83,20 +87,15 @@ def _resolve_problem_path(spec_arg):
 
 
 def _apply_overrides(problem, args):
-    kwargs = {
-        "precision_bits": problem.settings.precision_bits,
-        "max_iterations": problem.settings.max_iterations,
-        "correction_tolerance": problem.settings.correction_tolerance,
-        "sweep_mode": problem.settings.sweep_mode,
-    }
+    changes = {}
     if args.max_iterations is not None:
-        kwargs["max_iterations"] = args.max_iterations
+        changes["max_iterations"] = args.max_iterations
     if args.tolerance is not None:
-        kwargs["correction_tolerance"] = parse_real(
-            args.tolerance, kwargs["precision_bits"])
+        changes["correction_tolerance"] = parse_real(
+            args.tolerance, problem.settings.precision_bits)
     if args.sweep is not None:
-        kwargs["sweep_mode"] = args.sweep
-    problem.settings = SolveSettings(**kwargs)
+        changes["sweep_mode"] = args.sweep
+    problem.settings = replace(problem.settings, **changes)
 
 
 def _condition_params(problem, args):
@@ -181,11 +180,7 @@ def _parse_roots_arg(text, bits):
 def _default_initial(roots, mults, bits):
     # deterministic off-root guesses: alternate sides at 0.25 * min gap
     with working(bits):
-        if len(roots) > 1:
-            gap = min(abs(a - b) for i, a in enumerate(roots)
-                      for b in roots[i + 1:])
-        else:
-            gap = mp.mpf(1)
+        gap = gaps(roots)[0] if len(roots) > 1 else mp.mpf(1)
         return [r + gap / 4 * (1 if i % 2 == 0 else -1)
                 for i, r in enumerate(roots)]
 
@@ -207,12 +202,10 @@ def _cmd_generate(args):
 
     if args.family == ALGEBRAIC:
         coefficients = expanded.coeffs
-    elif args.family == TRIGONOMETRIC:
-        coefficients = {"a0": expanded.a0, "cos": expanded.cos_coeffs,
-                        "sin": expanded.sin_coeffs}
     else:
-        coefficients = {"a0": expanded.a0, "ch": expanded.ch_coeffs,
-                        "sh": expanded.sh_coeffs}
+        even, odd = FAMILY[args.family].keys
+        coefficients = {"a0": expanded.a0, even: expanded.even,
+                        odd: expanded.odd}
     problem = Problem(
         family=args.family,
         representation="coefficients",
@@ -252,16 +245,11 @@ def _cmd_verify(args):
 def _cmd_order(args):
     report = load_report(args.report)
     bits = report["precision_bits"]
-    trace = tuple(
-        TraceEntry(e["k"], e["approximations"], e["residuals"],
-                   e["corrections"], e["errors"])
-        for e in report["trace"]
-    )
+    trace = tuple(TraceEntry(**e) for e in report["trace"])
     sequence, kind = order_error_sequence(trace)
-    scale = max([mp.mpf(1)] + [abs(v) for v in report["final"]])
-    floor = mp.mpf(2) ** 8 * eps(bits) * scale
     try:
-        estimate = estimate_order(sequence, floor=floor)
+        estimate = estimate_order(sequence,
+                                  floor=order_floor(bits, report["final"]))
     except InsufficientDataError as exc:
         print(f"order: insufficient data ({exc})", file=sys.stderr)
         return EXIT_NOT_CONVERGED

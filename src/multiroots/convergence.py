@@ -7,12 +7,13 @@ here evaluate every clause of those conditions and report each one with its
 computed sides, so feasibility searches and debugging can see the margins.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from mpmath import mp
 
 from .errors import InsufficientDataError, InvalidConfigurationError
-from .polynomials import ALGEBRAIC, EXPONENTIAL, FAMILIES, TRIGONOMETRIC
+from .polynomials import (ALGEBRAIC, EXPONENTIAL, FAMILIES, TRIGONOMETRIC,
+                          degree_of, gaps, require_distinct)
 from .precision import require_bits, to_mpf, working
 
 
@@ -52,9 +53,10 @@ class ConditionVerdict:
 class ConvergenceParams:
     """Inputs to a family's convergence condition.
 
-    `d` (the minimum pairwise root gap) and the degree `n` are derived from
-    the supplied roots and multiplicities.  `kappa` is the auxiliary
-    separation constant and is required exactly for the trigonometric family.
+    `d` (the minimum pairwise root gap), `max_gap` and the degree `n` are
+    derived from the supplied roots and multiplicities.  `kappa` is the
+    auxiliary separation constant and is required exactly for the
+    trigonometric family.
     """
 
     family: str
@@ -64,6 +66,9 @@ class ConvergenceParams:
     multiplicities: tuple
     kappa: object = None
     precision_bits: int = 53
+    n: int = field(init=False)
+    d: object = field(init=False)
+    max_gap: object = field(init=False)
 
     def __post_init__(self):
         require_bits(self.precision_bits)
@@ -82,42 +87,18 @@ class ConvergenceParams:
             )
         if any(a < 1 for a in mults):
             raise InvalidConfigurationError("multiplicities must be >= 1")
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if roots[i] == roots[j]:
-                    raise InvalidConfigurationError("roots must be distinct")
-        total = sum(mults)
-        if self.family != ALGEBRAIC and total % 2 != 0:
-            raise InvalidConfigurationError(
-                f"{self.family} total multiplicity must be even, got {total}"
-            )
+        require_distinct(roots, "roots")
+        object.__setattr__(self, "n", degree_of(self.family, mults))
+        with working(self.precision_bits):
+            d, max_gap = gaps(roots)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "max_gap", max_gap)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "c", to_mpf(self.c, self.precision_bits))
         object.__setattr__(self, "q", to_mpf(self.q, self.precision_bits))
         if self.kappa is not None:
             object.__setattr__(self, "kappa", to_mpf(self.kappa, self.precision_bits))
-
-    @property
-    def n(self):
-        total = sum(self.multiplicities)
-        return total if self.family == ALGEBRAIC else total // 2
-
-    @property
-    def d(self):
-        return min(
-            abs(a - b)
-            for i, a in enumerate(self.roots)
-            for b in self.roots[i + 1:]
-        )
-
-    @property
-    def max_gap(self):
-        return max(
-            abs(a - b)
-            for i, a in enumerate(self.roots)
-            for b in self.roots[i + 1:]
-        )
 
 
 def _base_clauses(p):

@@ -34,10 +34,6 @@ class CollisionError(MultirootsError, ArithmeticError):
             f"collision: {where} separated by |{distance}| < threshold {threshold}"
         )
 
-    def with_index(self, i):
-        """Re-raise helper: attach the index whose update hit the collision."""
-        return CollisionError(self.j, self.distance, self.threshold, i=i)
-
 
 class DegenerateDenominatorError(MultirootsError, ArithmeticError):
     """Correction denominator vanished relative to the derivative scale."""

@@ -5,12 +5,14 @@ coefficient form, trigonometric polynomials as finite cos/sin series, and
 exponential polynomials as finite cosh/sinh series.  Each family also has a
 factored representation built from distinct roots with multiplicities; the
 factored form is first-class, so solvers accept either representation.
+What tells the families apart lives in one table, `FAMILY`.
 
 All values are mpmath mpf; every container records the binary precision it
 was built at and operations run at that precision unless overridden.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 from mpmath import mp
 
@@ -21,6 +23,77 @@ ALGEBRAIC = "algebraic"
 TRIGONOMETRIC = "trigonometric"
 EXPONENTIAL = "exponential"
 FAMILIES = (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What distinguishes one family, with u = x - r the offset from a root:
+    the factor g(u), its derivative g'(u), the coupling (a, u) -> a g'(u)/g(u)
+    and the number of roots (with multiplicity) per unit of degree.  Series
+    families add their basis pair (even, odd), the sign s in
+    d/dx even(lx) = s l odd(lx), an `envelope` bounding |even(lx)| and
+    |odd(lx)| (None: bounded by 1) and their problem-file coefficient keys.
+    """
+
+    factor: Callable
+    factor_derivative: Callable
+    coupling: Callable
+    roots_per_degree: int
+    basis: tuple = None
+    derivative_sign: int = None
+    envelope: Callable = None
+    keys: tuple = None
+
+
+FAMILY = {
+    ALGEBRAIC: Family(
+        factor=lambda u: u, factor_derivative=lambda u: mp.mpf(1),
+        coupling=lambda a, u: a / u, roots_per_degree=1),
+    TRIGONOMETRIC: Family(
+        factor=lambda u: mp.sin(u / 2),
+        factor_derivative=lambda u: mp.cos(u / 2) / 2,
+        coupling=lambda a, u: a * mp.cot(u / 2) / 2, roots_per_degree=2,
+        basis=(mp.cos, mp.sin), derivative_sign=-1, keys=("cos", "sin")),
+    EXPONENTIAL: Family(
+        factor=lambda u: mp.sinh(u / 2),
+        factor_derivative=lambda u: mp.cosh(u / 2) / 2,
+        coupling=lambda a, u: a * mp.coth(u / 2) / 2, roots_per_degree=2,
+        basis=(mp.cosh, mp.sinh), derivative_sign=1, envelope=mp.cosh,
+        keys=("ch", "sh")),
+}
+
+
+def degree_of(family, multiplicities):
+    """Degree of a `family` polynomial whose roots have these multiplicities."""
+    total = sum(multiplicities)
+    per_degree = FAMILY[family].roots_per_degree
+    if total % per_degree:
+        raise InvalidConfigurationError(
+            f"{family} total multiplicity must be divisible by {per_degree}, "
+            f"got {total}"
+        )
+    return total // per_degree
+
+
+def require_distinct(values, what):
+    """Raise InvalidConfigurationError if two of `values` are equal."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if values[i] == values[j]:
+            raise InvalidConfigurationError(
+                f"{what} {i} and {j} coincide at {values[i]}"
+            )
+
+
+def gaps(values):
+    """(smallest, largest) distance between two of at least two values.
+
+    Neighbours in sorted order suffice: rounding is monotone, so no other
+    pair's rounded difference can fall outside these two.
+    """
+    ordered = sorted(values)
+    return (min(b - a for a, b in zip(ordered, ordered[1:])),
+            ordered[-1] - ordered[0])
 
 
 def _as_mpf_tuple(values, bits):
@@ -47,12 +120,7 @@ class RootConfiguration:
             raise InvalidConfigurationError("at least one root is required")
         if any(a < 1 for a in mults):
             raise InvalidConfigurationError("multiplicities must be >= 1")
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if roots[i] == roots[j]:
-                    raise InvalidConfigurationError(
-                        f"roots {i} and {j} coincide at {roots[i]}"
-                    )
+        require_distinct(roots, "roots")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "multiplicities", mults)
 
@@ -62,18 +130,10 @@ class RootConfiguration:
 
     def min_gap(self):
         """Smallest pairwise distance between the roots."""
-        return min(
-            abs(a - b)
-            for i, a in enumerate(self.roots)
-            for b in self.roots[i + 1:]
-        )
+        return gaps(self.roots)[0]
 
     def max_gap(self):
-        return max(
-            abs(a - b)
-            for i, a in enumerate(self.roots)
-            for b in self.roots[i + 1:]
-        )
+        return gaps(self.roots)[1]
 
 
 @dataclass(frozen=True)
@@ -83,6 +143,8 @@ class AlgebraicPoly:
     coeffs: tuple
     precision_bits: int = 53
 
+    family = ALGEBRAIC
+
     def __post_init__(self):
         require_bits(self.precision_bits)
         coeffs = _as_mpf_tuple(self.coeffs, self.precision_bits)
@@ -91,82 +153,57 @@ class AlgebraicPoly:
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
-    def family(self):
-        return ALGEBRAIC
-
-    @property
     def degree(self):
         return len(self.coeffs)
 
 
 @dataclass(frozen=True)
-class TrigPoly:
+class SeriesPoly:
+    """a0/2 + sum_{l=1..n} (even_l * E(lx) + odd_l * O(lx)), where (E, O) is
+    the family's basis pair: (cos, sin) for TrigPoly, (cosh, sinh) for
+    ExpPoly.  Subclasses only set `family`."""
+
+    a0: object
+    even: tuple
+    odd: tuple
+    precision_bits: int = 53
+
+    family = None
+
+    def __post_init__(self):
+        if self.family is None:
+            raise TypeError("SeriesPoly is abstract: build a TrigPoly or ExpPoly")
+        require_bits(self.precision_bits)
+        a0 = to_mpf(self.a0, self.precision_bits)
+        even = _as_mpf_tuple(self.even, self.precision_bits)
+        odd = _as_mpf_tuple(self.odd, self.precision_bits)
+        if len(even) != len(odd) or not even:
+            raise InvalidConfigurationError(
+                "even and odd coefficient sequences must have equal nonzero length"
+            )
+        if even[-1] == 0 and odd[-1] == 0:
+            raise InvalidConfigurationError(
+                "leading even/odd coefficients are both zero; reduce the degree"
+            )
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd", odd)
+
+    @property
+    def degree(self):
+        return len(self.even)
+
+
+class TrigPoly(SeriesPoly):
     """a0/2 + sum_{l=1..n} (a_l cos lx + b_l sin lx)."""
 
-    a0: object
-    cos_coeffs: tuple
-    sin_coeffs: tuple
-    precision_bits: int = 53
-
-    def __post_init__(self):
-        require_bits(self.precision_bits)
-        a0 = to_mpf(self.a0, self.precision_bits)
-        cos_c = _as_mpf_tuple(self.cos_coeffs, self.precision_bits)
-        sin_c = _as_mpf_tuple(self.sin_coeffs, self.precision_bits)
-        if len(cos_c) != len(sin_c) or not cos_c:
-            raise InvalidConfigurationError(
-                "cos and sin coefficient sequences must have equal nonzero length"
-            )
-        if cos_c[-1] == 0 and sin_c[-1] == 0:
-            raise InvalidConfigurationError(
-                "leading cos/sin coefficients are both zero; reduce the degree"
-            )
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "cos_coeffs", cos_c)
-        object.__setattr__(self, "sin_coeffs", sin_c)
-
-    @property
-    def family(self):
-        return TRIGONOMETRIC
-
-    @property
-    def degree(self):
-        return len(self.cos_coeffs)
+    family = TRIGONOMETRIC
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(SeriesPoly):
     """a0/2 + sum_{l=1..n} (a_l cosh lx + b_l sinh lx)."""
 
-    a0: object
-    ch_coeffs: tuple
-    sh_coeffs: tuple
-    precision_bits: int = 53
-
-    def __post_init__(self):
-        require_bits(self.precision_bits)
-        a0 = to_mpf(self.a0, self.precision_bits)
-        ch_c = _as_mpf_tuple(self.ch_coeffs, self.precision_bits)
-        sh_c = _as_mpf_tuple(self.sh_coeffs, self.precision_bits)
-        if len(ch_c) != len(sh_c) or not ch_c:
-            raise InvalidConfigurationError(
-                "cosh and sinh coefficient sequences must have equal nonzero length"
-            )
-        if ch_c[-1] == 0 and sh_c[-1] == 0:
-            raise InvalidConfigurationError(
-                "leading cosh/sinh coefficients are both zero; reduce the degree"
-            )
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "ch_coeffs", ch_c)
-        object.__setattr__(self, "sh_coeffs", sh_c)
-
-    @property
-    def family(self):
-        return EXPONENTIAL
-
-    @property
-    def degree(self):
-        return len(self.ch_coeffs)
+    family = EXPONENTIAL
 
 
 @dataclass(frozen=True)
@@ -195,32 +232,10 @@ class FactoredForm:
             raise InvalidConfigurationError("scale must be nonzero")
 
 
-def family_of(poly):
-    """The family tag of any polynomial representation."""
-    return poly.family
-
-
 def _check_finite(value, family, x):
     if not mp.isfinite(value):
         raise FamilyOverflowError(family, x)
     return value
-
-
-def _factor(family, u):
-    # u = x - root
-    if family == ALGEBRAIC:
-        return u
-    if family == TRIGONOMETRIC:
-        return mp.sin(u / 2)
-    return mp.sinh(u / 2)
-
-
-def _factor_derivative(family, u):
-    if family == ALGEBRAIC:
-        return mp.mpf(1)
-    if family == TRIGONOMETRIC:
-        return mp.cos(u / 2) / 2
-    return mp.cosh(u / 2) / 2
 
 
 def evaluate(poly, x, bits=None):
@@ -232,25 +247,21 @@ def evaluate(poly, x, bits=None):
             v = mp.mpf(1)
             for c in poly.coeffs:
                 v = v * x + c
-            return _check_finite(v, ALGEBRAIC, x)
-        if isinstance(poly, TrigPoly):
+        elif isinstance(poly, SeriesPoly):
+            even, odd = FAMILY[poly.family].basis
             terms = [poly.a0 / 2]
-            for l, (a, b) in enumerate(zip(poly.cos_coeffs, poly.sin_coeffs), start=1):
-                terms.append(a * mp.cos(l * x))
-                terms.append(b * mp.sin(l * x))
-            return _check_finite(mp.fsum(terms), TRIGONOMETRIC, x)
-        if isinstance(poly, ExpPoly):
-            terms = [poly.a0 / 2]
-            for l, (a, b) in enumerate(zip(poly.ch_coeffs, poly.sh_coeffs), start=1):
-                terms.append(a * mp.cosh(l * x))
-                terms.append(b * mp.sinh(l * x))
-            return _check_finite(mp.fsum(terms), EXPONENTIAL, x)
-        if isinstance(poly, FactoredForm):
+            for l, (a, b) in enumerate(zip(poly.even, poly.odd), start=1):
+                terms.append(a * even(l * x))
+                terms.append(b * odd(l * x))
+            v = mp.fsum(terms)
+        elif isinstance(poly, FactoredForm):
+            factor = FAMILY[poly.family].factor
             v = poly.scale
             for r, a in zip(poly.config.roots, poly.config.multiplicities):
-                v *= _factor(poly.family, x - r) ** a
-            return _check_finite(v, poly.family, x)
-    raise TypeError(f"not a polynomial representation: {poly!r}")
+                v *= factor(x - r) ** a
+        else:
+            raise TypeError(f"not a polynomial representation: {poly!r}")
+        return _check_finite(v, poly.family, x)
 
 
 def evaluate_derivative(poly, x, bits=None):
@@ -264,32 +275,30 @@ def evaluate_derivative(poly, x, bits=None):
             for c in poly.coeffs:
                 dv = dv * x + v
                 v = v * x + c
-            return _check_finite(dv, ALGEBRAIC, x)
-        if isinstance(poly, TrigPoly):
+        elif isinstance(poly, SeriesPoly):
+            fam = FAMILY[poly.family]
+            even, odd = fam.basis
             terms = []
-            for l, (a, b) in enumerate(zip(poly.cos_coeffs, poly.sin_coeffs), start=1):
-                terms.append(l * b * mp.cos(l * x))
-                terms.append(-l * a * mp.sin(l * x))
-            return _check_finite(mp.fsum(terms), TRIGONOMETRIC, x)
-        if isinstance(poly, ExpPoly):
-            terms = []
-            for l, (a, b) in enumerate(zip(poly.ch_coeffs, poly.sh_coeffs), start=1):
-                terms.append(l * a * mp.sinh(l * x))
-                terms.append(l * b * mp.cosh(l * x))
-            return _check_finite(mp.fsum(terms), EXPONENTIAL, x)
-        if isinstance(poly, FactoredForm):
+            for l, (a, b) in enumerate(zip(poly.even, poly.odd), start=1):
+                terms.append(l * b * even(l * x))
+                terms.append(fam.derivative_sign * l * a * odd(l * x))
+            dv = mp.fsum(terms)
+        elif isinstance(poly, FactoredForm):
+            fam = FAMILY[poly.family]
             cfg = poly.config
             terms = []
             for k, (rk, ak) in enumerate(zip(cfg.roots, cfg.multiplicities)):
                 uk = x - rk
-                t = ak * _factor_derivative(poly.family, uk)
-                t *= _factor(poly.family, uk) ** (ak - 1)
+                t = ak * fam.factor_derivative(uk)
+                t *= fam.factor(uk) ** (ak - 1)
                 for j, (rj, aj) in enumerate(zip(cfg.roots, cfg.multiplicities)):
                     if j != k:
-                        t *= _factor(poly.family, x - rj) ** aj
+                        t *= fam.factor(x - rj) ** aj
                 terms.append(t)
-            return _check_finite(poly.scale * mp.fsum(terms), poly.family, x)
-    raise TypeError(f"not a polynomial representation: {poly!r}")
+            dv = poly.scale * mp.fsum(terms)
+        else:
+            raise TypeError(f"not a polynomial representation: {poly!r}")
+        return _check_finite(dv, poly.family, x)
 
 
 def magnitude_scale(poly, x, bits=None):
@@ -304,20 +313,19 @@ def magnitude_scale(poly, x, bits=None):
             for c in poly.coeffs:
                 v = v * abs(x) + abs(c)
             return v
-        if isinstance(poly, TrigPoly):
-            return abs(poly.a0) / 2 + mp.fsum(
-                abs(a) + abs(b)
-                for a, b in zip(poly.cos_coeffs, poly.sin_coeffs)
-            )
-        if isinstance(poly, ExpPoly):
-            terms = [abs(poly.a0) / 2]
-            for l, (a, b) in enumerate(zip(poly.ch_coeffs, poly.sh_coeffs), start=1):
-                terms.append((abs(a) + abs(b)) * mp.cosh(l * x))
-            return mp.fsum(terms)
+        if isinstance(poly, SeriesPoly):
+            envelope = FAMILY[poly.family].envelope
+            pairs = enumerate(zip(poly.even, poly.odd), start=1)
+            if envelope is None:
+                return abs(poly.a0) / 2 + mp.fsum(
+                    abs(a) + abs(b) for _, (a, b) in pairs)
+            return mp.fsum([abs(poly.a0) / 2] + [
+                (abs(a) + abs(b)) * envelope(l * x) for l, (a, b) in pairs])
         if isinstance(poly, FactoredForm):
+            factor = FAMILY[poly.family].factor
             v = abs(poly.scale)
             for r, a in zip(poly.config.roots, poly.config.multiplicities):
-                v *= abs(_factor(poly.family, x - r)) ** a
+                v *= abs(factor(x - r)) ** a
             return v
     raise TypeError(f"not a polynomial representation: {poly!r}")
 
@@ -335,7 +343,7 @@ def evaluation_noise(poly, x, bits=None):
     with working(bits):
         if isinstance(poly, AlgebraicPoly):
             ops = 2 * (poly.degree + 1)
-        elif isinstance(poly, (TrigPoly, ExpPoly)):
+        elif isinstance(poly, SeriesPoly):
             ops = 4 * poly.degree + 4
         elif isinstance(poly, FactoredForm):
             ops = 3 * (poly.config.total_multiplicity + 1)
@@ -368,6 +376,7 @@ def expand_from_roots(form):
     bits = form.precision_bits
     cfg = form.config
     total = cfg.total_multiplicity
+    n = degree_of(form.family, cfg.multiplicities)
 
     with working(bits):
         if form.family == ALGEBRAIC:
@@ -385,12 +394,6 @@ def expand_from_roots(form):
                     coeffs = nxt
             expanded = AlgebraicPoly(tuple(coeffs[1:]), precision_bits=bits)
         else:
-            if total % 2 != 0:
-                raise InvalidConfigurationError(
-                    f"{form.family} expansion needs an even total multiplicity, "
-                    f"got {total}"
-                )
-            n = total // 2
             sigma = mp.fsum(r * a for r, a in zip(cfg.roots, cfg.multiplicities))
             if form.family == TRIGONOMETRIC:
                 # sin(u/2) = e^{-i r/2} z^{1/2} (z e^{-i r} - 1) / (2i z),
@@ -463,6 +466,9 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits):
     on another zero of the factor, for the periodic family).
     """
     require_bits(bits)
+    if family not in FAMILY:
+        raise InvalidConfigurationError(f"unknown family {family!r}")
+    coupling = FAMILY[family].coupling
     with working(bits):
         x = mp.mpf(x)
         threshold = mp.mpf(2) ** (mp.mpf(-bits) / 2)
@@ -471,14 +477,7 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits):
             u = x - mp.mpf(r)
             if abs(u) < threshold:
                 raise CollisionError(j, u, threshold)
-            if family == ALGEBRAIC:
-                t = a / u
-            elif family == TRIGONOMETRIC:
-                t = a * mp.cot(u / 2) / 2
-            elif family == EXPONENTIAL:
-                t = a * mp.coth(u / 2) / 2
-            else:
-                raise InvalidConfigurationError(f"unknown family {family!r}")
+            t = coupling(a, u)
             if not mp.isfinite(t):
                 # x sits on another zero of the factor (periodic collision)
                 raise CollisionError(j, u, threshold)

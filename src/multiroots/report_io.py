@@ -9,16 +9,18 @@ input for convenience.  The layout is documented in the README.
 import json
 from dataclasses import dataclass, field
 
-from .errors import SchemaError
+from .errors import InvalidConfigurationError, SchemaError
 from .polynomials import (
     ALGEBRAIC,
     FAMILIES,
+    FAMILY,
     TRIGONOMETRIC,
     AlgebraicPoly,
     ExpPoly,
     FactoredForm,
     RootConfiguration,
     TrigPoly,
+    degree_of,
 )
 from .precision import format_real, parse_real, require_bits
 from .solver import SolveSettings
@@ -46,6 +48,24 @@ def _parse_reals(values, bits, location):
     return tuple(out)
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(str(exc), str(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}",
+                          f"{path}:{exc.lineno}:{exc.colno}")
+
+
+def _precision_bits(data, location):
+    try:
+        return require_bits(data.get("precision_bits", 53))
+    except ValueError as exc:
+        raise SchemaError(str(exc), f"{location}.precision_bits")
+
+
 @dataclass
 class Problem:
     family: str
@@ -71,9 +91,9 @@ class Problem:
         c = self.coefficients
         if self.family == ALGEBRAIC:
             return AlgebraicPoly(c, precision_bits=bits)
-        if self.family == TRIGONOMETRIC:
-            return TrigPoly(c["a0"], c["cos"], c["sin"], precision_bits=bits)
-        return ExpPoly(c["a0"], c["ch"], c["sh"], precision_bits=bits)
+        even, odd = FAMILY[self.family].keys
+        series = TrigPoly if self.family == TRIGONOMETRIC else ExpPoly
+        return series(c["a0"], c[even], c[odd], precision_bits=bits)
 
     def truth(self):
         """True roots when known: explicit metadata, else the factored roots."""
@@ -94,16 +114,16 @@ def problem_from_dict(data, location="problem"):
     _require(representation in REPRESENTATIONS,
              f"representation must be one of {REPRESENTATIONS}",
              f"{location}.representation")
-    bits = data.get("precision_bits", 53)
-    try:
-        require_bits(bits)
-    except ValueError as exc:
-        raise SchemaError(str(exc), f"{location}.precision_bits")
+    bits = _precision_bits(data, location)
     mults = data.get("multiplicities")
     _require(isinstance(mults, list) and mults
              and all(isinstance(a, int) and a >= 1 for a in mults),
              "multiplicities must be a nonempty list of integers >= 1",
              f"{location}.multiplicities")
+    try:
+        degree = degree_of(family, mults)
+    except InvalidConfigurationError as exc:
+        raise SchemaError(str(exc), f"{location}.multiplicities")
     initial = _parse_reals(data.get("initial"), bits, f"{location}.initial")
     _require(len(initial) == len(mults),
              f"{len(initial)} initial values vs {len(mults)} multiplicities",
@@ -117,11 +137,6 @@ def problem_from_dict(data, location="problem"):
         _require(len(roots) == len(mults),
                  f"{len(roots)} roots vs {len(mults)} multiplicities",
                  f"{location}.roots")
-        if family != ALGEBRAIC:
-            total = sum(mults)
-            _require(total % 2 == 0,
-                     f"{family} total multiplicity must be even, got {total}",
-                     f"{location}.multiplicities")
         if "scale" in data:
             scale = parse_real(data["scale"], bits)
     else:
@@ -129,9 +144,10 @@ def problem_from_dict(data, location="problem"):
         loc = f"{location}.coefficients"
         if family == ALGEBRAIC:
             coefficients = _parse_reals(c, bits, loc)
+            size = len(coefficients)
         else:
             _require(isinstance(c, dict), "expected an object", loc)
-            key_a, key_b = ("cos", "sin") if family == TRIGONOMETRIC else ("ch", "sh")
+            key_a, key_b = FAMILY[family].keys
             _require("a0" in c and key_a in c and key_b in c,
                      f"needs keys a0, {key_a}, {key_b}", loc)
             coefficients = {
@@ -139,6 +155,11 @@ def problem_from_dict(data, location="problem"):
                 key_a: _parse_reals(c[key_a], bits, f"{loc}.{key_a}"),
                 key_b: _parse_reals(c[key_b], bits, f"{loc}.{key_b}"),
             }
+            size = len(coefficients[key_a])
+        _require(degree == size,
+                 f"multiplicities sum to {sum(mults)}, which is not the root "
+                 f"count of a degree-{size} {family} polynomial",
+                 f"{location}.multiplicities")
 
     true_roots = None
     if data.get("true_roots") is not None:
@@ -182,14 +203,7 @@ def problem_from_dict(data, location="problem"):
 def load_problem(path, precision_override=None):
     """Parse a problem file; `precision_override` replaces the file's
     precision_bits before any real value is parsed, so no digits are lost."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(str(exc), str(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}",
-                          f"{path}:{exc.lineno}:{exc.colno}")
+    data = _read_json(path)
     if precision_override is not None:
         data["precision_bits"] = precision_override
     return problem_from_dict(data, location=str(path))
@@ -213,8 +227,7 @@ def problem_to_dict(problem):
         if problem.family == ALGEBRAIC:
             data["coefficients"] = [format_real(v, bits) for v in c]
         else:
-            key_a, key_b = (("cos", "sin") if problem.family == TRIGONOMETRIC
-                            else ("ch", "sh"))
+            key_a, key_b = FAMILY[problem.family].keys
             data["coefficients"] = {
                 "a0": format_real(c["a0"], bits),
                 key_a: [format_real(v, bits) for v in c[key_a]],
@@ -298,21 +311,10 @@ def save_report(report, problem, path, verdict=None):
 
 def load_report(path):
     """Parse a report file back into mpf-valued dicts (for verify/order)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(str(exc), str(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}",
-                          f"{path}:{exc.lineno}:{exc.colno}")
+    data = _read_json(path)
     location = str(path)
     _require(isinstance(data, dict), "report must be a JSON object", location)
-    bits = data.get("precision_bits", 53)
-    try:
-        require_bits(bits)
-    except ValueError as exc:
-        raise SchemaError(str(exc), f"{location}.precision_bits")
+    bits = _precision_bits(data, location)
     for key in ("termination", "final", "trace"):
         _require(key in data, f"missing key {key!r}", location)
     out = {

@@ -30,6 +30,7 @@ from .polynomials import (
     evaluate_derivative,
     evaluation_noise,
     log_derivative_sum,
+    require_distinct,
 )
 from .precision import eps, require_bits, to_mpf, working
 
@@ -52,8 +53,10 @@ class SolveSettings:
 
     def __post_init__(self):
         require_bits(self.precision_bits)
-        if self.max_iterations < 1:
-            raise InvalidConfigurationError("max_iterations must be >= 1")
+        # bool is an int subclass, and True would silently mean 1
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise InvalidConfigurationError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if self.sweep_mode not in (SIMULTANEOUS, SEQUENTIAL):
             raise InvalidConfigurationError(f"unknown sweep_mode {self.sweep_mode!r}")
         if self.correction_tolerance is not None:
@@ -110,12 +113,7 @@ def initial_state(poly, initial, settings, true_roots=None):
     """IterationState at k=0 with the trace seeded by the initial entry."""
     bits = settings.precision_bits
     x0 = tuple(to_mpf(v, bits) for v in initial)
-    for i in range(len(x0)):
-        for j in range(i + 1, len(x0)):
-            if x0[i] == x0[j]:
-                raise InvalidConfigurationError(
-                    f"initial approximations {i} and {j} coincide"
-                )
+    require_distinct(x0, "initial approximations")
     entry = _entry(poly, x0, 0, bits, true_roots=true_roots)
     return IterationState(x0, 0, None, (entry,))
 
@@ -147,22 +145,18 @@ def step(poly, multiplicities, state, settings, true_roots=None):
             if fi == 0 or abs(fi) <= evaluation_noise(poly, xi, bits):
                 continue
             fpi = evaluate_derivative(poly, xi, bits)
-            if settings.sweep_mode == SEQUENTIAL:
-                others = [(new[j] if j < i else current[j], multiplicities[j])
-                          for j in range(len(current)) if j != i]
-            else:
-                others = [(current[j], multiplicities[j])
-                          for j in range(len(current)) if j != i]
+            # `new` holds the updated entries before i and the incoming ones
+            # after it
+            source = new if settings.sweep_mode == SEQUENTIAL else current
+            others = [j for j in range(len(current)) if j != i]
             try:
                 coupling = log_derivative_sum(
-                    family,
-                    [r for r, _ in others],
-                    [a for _, a in others],
-                    xi,
-                    bits,
-                )
+                    family, [source[j] for j in others],
+                    [multiplicities[j] for j in others], xi, bits)
             except CollisionError as exc:
-                raise exc.with_index(i) from None
+                # exc.j indexes `others`; report the approximation's own index
+                raise CollisionError(others[exc.j], exc.distance,
+                                     exc.threshold, i=i) from None
             denom = fpi - fi * coupling
             if denom == 0 or abs(denom) < degenerate_floor * abs(fpi):
                 raise DegenerateDenominatorError(i, denom, fpi)
@@ -178,8 +172,9 @@ def step(poly, multiplicities, state, settings, true_roots=None):
                               state.trace + (entry,))
 
 
-def _order_floor(bits, final):
-    # errors within 2**8 ulp of the precision floor are saturated by roundoff
+def order_floor(bits, final):
+    """Error level below which an order estimate sees only roundoff: 2**8 ulp
+    at the magnitude of the final approximations (at least 1)."""
     scale = max([mp.mpf(1)] + [abs(x) for x in final])
     return mp.mpf(2) ** 8 * eps(bits) * scale
 
@@ -211,7 +206,7 @@ def order_error_sequence(trace):
 def _estimate_from_trace(trace, bits, final):
     seq, _ = order_error_sequence(trace)
     try:
-        return estimate_order(seq, floor=_order_floor(bits, final)).order
+        return estimate_order(seq, floor=order_floor(bits, final)).order
     except InsufficientDataError:
         return None
 
@@ -268,59 +263,3 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         trace=state.trace,
         estimated_order=order,
     )
-
-
-def _expand_simple(roots):
-    # descending coefficients of prod (x - r), leading 1
-    coeffs = [mp.mpf(1)]
-    for r in roots:
-        nxt = [mp.mpf(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c
-            nxt[k + 1] -= c * r
-        coeffs = nxt
-    return coeffs
-
-
-def _derive_desc(coeffs):
-    n = len(coeffs) - 1
-    return [c * (n - k) for k, c in enumerate(coeffs[:-1])]
-
-
-def _horner_desc(coeffs, x):
-    v = mp.mpf(0)
-    for c in coeffs:
-        v = v * x + c
-    return v
-
-
-def simple_root_reduction_residual(simple_roots, index, bits=53):
-    """Residual of the identity that collapses the coupled denominator to its
-    classical simple-root form, evaluated at knot `index`.
-
-    With Q(x) = prod_j (x - x_j) over distinct knots and Q_i = Q / (x - x_i),
-    returns Q''(x_i)/Q'(x_i) - 2 Q_i'(x_i)/Q_i(x_i), computed from explicit
-    coefficient expansion (an independent path from `log_derivative_sum`).
-    Zero up to roundoff whenever all knots are distinct.
-    """
-    require_bits(bits)
-    with working(bits):
-        roots = [mp.mpf(r) for r in simple_roots]
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if roots[i] == roots[j]:
-                    raise InvalidConfigurationError(
-                        f"knots {i} and {j} coincide at {roots[i]}"
-                    )
-        if not 0 <= index < len(roots):
-            raise InvalidConfigurationError(f"index {index} out of range")
-        x = roots[index]
-        full = _expand_simple(roots)
-        d1 = _derive_desc(full)
-        d2 = _derive_desc(d1)
-        lhs = _horner_desc(d2, x) / _horner_desc(d1, x)
-        others = roots[:index] + roots[index + 1:]
-        qi = _expand_simple(others)
-        qi1 = _derive_desc(qi)
-        rhs = 2 * _horner_desc(qi1, x) / _horner_desc(qi, x)
-        return lhs - rhs

@@ -20,12 +20,12 @@ from .polynomials import (
     EXPONENTIAL,
     TRIGONOMETRIC,
     AlgebraicPoly,
-    ExpPoly,
     FactoredForm,
-    TrigPoly,
+    SeriesPoly,
     evaluate,
     evaluate_derivative,
     expand_from_roots,
+    require_distinct,
 )
 from .precision import require_bits, to_mpf, working
 
@@ -154,12 +154,9 @@ def _derivative_ladder(poly, up_to):
                 lambda x, cs=frozen: _alg_abs_eval(cs, x),
             ))
             coeffs = _alg_derive(coeffs)
-    elif isinstance(poly, (TrigPoly, ExpPoly)):
+    elif isinstance(poly, SeriesPoly):
         family = poly.family
-        if family == TRIGONOMETRIC:
-            a0, a, b = poly.a0, list(poly.cos_coeffs), list(poly.sin_coeffs)
-        else:
-            a0, a, b = poly.a0, list(poly.ch_coeffs), list(poly.sh_coeffs)
+        a0, a, b = poly.a0, list(poly.even), list(poly.odd)
         for _ in range(up_to + 1):
             fa0, fa, fb = a0, list(a), list(b)
             evals.append((
@@ -325,3 +322,42 @@ def classical_ehrlich_step(poly, approximations, mode="simultaneous", bits=None)
                 acc += 1 / dx
             out[i] = x[i] - fi / (fpi - fi * acc)
         return tuple(out)
+
+
+def _expand_simple(roots):
+    # descending coefficients of prod (x - r), leading 1
+    coeffs = [mp.mpf(1)]
+    for r in roots:
+        nxt = [mp.mpf(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k] += c
+            nxt[k + 1] -= c * r
+        coeffs = nxt
+    return coeffs
+
+
+def simple_root_reduction_residual(simple_roots, index, bits=53):
+    """Residual of the identity that collapses the coupled denominator to its
+    classical simple-root form, evaluated at knot `index`.
+
+    With Q(x) = prod_j (x - x_j) over distinct knots and Q_i = Q / (x - x_i),
+    returns Q''(x_i)/Q'(x_i) - 2 Q_i'(x_i)/Q_i(x_i), computed from explicit
+    coefficient expansion (an independent path from `log_derivative_sum`).
+    Zero up to roundoff whenever all knots are distinct.
+    """
+    require_bits(bits)
+    with working(bits):
+        roots = [mp.mpf(r) for r in simple_roots]
+        require_distinct(roots, "knots")
+        if not 0 <= index < len(roots):
+            raise InvalidConfigurationError(f"index {index} out of range")
+        x = roots[index]
+        full = _expand_simple(roots)
+        d1 = _alg_derive(full)
+        d2 = _alg_derive(d1)
+        lhs = _alg_eval(d2, x) / _alg_eval(d1, x)
+        others = roots[:index] + roots[index + 1:]
+        qi = _expand_simple(others)
+        qi1 = _alg_derive(qi)
+        rhs = 2 * _alg_eval(qi1, x) / _alg_eval(qi, x)
+        return lhs - rhs

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 from mpmath import mp
@@ -46,6 +47,16 @@ class TestSolveCommand:
             "initial": [0.5],
         }))
         assert run("solve", bad) == 2
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integer_max_iterations_exits_2(self, tmp_path, capsys, count):
+        bad = tmp_path / "bad.json"
+        data = json.loads(
+            (resources.files("multiroots.problems") / "example1.json").read_text())
+        data["settings"] = {"max_iterations": count}
+        bad.write_text(json.dumps(data))
+        assert run("solve", bad, "-o", tmp_path / "r.json") == 2
+        assert "max_iterations" in capsys.readouterr().err
 
     def test_missing_problem_exits_2(self):
         assert run("solve", "no-such-problem") == 2

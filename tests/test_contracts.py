@@ -77,6 +77,11 @@ class TestSolveSettings:
         with pytest.raises(InvalidConfigurationError):
             SolveSettings(correction_tolerance=0)
 
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    def test_max_iterations_must_be_an_int(self, count):
+        with pytest.raises(InvalidConfigurationError):
+            SolveSettings(max_iterations=count)
+
 
 class TestTerminationEdges:
     def test_error_before_any_step_is_raised(self):

@@ -1,0 +1,120 @@
+"""Property tests of the per-family kernels against independent evaluations.
+
+Each test draws factored configurations of one family and compares what the
+`FAMILY` table drives (factor, derivative, coupling, basis, derivative sign,
+envelope, roots per degree, problem-file keys) with a computation that does
+not read the table: the coefficient ladder of `verification`, the quotient
+F'/F of a factored form, and the problem-file layout the README documents.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp
+
+from multiroots import (
+    ALGEBRAIC,
+    EXPONENTIAL,
+    FAMILIES,
+    TRIGONOMETRIC,
+    FactoredForm,
+    RootConfiguration,
+    evaluate,
+    evaluate_derivative,
+    expand_from_roots,
+    log_derivative_sum,
+    magnitude_scale,
+)
+from multiroots.precision import format_real
+from multiroots.report_io import problem_from_dict, problem_to_dict
+from multiroots.verification import _derivative_ladder
+
+# the coefficient keys of a series problem file, as the README states them
+FILE_KEYS = {TRIGONOMETRIC: ("cos", "sin"), EXPONENTIAL: ("ch", "sh")}
+
+FEW = settings(max_examples=15, deadline=None)
+
+
+@st.composite
+def configurations(draw, family):
+    """(factored form, point at least 0.1 away from every root).
+
+    Roots stay inside [-2.4, 1.7], within one period of the trigonometric
+    factor, and the series families get an even total multiplicity.
+    """
+    bits = draw(st.sampled_from([53, 96, 160, 256]))
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    if family != ALGEBRAIC and sum(mults) % 2:
+        mults[-1] += 1
+    roots = [draw(st.floats(-2.4, -1.0))]
+    for _ in mults[1:]:
+        roots.append(roots[-1] + draw(st.floats(0.3, 0.9)))
+    scale = 1 if family == ALGEBRAIC else draw(st.sampled_from([1, -2.5, 0.75]))
+    form = FactoredForm(family, RootConfiguration(roots, mults, bits),
+                        scale=scale)
+    x = draw(st.floats(roots[0] - 0.6, roots[-1] + 0.6).filter(
+        lambda x: min(abs(x - r) for r in roots) > 0.1))
+    return form, mp.mpf(x)
+
+
+def tolerance(bits):
+    return mp.mpf(2) ** (24 - bits)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@FEW
+@given(data=st.data())
+def test_kernels_match_the_coefficient_ladder(family, data):
+    form, x = data.draw(configurations(family))
+    bits = form.precision_bits
+    expanded = expand_from_roots(form)
+    with mp.workprec(bits):
+        ladder = _derivative_ladder(expanded, 1)
+        for (value, scale), kernel in zip(ladder, (evaluate, evaluate_derivative)):
+            bound = tolerance(bits) * max(scale(x), 1)
+            for poly in (form, expanded):
+                assert abs(kernel(poly, x) - value(x)) <= bound
+        abs_value = ladder[0][1](x)
+        assert abs(magnitude_scale(expanded, x) - abs_value) \
+            <= tolerance(bits) * abs_value
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@FEW
+@given(data=st.data())
+def test_coupling_is_the_log_derivative_of_the_other_roots(family, data):
+    form, x = data.draw(configurations(family))
+    bits = form.precision_bits
+    cfg = form.config
+    others = FactoredForm(family, cfg)
+    got = log_derivative_sum(family, cfg.roots, cfg.multiplicities, x, bits)
+    with mp.workprec(bits):
+        want = evaluate_derivative(others, x) / evaluate(others, x)
+        size = sum(abs(log_derivative_sum(family, [r], [a], x, bits))
+                   for r, a in zip(cfg.roots, cfg.multiplicities))
+        assert abs(got - want) <= tolerance(bits) * (1 + size)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@FEW
+@given(data=st.data())
+def test_coefficient_problem_files_roundtrip(family, data):
+    form, _ = data.draw(configurations(family))
+    bits = form.precision_bits
+    expanded = expand_from_roots(form)
+    fmt = lambda values: [format_real(v, bits) for v in values]
+    if family == ALGEBRAIC:
+        coefficients = fmt(expanded.coeffs)
+    else:
+        even, odd = FILE_KEYS[family]
+        coefficients = {"a0": format_real(expanded.a0, bits),
+                        even: fmt(expanded.even), odd: fmt(expanded.odd)}
+    problem = problem_from_dict({
+        "family": family,
+        "representation": "coefficients",
+        "precision_bits": bits,
+        "coefficients": coefficients,
+        "multiplicities": list(form.config.multiplicities),
+        "initial": fmt(form.config.roots),
+    })
+    assert problem.polynomial() == expanded
+    assert problem_from_dict(problem_to_dict(problem)).polynomial() == expanded

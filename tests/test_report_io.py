@@ -74,6 +74,25 @@ class TestProblemFiles:
         with pytest.raises(SchemaError):
             problem_from_dict(bad)
 
+    @pytest.mark.parametrize("family, coefficients, multiplicities", [
+        # x^2 - 3x + 2 has two roots, not three
+        ("algebraic", ["-3", "2"], [2, 1]),
+        # a degree-1 series has two roots, not four
+        ("exponential", {"a0": "0", "ch": ["1"], "sh": ["0.5"]}, [2, 2]),
+    ])
+    def test_multiplicities_must_sum_to_the_root_count(
+            self, family, coefficients, multiplicities):
+        bad = {
+            "family": family,
+            "representation": "coefficients",
+            "coefficients": coefficients,
+            "multiplicities": multiplicities,
+            "initial": ["0.9", "2.2"],
+        }
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(bad)
+        assert "problem.multiplicities" in str(err.value)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"family": "algebraic",\n  "oops"\n')

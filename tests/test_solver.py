@@ -82,6 +82,14 @@ class TestStep:
         assert err.value.i is not None
         assert err.value.j is not None
 
+    def test_collision_names_the_partner_after_the_updated_index(self):
+        poly = AlgebraicPoly((0, 0, -1))  # x^3 - 1
+        settings = SolveSettings()
+        state = initial_state(poly, ("0.3", 5, 5 + mp.mpf(2) ** -40), settings)
+        with pytest.raises(CollisionError) as err:
+            step(poly, (1, 1, 1), state, settings)
+        assert {err.value.i, err.value.j} == {1, 2}
+
 
 class TestSolve:
     def test_example2_converges_within_five_sweeps(self):
