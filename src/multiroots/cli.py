@@ -13,7 +13,7 @@ from pathlib import Path
 
 from mpmath import mp
 
-from .convergence import ConvergenceParams, check_conditions, estimate_order
+from .convergence import ConvergenceParams, check_conditions
 from .errors import (
     InsufficientDataError,
     InvalidConfigurationError,
@@ -21,18 +21,17 @@ from .errors import (
     SchemaError,
 )
 from .polynomials import (
-    ALGEBRAIC,
     FAMILIES,
-    FAMILY,
     TRIGONOMETRIC,
     FactoredForm,
     RootConfiguration,
     expand_from_roots,
     gaps,
 )
-from .precision import format_real, parse_real, working
+from .precision import format_real, working
 from .report_io import (
     Problem,
+    checked_real,
     load_problem,
     load_report,
     save_problem,
@@ -45,10 +44,8 @@ from .solver import (
     MAX_ITERATIONS,
     NONFINITE,
     SolveSettings,
-    TraceEntry,
-    order_error_sequence,
-    order_floor,
     solve,
+    trace_order,
 )
 from .verification import verify_roots
 
@@ -91,8 +88,8 @@ def _apply_overrides(problem, args):
     if args.max_iterations is not None:
         changes["max_iterations"] = args.max_iterations
     if args.tolerance is not None:
-        changes["correction_tolerance"] = parse_real(
-            args.tolerance, problem.settings.precision_bits)
+        changes["correction_tolerance"] = checked_real(
+            args.tolerance, problem.precision_bits, "--tolerance")
     if args.sweep is not None:
         changes["sweep_mode"] = args.sweep
     problem.settings = replace(problem.settings, **changes)
@@ -112,10 +109,14 @@ def _condition_params(problem, args):
             "--kappa is required for trigonometric problems and "
             "disallowed otherwise"
         )
+    bits = problem.precision_bits
+    kappa = (None if args.kappa is None
+             else checked_real(args.kappa, bits, "--kappa"))
     return ConvergenceParams(
-        family=problem.family, c=args.c, q=args.q, roots=truth,
-        multiplicities=problem.multiplicities, kappa=args.kappa,
-        precision_bits=problem.precision_bits,
+        family=problem.family, c=checked_real(args.c, bits, "--c"),
+        q=checked_real(args.q, bits, "--q"), roots=truth,
+        multiplicities=problem.multiplicities, kappa=kappa,
+        precision_bits=bits,
     )
 
 
@@ -127,8 +128,7 @@ def _cmd_solve(args):
     if args.theorems:
         verdict = check_conditions(_condition_params(problem, args))
 
-    poly = problem.polynomial()
-    report = solve(poly, problem.multiplicities, problem.initial,
+    report = solve(problem.poly, problem.multiplicities, problem.initial,
                    settings=problem.settings, true_roots=problem.truth())
 
     bits = problem.precision_bits
@@ -167,10 +167,14 @@ def _parse_roots_arg(text, bits):
             continue
         if ":" in chunk:
             root_text, mult_text = chunk.rsplit(":", 1)
-            mult = int(mult_text)
+            try:
+                mult = int(mult_text)
+            except ValueError:
+                raise SchemaError(f"multiplicity {mult_text!r} is not an "
+                                  f"integer", "--roots")
         else:
             root_text, mult = chunk, 1
-        roots.append(parse_real(root_text, bits))
+        roots.append(checked_real(root_text, bits, "--roots"))
         mults.append(mult)
     if not roots:
         raise SchemaError("--roots must list at least one root[:multiplicity]")
@@ -189,31 +193,23 @@ def _cmd_generate(args):
     bits = args.precision_bits or 192
     roots, mults = _parse_roots_arg(args.roots, bits)
     cfg = RootConfiguration(roots, mults, precision_bits=bits)
-    form = FactoredForm(args.family, cfg, scale=args.scale, precision_bits=bits)
-    expanded = expand_from_roots(form)
+    form = FactoredForm(args.family, cfg, precision_bits=bits,
+                        scale=checked_real(args.scale, bits, "--scale"))
 
     if args.initial:
-        initial = [parse_real(v, bits) for v in args.initial.split(",")]
+        initial = [checked_real(v, bits, "--initial")
+                   for v in args.initial.split(",")]
     else:
         initial = _default_initial(cfg.roots, mults, bits)
     if len(initial) != len(mults):
         raise SchemaError(
             f"{len(initial)} initial values vs {len(mults)} roots")
 
-    if args.family == ALGEBRAIC:
-        coefficients = expanded.coeffs
-    else:
-        even, odd = FAMILY[args.family].keys
-        coefficients = {"a0": expanded.a0, even: expanded.even,
-                        odd: expanded.odd}
     problem = Problem(
-        family=args.family,
-        representation="coefficients",
-        precision_bits=bits,
+        poly=expand_from_roots(form),
         multiplicities=tuple(mults),
         initial=tuple(initial),
         label=args.label,
-        coefficients=coefficients,
         true_roots=cfg.roots,
         settings=SolveSettings(precision_bits=bits),
     )
@@ -225,18 +221,15 @@ def _cmd_generate(args):
 def _cmd_verify(args):
     problem = load_problem(_resolve_problem_path(args.problem))
     report = load_report(args.report)
-    if len(report["final"]) != len(problem.multiplicities):
-        raise SchemaError(
-            f"report has {len(report['final'])} approximations but the "
-            f"problem has {len(problem.multiplicities)} roots")
     bits = problem.precision_bits
     try:
-        claimed = RootConfiguration(report["final"], problem.multiplicities,
+        claimed = RootConfiguration(report.final, problem.multiplicities,
                                     precision_bits=bits)
     except InvalidConfigurationError as exc:
         raise SchemaError(f"reported approximations are not a valid "
                           f"root configuration: {exc}")
-    outcome = verify_roots(problem.polynomial(), claimed, args.tolerance,
+    outcome = verify_roots(problem.poly, claimed,
+                           checked_real(args.tolerance, bits, "--tolerance"),
                            bits=bits)
     print(str(outcome))
     return EXIT_OK if outcome.passed else EXIT_NOT_CONVERGED
@@ -244,12 +237,9 @@ def _cmd_verify(args):
 
 def _cmd_order(args):
     report = load_report(args.report)
-    bits = report["precision_bits"]
-    trace = tuple(TraceEntry(**e) for e in report["trace"])
-    sequence, kind = order_error_sequence(trace)
     try:
-        estimate = estimate_order(sequence,
-                                  floor=order_floor(bits, report["final"]))
+        estimate, kind = trace_order(report.trace, report.precision_bits,
+                                     report.final)
     except InsufficientDataError as exc:
         print(f"order: insufficient data ({exc})", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -325,10 +315,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InvalidConfigurationError as exc:
+    except (SchemaError, InvalidConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MultirootsError as exc:

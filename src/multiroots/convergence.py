@@ -13,7 +13,7 @@ from mpmath import mp
 
 from .errors import InsufficientDataError, InvalidConfigurationError
 from .polynomials import (ALGEBRAIC, EXPONENTIAL, FAMILIES, TRIGONOMETRIC,
-                          degree_of, gaps, require_distinct)
+                          RootConfiguration, degree_of, gaps)
 from .precision import require_bits, to_mpf, working
 
 
@@ -79,22 +79,17 @@ class ConvergenceParams:
                 "kappa is required for the trigonometric family and "
                 "disallowed otherwise"
             )
-        roots = tuple(to_mpf(r, self.precision_bits) for r in self.roots)
-        mults = tuple(int(a) for a in self.multiplicities)
-        if len(roots) != len(mults) or len(roots) < 2:
-            raise InvalidConfigurationError(
-                "need >= 2 roots with matching multiplicities"
-            )
-        if any(a < 1 for a in mults):
-            raise InvalidConfigurationError("multiplicities must be >= 1")
-        require_distinct(roots, "roots")
-        object.__setattr__(self, "n", degree_of(self.family, mults))
+        cfg = RootConfiguration(self.roots, self.multiplicities,
+                                precision_bits=self.precision_bits)
+        if len(cfg.roots) < 2:
+            raise InvalidConfigurationError("need >= 2 roots")
+        object.__setattr__(self, "n", degree_of(self.family, cfg.multiplicities))
         with working(self.precision_bits):
-            d, max_gap = gaps(roots)
+            d, max_gap = gaps(cfg.roots)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "max_gap", max_gap)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "roots", cfg.roots)
+        object.__setattr__(self, "multiplicities", cfg.multiplicities)
         object.__setattr__(self, "c", to_mpf(self.c, self.precision_bits))
         object.__setattr__(self, "q", to_mpf(self.q, self.precision_bits))
         if self.kappa is not None:

@@ -7,7 +7,7 @@ input for convenience.  The layout is documented in the README.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidConfigurationError, SchemaError
 from .polynomials import (
@@ -23,9 +23,11 @@ from .polynomials import (
     degree_of,
 )
 from .precision import format_real, parse_real, require_bits
-from .solver import SolveSettings
+from .solver import SolveReport, SolveSettings, TraceEntry
 
 REPRESENTATIONS = ("coefficients", "roots")
+# the TraceEntry fields a report stores as lists of reals, in file order
+_TRACE_LISTS = ("approximations", "residuals", "corrections", "errors")
 
 
 def _require(condition, message, location=None):
@@ -33,19 +35,23 @@ def _require(condition, message, location=None):
         raise SchemaError(message, location)
 
 
+def checked_real(value, bits, location):
+    """Parse one real from outside the program (a JSON value or a CLI flag);
+    a value that is not a real raises a SchemaError naming `location`."""
+    _require(isinstance(value, (str, int, float)),
+             f"expected number or decimal string, got {type(value).__name__}",
+             location)
+    try:
+        return parse_real(value, bits)
+    except ValueError:
+        raise SchemaError(f"unparseable real {value!r}", location)
+
+
 def _parse_reals(values, bits, location):
     _require(isinstance(values, list) and values, "expected a nonempty list",
              location)
-    out = []
-    for idx, v in enumerate(values):
-        _require(isinstance(v, (str, int, float)),
-                 f"expected number or decimal string, got {type(v).__name__}",
-                 f"{location}[{idx}]")
-        try:
-            out.append(parse_real(v, bits))
-        except ValueError:
-            raise SchemaError(f"unparseable real {v!r}", f"{location}[{idx}]")
-    return tuple(out)
+    return tuple(checked_real(v, bits, f"{location}[{idx}]")
+                 for idx, v in enumerate(values))
 
 
 def _read_json(path):
@@ -66,42 +72,67 @@ def _precision_bits(data, location):
         raise SchemaError(str(exc), f"{location}.precision_bits")
 
 
+def _build(location, constructor, *args, **kwargs):
+    """`constructor(*args, **kwargs)`, with an InvalidConfigurationError
+    turned into a SchemaError at `location`."""
+    try:
+        return constructor(*args, **kwargs)
+    except InvalidConfigurationError as exc:
+        raise SchemaError(str(exc), location)
+
+
 @dataclass
 class Problem:
-    family: str
-    representation: str
-    precision_bits: int
+    poly: object  # AlgebraicPoly, TrigPoly, ExpPoly or FactoredForm
     multiplicities: tuple
     initial: tuple
     label: str = ""
-    roots: tuple = None          # representation == "roots"
-    scale: object = 1
-    coefficients: object = None  # representation == "coefficients"
     true_roots: tuple = None
-    settings: SolveSettings = field(default=None)
+    settings: SolveSettings = None
+
+    @property
+    def family(self):
+        return self.poly.family
+
+    @property
+    def precision_bits(self):
+        return self.poly.precision_bits
 
     def polynomial(self):
-        """Build the polynomial object this problem solves."""
-        bits = self.precision_bits
-        if self.representation == "roots":
-            cfg = RootConfiguration(self.roots, self.multiplicities,
-                                    precision_bits=bits)
-            return FactoredForm(self.family, cfg, scale=self.scale,
-                                precision_bits=bits)
-        c = self.coefficients
-        if self.family == ALGEBRAIC:
-            return AlgebraicPoly(c, precision_bits=bits)
-        even, odd = FAMILY[self.family].keys
-        series = TrigPoly if self.family == TRIGONOMETRIC else ExpPoly
-        return series(c["a0"], c[even], c[odd], precision_bits=bits)
+        """The polynomial this problem solves."""
+        return self.poly
 
     def truth(self):
         """True roots when known: explicit metadata, else the factored roots."""
         if self.true_roots is not None:
             return self.true_roots
-        if self.representation == "roots":
-            return self.roots
+        if isinstance(self.poly, FactoredForm):
+            return self.poly.config.roots
         return None
+
+
+def _polynomial(data, family, representation, mults, bits, location):
+    """Build the problem's polynomial from its roots or coefficients."""
+    if representation == "roots":
+        loc = f"{location}.roots"
+        roots = _parse_reals(data.get("roots"), bits, loc)
+        cfg = _build(loc, RootConfiguration, roots, mults, precision_bits=bits)
+        loc = f"{location}.scale"
+        scale = checked_real(data.get("scale", 1), bits, loc)
+        return _build(loc, FactoredForm, family, cfg, scale=scale)
+    c = data.get("coefficients")
+    loc = f"{location}.coefficients"
+    if family == ALGEBRAIC:
+        return AlgebraicPoly(_parse_reals(c, bits, loc), precision_bits=bits)
+    _require(isinstance(c, dict), "expected an object", loc)
+    even, odd = FAMILY[family].keys
+    _require("a0" in c and even in c and odd in c,
+             f"needs keys a0, {even}, {odd}", loc)
+    series = TrigPoly if family == TRIGONOMETRIC else ExpPoly
+    return _build(loc, series, checked_real(c["a0"], bits, f"{loc}.a0"),
+                  _parse_reals(c[even], bits, f"{loc}.{even}"),
+                  _parse_reals(c[odd], bits, f"{loc}.{odd}"),
+                  precision_bits=bits)
 
 
 def problem_from_dict(data, location="problem"):
@@ -116,49 +147,22 @@ def problem_from_dict(data, location="problem"):
              f"{location}.representation")
     bits = _precision_bits(data, location)
     mults = data.get("multiplicities")
+    # bool is an int subclass, and true would silently mean 1
     _require(isinstance(mults, list) and mults
-             and all(isinstance(a, int) and a >= 1 for a in mults),
+             and all(type(a) is int and a >= 1 for a in mults),
              "multiplicities must be a nonempty list of integers >= 1",
              f"{location}.multiplicities")
-    try:
-        degree = degree_of(family, mults)
-    except InvalidConfigurationError as exc:
-        raise SchemaError(str(exc), f"{location}.multiplicities")
+    degree = _build(f"{location}.multiplicities", degree_of, family, mults)
     initial = _parse_reals(data.get("initial"), bits, f"{location}.initial")
     _require(len(initial) == len(mults),
              f"{len(initial)} initial values vs {len(mults)} multiplicities",
              f"{location}.initial")
 
-    roots = None
-    scale = 1
-    coefficients = None
-    if representation == "roots":
-        roots = _parse_reals(data.get("roots"), bits, f"{location}.roots")
-        _require(len(roots) == len(mults),
-                 f"{len(roots)} roots vs {len(mults)} multiplicities",
-                 f"{location}.roots")
-        if "scale" in data:
-            scale = parse_real(data["scale"], bits)
-    else:
-        c = data.get("coefficients")
-        loc = f"{location}.coefficients"
-        if family == ALGEBRAIC:
-            coefficients = _parse_reals(c, bits, loc)
-            size = len(coefficients)
-        else:
-            _require(isinstance(c, dict), "expected an object", loc)
-            key_a, key_b = FAMILY[family].keys
-            _require("a0" in c and key_a in c and key_b in c,
-                     f"needs keys a0, {key_a}, {key_b}", loc)
-            coefficients = {
-                "a0": parse_real(c["a0"], bits),
-                key_a: _parse_reals(c[key_a], bits, f"{loc}.{key_a}"),
-                key_b: _parse_reals(c[key_b], bits, f"{loc}.{key_b}"),
-            }
-            size = len(coefficients[key_a])
-        _require(degree == size,
+    poly = _polynomial(data, family, representation, mults, bits, location)
+    if representation == "coefficients":
+        _require(degree == poly.degree,
                  f"multiplicities sum to {sum(mults)}, which is not the root "
-                 f"count of a degree-{size} {family} polynomial",
+                 f"count of a degree-{poly.degree} {family} polynomial",
                  f"{location}.multiplicities")
 
     true_roots = None
@@ -170,31 +174,24 @@ def problem_from_dict(data, location="problem"):
                  f"{location}.true_roots")
 
     raw_settings = data.get("settings", {})
-    _require(isinstance(raw_settings, dict), "settings must be an object",
-             f"{location}.settings")
-    kwargs = {"precision_bits": bits}
-    if "max_iterations" in raw_settings:
-        kwargs["max_iterations"] = raw_settings["max_iterations"]
+    loc = f"{location}.settings"
+    _require(isinstance(raw_settings, dict), "settings must be an object", loc)
+    kwargs = {key: raw_settings[key] for key in ("max_iterations", "sweep_mode")
+              if key in raw_settings}
     if "correction_tolerance" in raw_settings:
-        kwargs["correction_tolerance"] = parse_real(
-            raw_settings["correction_tolerance"], bits)
-    if "sweep_mode" in raw_settings:
-        kwargs["sweep_mode"] = raw_settings["sweep_mode"]
+        kwargs["correction_tolerance"] = checked_real(
+            raw_settings["correction_tolerance"], bits,
+            f"{loc}.correction_tolerance")
     try:
-        settings = SolveSettings(**kwargs)
+        settings = SolveSettings(precision_bits=bits, **kwargs)
     except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), f"{location}.settings")
+        raise SchemaError(str(exc), loc)
 
     return Problem(
-        family=family,
-        representation=representation,
-        precision_bits=bits,
+        poly=poly,
         multiplicities=tuple(mults),
         initial=initial,
         label=data.get("label", ""),
-        roots=roots,
-        scale=scale,
-        coefficients=coefficients,
         true_roots=true_roots,
         settings=settings,
     )
@@ -204,35 +201,36 @@ def load_problem(path, precision_override=None):
     """Parse a problem file; `precision_override` replaces the file's
     precision_bits before any real value is parsed, so no digits are lost."""
     data = _read_json(path)
-    if precision_override is not None:
+    # a file that is not an object is left for problem_from_dict to reject
+    if precision_override is not None and isinstance(data, dict):
         data["precision_bits"] = precision_override
     return problem_from_dict(data, location=str(path))
 
 
 def problem_to_dict(problem):
+    poly = problem.poly
     bits = problem.precision_bits
+    factored = isinstance(poly, FactoredForm)
     data = {
         "label": problem.label,
         "family": problem.family,
-        "representation": problem.representation,
+        "representation": "roots" if factored else "coefficients",
         "precision_bits": bits,
         "multiplicities": list(problem.multiplicities),
         "initial": [format_real(v, bits) for v in problem.initial],
     }
-    if problem.representation == "roots":
-        data["roots"] = [format_real(v, bits) for v in problem.roots]
-        data["scale"] = format_real(problem.scale, bits)
+    if factored:
+        data["roots"] = [format_real(v, bits) for v in poly.config.roots]
+        data["scale"] = format_real(poly.scale, bits)
+    elif problem.family == ALGEBRAIC:
+        data["coefficients"] = [format_real(v, bits) for v in poly.coeffs]
     else:
-        c = problem.coefficients
-        if problem.family == ALGEBRAIC:
-            data["coefficients"] = [format_real(v, bits) for v in c]
-        else:
-            key_a, key_b = FAMILY[problem.family].keys
-            data["coefficients"] = {
-                "a0": format_real(c["a0"], bits),
-                key_a: [format_real(v, bits) for v in c[key_a]],
-                key_b: [format_real(v, bits) for v in c[key_b]],
-            }
+        even, odd = FAMILY[problem.family].keys
+        data["coefficients"] = {
+            "a0": format_real(poly.a0, bits),
+            even: [format_real(v, bits) for v in poly.even],
+            odd: [format_real(v, bits) for v in poly.odd],
+        }
     if problem.true_roots is not None:
         data["true_roots"] = [format_real(v, bits) for v in problem.true_roots]
     s = problem.settings
@@ -271,18 +269,7 @@ def _verdict_to_dict(verdict, bits):
 def report_to_dict(report, problem, verdict=None):
     bits = problem.precision_bits
     fmt = lambda v: format_real(v, bits)
-    trace = []
-    for entry in report.trace:
-        record = {
-            "k": entry.k,
-            "approximations": [fmt(v) for v in entry.approximations],
-            "residuals": [fmt(v) for v in entry.residuals],
-            "corrections": ([fmt(v) for v in entry.corrections]
-                            if entry.corrections is not None else None),
-            "errors": ([fmt(v) for v in entry.errors]
-                       if entry.errors is not None else None),
-        }
-        trace.append(record)
+    fmts = lambda values: None if values is None else [fmt(v) for v in values]
     data = {
         "label": problem.label,
         "family": problem.family,
@@ -290,13 +277,14 @@ def report_to_dict(report, problem, verdict=None):
         "multiplicities": list(problem.multiplicities),
         "termination": report.termination,
         "iterations_used": report.iterations_used,
-        "final": [fmt(v) for v in report.final],
-        "residuals": [fmt(v) for v in report.trace[-1].residuals],
+        "final": fmts(report.final),
+        "residuals": fmts(report.trace[-1].residuals),
         "estimated_order": (fmt(report.estimated_order)
                             if report.estimated_order is not None else None),
-        "true_roots": ([fmt(v) for v in problem.truth()]
-                       if problem.truth() is not None else None),
-        "trace": trace,
+        "true_roots": fmts(problem.truth()),
+        "trace": [dict(k=entry.k, **{key: fmts(getattr(entry, key))
+                                     for key in _TRACE_LISTS})
+                  for entry in report.trace],
     }
     if verdict is not None:
         data["conditions"] = _verdict_to_dict(verdict, bits)
@@ -310,46 +298,34 @@ def save_report(report, problem, path, verdict=None):
 
 
 def load_report(path):
-    """Parse a report file back into mpf-valued dicts (for verify/order)."""
+    """Parse a report file back into the SolveReport it was written from."""
     data = _read_json(path)
     location = str(path)
     _require(isinstance(data, dict), "report must be a JSON object", location)
     bits = _precision_bits(data, location)
     for key in ("termination", "final", "trace"):
         _require(key in data, f"missing key {key!r}", location)
-    out = {
-        "label": data.get("label", ""),
-        "family": data.get("family"),
-        "precision_bits": bits,
-        "multiplicities": data.get("multiplicities"),
-        "termination": data["termination"],
-        "iterations_used": data.get("iterations_used"),
-        "final": _parse_reals(data["final"], bits, f"{location}.final"),
-        "estimated_order": (parse_real(data["estimated_order"], bits)
-                            if data.get("estimated_order") else None),
-        "true_roots": (_parse_reals(data["true_roots"], bits,
-                                    f"{location}.true_roots")
-                       if data.get("true_roots") else None),
-    }
-    trace = []
     _require(isinstance(data["trace"], list) and data["trace"],
              "trace must be a nonempty list", f"{location}.trace")
+
+    def optional(record, key, loc):
+        return (_parse_reals(record[key], bits, f"{loc}.{key}")
+                if record.get(key) else None)
+
+    trace = []
     for idx, entry in enumerate(data["trace"]):
         loc = f"{location}.trace[{idx}]"
-        _require(isinstance(entry, dict) and "approximations" in entry,
+        _require(isinstance(entry, dict) and entry.get("approximations"),
                  "trace entries need approximations", loc)
-        trace.append({
-            "k": entry.get("k", idx),
-            "approximations": _parse_reals(entry["approximations"], bits,
-                                           f"{loc}.approximations"),
-            "residuals": (_parse_reals(entry["residuals"], bits,
-                                       f"{loc}.residuals")
-                          if entry.get("residuals") else None),
-            "corrections": (_parse_reals(entry["corrections"], bits,
-                                         f"{loc}.corrections")
-                            if entry.get("corrections") else None),
-            "errors": (_parse_reals(entry["errors"], bits, f"{loc}.errors")
-                       if entry.get("errors") else None),
-        })
-    out["trace"] = trace
-    return out
+        trace.append(TraceEntry(entry.get("k", idx), **{
+            key: optional(entry, key, loc) for key in _TRACE_LISTS}))
+    order = data.get("estimated_order")
+    return SolveReport(
+        final=_parse_reals(data["final"], bits, f"{location}.final"),
+        iterations_used=data.get("iterations_used"),
+        termination=data["termination"],
+        trace=tuple(trace),
+        estimated_order=(checked_real(order, bits, f"{location}.estimated_order")
+                         if order else None),
+        precision_bits=bits,
+    )

@@ -82,20 +82,13 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
-class IterationState:
-    approximations: tuple
-    k: int
-    corrections: tuple
-    trace: tuple
-
-
-@dataclass(frozen=True)
 class SolveReport:
     final: tuple
     iterations_used: int
     termination: str
     trace: tuple
     estimated_order: object = None
+    precision_bits: int = 53
 
 
 def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
@@ -110,31 +103,31 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
 
 
 def initial_state(poly, initial, settings, true_roots=None):
-    """IterationState at k=0 with the trace seeded by the initial entry."""
+    """The k=0 TraceEntry at the initial approximations."""
     bits = settings.precision_bits
     x0 = tuple(to_mpf(v, bits) for v in initial)
     require_distinct(x0, "initial approximations")
-    entry = _entry(poly, x0, 0, bits, true_roots=true_roots)
-    return IterationState(x0, 0, None, (entry,))
+    return _entry(poly, x0, 0, bits, true_roots=true_roots)
 
 
-def step(poly, multiplicities, state, settings, true_roots=None):
-    """One sweep over all approximations; returns the advanced state.
+def step(poly, multiplicities, entry, settings, true_roots=None):
+    """One sweep over the approximations of `entry`; returns the next
+    TraceEntry.
 
     Raises CollisionError / DegenerateDenominatorError / FamilyOverflowError
     on the corresponding per-root failures; `solve` maps these to termination
     reasons.
     """
     bits = settings.precision_bits
-    if len(multiplicities) != len(state.approximations):
+    if len(multiplicities) != len(entry.approximations):
         raise InvalidConfigurationError(
             f"{len(multiplicities)} multiplicities vs "
-            f"{len(state.approximations)} approximations"
+            f"{len(entry.approximations)} approximations"
         )
     family = poly.family
     with working(bits):
-        current = list(state.approximations)
-        new = list(state.approximations)
+        current = list(entry.approximations)
+        new = list(entry.approximations)
         corrections = [mp.mpf(0)] * len(current)
         degenerate_floor = mp.mpf(2) ** (-(bits - 4))
         for i, xi in enumerate(current):
@@ -165,18 +158,8 @@ def step(poly, multiplicities, state, settings, true_roots=None):
                 raise FamilyOverflowError(family, xi, detail="non-finite correction")
             new[i] = xi - correction
             corrections[i] = abs(correction)
-        k = state.k + 1
-        entry = _entry(poly, new, k, bits,
-                       corrections=tuple(corrections), true_roots=true_roots)
-        return IterationState(tuple(new), k, tuple(corrections),
-                              state.trace + (entry,))
-
-
-def order_floor(bits, final):
-    """Error level below which an order estimate sees only roundoff: 2**8 ulp
-    at the magnitude of the final approximations (at least 1)."""
-    scale = max([mp.mpf(1)] + [abs(x) for x in final])
-    return mp.mpf(2) ** 8 * eps(bits) * scale
+        return _entry(poly, new, entry.k + 1, bits,
+                      corrections=tuple(corrections), true_roots=true_roots)
 
 
 def order_error_sequence(trace):
@@ -203,12 +186,17 @@ def order_error_sequence(trace):
             "correction")
 
 
-def _estimate_from_trace(trace, bits, final):
-    seq, _ = order_error_sequence(trace)
-    try:
-        return estimate_order(seq, floor=order_floor(bits, final)).order
-    except InsufficientDataError:
-        return None
+def trace_order(trace, bits, final):
+    """(OrderEstimate, kind) of a trace's `order_error_sequence`.
+
+    Errors below 2**8 ulp at the magnitude of the final approximations (at
+    least 1) are roundoff, and the estimate leaves them out.  Raises
+    InsufficientDataError when no window of the sequence qualifies.
+    """
+    sequence, kind = order_error_sequence(trace)
+    scale = max([mp.mpf(1)] + [abs(x) for x in final])
+    floor = mp.mpf(2) ** 8 * eps(bits) * scale
+    return estimate_order(sequence, floor=floor), kind
 
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
@@ -227,15 +215,15 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         )
     if true_roots is not None:
         true_roots = tuple(to_mpf(r, bits) for r in true_roots)
-    state = initial_state(poly, initial, settings, true_roots=true_roots)
+    trace = [initial_state(poly, initial, settings, true_roots=true_roots)]
     with working(bits):
         escape_radius = mp.mpf(10) ** 6 * (
-            1 + max(abs(x) for x in state.approximations)
+            1 + max(abs(x) for x in trace[0].approximations)
         )
     termination = MAX_ITERATIONS
     for _ in range(settings.max_iterations):
         try:
-            state = step(poly, multiplicities, state, settings,
+            entry = step(poly, multiplicities, trace[-1], settings,
                          true_roots=true_roots)
         except CollisionError:
             termination = COLLISION
@@ -246,20 +234,26 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         except FamilyOverflowError:
             termination = NONFINITE
             break
-        if any(not mp.isfinite(x) for x in state.approximations):
+        trace.append(entry)
+        if any(not mp.isfinite(x) for x in entry.approximations):
             termination = NONFINITE
             break
-        if max(abs(x) for x in state.approximations) > escape_radius:
+        if max(abs(x) for x in entry.approximations) > escape_radius:
             termination = DIVERGED
             break
-        if max(state.corrections) <= settings.tolerance:
+        if max(entry.corrections) <= settings.tolerance:
             termination = CONVERGED
             break
-    order = _estimate_from_trace(state.trace, bits, state.approximations)
+    last = trace[-1]
+    try:
+        order = trace_order(trace, bits, last.approximations)[0].order
+    except InsufficientDataError:
+        order = None
     return SolveReport(
-        final=state.approximations,
-        iterations_used=state.k,
+        final=last.approximations,
+        iterations_used=last.k,
         termination=termination,
-        trace=state.trace,
+        trace=tuple(trace),
         estimated_order=order,
+        precision_bits=bits,
     )

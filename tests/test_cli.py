@@ -17,9 +17,9 @@ class TestSolveCommand:
         out = tmp_path / "r.json"
         assert run("solve", "example1", "-o", out) == 0
         report = load_report(out)
-        assert report["termination"] == "converged"
+        assert report.termination == "converged"
         # 18 correct decimal digits by the 4th sweep, straight off the trace
-        assert max(report["trace"][4]["errors"]) <= mp.mpf("1e-18")
+        assert max(report.trace[4].errors) <= mp.mpf("1e-18")
         assert "report written" in capsys.readouterr().out
 
     def test_bundled_example2_reaches_18_digits_by_iteration_5(self, tmp_path):
@@ -27,15 +27,15 @@ class TestSolveCommand:
         assert run("solve", "example2", "-o", out) == 0
         report = load_report(out)
         assert any(
-            entry["k"] <= 5 and max(entry["errors"]) <= mp.mpf("1e-18")
-            for entry in report["trace"]
+            entry.k <= 5 and max(entry.errors) <= mp.mpf("1e-18")
+            for entry in report.trace
         )
 
     def test_bundled_example3_reaches_18_digits_by_iteration_4(self, tmp_path):
         out = tmp_path / "r.json"
         assert run("solve", "example3", "-o", out) == 0
         report = load_report(out)
-        assert max(report["trace"][4]["errors"]) <= mp.mpf("1e-18")
+        assert max(report.trace[4].errors) <= mp.mpf("1e-18")
 
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -58,6 +58,13 @@ class TestSolveCommand:
         assert run("solve", bad, "-o", tmp_path / "r.json") == 2
         assert "max_iterations" in capsys.readouterr().err
 
+    def test_precision_override_on_non_object_file_exits_2(self, tmp_path,
+                                                           capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        assert run("solve", bad, "--precision-bits", 64) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_missing_problem_exits_2(self):
         assert run("solve", "no-such-problem") == 2
 
@@ -65,8 +72,8 @@ class TestSolveCommand:
         out = tmp_path / "r.json"
         assert run("solve", "example1", "-o", out, "--max-iterations", 2) == 1
         report = load_report(out)
-        assert report["termination"] == "max_iterations"
-        assert len(report["trace"]) == 3
+        assert report.termination == "max_iterations"
+        assert len(report.trace) == 3
 
     def test_theorem_flag_embeds_verdict(self, tmp_path):
         out = tmp_path / "r.json"
@@ -81,19 +88,62 @@ class TestSolveCommand:
         out = tmp_path / "r.json"
         assert run("solve", "example1", "-o", out, "--sweep", "sequential",
                    "--precision-bits", 256) == 0
-        assert load_report(out)["precision_bits"] == 256
+        assert load_report(out).precision_bits == 256
 
     def test_tolerance_flag_controls_stopping(self, tmp_path):
         out = tmp_path / "r.json"
         assert run("solve", "example1", "-o", out, "--tolerance", "1e-11") == 0
         report = load_report(out)
-        assert report["termination"] == "converged"
-        assert report["iterations_used"] <= 5
+        assert report.termination == "converged"
+        assert report.iterations_used <= 5
 
     def test_kappa_on_non_trig_problem_exits_2(self, tmp_path):
         code = run("solve", "example1", "-o", tmp_path / "r.json",
                    "--theorems", "--c", "0.1", "--q", "0.5", "--kappa", "1.0")
         assert code == 2
+
+
+EXAMPLE1 = json.loads(
+    (resources.files("multiroots.problems") / "example1.json").read_text())
+
+
+@pytest.mark.parametrize("change, argv, named", [
+    ({}, ["solve", "example1", "--tolerance", "zz"], "--tolerance"),
+    ({}, ["solve", "example1", "--theorems", "--c", "zz", "--q", "0.5"], "--c"),
+    ({}, ["solve", "example2", "--theorems", "--c", "0.05", "--q", "0.5",
+          "--kappa", "zz"], "--kappa"),
+    ({}, ["generate", "--family", "algebraic", "--roots", "2:x"], "--roots"),
+    ({}, ["generate", "--family", "algebraic", "--roots", "2:2,abc"],
+     "--roots"),
+    ({}, ["generate", "--family", "algebraic", "--roots", "2:2,3",
+          "--initial", "1,zz"], "--initial"),
+    ({}, ["generate", "--family", "algebraic", "--roots", "2:2,3",
+          "--scale", "zz"], "--scale"),
+    ({}, ["verify", "example1", "REPORT", "--tolerance", "zz"], "--tolerance"),
+    ({"settings": {"correction_tolerance": "zz"}}, ["solve", "PROBLEM"],
+     ".settings.correction_tolerance"),
+    ({"representation": "roots", "roots": ["2", "3", "5"], "scale": "zz"},
+     ["solve", "PROBLEM"], ".scale"),
+    ({"family": "exponential",
+      "coefficients": {"a0": "zz", "ch": ["1", "0", "0"],
+                       "sh": ["0", "0", "0"]}},
+     ["solve", "PROBLEM"], ".coefficients.a0"),
+], ids=["solve --tolerance", "solve --c", "solve --kappa",
+        "generate --roots multiplicity", "generate --roots root",
+        "generate --initial", "generate --scale", "verify --tolerance",
+        "settings.correction_tolerance", "scale", "coefficients.a0"])
+def test_unparseable_real_exits_2_naming_its_source(tmp_path, capsys, change,
+                                                     argv, named):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(dict(EXAMPLE1, **change)))
+    report = tmp_path / "r.json"
+    if "REPORT" in argv:
+        assert run("solve", "example1", "-o", report) == 0
+    argv = [{"PROBLEM": problem, "REPORT": report}.get(a, a) for a in argv]
+    output = ["-o", tmp_path / "out.json"] if argv[0] != "verify" else []
+    capsys.readouterr()
+    assert run(*argv, *output) == 2
+    assert named in capsys.readouterr().err
 
 
 class TestGenerateCommand:
@@ -102,12 +152,12 @@ class TestGenerateCommand:
         assert run("generate", "--family", "algebraic",
                    "--roots", "2:2,3:3,5:1", "-o", problem_path) == 0
         problem = load_problem(problem_path)
-        assert [int(mp.mpf(c)) for c in problem.coefficients] == \
+        assert [int(mp.mpf(c)) for c in problem.polynomial().coeffs] == \
             [-18, 132, -506, 1071, -1188, 540]
         out = tmp_path / "r.json"
         assert run("solve", problem_path, "-o", out) == 0
         report = load_report(out)
-        for got, want in zip(report["final"], (2, 3, 5)):
+        for got, want in zip(report.final, (2, 3, 5)):
             assert abs(got - want) <= mp.mpf("1e-18")
 
     def test_exponential_matches_factored_coefficients(self, tmp_path):

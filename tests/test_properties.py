@@ -98,6 +98,8 @@ def test_coupling_is_the_log_derivative_of_the_other_roots(family, data):
 @FEW
 @given(data=st.data())
 def test_coefficient_problem_files_roundtrip(family, data):
+    """Both representations: the expanded coefficients and the factored
+    roots and scale."""
     form, _ = data.draw(configurations(family))
     bits = form.precision_bits
     expanded = expand_from_roots(form)
@@ -108,13 +110,18 @@ def test_coefficient_problem_files_roundtrip(family, data):
         even, odd = FILE_KEYS[family]
         coefficients = {"a0": format_real(expanded.a0, bits),
                         even: fmt(expanded.even), odd: fmt(expanded.odd)}
-    problem = problem_from_dict({
-        "family": family,
-        "representation": "coefficients",
-        "precision_bits": bits,
-        "coefficients": coefficients,
-        "multiplicities": list(form.config.multiplicities),
-        "initial": fmt(form.config.roots),
-    })
-    assert problem.polynomial() == expanded
-    assert problem_from_dict(problem_to_dict(problem)).polynomial() == expanded
+    factored = {"roots": fmt(form.config.roots),
+                "scale": format_real(form.scale, bits)}
+    for representation, fields, poly in (
+            ("coefficients", {"coefficients": coefficients}, expanded),
+            ("roots", factored, form)):
+        problem = problem_from_dict({
+            "family": family,
+            "representation": representation,
+            "precision_bits": bits,
+            "multiplicities": list(form.config.multiplicities),
+            "initial": fmt(form.config.roots),
+            **fields,
+        })
+        assert problem.polynomial() == poly
+        assert problem_from_dict(problem_to_dict(problem)).polynomial() == poly

@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 from mpmath import mp
@@ -49,7 +50,7 @@ class TestProblemFiles:
         again = load_problem(path)
         assert again.family == problem.family
         assert again.initial == problem.initial
-        assert again.coefficients == problem.coefficients
+        assert again.polynomial() == problem.polynomial()
         assert again.true_roots == problem.true_roots
 
     def test_mismatched_lengths_rejected(self):
@@ -93,6 +94,34 @@ class TestProblemFiles:
             problem_from_dict(bad)
         assert "problem.multiplicities" in str(err.value)
 
+    def test_boolean_multiplicity_rejected(self):
+        # JSON true is a Python int subclass; it must not stand for 1
+        bad = dict(GOOD_PROBLEM, coefficients=["-3", "2"],
+                   multiplicities=[True, 1], initial=["0.9", "2.2"],
+                   true_roots=None)
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(bad)
+        assert "problem.multiplicities" in str(err.value)
+
+    @pytest.mark.parametrize("change, location", [
+        ({"roots": ["1", "1"]}, "problem.roots"),
+        ({"scale": "0"}, "problem.scale"),
+        ({"representation": "coefficients",
+          "coefficients": {"a0": "0", "ch": ["1"], "sh": ["0.5", "1"]}},
+         "problem.coefficients"),
+    ], ids=["duplicate roots", "zero scale", "unequal series lengths"])
+    def test_polynomial_is_checked_at_load(self, change, location):
+        bad = dict({
+            "family": "exponential",
+            "representation": "roots",
+            "roots": ["-1", "1"],
+            "multiplicities": [1, 1],
+            "initial": ["-0.9", "1.2"],
+        }, **change)
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(bad)
+        assert location in str(err.value)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"family": "algebraic",\n  "oops"\n')
@@ -116,18 +145,33 @@ class TestReports:
         path = tmp_path / "r.json"
         save_report(report, problem, path)
         loaded = load_report(path)
-        assert loaded["termination"] == report.termination
-        assert len(loaded["trace"]) == len(report.trace)
-        for got, want in zip(loaded["trace"], report.trace):
-            assert got["approximations"] == want.approximations
-            assert got["errors"] == want.errors
+        assert loaded.termination == report.termination
+        assert len(loaded.trace) == len(report.trace)
+        for got, want in zip(loaded.trace, report.trace):
+            assert got.approximations == want.approximations
+            assert got.errors == want.errors
             if want.corrections is None:
-                assert got["corrections"] is None
+                assert got.corrections is None
             else:
-                assert got["corrections"] == want.corrections
+                assert got.corrections == want.corrections
 
     def test_truncated_report_rejected(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text('{"termination": "converged"}')
         with pytest.raises(SchemaError):
             load_report(path)
+
+    @pytest.mark.parametrize("source", ["example1", "example2", "example3",
+                                        "no true roots"])
+    def test_report_loads_into_the_solve_report(self, tmp_path, source):
+        if source == "no true roots":
+            problem = problem_from_dict(dict(GOOD_PROBLEM, true_roots=None))
+        else:
+            problem = load_problem(
+                resources.files("multiroots.problems") / f"{source}.json")
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings,
+                       true_roots=problem.truth())
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        assert load_report(path) == report
