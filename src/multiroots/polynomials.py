@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from mpmath import mp
+from mpmath.libmp import mpf_cosh_sinh, round_nearest
 
 from .errors import CollisionError, FamilyOverflowError, InvalidConfigurationError
 from .precision import require_bits, to_mpf, working
@@ -28,15 +29,16 @@ FAMILIES = (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL)
 @dataclass(frozen=True)
 class Family:
     """What distinguishes one family, with u = x - r the offset from a root:
-    the factor g(u), its derivative g'(u), the coupling (a, u) -> a g'(u)/g(u)
-    and the number of roots (with multiplicity) per unit of degree.  Series
-    families add their basis pair (even, odd), the sign s in
-    d/dx even(lx) = s l odd(lx), an `envelope` bounding |even(lx)| and
-    |odd(lx)| (None: bounded by 1) and their problem-file coefficient keys.
+    the factor g(u), the pair (g(u), g'(u)) from one call, the coupling
+    (a, u) -> a g'(u)/g(u) and the number of roots (with multiplicity) per
+    unit of degree.  Series families add their basis pair (even, odd), the
+    sign s in d/dx even(lx) = s l odd(lx), an `envelope` bounding |even(lx)|
+    and |odd(lx)| (None: bounded by 1) and their problem-file coefficient
+    keys.
     """
 
     factor: Callable
-    factor_derivative: Callable
+    factor_pair: Callable
     coupling: Callable
     roots_per_degree: int
     basis: tuple = None
@@ -45,18 +47,27 @@ class Family:
     keys: tuple = None
 
 
+def _sin_half_pair(u):
+    c, s = mp.cos_sin(u / 2)
+    return s, c / 2
+
+
+def _sinh_half_pair(u):
+    # mp has no cosh_sinh; mp.sinh and mp.cosh each make this call
+    c, s = mpf_cosh_sinh((u / 2)._mpf_, mp.prec, round_nearest)
+    return mp.make_mpf(s), mp.make_mpf(c) / 2
+
+
 FAMILY = {
     ALGEBRAIC: Family(
-        factor=lambda u: u, factor_derivative=lambda u: mp.mpf(1),
+        factor=lambda u: u, factor_pair=lambda u: (u, mp.mpf(1)),
         coupling=lambda a, u: a / u, roots_per_degree=1),
     TRIGONOMETRIC: Family(
-        factor=lambda u: mp.sin(u / 2),
-        factor_derivative=lambda u: mp.cos(u / 2) / 2,
+        factor=lambda u: mp.sin(u / 2), factor_pair=_sin_half_pair,
         coupling=lambda a, u: a * mp.cot(u / 2) / 2, roots_per_degree=2,
         basis=(mp.cos, mp.sin), derivative_sign=-1, keys=("cos", "sin")),
     EXPONENTIAL: Family(
-        factor=lambda u: mp.sinh(u / 2),
-        factor_derivative=lambda u: mp.cosh(u / 2) / 2,
+        factor=lambda u: mp.sinh(u / 2), factor_pair=_sinh_half_pair,
         coupling=lambda a, u: a * mp.coth(u / 2) / 2, roots_per_degree=2,
         basis=(mp.cosh, mp.sinh), derivative_sign=1, envelope=mp.cosh,
         keys=("ch", "sh")),
@@ -238,6 +249,15 @@ def _check_finite(value, family, x):
     return value
 
 
+def _factored_value(form, x):
+    """scale * prod_k g(x - r_k)^a_k at the working precision."""
+    factor = FAMILY[form.family].factor
+    v = form.scale
+    for r, a in zip(form.config.roots, form.config.multiplicities):
+        v *= factor(x - r) ** a
+    return v
+
+
 def evaluate(poly, x, bits=None):
     """Value of the polynomial at x, at the poly's precision unless overridden."""
     bits = require_bits(bits or poly.precision_bits)
@@ -255,17 +275,23 @@ def evaluate(poly, x, bits=None):
                 terms.append(b * odd(l * x))
             v = mp.fsum(terms)
         elif isinstance(poly, FactoredForm):
-            factor = FAMILY[poly.family].factor
-            v = poly.scale
-            for r, a in zip(poly.config.roots, poly.config.multiplicities):
-                v *= factor(x - r) ** a
+            v = _factored_value(poly, x)
         else:
             raise TypeError(f"not a polynomial representation: {poly!r}")
         return _check_finite(v, poly.family, x)
 
 
 def evaluate_derivative(poly, x, bits=None):
-    """First derivative at x, by term-by-term differentiation or product rule."""
+    """First derivative at x.
+
+    Coefficient forms differentiate term by term (extended Horner for the
+    algebraic family).  A factored form scale * prod_k g_k^a_k, with
+    g_k = g(x - r_k), uses the product rule in O(m) per point for m roots:
+    one `factor_pair` call per root gives g_k and g'_k, and term k is
+    a_k g'_k g_k^(a_k - 1) times the prefix product of the g_j^a_j with
+    j < k and the suffix product of those with j > k.  Nothing is divided
+    by g_k, so x on a root needs no special case (0**0 is 1).
+    """
     bits = require_bits(bits or poly.precision_bits)
     with working(bits):
         x = mp.mpf(x)
@@ -284,17 +310,21 @@ def evaluate_derivative(poly, x, bits=None):
                 terms.append(fam.derivative_sign * l * a * odd(l * x))
             dv = mp.fsum(terms)
         elif isinstance(poly, FactoredForm):
-            fam = FAMILY[poly.family]
-            cfg = poly.config
-            terms = []
-            for k, (rk, ak) in enumerate(zip(cfg.roots, cfg.multiplicities)):
-                uk = x - rk
-                t = ak * fam.factor_derivative(uk)
-                t *= fam.factor(uk) ** (ak - 1)
-                for j, (rj, aj) in enumerate(zip(cfg.roots, cfg.multiplicities)):
-                    if j != k:
-                        t *= fam.factor(x - rj) ** aj
-                terms.append(t)
+            pair = FAMILY[poly.family].factor_pair
+            terms, powers = [], []
+            for r, a in zip(poly.config.roots, poly.config.multiplicities):
+                g, dg = pair(x - r)
+                terms.append(a * dg * g ** (a - 1))
+                powers.append(g ** a)
+            # times the other roots' powers: those before k, then those after
+            prefix = mp.mpf(1)
+            for k, p in enumerate(powers):
+                terms[k] *= prefix
+                prefix *= p
+            suffix = mp.mpf(1)
+            for k in range(len(powers) - 1, -1, -1):
+                terms[k] *= suffix
+                suffix *= powers[k]
             dv = poly.scale * mp.fsum(terms)
         else:
             raise TypeError(f"not a polynomial representation: {poly!r}")
@@ -322,11 +352,8 @@ def magnitude_scale(poly, x, bits=None):
             return mp.fsum([abs(poly.a0) / 2] + [
                 (abs(a) + abs(b)) * envelope(l * x) for l, (a, b) in pairs])
         if isinstance(poly, FactoredForm):
-            factor = FAMILY[poly.family].factor
-            v = abs(poly.scale)
-            for r, a in zip(poly.config.roots, poly.config.multiplicities):
-                v *= abs(factor(x - r)) ** a
-            return v
+            # a product rounds alike for either sign: no cancellation
+            return abs(_factored_value(poly, x))
     raise TypeError(f"not a polynomial representation: {poly!r}")
 
 

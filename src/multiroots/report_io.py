@@ -9,6 +9,8 @@ input for convenience.  The layout is documented in the README.
 import json
 from dataclasses import dataclass
 
+from mpmath import mp
+
 from .errors import InvalidConfigurationError, SchemaError
 from .polynomials import (
     ALGEBRAIC,
@@ -35,22 +37,28 @@ def _require(condition, message, location=None):
         raise SchemaError(message, location)
 
 
-def checked_real(value, bits, location):
+def checked_real(value, bits, location, finite=True):
     """Parse one real from outside the program (a JSON value or a CLI flag);
-    a value that is not a real raises a SchemaError naming `location`."""
-    _require(isinstance(value, (str, int, float)),
+    a value that is not a real, or is nan or infinite while `finite` holds,
+    raises a SchemaError naming `location`.  Reports pass finite=False: a
+    `nonfinite` solve writes nan and inf into them."""
+    # bool is an int subclass, and true would silently mean 1
+    _require(type(value) is not bool and isinstance(value, (str, int, float)),
              f"expected number or decimal string, got {type(value).__name__}",
              location)
     try:
-        return parse_real(value, bits)
+        real = parse_real(value, bits)
     except ValueError:
         raise SchemaError(f"unparseable real {value!r}", location)
+    _require(not finite or mp.isfinite(real), f"non-finite real {value!r}",
+             location)
+    return real
 
 
-def _parse_reals(values, bits, location):
+def _parse_reals(values, bits, location, finite=True):
     _require(isinstance(values, list) and values, "expected a nonempty list",
              location)
-    return tuple(checked_real(v, bits, f"{location}[{idx}]")
+    return tuple(checked_real(v, bits, f"{location}[{idx}]", finite)
                  for idx, v in enumerate(values))
 
 
@@ -309,7 +317,7 @@ def load_report(path):
              "trace must be a nonempty list", f"{location}.trace")
 
     def optional(record, key, loc):
-        return (_parse_reals(record[key], bits, f"{loc}.{key}")
+        return (_parse_reals(record[key], bits, f"{loc}.{key}", finite=False)
                 if record.get(key) else None)
 
     trace = []
@@ -321,11 +329,12 @@ def load_report(path):
             key: optional(entry, key, loc) for key in _TRACE_LISTS}))
     order = data.get("estimated_order")
     return SolveReport(
-        final=_parse_reals(data["final"], bits, f"{location}.final"),
+        final=_parse_reals(data["final"], bits, f"{location}.final",
+                           finite=False),
         iterations_used=data.get("iterations_used"),
         termination=data["termination"],
         trace=tuple(trace),
-        estimated_order=(checked_real(order, bits, f"{location}.estimated_order")
-                         if order else None),
+        estimated_order=(checked_real(order, bits, f"{location}.estimated_order",
+                                      finite=False) if order else None),
         precision_bits=bits,
     )

@@ -134,6 +134,33 @@ EXAMPLE1 = json.loads(
         "settings.correction_tolerance", "scale", "coefficients.a0"])
 def test_unparseable_real_exits_2_naming_its_source(tmp_path, capsys, change,
                                                      argv, named):
+    _assert_exits_2_naming(tmp_path, capsys, change, argv, named)
+
+
+@pytest.mark.parametrize("change, argv, named", [
+    ({"coefficients": ["-18", True, "-506", "1071", "-1188", "540"]},
+     ["solve", "PROBLEM"], ".coefficients[1]"),
+    ({"coefficients": ["-18", "132", "inf", "1071", "-1188", "540"]},
+     ["solve", "PROBLEM"], ".coefficients[2]"),
+    ({"initial": ["nan", "3.5", "8"]}, ["solve", "PROBLEM"], ".initial[0]"),
+    ({}, ["solve", "example1", "--tolerance", "inf"], "--tolerance"),
+    ({}, ["solve", "example1", "--theorems", "--c", "nan", "--q", "0.5"],
+     "--c"),
+    ({}, ["generate", "--family", "algebraic", "--roots", "2:2,inf"],
+     "--roots"),
+    ({}, ["generate", "--family", "algebraic", "--roots", "2:2,3",
+          "--initial", "nan,1"], "--initial"),
+    ({}, ["generate", "--family", "algebraic", "--roots", "2:2,3",
+          "--scale=-inf"], "--scale"),
+], ids=["boolean coefficient", "inf coefficient", "nan initial",
+        "solve --tolerance inf", "solve --c nan", "generate --roots inf",
+        "generate --initial nan", "generate --scale -inf"])
+def test_boolean_or_non_finite_real_exits_2_naming_its_source(
+        tmp_path, capsys, change, argv, named):
+    _assert_exits_2_naming(tmp_path, capsys, change, argv, named)
+
+
+def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(EXAMPLE1, **change)))
     report = tmp_path / "r.json"

@@ -1,6 +1,10 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from mpmath import mp
 
+from multiroots import polynomials
 from multiroots import (
     ALGEBRAIC,
     EXPONENTIAL,
@@ -86,6 +90,26 @@ class TestEvaluateDerivative:
             oracle = (evaluate(form, x + h) - evaluate(form, x - h)) / (2 * h)
         got = evaluate_derivative(form, x)
         assert_close(got, oracle, rel=mp.mpf("1e-10"))
+
+    def test_factored_form_calls_each_factor_once(self, monkeypatch):
+        # O(m) per point: one factor_pair call per root, no bare factor calls
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(u):
+                calls[name] += 1
+                return fn(u)
+            return wrapper
+
+        fam = polynomials.FAMILY[EXPONENTIAL]
+        monkeypatch.setitem(polynomials.FAMILY, EXPONENTIAL, replace(
+            fam, factor=counted("factor", fam.factor),
+            factor_pair=counted("factor_pair", fam.factor_pair)))
+        m = 12
+        cfg = RootConfiguration([k / 4 for k in range(m)], [1, 2, 3] * 4,
+                                precision_bits=128)
+        evaluate_derivative(FactoredForm(EXPONENTIAL, cfg), "0.3")
+        assert calls == {"factor_pair": m}
 
     def test_coefficient_forms_against_central_difference(self, rng):
         # away from roots, 53-bit analytic derivatives match finite differences

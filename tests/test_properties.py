@@ -78,6 +78,33 @@ def test_kernels_match_the_coefficient_ladder(family, data):
             <= tolerance(bits) * abs_value
 
 
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+@FEW
+@given(data=st.data())
+def test_factored_derivative_on_a_root(family, alpha, data):
+    """x exactly on root k of multiplicity alpha, where g(x - r_k) = 0: f' is
+    the product of the other roots' factors (alpha = 1) or 0 (alpha >= 2)."""
+    form, _ = data.draw(configurations(family))
+    roots = list(form.config.roots)
+    mults = list(form.config.multiplicities)
+    k = data.draw(st.integers(0, len(roots) - 1))
+    mults[k] = alpha
+    if family != ALGEBRAIC and sum(mults) % 2:
+        roots.append(roots[0] - mp.mpf("0.5"))
+        mults.append(1)
+    bits = form.precision_bits
+    form = FactoredForm(family, RootConfiguration(roots, mults, bits),
+                        scale=form.scale)
+    x = roots[k]
+    got = evaluate_derivative(form, x)
+    with mp.workprec(bits):
+        value, scale = _derivative_ladder(expand_from_roots(form), 1)[1]
+        assert abs(got - value(x)) <= tolerance(bits) * max(scale(x), 1)
+    if alpha > 1:
+        assert got == 0
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @FEW
 @given(data=st.data())

@@ -13,6 +13,7 @@ from multiroots.report_io import (
     save_problem,
     save_report,
 )
+from multiroots.solver import NONFINITE, SolveReport, TraceEntry
 
 GOOD_PROBLEM = {
     "label": "t",
@@ -103,6 +104,34 @@ class TestProblemFiles:
             problem_from_dict(bad)
         assert "problem.multiplicities" in str(err.value)
 
+    def test_boolean_real_rejected(self):
+        # JSON true must not stand for the coefficient 1
+        bad = dict(GOOD_PROBLEM, coefficients=["-3", True],
+                   multiplicities=[1, 1], initial=["0.2", "2.1"],
+                   true_roots=None)
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(bad)
+        assert "problem.coefficients[1]" in str(err.value)
+
+    @pytest.mark.parametrize("change, location", [
+        ({"coefficients": ["-3", "inf"]}, "problem.coefficients[1]"),
+        ({"coefficients": ["-3", float("nan")]}, "problem.coefficients[1]"),
+        ({"initial": ["nan", "2.1"]}, "problem.initial[0]"),
+        ({"true_roots": ["-inf", "2.6"]}, "problem.true_roots[0]"),
+        ({"settings": {"correction_tolerance": "inf"}},
+         "problem.settings.correction_tolerance"),
+    ], ids=["inf coefficient", "JSON NaN coefficient", "nan initial",
+            "-inf true root", "inf tolerance"])
+    def test_non_finite_real_rejected(self, change, location):
+        bad = dict(GOOD_PROBLEM, coefficients=["-3", "1"],
+                   multiplicities=[1, 1], initial=["0.2", "2.1"],
+                   true_roots=None)
+        bad.update(change)
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(bad)
+        assert location in str(err.value)
+        assert "non-finite" in str(err.value)
+
     @pytest.mark.parametrize("change, location", [
         ({"roots": ["1", "1"]}, "problem.roots"),
         ({"scale": "0"}, "problem.scale"),
@@ -154,6 +183,25 @@ class TestReports:
                 assert got.corrections is None
             else:
                 assert got.corrections == want.corrections
+
+    def test_nonfinite_report_loads(self, tmp_path):
+        # a `nonfinite` solve writes nan and inf into its report
+        problem = problem_from_dict(GOOD_PROBLEM)
+        start = TraceEntry(0, problem.initial, (mp.mpf(1),) * 3, None, None)
+        last = TraceEntry(1, (mp.nan, mp.mpf(3), mp.inf),
+                          (mp.nan, mp.mpf(0), mp.inf),
+                          (mp.nan, mp.mpf("0.5"), mp.inf), None)
+        report = SolveReport(final=last.approximations, iterations_used=1,
+                             termination=NONFINITE, trace=(start, last),
+                             precision_bits=problem.precision_bits)
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        loaded = load_report(path)
+        assert loaded.termination == NONFINITE
+        for values in (loaded.final, loaded.trace[1].residuals,
+                       loaded.trace[1].corrections):
+            assert mp.isnan(values[0]) and values[2] == mp.inf
+        assert loaded.trace[1].approximations[1] == 3
 
     def test_truncated_report_rejected(self, tmp_path):
         path = tmp_path / "r.json"
