@@ -28,7 +28,7 @@ from .polynomials import (
     expand_from_roots,
     gaps,
 )
-from .precision import format_real, working
+from .precision import format_real, require_bits, working
 from .report_io import (
     Problem,
     checked_real,
@@ -190,7 +190,11 @@ def _default_initial(roots, mults, bits):
 
 
 def _cmd_generate(args):
-    bits = args.precision_bits or 192
+    bits = 192 if args.precision_bits is None else args.precision_bits
+    try:
+        require_bits(bits)
+    except ValueError as exc:
+        raise SchemaError(str(exc), "--precision-bits")
     roots, mults = _parse_roots_arg(args.roots, bits)
     cfg = RootConfiguration(roots, mults, precision_bits=bits)
     form = FactoredForm(args.family, cfg, precision_bits=bits,

@@ -31,20 +31,27 @@ class Family:
     """What distinguishes one family, with u = x - r the offset from a root:
     the factor g(u), the pair (g(u), g'(u)) from one call, the coupling
     (a, u) -> a g'(u)/g(u) and the number of roots (with multiplicity) per
-    unit of degree.  Series families add their basis pair (even, odd), the
-    sign s in d/dx even(lx) = s l odd(lx), an `envelope` bounding |even(lx)|
-    and |odd(lx)| (None: bounded by 1) and their problem-file coefficient
-    keys.
+    unit of degree.  Series families add their basis pair x -> (E(x), O(x))
+    from one call, the sign s in d/dx E(lx) = s l O(lx), which is also the
+    sign in E(a + b) = E(a) E(b) + s O(a) O(b), whether the basis needs an
+    `envelope` (|E(lx)| and |O(lx)| are at most E(lx); without one they are
+    at most 1) and their problem-file coefficient keys.
     """
 
     factor: Callable
     factor_pair: Callable
     coupling: Callable
     roots_per_degree: int
-    basis: tuple = None
+    basis_pair: Callable = None
     derivative_sign: int = None
-    envelope: Callable = None
+    envelope: bool = False
     keys: tuple = None
+
+
+def _cosh_sinh(x):
+    # mp has no cosh_sinh; mp.sinh and mp.cosh each make this call
+    c, s = mpf_cosh_sinh(x._mpf_, mp.prec, round_nearest)
+    return mp.make_mpf(c), mp.make_mpf(s)
 
 
 def _sin_half_pair(u):
@@ -53,9 +60,8 @@ def _sin_half_pair(u):
 
 
 def _sinh_half_pair(u):
-    # mp has no cosh_sinh; mp.sinh and mp.cosh each make this call
-    c, s = mpf_cosh_sinh((u / 2)._mpf_, mp.prec, round_nearest)
-    return mp.make_mpf(s), mp.make_mpf(c) / 2
+    c, s = _cosh_sinh(u / 2)
+    return s, c / 2
 
 
 FAMILY = {
@@ -65,11 +71,11 @@ FAMILY = {
     TRIGONOMETRIC: Family(
         factor=lambda u: mp.sin(u / 2), factor_pair=_sin_half_pair,
         coupling=lambda a, u: a * mp.cot(u / 2) / 2, roots_per_degree=2,
-        basis=(mp.cos, mp.sin), derivative_sign=-1, keys=("cos", "sin")),
+        basis_pair=mp.cos_sin, derivative_sign=-1, keys=("cos", "sin")),
     EXPONENTIAL: Family(
         factor=lambda u: mp.sinh(u / 2), factor_pair=_sinh_half_pair,
         coupling=lambda a, u: a * mp.coth(u / 2) / 2, roots_per_degree=2,
-        basis=(mp.cosh, mp.sinh), derivative_sign=1, envelope=mp.cosh,
+        basis_pair=_cosh_sinh, derivative_sign=1, envelope=True,
         keys=("ch", "sh")),
 }
 
@@ -249,6 +255,31 @@ def _check_finite(value, family, x):
     return value
 
 
+def _series_basis(family, x, n):
+    """[(E(lx), O(lx)) for l = 1..n] of a series family from one
+    `basis_pair` call, by angle addition with s the family's sign:
+
+        E((l+1)x) = E(lx) E(x) + s O(lx) O(x)
+        O((l+1)x) = O(lx) E(x) + E(lx) O(x)
+
+    The recurrence runs n.bit_length() + 10 bits above the working
+    precision and its values are returned unrounded.  The trigonometric step
+    is a rotation, so its absolute error grows by about one ulp per step;
+    the hyperbolic terms share one sign and never cancel, so the relative
+    error grows alike.  x = 0 gives E = 1 and O = 0 exactly.
+    """
+    fam = FAMILY[family]
+    with mp.workprec(mp.prec + n.bit_length() + 10):
+        e1, o1 = fam.basis_pair(x)
+        so1 = fam.derivative_sign * o1
+        e, o = e1, o1
+        pairs = [(e, o)]
+        for _ in range(n - 1):
+            e, o = e * e1 + o * so1, o * e1 + e * o1
+            pairs.append((e, o))
+    return pairs
+
+
 def _factored_value(form, x):
     """scale * prod_k g(x - r_k)^a_k at the working precision."""
     factor = FAMILY[form.family].factor
@@ -259,7 +290,11 @@ def _factored_value(form, x):
 
 
 def evaluate(poly, x, bits=None):
-    """Value of the polynomial at x, at the poly's precision unless overridden."""
+    """Value of the polynomial at x, at the poly's precision unless overridden.
+
+    A series of degree n costs one basis call per point plus O(n)
+    multiplications at a few guard bits (`_series_basis`).
+    """
     bits = require_bits(bits or poly.precision_bits)
     with working(bits):
         x = mp.mpf(x)
@@ -268,11 +303,11 @@ def evaluate(poly, x, bits=None):
             for c in poly.coeffs:
                 v = v * x + c
         elif isinstance(poly, SeriesPoly):
-            even, odd = FAMILY[poly.family].basis
+            basis = _series_basis(poly.family, x, poly.degree)
             terms = [poly.a0 / 2]
-            for l, (a, b) in enumerate(zip(poly.even, poly.odd), start=1):
-                terms.append(a * even(l * x))
-                terms.append(b * odd(l * x))
+            for a, b, (e, o) in zip(poly.even, poly.odd, basis):
+                terms.append(a * e)
+                terms.append(b * o)
             v = mp.fsum(terms)
         elif isinstance(poly, FactoredForm):
             v = _factored_value(poly, x)
@@ -284,13 +319,15 @@ def evaluate(poly, x, bits=None):
 def evaluate_derivative(poly, x, bits=None):
     """First derivative at x.
 
-    Coefficient forms differentiate term by term (extended Horner for the
-    algebraic family).  A factored form scale * prod_k g_k^a_k, with
-    g_k = g(x - r_k), uses the product rule in O(m) per point for m roots:
-    one `factor_pair` call per root gives g_k and g'_k, and term k is
-    a_k g'_k g_k^(a_k - 1) times the prefix product of the g_j^a_j with
-    j < k and the suffix product of those with j > k.  Nothing is divided
-    by g_k, so x on a root needs no special case (0**0 is 1).
+    Coefficient forms differentiate term by term: extended Horner for the
+    algebraic family, and for a series of degree n one basis call per point
+    plus O(n) multiplications at a few guard bits.  A factored form
+    scale * prod_k g_k^a_k, with g_k = g(x - r_k), uses the product rule
+    in O(m) per point for m roots: one `factor_pair` call per root gives
+    g_k and g'_k, and term k is a_k g'_k g_k^(a_k - 1) times the prefix
+    product of the g_j^a_j with j < k and the suffix product of those with
+    j > k.  Nothing is divided by g_k, so x on a root needs no special case
+    (0**0 is 1).
     """
     bits = require_bits(bits or poly.precision_bits)
     with working(bits):
@@ -302,12 +339,13 @@ def evaluate_derivative(poly, x, bits=None):
                 dv = dv * x + v
                 v = v * x + c
         elif isinstance(poly, SeriesPoly):
-            fam = FAMILY[poly.family]
-            even, odd = fam.basis
+            sign = FAMILY[poly.family].derivative_sign
+            basis = _series_basis(poly.family, x, poly.degree)
             terms = []
-            for l, (a, b) in enumerate(zip(poly.even, poly.odd), start=1):
-                terms.append(l * b * even(l * x))
-                terms.append(fam.derivative_sign * l * a * odd(l * x))
+            for l, (a, b, (e, o)) in enumerate(
+                    zip(poly.even, poly.odd, basis), start=1):
+                terms.append(l * b * e)
+                terms.append(sign * l * a * o)
             dv = mp.fsum(terms)
         elif isinstance(poly, FactoredForm):
             pair = FAMILY[poly.family].factor_pair
@@ -334,7 +372,12 @@ def evaluate_derivative(poly, x, bits=None):
 def magnitude_scale(poly, x, bits=None):
     """Attainable-magnitude scale of evaluate(poly, x): same sum with every
     term replaced by its absolute value.  Used to turn absolute evaluation
-    discrepancies into scale-free ones."""
+    discrepancies into scale-free ones.
+
+    A series whose family needs an envelope weighs term l by E(lx), from one
+    basis call per point plus O(n) multiplications at a few guard bits; the
+    trigonometric basis is bounded by 1 and needs no call.
+    """
     bits = require_bits(bits or poly.precision_bits)
     with working(bits):
         x = mp.mpf(x)
@@ -344,13 +387,13 @@ def magnitude_scale(poly, x, bits=None):
                 v = v * abs(x) + abs(c)
             return v
         if isinstance(poly, SeriesPoly):
-            envelope = FAMILY[poly.family].envelope
-            pairs = enumerate(zip(poly.even, poly.odd), start=1)
-            if envelope is None:
+            pairs = zip(poly.even, poly.odd)
+            if not FAMILY[poly.family].envelope:
                 return abs(poly.a0) / 2 + mp.fsum(
-                    abs(a) + abs(b) for _, (a, b) in pairs)
+                    abs(a) + abs(b) for a, b in pairs)
+            basis = _series_basis(poly.family, x, poly.degree)
             return mp.fsum([abs(poly.a0) / 2] + [
-                (abs(a) + abs(b)) * envelope(l * x) for l, (a, b) in pairs])
+                (abs(a) + abs(b)) * e for (a, b), (e, _) in zip(pairs, basis)])
         if isinstance(poly, FactoredForm):
             # a product rounds alike for either sign: no cancellation
             return abs(_factored_value(poly, x))

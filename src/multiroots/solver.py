@@ -26,6 +26,7 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .polynomials import (
+    FactoredForm,
     evaluate,
     evaluate_derivative,
     evaluation_noise,
@@ -125,6 +126,7 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
             f"{len(entry.approximations)} approximations"
         )
     family = poly.family
+    factored = isinstance(poly, FactoredForm)
     with working(bits):
         current = list(entry.approximations)
         new = list(entry.approximations)
@@ -134,8 +136,11 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
             fi = evaluate(poly, xi, bits)
             # freeze the coordinate once |f| is below the evaluation's
             # rounding bound: past that point the residual is cancellation
-            # noise and a correction computed from it walks away from the root
-            if fi == 0 or abs(fi) <= evaluation_noise(poly, xi, bits):
+            # noise and a correction computed from it walks away from the root.
+            # A factored form's bound is 3(sum(alpha) + 1) 2**-bits |f|, below
+            # |f| whenever f != 0, so only f == 0 can freeze it.
+            if fi == 0 or (not factored
+                           and abs(fi) <= evaluation_noise(poly, xi, bits)):
                 continue
             fpi = evaluate_derivative(poly, xi, bits)
             # `new` holds the updated entries before i and the incoming ones

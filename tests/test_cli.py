@@ -201,6 +201,21 @@ class TestGenerateCommand:
             from multiroots import evaluate
             assert abs(evaluate(poly, x) - want) <= mp.mpf("1e-40")
 
+    @pytest.mark.parametrize("flag, code, bits", [
+        ([], 0, 192), (["--precision-bits", "64"], 0, 64),
+        (["--precision-bits", "0"], 2, None),
+        (["--precision-bits", "40"], 2, None)])
+    def test_precision_bits_default_and_floor(self, tmp_path, capsys, flag,
+                                              code, bits):
+        problem_path = tmp_path / "p.json"
+        assert run("generate", "--family", "algebraic", "--roots", "2:2,3:1",
+                   *flag, "-o", problem_path) == code
+        if bits is None:
+            assert "--precision-bits" in capsys.readouterr().err
+            assert not problem_path.exists()
+        else:
+            assert load_problem(problem_path).precision_bits == bits
+
     def test_odd_trig_sum_refused(self, tmp_path):
         code = run("generate", "--family", "trigonometric",
                    "--roots", "1:1,2:2", "-o", tmp_path / "p.json")

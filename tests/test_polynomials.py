@@ -74,6 +74,38 @@ class TestEvaluate:
         assert err.value.family == EXPONENTIAL
 
 
+class TestSeriesBasis:
+    @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+    def test_each_series_kernel_makes_one_basis_call(self, monkeypatch,
+                                                     family):
+        calls = Counter()
+        fam = polynomials.FAMILY[family]
+
+        def counted(x):
+            calls["basis_pair"] += 1
+            return fam.basis_pair(x)
+
+        monkeypatch.setitem(polynomials.FAMILY, family,
+                            replace(fam, basis_pair=counted))
+        cls = TrigPoly if family == TRIGONOMETRIC else ExpPoly
+        poly = cls("0.5", [k / 3 for k in range(1, 9)],
+                   [1 - k / 5 for k in range(1, 9)], precision_bits=128)
+        # the trigonometric basis is bounded by 1 and needs no envelope
+        envelope_calls = 1 if family == EXPONENTIAL else 0
+        for kernel, want in ((evaluate, 1), (evaluate_derivative, 1),
+                             (magnitude_scale, envelope_calls)):
+            calls.clear()
+            kernel(poly, "0.3")
+            assert calls["basis_pair"] == want, kernel.__name__
+
+    @pytest.mark.parametrize("bits", [53, 4096])
+    @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+    def test_zero_gives_exact_one_and_zero(self, family, bits):
+        with mp.workprec(bits):
+            basis = polynomials._series_basis(family, mp.mpf(0), 16)
+        assert basis == [(1, 0)] * 16
+
+
 class TestEvaluateDerivative:
     def test_pure_square(self):
         assert evaluate_derivative(AlgebraicPoly((0, 0)), 3) == 6

@@ -8,7 +8,7 @@ F'/F of a factored form, and the problem-file layout the README documents.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from multiroots import (
@@ -24,6 +24,7 @@ from multiroots import (
     log_derivative_sum,
     magnitude_scale,
 )
+from multiroots.polynomials import _series_basis
 from multiroots.precision import format_real
 from multiroots.report_io import problem_from_dict, problem_to_dict
 from multiroots.verification import _derivative_ladder
@@ -76,6 +77,37 @@ def test_kernels_match_the_coefficient_ladder(family, data):
         abs_value = ladder[0][1](x)
         assert abs(magnitude_scale(expanded, x) - abs_value) \
             <= tolerance(bits) * abs_value
+
+
+@pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+@settings(max_examples=40, deadline=None)
+@example(n=16, bits=4096, mantissa=2**4096 - 1, exponent=-4000, sign=1)
+@example(n=16, bits=53, mantissa=2**53 - 1, exponent=20, sign=-1)
+@example(n=16, bits=1024, mantissa=3**600, exponent=7, sign=1)
+@given(n=st.integers(1, 16), bits=st.sampled_from([53, 64, 192, 1024, 4096]),
+       mantissa=st.integers(1, 2**4096 - 1), exponent=st.integers(-80, 20),
+       sign=st.sampled_from([1, -1]))
+def test_series_basis_matches_mpmath(family, n, bits, mantissa, exponent,
+                                     sign):
+    """The angle-addition basis at x = sign * 0.mantissa * 2**exponent, with
+    the mantissa cut to `bits`, against mpmath's E(lx) and O(lx) at twice
+    the precision, where l*x is exact: within a few ulp, absolute for the
+    bounded trigonometric basis and relative for the hyperbolic one.  x = 0
+    is exact and tested in test_polynomials."""
+    mantissa >>= max(0, mantissa.bit_length() - bits)
+    with mp.workprec(bits):
+        x = sign * mp.ldexp(mantissa, exponent - mantissa.bit_length())
+        basis = _series_basis(family, x, n)
+    if family == TRIGONOMETRIC:
+        even, odd = mp.cos, mp.sin
+    else:
+        even, odd = mp.cosh, mp.sinh
+    with mp.workprec(2 * bits):
+        few_ulp = 4 * mp.mpf(2) ** -bits
+        for l, got in enumerate(basis, start=1):
+            for value, want in zip(got, (even(l * x), odd(l * x))):
+                scale = 1 if family == TRIGONOMETRIC else abs(want)
+                assert abs(value - want) <= few_ulp * scale, (l, value, want)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])

@@ -15,6 +15,7 @@ from multiroots import (
     RootConfiguration,
     SolveSettings,
     classical_ehrlich_step,
+    evaluation_noise,
     expand_from_roots,
     initial_state,
     simple_root_reduction_residual,
@@ -22,6 +23,7 @@ from multiroots import (
     solve,
     step,
 )
+from multiroots import solver
 from multiroots.precision import ulps_apart
 from conftest import random_simple_roots
 
@@ -142,6 +144,46 @@ class TestSolve:
         poly = AlgebraicPoly((0, -1))
         report = solve(poly, (1,), (0,))
         assert report.termination == "diverged"
+
+    def test_factored_solve_skips_the_noise_bound(self, monkeypatch):
+        # a factored bound is a fraction of |f| and can never freeze f != 0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluation_noise(*args)
+
+        monkeypatch.setattr(solver, "evaluation_noise", counted)
+        bits = 192
+        for poly, want in ((factored(ALGEBRAIC, EX1, bits), False),
+                           (expanded(ALGEBRAIC, EX1, bits), True)):
+            calls.clear()
+            report = solve(poly, EX1["mults"], EX1["initial"],
+                           SolveSettings(precision_bits=bits))
+            assert report.termination == "converged"
+            assert bool(calls) == want
+
+    @pytest.mark.parametrize("family, case", [
+        (TRIGONOMETRIC, dict(roots=("-1.3", "-0.2", "0.9", "1.8"),
+                             mults=(1, 2, 3, 2))),
+        (EXPONENTIAL, dict(roots=("-1.1", "0.2", "1.4"), mults=(2, 1, 3)))])
+    def test_series_coefficient_form_at_2048_bits(self, family, case):
+        # the series kernels' guard bits hold at high precision: each
+        # alpha-fold root reaches the radius eps^(1/alpha) of the cluster that
+        # rounding the coefficients splits it into
+        bits = 2048
+        poly = expanded(family, case, bits)
+        with mp.workprec(bits):
+            roots = [mp.mpf(r) for r in case["roots"]]
+            gap = min(b - a for a, b in zip(roots, roots[1:]))
+            initial = [r + (-1) ** i * gap * mp.mpf("0.12")
+                       for i, r in enumerate(roots)]
+            report = solve(poly, case["mults"], initial,
+                           SolveSettings(precision_bits=bits))
+            assert report.termination == "converged"
+            for x, r, alpha in zip(report.final, roots, case["mults"]):
+                bound = (mp.mpf(2) ** (32 - bits)) ** (mp.mpf(1) / alpha)
+                assert abs(x - r) <= bound * max(abs(r), 1)
 
     def test_max_iterations_reached(self):
         bits = 192
