@@ -120,6 +120,15 @@ def _condition_params(problem, args):
     )
 
 
+def _write(save, *args, **kwargs):
+    """`save(*args, **kwargs)`, with an unwritable path an input error:
+    exit 1 would claim non-convergence."""
+    try:
+        save(*args, **kwargs)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {exc.filename}: {exc.strerror}", "-o")
+
+
 def _cmd_solve(args):
     problem = load_problem(_resolve_problem_path(args.problem),
                            precision_override=args.precision_bits)
@@ -135,7 +144,7 @@ def _cmd_solve(args):
     print(f"problem: {problem.label or args.problem}  family: {problem.family}  "
           f"precision: {bits} bits  sweep: {problem.settings.sweep_mode}")
     for entry in report.trace:
-        parts = [f"k={entry.k}"]
+        parts = [f"k={entry.k}", f"bits={entry.precision_bits}"]
         if entry.corrections is not None:
             parts.append(f"max correction={mp.nstr(max(entry.corrections), 6)}")
         if entry.errors is not None:
@@ -154,7 +163,7 @@ def _cmd_solve(args):
     if output is None:
         stem = Path(args.problem).stem or "problem"
         output = Path.cwd() / f"{stem}.report.json"
-    save_report(report, problem, output, verdict=verdict)
+    _write(save_report, report, problem, output, verdict=verdict)
     print(f"report written to {output}")
     return _TERMINATION_EXIT[report.termination]
 
@@ -217,7 +226,7 @@ def _cmd_generate(args):
         true_roots=cfg.roots,
         settings=SolveSettings(precision_bits=bits),
     )
-    save_problem(problem, args.output)
+    _write(save_problem, problem, args.output)
     print(f"problem written to {args.output}")
     return EXIT_OK
 

@@ -11,7 +11,7 @@ All values are mpmath mpf; every container records the binary precision it
 was built at and operations run at that precision unless overridden.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from mpmath import mp
@@ -35,7 +35,8 @@ class Family:
     from one call, the sign s in d/dx E(lx) = s l O(lx), which is also the
     sign in E(a + b) = E(a) E(b) + s O(a) O(b), whether the basis needs an
     `envelope` (|E(lx)| and |O(lx)| are at most E(lx); without one they are
-    at most 1) and their problem-file coefficient keys.
+    at most 1) and their problem-file coefficient keys.  A `periodic`
+    family's roots repeat every 2 pi (`root_offset`).
     """
 
     factor: Callable
@@ -46,6 +47,7 @@ class Family:
     derivative_sign: int = None
     envelope: bool = False
     keys: tuple = None
+    periodic: bool = False
 
 
 def _cosh_sinh(x):
@@ -71,7 +73,8 @@ FAMILY = {
     TRIGONOMETRIC: Family(
         factor=lambda u: mp.sin(u / 2), factor_pair=_sin_half_pair,
         coupling=lambda a, u: a * mp.cot(u / 2) / 2, roots_per_degree=2,
-        basis_pair=mp.cos_sin, derivative_sign=-1, keys=("cos", "sin")),
+        basis_pair=mp.cos_sin, derivative_sign=-1, keys=("cos", "sin"),
+        periodic=True),
     EXPONENTIAL: Family(
         factor=lambda u: mp.sinh(u / 2), factor_pair=_sinh_half_pair,
         coupling=lambda a, u: a * mp.coth(u / 2) / 2, roots_per_degree=2,
@@ -90,6 +93,16 @@ def degree_of(family, multiplicities):
             f"got {total}"
         )
     return total // per_degree
+
+
+def root_offset(family, x, r):
+    """x - r at the working precision, reduced to [-pi, pi] for a periodic
+    family, where x and r + 2 pi k are the same root."""
+    u = x - r
+    if FAMILY[family].periodic:
+        period = 2 * mp.pi
+        u -= period * mp.nint(u / period)
+    return u
 
 
 def require_distinct(values, what):
@@ -247,6 +260,17 @@ class FactoredForm:
         object.__setattr__(self, "scale", to_mpf(self.scale, bits))
         if self.scale == 0:
             raise InvalidConfigurationError("scale must be nonzero")
+
+
+def at_precision(poly, bits):
+    """A copy of `poly` with every stored real rounded to `bits`, built
+    through the representation's own validation (a factored form's root
+    configuration included), so kernels running at `bits` never multiply
+    wider mantissas."""
+    if isinstance(poly, FactoredForm):
+        return replace(poly, precision_bits=bits,
+                       config=replace(poly.config, precision_bits=bits))
+    return replace(poly, precision_bits=bits)
 
 
 def _check_finite(value, family, x):

@@ -24,7 +24,7 @@ from .polynomials import (
     TrigPoly,
     degree_of,
 )
-from .precision import format_real, parse_real, require_bits
+from .precision import MIN_PRECISION_BITS, format_real, parse_real, require_bits
 from .solver import SolveReport, SolveSettings, TraceEntry
 
 REPRESENTATIONS = ("coefficients", "roots")
@@ -290,8 +290,9 @@ def report_to_dict(report, problem, verdict=None):
         "estimated_order": (fmt(report.estimated_order)
                             if report.estimated_order is not None else None),
         "true_roots": fmts(problem.truth()),
-        "trace": [dict(k=entry.k, **{key: fmts(getattr(entry, key))
-                                     for key in _TRACE_LISTS})
+        "trace": [dict(k=entry.k, precision_bits=entry.precision_bits,
+                       **{key: fmts(getattr(entry, key))
+                          for key in _TRACE_LISTS})
                   for entry in report.trace],
     }
     if verdict is not None:
@@ -325,8 +326,17 @@ def load_report(path):
         loc = f"{location}.trace[{idx}]"
         _require(isinstance(entry, dict) and entry.get("approximations"),
                  "trace entries need approximations", loc)
+        # reports written before the precision ladder ran every sweep at
+        # the report's precision and carry no per-entry key
+        swept_at = entry.get("precision_bits", bits)
+        _require(type(swept_at) is int
+                 and MIN_PRECISION_BITS <= swept_at <= bits,
+                 f"precision_bits must be an integer in "
+                 f"{MIN_PRECISION_BITS}..{bits}",
+                 f"{loc}.precision_bits")
         trace.append(TraceEntry(entry.get("k", idx), **{
-            key: optional(entry, key, loc) for key in _TRACE_LISTS}))
+            key: optional(entry, key, loc) for key in _TRACE_LISTS},
+            precision_bits=swept_at))
     order = data.get("estimated_order")
     return SolveReport(
         final=_parse_reals(data["final"], bits, f"{location}.final",

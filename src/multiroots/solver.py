@@ -11,6 +11,11 @@ family's log-derivative sum:
 The coupling term lifts the quadratic multiplicity-aware Newton baseline to
 cubic convergence.  `simultaneous` sweeps read only the incoming vector
 (Jacobi); `sequential` sweeps reuse already-updated entries (Gauss-Seidel).
+
+Above FLOOR bits, `solve` climbs a precision ladder: cubic convergence
+triples the correct bits per sweep, so each sweep runs at the smallest rung
+FLOOR * 2**j that the previous corrections say it needs, and is redone
+higher when its own corrections show too few bits to spare (`_ladder_step`).
 """
 
 from dataclasses import dataclass
@@ -27,11 +32,13 @@ from .errors import (
 )
 from .polynomials import (
     FactoredForm,
+    at_precision,
     evaluate,
     evaluate_derivative,
     evaluation_noise,
     log_derivative_sum,
     require_distinct,
+    root_offset,
 )
 from .precision import eps, require_bits, to_mpf, working
 
@@ -43,6 +50,11 @@ MAX_ITERATIONS = "max_iterations"
 COLLISION = "collision"
 DIVERGED = "diverged"
 NONFINITE = "nonfinite"
+
+# The lowest rung of the precision ladder; a solve at or below it never
+# climbs one.  GUARD bits are kept beyond what the error estimate asks for.
+FLOOR = 256
+GUARD = 32
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,7 @@ class TraceEntry:
     residuals: tuple
     corrections: tuple  # None for the initial entry
     errors: tuple       # vs. true roots, when known; else None
+    precision_bits: int  # bits the sweep ran at
 
 
 @dataclass(frozen=True)
@@ -92,15 +105,16 @@ class SolveReport:
     precision_bits: int = 53
 
 
-def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
+def _entry(poly, approximations, k, bits, corrections=None, true_roots=None,
+           swept_at=None):
     with working(bits):
         residuals = tuple(abs(evaluate(poly, x, bits)) for x in approximations)
         errors = None
         if true_roots is not None:
-            errors = tuple(
-                abs(x - r) for x, r in zip(approximations, true_roots)
-            )
-    return TraceEntry(k, tuple(approximations), residuals, corrections, errors)
+            errors = tuple(abs(root_offset(poly.family, x, r))
+                           for x, r in zip(approximations, true_roots))
+    return TraceEntry(k, tuple(approximations), residuals, corrections, errors,
+                      swept_at or bits)
 
 
 def initial_state(poly, initial, settings, true_roots=None):
@@ -125,11 +139,19 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
             f"{len(multiplicities)} multiplicities vs "
             f"{len(entry.approximations)} approximations"
         )
+    new, corrections = _sweep(poly, multiplicities, entry.approximations,
+                              bits, settings.sweep_mode)
+    return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
+                  true_roots=true_roots)
+
+
+def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
+    """(new approximations, |corrections|) of one sweep at `bits`."""
     family = poly.family
     factored = isinstance(poly, FactoredForm)
     with working(bits):
-        current = list(entry.approximations)
-        new = list(entry.approximations)
+        current = list(approximations)
+        new = list(approximations)
         corrections = [mp.mpf(0)] * len(current)
         degenerate_floor = mp.mpf(2) ** (-(bits - 4))
         for i, xi in enumerate(current):
@@ -145,7 +167,7 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
             fpi = evaluate_derivative(poly, xi, bits)
             # `new` holds the updated entries before i and the incoming ones
             # after it
-            source = new if settings.sweep_mode == SEQUENTIAL else current
+            source = new if sweep_mode == SEQUENTIAL else current
             others = [j for j in range(len(current)) if j != i]
             try:
                 coupling = log_derivative_sum(
@@ -163,8 +185,72 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
                 raise FamilyOverflowError(family, xi, detail="non-finite correction")
             new[i] = xi - correction
             corrections[i] = abs(correction)
-        return _entry(poly, new, entry.k + 1, bits,
-                      corrections=tuple(corrections), true_roots=true_roots)
+        return tuple(new), tuple(corrections)
+
+
+def _bits_needed(multiplicities, corrections, sweeps):
+    """max_i (alpha_i + 2) * sweeps * log2(1/c_i) + GUARD; infinite when a
+    coordinate froze (c_i = 0).  log2(1/c) is taken as -mp.mag(c), at most
+    one bit low, which GUARD covers.
+
+    At an error e from an alpha-fold root a coefficient form's f carries a
+    relative error of about 2**-bits / e**alpha, and the correction needs a
+    relative accuracy of e**2: a sweep whose incoming errors are about e
+    needs (alpha + 2) log2(1/e) bits.  A sweep's corrections track its
+    incoming errors, and the next sweep's errors are about their cube, so
+    `sweeps` = 3 sizes the next sweep and 1 checks the sweep itself.
+    """
+    worst = max((alpha + 2) * -mp.mag(c)  # mp.mag(0) is -inf
+                for alpha, c in zip(multiplicities, corrections))
+    return sweeps * worst + GUARD
+
+
+def _rung(need, bits):
+    """The smallest FLOOR * 2**j >= need, capped at bits."""
+    rung = FLOOR
+    while rung < min(need, bits):
+        rung *= 2
+    return min(rung, bits)
+
+
+def _ladder_step(poly, rungs, multiplicities, entry, settings, true_roots):
+    """`step` from `entry`, swept at the lowest rung that keeps its accuracy.
+
+    The rung covers three times the bits of the previous corrections (cubic
+    convergence); the first sweep has none and takes FLOOR.  A rung's sweep
+    is kept only if its own corrections are all nonzero, above the
+    tolerance and leave `_bits_needed` within the rung; otherwise it is
+    redone at the rung they ask for.  So freezes, the converging sweep and
+    any failure are decided at full precision.  `rungs` caches the
+    polynomial rounded to each rung.  The entry's residuals and errors are
+    always computed at full precision on `poly`.
+    """
+    bits = settings.precision_bits
+    rung = bits  # at or below FLOOR every sweep runs at full precision
+    if bits > FLOOR:
+        rung = (FLOOR if entry.corrections is None else _rung(
+            _bits_needed(multiplicities, entry.corrections, 3), bits))
+    while rung < bits:
+        try:
+            if rung not in rungs:
+                rungs[rung] = at_precision(poly, rung)
+            new, corrections = _sweep(
+                rungs[rung], multiplicities,
+                [to_mpf(x, rung) for x in entry.approximations], rung,
+                settings.sweep_mode)
+        except (CollisionError, DegenerateDenominatorError, FamilyOverflowError,
+                ZeroDivisionError, InvalidConfigurationError):
+            # a rung too coarse to tell apart what full precision can (roots
+            # that coincide once rounded included): retry at full precision
+            break
+        if max(corrections) <= settings.tolerance:
+            break  # a converging sweep is decided at full precision
+        need = _bits_needed(multiplicities, corrections, 1)
+        if need <= rung:
+            return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
+                          true_roots=true_roots, swept_at=rung)
+        rung = _rung(need, bits)  # need > rung, so the rung rises
+    return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
 
 def order_error_sequence(trace):
@@ -205,7 +291,8 @@ def trace_order(trace, bits, final):
 
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
-    """Iterate `step` until every correction is within tolerance.
+    """Iterate `step` until every correction is within tolerance, each sweep
+    above FLOOR bits on the precision ladder (`_ladder_step`).
 
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the
@@ -225,11 +312,12 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         escape_radius = mp.mpf(10) ** 6 * (
             1 + max(abs(x) for x in trace[0].approximations)
         )
+    rungs = {}
     termination = MAX_ITERATIONS
     for _ in range(settings.max_iterations):
         try:
-            entry = step(poly, multiplicities, trace[-1], settings,
-                         true_roots=true_roots)
+            entry = _ladder_step(poly, rungs, multiplicities, trace[-1],
+                                 settings, true_roots)
         except CollisionError:
             termination = COLLISION
             break

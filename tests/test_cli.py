@@ -97,6 +97,13 @@ class TestSolveCommand:
         assert report.termination == "converged"
         assert report.iterations_used <= 5
 
+    def test_per_sweep_lines_name_their_precision(self, tmp_path, capsys):
+        assert run("solve", "example1", "-o", tmp_path / "r.json") == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.lstrip().startswith("k=")]
+        assert len(lines) == 7
+        assert all("  bits=192  " in line for line in lines)
+
     def test_kappa_on_non_trig_problem_exits_2(self, tmp_path):
         code = run("solve", "example1", "-o", tmp_path / "r.json",
                    "--theorems", "--c", "0.1", "--q", "0.5", "--kappa", "1.0")
@@ -171,6 +178,19 @@ def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     capsys.readouterr()
     assert run(*argv, *output) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "example1"],
+    ["generate", "--family", "algebraic", "--roots", "2:2,3:1"]],
+    ids=["solve", "generate"])
+def test_unwritable_output_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    # exit 1 would claim that the solve did not converge
+    target = tmp_path / "no" / "such" / "dir" / "out.json"
+    assert run(*argv, "-o", target) == 2
+    err = capsys.readouterr().err
+    assert "-o" in err and str(target) in err
+    assert "Traceback" not in err
 
 
 class TestGenerateCommand:
@@ -255,3 +275,28 @@ class TestOrderCommand:
         assert "estimated order" in printed
         value = mp.mpf(printed.rsplit(":", 1)[1])
         assert mp.mpf("2.6") <= value <= mp.mpf("3.4")
+
+    def test_trigonometric_solve_one_period_away(self, tmp_path, capsys):
+        # started near r - 2pi, the solve converges to the roots one period
+        # below the stated ones; errors are measured modulo 2pi, so they
+        # still fall and the order is estimated
+        roots, mults = ("-1.3", "-0.2", "0.9", "1.8"), (1, 2, 3, 2)
+        with mp.workprec(192):
+            shifted = [mp.mpf(r) - 2 * mp.pi for r in roots]
+            initial = [x + (-1) ** i * mp.mpf("0.2")
+                       for i, x in enumerate(shifted)]
+        problem = tmp_path / "p.json"
+        assert run("generate", "--family", "trigonometric",
+                   "--roots=" + ",".join(f"{r}:{a}" for r, a in zip(roots, mults)),
+                   "--initial=" + ",".join(mp.nstr(x, 60) for x in initial),
+                   "-o", problem) == 0
+        out = tmp_path / "r.json"
+        assert run("solve", problem, "-o", out) == 0
+        report = load_report(out)
+        assert report.termination == "converged"
+        for x, want in zip(report.final, shifted):
+            assert abs(x - want) <= mp.mpf("1e-15")
+        errors = [max(entry.errors) for entry in report.trace]
+        assert errors[-1] <= mp.mpf("1e-15") * errors[0]
+        assert report.estimated_order is not None
+        assert run("order", out) == 0

@@ -1,3 +1,4 @@
+import json
 import random
 from importlib import resources
 
@@ -187,10 +188,12 @@ class TestReports:
     def test_nonfinite_report_loads(self, tmp_path):
         # a `nonfinite` solve writes nan and inf into its report
         problem = problem_from_dict(GOOD_PROBLEM)
-        start = TraceEntry(0, problem.initial, (mp.mpf(1),) * 3, None, None)
+        bits = problem.precision_bits
+        start = TraceEntry(0, problem.initial, (mp.mpf(1),) * 3, None, None,
+                           bits)
         last = TraceEntry(1, (mp.nan, mp.mpf(3), mp.inf),
                           (mp.nan, mp.mpf(0), mp.inf),
-                          (mp.nan, mp.mpf("0.5"), mp.inf), None)
+                          (mp.nan, mp.mpf("0.5"), mp.inf), None, bits)
         report = SolveReport(final=last.approximations, iterations_used=1,
                              termination=NONFINITE, trace=(start, last),
                              precision_bits=problem.precision_bits)
@@ -208,6 +211,51 @@ class TestReports:
         path.write_text('{"termination": "converged"}')
         with pytest.raises(SchemaError):
             load_report(path)
+
+    def test_ladder_report_loads_into_the_solve_report(self, tmp_path):
+        # above 256 bits the early sweeps run at lower rungs, and each
+        # entry's precision survives the round trip
+        problem = load_problem(
+            resources.files("multiroots.problems") / "example1.json",
+            precision_override=1024)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings,
+                       true_roots=problem.truth())
+        assert min(e.precision_bits for e in report.trace) == 256
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        assert [e["precision_bits"] for e in data["trace"]] == \
+            [e.precision_bits for e in report.trace]
+        assert load_report(path) == report
+
+    def test_report_without_entry_precision_loads_at_the_reports(self,
+                                                                  tmp_path):
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings,
+                       true_roots=problem.truth())
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        for entry in data["trace"]:
+            del entry["precision_bits"]
+        path.write_text(json.dumps(data))
+        assert load_report(path) == report
+
+    @pytest.mark.parametrize("value", [True, 40, 193, "192"])
+    def test_bad_entry_precision_rejected(self, tmp_path, value):
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings)
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        data["trace"][1]["precision_bits"] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert "trace[1].precision_bits" in str(err.value)
 
     @pytest.mark.parametrize("source", ["example1", "example2", "example3",
                                         "no true roots"])

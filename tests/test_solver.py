@@ -10,6 +10,7 @@ from multiroots import (
     AlgebraicPoly,
     CollisionError,
     DegenerateDenominatorError,
+    FamilyOverflowError,
     FactoredForm,
     InvalidConfigurationError,
     RootConfiguration,
@@ -24,7 +25,7 @@ from multiroots import (
     step,
 )
 from multiroots import solver
-from multiroots.precision import ulps_apart
+from multiroots.precision import to_mpf, ulps_apart
 from conftest import random_simple_roots
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1), initial=("0.4", "3.5", "8"))
@@ -192,6 +193,125 @@ class TestSolve:
                        SolveSettings(precision_bits=bits, max_iterations=2))
         assert report.termination == "max_iterations"
         assert report.iterations_used == 2
+
+
+LADDER_CASES = ((ALGEBRAIC, EX1), (TRIGONOMETRIC, EX2), (EXPONENTIAL, EX3))
+
+_FAILURES = {CollisionError: "collision", DegenerateDenominatorError: "diverged",
+             ZeroDivisionError: "diverged", FamilyOverflowError: "nonfinite"}
+
+
+def step_loop(poly, multiplicities, initial, settings, true_roots=None):
+    """(trace, termination) of `step` driven by hand at full precision."""
+    bits = settings.precision_bits
+    if true_roots is not None:
+        true_roots = [to_mpf(r, bits) for r in true_roots]
+    trace = [initial_state(poly, initial, settings, true_roots=true_roots)]
+    for _ in range(settings.max_iterations):
+        try:
+            entry = step(poly, multiplicities, trace[-1], settings,
+                         true_roots=true_roots)
+        except tuple(_FAILURES) as exc:
+            return trace, _FAILURES[type(exc)]
+        trace.append(entry)
+        assert entry.precision_bits == bits
+        if max(entry.corrections) <= settings.tolerance:
+            return trace, "converged"
+    return trace, "max_iterations"
+
+
+class TestPrecisionLadder:
+    @pytest.mark.parametrize("bits", [1024, 2048, 4096])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family, case", LADDER_CASES,
+                             ids=[f for f, _ in LADDER_CASES])
+    def test_matches_the_full_precision_step_loop(self, family, case, mode,
+                                                  bits):
+        poly = expanded(family, case, bits)
+        settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+        report = solve(poly, case["mults"], case["initial"], settings)
+        _, termination = step_loop(poly, case["mults"], case["initial"],
+                                   settings)
+        assert report.termination == termination == "converged"
+        rungs = [entry.precision_bits for entry in report.trace]
+        assert rungs[0] == rungs[-1] == bits
+        assert rungs[1] == solver.FLOOR
+        with mp.workprec(bits):
+            for x, r, alpha in zip(report.final, case["roots"], case["mults"]):
+                r = mp.mpf(r)
+                bound = (mp.mpf(2) ** (32 - bits)) ** (mp.mpf(1) / alpha)
+                assert abs(x - r) <= bound * max(abs(r), 1)
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family, case", LADDER_CASES,
+                             ids=[f for f, _ in LADDER_CASES])
+    def test_a_loose_tolerance_is_met_at_full_precision(self, family, case,
+                                                        mode):
+        # with tolerance 1e-10 a 256-bit rung sweep meets the tolerance while
+        # its corrections still fit the rung; it must be redone at 1024 bits,
+        # not over and over at the rung
+        bits = 1024
+        poly = expanded(family, case, bits)
+        settings = SolveSettings(precision_bits=bits, sweep_mode=mode,
+                                 correction_tolerance="1e-10")
+        report = solve(poly, case["mults"], case["initial"], settings)
+        _, termination = step_loop(poly, case["mults"], case["initial"],
+                                   settings)
+        assert report.termination == termination == "converged"
+        assert report.trace[-1].precision_bits == bits
+        assert solver.FLOOR in [e.precision_bits for e in report.trace]
+
+    @pytest.mark.parametrize("bits", [192, 256])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family, case", LADDER_CASES,
+                             ids=[f for f, _ in LADDER_CASES])
+    def test_at_or_below_the_floor_solve_is_the_step_loop(self, family, case,
+                                                          mode, bits):
+        poly = expanded(family, case, bits)
+        settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+        report = solve(poly, case["mults"], case["initial"], settings,
+                       true_roots=case["roots"])
+        trace, termination = step_loop(poly, case["mults"], case["initial"],
+                                       settings, true_roots=case["roots"])
+        assert report.termination == termination == "converged"
+        assert report.trace == tuple(trace)
+
+    @pytest.mark.parametrize("representation", [expanded, factored])
+    def test_restart_from_converged_roots_redoes_at_full_precision(
+            self, representation):
+        bits = 4096
+        poly = representation(TRIGONOMETRIC, EX2, bits)
+        settings = SolveSettings(precision_bits=bits)
+        first = solve(poly, EX2["mults"], EX2["initial"], settings)
+        assert first.termination == "converged"
+        again = solve(poly, EX2["mults"], first.final, settings)
+        assert again.termination == "converged"
+        assert again.iterations_used <= 2
+        # the first sweep starts at the floor, whose corrections ask for
+        # more bits than it has: the sweep is redone at full precision
+        assert [e.precision_bits for e in again.trace] == \
+            [bits] * len(again.trace)
+
+    @pytest.mark.parametrize("representation, base, gap", [
+        (expanded, 0, 150), (factored, 1, 300)],
+        ids=["collision", "roots coincide"])
+    def test_a_sweep_the_rung_cannot_carry_is_redone_at_full_precision(
+            self, representation, base, gap):
+        # at 256 bits, approximations 2**-150 apart collide (the threshold is
+        # 2**-128), and a factored form's roots 2**-300 apart coincide once
+        # rounded; at 1024 bits neither happens
+        bits = 1024
+        with mp.workprec(bits):
+            delta = mp.mpf(2) ** -gap
+            case = dict(roots=(base, base + delta), mults=(1, 1),
+                        initial=(base - delta / 4, base + delta + delta / 4))
+        poly = representation(ALGEBRAIC, case, bits)
+        settings = SolveSettings(precision_bits=bits)
+        report = solve(poly, case["mults"], case["initial"], settings)
+        trace, termination = step_loop(poly, case["mults"], case["initial"],
+                                       settings)
+        assert report.termination == termination == "converged"
+        assert report.trace[1] == trace[1]
 
 
 class TestProperties:
