@@ -7,15 +7,48 @@ factored representation built from distinct roots with multiplicities; the
 factored form is first-class, so solvers accept either representation.
 What tells the families apart lives in one table, `FAMILY`.
 
-All values are mpmath mpf; every container records the binary precision it
-was built at and operations run at that precision unless overridden.
+Containers hold mpmath mpf values and record the binary precision they were
+built at.  The per-point kernels (`evaluate`, `evaluate_derivative`,
+`magnitude_scale`, `evaluation_noise`, `log_derivative_sum`) take and return
+mpf, but compute on raw `mpmath.libmp` values at an explicit precision,
+making the very calls mpmath's operators and functions would make at that
+precision, so they give the same bits without the cost of building an mpf
+and reading the global context for every operation.  They neither read nor
+change `mp.prec`.  The `FAMILY` callables take raw values and a precision.
 """
 
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from mpmath import mp
-from mpmath.libmp import mpf_cosh_sinh, round_nearest
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fone,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cos_sin,
+    mpf_cosh_sinh,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pos,
+    mpf_pow,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sin,
+    mpf_sinh,
+    mpf_sub,
+    mpf_sum,
+    mpf_tan,
+    mpf_tanh,
+    normalize,
+    round_nearest,
+)
 
 from .errors import CollisionError, FamilyOverflowError, InvalidConfigurationError
 from .precision import require_bits, to_mpf, working
@@ -24,6 +57,12 @@ ALGEBRAIC = "algebraic"
 TRIGONOMETRIC = "trigonometric"
 EXPONENTIAL = "exponential"
 FAMILIES = (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL)
+
+# mp's rounding mode; every raw operation below rounds to nearest at an
+# explicit precision, as mpf arithmetic does at mp.prec
+RND = round_nearest
+TWO = from_int(2)
+NONFINITE = (finf, fninf, fnan)
 
 
 @dataclass(frozen=True)
@@ -37,6 +76,10 @@ class Family:
     `envelope` (|E(lx)| and |O(lx)| are at most E(lx); without one they are
     at most 1) and their problem-file coefficient keys.  A `periodic`
     family's roots repeat every 2 pi (`root_offset`).
+
+    The callables work on raw libmp values: `factor(u, prec)`,
+    `factor_pair(u, prec)`, `coupling(a, u, prec)` with an int a, and
+    `basis_pair(x, prec)`, each rounding to nearest at `prec`.
     """
 
     factor: Callable
@@ -50,36 +93,47 @@ class Family:
     periodic: bool = False
 
 
-def _cosh_sinh(x):
-    # mp has no cosh_sinh; mp.sinh and mp.cosh each make this call
-    c, s = mpf_cosh_sinh(x._mpf_, mp.prec, round_nearest)
-    return mp.make_mpf(c), mp.make_mpf(s)
+def _half(u, prec):
+    return mpf_div(u, TWO, prec, RND)
 
 
-def _sin_half_pair(u):
-    c, s = mp.cos_sin(u / 2)
-    return s, c / 2
+def _sin_half_pair(u, prec):
+    c, s = mpf_cos_sin(_half(u, prec), prec, RND)
+    return s, _half(c, prec)
 
 
-def _sinh_half_pair(u):
-    c, s = _cosh_sinh(u / 2)
-    return s, c / 2
+def _sinh_half_pair(u, prec):
+    c, s = mpf_cosh_sinh(_half(u, prec), prec, RND)
+    return s, _half(c, prec)
+
+
+def _half_reciprocal_coupling(tangent):
+    """(a, u, prec) -> a / tangent(u/2) / 2, where 1/tangent is formed as
+    mp.cot and mp.coth form it: at prec + 10, then rounded to prec."""
+    def coupling(a, u, prec):
+        t = tangent(_half(u, prec), prec + 10, RND)
+        reciprocal = mpf_pos(mpf_div(fone, t, prec + 10, RND), prec, RND)
+        return _half(mpf_mul_int(reciprocal, a, prec, RND), prec)
+    return coupling
 
 
 FAMILY = {
     ALGEBRAIC: Family(
-        factor=lambda u: u, factor_pair=lambda u: (u, mp.mpf(1)),
-        coupling=lambda a, u: a / u, roots_per_degree=1),
+        factor=lambda u, prec: u, factor_pair=lambda u, prec: (u, fone),
+        coupling=lambda a, u, prec: mpf_rdiv_int(a, u, prec, RND),
+        roots_per_degree=1),
     TRIGONOMETRIC: Family(
-        factor=lambda u: mp.sin(u / 2), factor_pair=_sin_half_pair,
-        coupling=lambda a, u: a * mp.cot(u / 2) / 2, roots_per_degree=2,
-        basis_pair=mp.cos_sin, derivative_sign=-1, keys=("cos", "sin"),
-        periodic=True),
+        factor=lambda u, prec: mpf_sin(_half(u, prec), prec, RND),
+        factor_pair=_sin_half_pair,
+        coupling=_half_reciprocal_coupling(mpf_tan), roots_per_degree=2,
+        basis_pair=lambda x, prec: mpf_cos_sin(x, prec, RND),
+        derivative_sign=-1, keys=("cos", "sin"), periodic=True),
     EXPONENTIAL: Family(
-        factor=lambda u: mp.sinh(u / 2), factor_pair=_sinh_half_pair,
-        coupling=lambda a, u: a * mp.coth(u / 2) / 2, roots_per_degree=2,
-        basis_pair=_cosh_sinh, derivative_sign=1, envelope=True,
-        keys=("ch", "sh")),
+        factor=lambda u, prec: mpf_sinh(_half(u, prec), prec, RND),
+        factor_pair=_sinh_half_pair,
+        coupling=_half_reciprocal_coupling(mpf_tanh), roots_per_degree=2,
+        basis_pair=lambda x, prec: mpf_cosh_sinh(x, prec, RND),
+        derivative_sign=1, envelope=True, keys=("ch", "sh")),
 }
 
 
@@ -273,43 +327,58 @@ def at_precision(poly, bits):
     return replace(poly, precision_bits=bits)
 
 
-def _check_finite(value, family, x):
-    if not mp.isfinite(value):
-        raise FamilyOverflowError(family, x)
-    return value
+def _to_raw(value, prec):
+    """The raw value of mp.mpf(value) at `prec`."""
+    if type(value) is mp.mpf:
+        raw = value._mpf_
+        # an mpf is normalized: one that fits in prec bits is kept as is
+        return raw if raw[3] <= prec else normalize(*raw, prec, RND)
+    return mp.mpf(value, prec=prec)._mpf_
 
 
-def _series_basis(family, x, n):
-    """[(E(lx), O(lx)) for l = 1..n] of a series family from one
-    `basis_pair` call, by angle addition with s the family's sign:
+def _finite(value, family, x):
+    """`value` as an mpf; FamilyOverflowError at the raw point x if it is
+    not finite."""
+    if value in NONFINITE:
+        raise FamilyOverflowError(family, mp.make_mpf(x))
+    return mp.make_mpf(value)
+
+
+def _series_basis(family, x, n, prec):
+    """[(E(lx), O(lx)) for l = 1..n] of a series family at the raw point x,
+    from one `basis_pair` call, by angle addition with s the family's sign:
 
         E((l+1)x) = E(lx) E(x) + s O(lx) O(x)
         O((l+1)x) = O(lx) E(x) + E(lx) O(x)
 
-    The recurrence runs n.bit_length() + 10 bits above the working
-    precision and its values are returned unrounded.  The trigonometric step
-    is a rotation, so its absolute error grows by about one ulp per step;
-    the hyperbolic terms share one sign and never cancel, so the relative
-    error grows alike.  x = 0 gives E = 1 and O = 0 exactly.
+    The recurrence runs n.bit_length() + 10 bits above `prec` and its raw
+    values are returned unrounded.  The trigonometric step is a rotation,
+    so its absolute error grows by about one ulp per step; the hyperbolic
+    terms share one sign and never cancel, so the relative error grows
+    alike.  x = 0 gives E = 1 and O = 0 exactly.
     """
     fam = FAMILY[family]
-    with mp.workprec(mp.prec + n.bit_length() + 10):
-        e1, o1 = fam.basis_pair(x)
-        so1 = fam.derivative_sign * o1
-        e, o = e1, o1
-        pairs = [(e, o)]
-        for _ in range(n - 1):
-            e, o = e * e1 + o * so1, o * e1 + e * o1
-            pairs.append((e, o))
+    prec += n.bit_length() + 10
+    e1, o1 = fam.basis_pair(x, prec)
+    so1 = mpf_mul_int(o1, fam.derivative_sign, prec, RND)
+    e, o = e1, o1
+    pairs = [(e, o)]
+    for _ in range(n - 1):
+        e, o = (mpf_add(mpf_mul(e, e1, prec, RND), mpf_mul(o, so1, prec, RND),
+                        prec, RND),
+                mpf_add(mpf_mul(o, e1, prec, RND), mpf_mul(e, o1, prec, RND),
+                        prec, RND))
+        pairs.append((e, o))
     return pairs
 
 
-def _factored_value(form, x):
-    """scale * prod_k g(x - r_k)^a_k at the working precision."""
+def _factored_value(form, x, prec):
+    """scale * prod_k g(x - r_k)^a_k at the raw point x, at `prec`."""
     factor = FAMILY[form.family].factor
-    v = form.scale
+    v = form.scale._mpf_
     for r, a in zip(form.config.roots, form.config.multiplicities):
-        v *= factor(x - r) ** a
+        g = factor(mpf_sub(x, r._mpf_, prec, RND), prec)
+        v = mpf_mul(v, mpf_pow_int(g, a, prec, RND), prec, RND)
     return v
 
 
@@ -319,25 +388,24 @@ def evaluate(poly, x, bits=None):
     A series of degree n costs one basis call per point plus O(n)
     multiplications at a few guard bits (`_series_basis`).
     """
-    bits = require_bits(bits or poly.precision_bits)
-    with working(bits):
-        x = mp.mpf(x)
-        if isinstance(poly, AlgebraicPoly):
-            v = mp.mpf(1)
-            for c in poly.coeffs:
-                v = v * x + c
-        elif isinstance(poly, SeriesPoly):
-            basis = _series_basis(poly.family, x, poly.degree)
-            terms = [poly.a0 / 2]
-            for a, b, (e, o) in zip(poly.even, poly.odd, basis):
-                terms.append(a * e)
-                terms.append(b * o)
-            v = mp.fsum(terms)
-        elif isinstance(poly, FactoredForm):
-            v = _factored_value(poly, x)
-        else:
-            raise TypeError(f"not a polynomial representation: {poly!r}")
-        return _check_finite(v, poly.family, x)
+    prec = require_bits(bits or poly.precision_bits)
+    x = _to_raw(x, prec)
+    if isinstance(poly, AlgebraicPoly):
+        v = fone
+        for c in poly.coeffs:
+            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
+    elif isinstance(poly, SeriesPoly):
+        basis = _series_basis(poly.family, x, poly.degree, prec)
+        terms = [_half(poly.a0._mpf_, prec)]
+        for a, b, (e, o) in zip(poly.even, poly.odd, basis):
+            terms.append(mpf_mul(a._mpf_, e, prec, RND))
+            terms.append(mpf_mul(b._mpf_, o, prec, RND))
+        v = mpf_sum(terms, prec, RND)
+    elif isinstance(poly, FactoredForm):
+        v = _factored_value(poly, x, prec)
+    else:
+        raise TypeError(f"not a polynomial representation: {poly!r}")
+    return _finite(v, poly.family, x)
 
 
 def evaluate_derivative(poly, x, bits=None):
@@ -353,44 +421,72 @@ def evaluate_derivative(poly, x, bits=None):
     j > k.  Nothing is divided by g_k, so x on a root needs no special case
     (0**0 is 1).
     """
-    bits = require_bits(bits or poly.precision_bits)
-    with working(bits):
-        x = mp.mpf(x)
-        if isinstance(poly, AlgebraicPoly):
-            # extended Horner: carries (value, derivative) together
-            v, dv = mp.mpf(1), mp.mpf(0)
-            for c in poly.coeffs:
-                dv = dv * x + v
-                v = v * x + c
-        elif isinstance(poly, SeriesPoly):
-            sign = FAMILY[poly.family].derivative_sign
-            basis = _series_basis(poly.family, x, poly.degree)
-            terms = []
-            for l, (a, b, (e, o)) in enumerate(
-                    zip(poly.even, poly.odd, basis), start=1):
-                terms.append(l * b * e)
-                terms.append(sign * l * a * o)
-            dv = mp.fsum(terms)
-        elif isinstance(poly, FactoredForm):
-            pair = FAMILY[poly.family].factor_pair
-            terms, powers = [], []
-            for r, a in zip(poly.config.roots, poly.config.multiplicities):
-                g, dg = pair(x - r)
-                terms.append(a * dg * g ** (a - 1))
-                powers.append(g ** a)
-            # times the other roots' powers: those before k, then those after
-            prefix = mp.mpf(1)
-            for k, p in enumerate(powers):
-                terms[k] *= prefix
-                prefix *= p
-            suffix = mp.mpf(1)
-            for k in range(len(powers) - 1, -1, -1):
-                terms[k] *= suffix
-                suffix *= powers[k]
-            dv = poly.scale * mp.fsum(terms)
-        else:
-            raise TypeError(f"not a polynomial representation: {poly!r}")
-        return _check_finite(dv, poly.family, x)
+    prec = require_bits(bits or poly.precision_bits)
+    x = _to_raw(x, prec)
+    if isinstance(poly, AlgebraicPoly):
+        # extended Horner: carries (value, derivative) together
+        v, dv = fone, fzero
+        for c in poly.coeffs:
+            dv = mpf_add(mpf_mul(dv, x, prec, RND), v, prec, RND)
+            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
+    elif isinstance(poly, SeriesPoly):
+        sign = FAMILY[poly.family].derivative_sign
+        basis = _series_basis(poly.family, x, poly.degree, prec)
+        terms = []
+        for l, (a, b, (e, o)) in enumerate(
+                zip(poly.even, poly.odd, basis), start=1):
+            terms.append(mpf_mul(mpf_mul_int(b._mpf_, l, prec, RND), e,
+                                 prec, RND))
+            terms.append(mpf_mul(mpf_mul_int(a._mpf_, sign * l, prec, RND), o,
+                                 prec, RND))
+        dv = mpf_sum(terms, prec, RND)
+    elif isinstance(poly, FactoredForm):
+        pair = FAMILY[poly.family].factor_pair
+        terms, powers = [], []
+        for r, a in zip(poly.config.roots, poly.config.multiplicities):
+            g, dg = pair(mpf_sub(x, r._mpf_, prec, RND), prec)
+            terms.append(mpf_mul(mpf_mul_int(dg, a, prec, RND),
+                                 mpf_pow_int(g, a - 1, prec, RND), prec, RND))
+            powers.append(mpf_pow_int(g, a, prec, RND))
+        # times the other roots' powers: those before k, then those after
+        prefix = fone
+        for k, p in enumerate(powers):
+            terms[k] = mpf_mul(terms[k], prefix, prec, RND)
+            prefix = mpf_mul(prefix, p, prec, RND)
+        suffix = fone
+        for k in range(len(powers) - 1, -1, -1):
+            terms[k] = mpf_mul(terms[k], suffix, prec, RND)
+            suffix = mpf_mul(suffix, powers[k], prec, RND)
+        dv = mpf_mul(poly.scale._mpf_, mpf_sum(terms, prec, RND), prec, RND)
+    else:
+        raise TypeError(f"not a polynomial representation: {poly!r}")
+    return _finite(dv, poly.family, x)
+
+
+def _magnitude_scale(poly, x, prec):
+    """`magnitude_scale` on the raw point x, as a raw value."""
+    if isinstance(poly, AlgebraicPoly):
+        ax = mpf_abs(x, prec, RND)
+        v = fone
+        for c in poly.coeffs:
+            v = mpf_add(mpf_mul(v, ax, prec, RND),
+                        mpf_abs(c._mpf_, prec, RND), prec, RND)
+        return v
+    if isinstance(poly, SeriesPoly):
+        half_a0 = _half(mpf_abs(poly.a0._mpf_, prec, RND), prec)
+        weights = [mpf_add(mpf_abs(a._mpf_, prec, RND),
+                           mpf_abs(b._mpf_, prec, RND), prec, RND)
+                   for a, b in zip(poly.even, poly.odd)]
+        if not FAMILY[poly.family].envelope:
+            return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
+        basis = _series_basis(poly.family, x, poly.degree, prec)
+        return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
+                                    for w, (e, _) in zip(weights, basis)],
+                       prec, RND)
+    if isinstance(poly, FactoredForm):
+        # a product rounds alike for either sign: no cancellation
+        return mpf_abs(_factored_value(poly, x, prec), prec, RND)
+    raise TypeError(f"not a polynomial representation: {poly!r}")
 
 
 def magnitude_scale(poly, x, bits=None):
@@ -402,26 +498,8 @@ def magnitude_scale(poly, x, bits=None):
     basis call per point plus O(n) multiplications at a few guard bits; the
     trigonometric basis is bounded by 1 and needs no call.
     """
-    bits = require_bits(bits or poly.precision_bits)
-    with working(bits):
-        x = mp.mpf(x)
-        if isinstance(poly, AlgebraicPoly):
-            v = mp.mpf(1)
-            for c in poly.coeffs:
-                v = v * abs(x) + abs(c)
-            return v
-        if isinstance(poly, SeriesPoly):
-            pairs = zip(poly.even, poly.odd)
-            if not FAMILY[poly.family].envelope:
-                return abs(poly.a0) / 2 + mp.fsum(
-                    abs(a) + abs(b) for a, b in pairs)
-            basis = _series_basis(poly.family, x, poly.degree)
-            return mp.fsum([abs(poly.a0) / 2] + [
-                (abs(a) + abs(b)) * e for (a, b), (e, _) in zip(pairs, basis)])
-        if isinstance(poly, FactoredForm):
-            # a product rounds alike for either sign: no cancellation
-            return abs(_factored_value(poly, x))
-    raise TypeError(f"not a polynomial representation: {poly!r}")
+    prec = require_bits(bits or poly.precision_bits)
+    return mp.make_mpf(_magnitude_scale(poly, _to_raw(x, prec), prec))
 
 
 def evaluation_noise(poly, x, bits=None):
@@ -433,17 +511,18 @@ def evaluation_noise(poly, x, bits=None):
     Factored forms evaluate with small relative error, so their bound is
     proportional to the value itself and effectively never floors.
     """
-    bits = require_bits(bits or poly.precision_bits)
-    with working(bits):
-        if isinstance(poly, AlgebraicPoly):
-            ops = 2 * (poly.degree + 1)
-        elif isinstance(poly, SeriesPoly):
-            ops = 4 * poly.degree + 4
-        elif isinstance(poly, FactoredForm):
-            ops = 3 * (poly.config.total_multiplicity + 1)
-        else:
-            raise TypeError(f"not a polynomial representation: {poly!r}")
-        return ops * mp.mpf(2) ** (-bits) * magnitude_scale(poly, x, bits)
+    prec = require_bits(bits or poly.precision_bits)
+    if isinstance(poly, AlgebraicPoly):
+        ops = 2 * (poly.degree + 1)
+    elif isinstance(poly, SeriesPoly):
+        ops = 4 * poly.degree + 4
+    elif isinstance(poly, FactoredForm):
+        ops = 3 * (poly.config.total_multiplicity + 1)
+    else:
+        raise TypeError(f"not a polynomial representation: {poly!r}")
+    unit = mpf_mul_int(mpf_pow_int(TWO, -prec, prec, RND), ops, prec, RND)
+    scale = _magnitude_scale(poly, _to_raw(x, prec), prec)
+    return mp.make_mpf(mpf_mul(unit, scale, prec, RND))
 
 
 def _convolve_linear(coeffs, shift):
@@ -563,17 +642,16 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits):
     if family not in FAMILY:
         raise InvalidConfigurationError(f"unknown family {family!r}")
     coupling = FAMILY[family].coupling
-    with working(bits):
-        x = mp.mpf(x)
-        threshold = mp.mpf(2) ** (mp.mpf(-bits) / 2)
-        terms = []
-        for j, (r, a) in enumerate(zip(other_roots, other_multiplicities)):
-            u = x - mp.mpf(r)
-            if abs(u) < threshold:
-                raise CollisionError(j, u, threshold)
-            t = coupling(a, u)
-            if not mp.isfinite(t):
-                # x sits on another zero of the factor (periodic collision)
-                raise CollisionError(j, u, threshold)
-            terms.append(t)
-        return mp.fsum(terms)
+    x = _to_raw(x, bits)
+    threshold = mpf_pow(TWO, mpf_div(from_int(-bits), TWO, bits, RND), bits, RND)
+    terms = []
+    for j, (r, a) in enumerate(zip(other_roots, other_multiplicities)):
+        u = mpf_sub(x, _to_raw(r, bits), bits, RND)
+        if mpf_lt(mpf_abs(u, bits, RND), threshold):
+            raise CollisionError(j, mp.make_mpf(u), mp.make_mpf(threshold))
+        t = coupling(a, u, bits)
+        if t in NONFINITE:
+            # x sits on another zero of the factor (periodic collision)
+            raise CollisionError(j, mp.make_mpf(u), mp.make_mpf(threshold))
+        terms.append(t)
+    return mp.make_mpf(mpf_sum(terms, bits, RND))

@@ -253,41 +253,57 @@ def _ladder_step(poly, rungs, multiplicities, entry, settings, true_roots):
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
 
-def order_error_sequence(trace):
+def order_error_sequence(trace, past_first_freeze=False):
     """Per-iteration max error (or max correction, when the truth is not in
     the trace) suitable for order estimation.
 
-    The sequence is truncated at the first iteration where any coordinate
-    froze on the evaluation noise floor (correction 0 with a nonzero
-    residual): from that point on, stale frozen errors pollute the ratios.
+    A coordinate that froze on the evaluation noise floor (correction 0 with
+    a nonzero residual) no longer converges, and its stale error would
+    pollute the ratios.  The sequence ends at the first iteration where any
+    coordinate froze.  With `past_first_freeze` it goes on instead: each
+    coordinate leaves at its own freeze, entry k is the max over the
+    coordinates not yet frozen at k, and the sequence ends when every
+    coordinate has frozen.
     Returns (sequence, kind) with kind in {"error", "correction"}.
     """
-    cutoff = len(trace)
-    for idx, entry in enumerate(trace):
-        if entry.corrections is None or entry.residuals is None:
-            continue
-        if any(c == 0 and r > 0
-               for c, r in zip(entry.corrections, entry.residuals)):
-            cutoff = idx
+    kind = "error" if trace and trace[0].errors is not None else "correction"
+    live = set(range(len(trace[0].approximations))) if trace else set()
+    sequence = []
+    for entry in trace:
+        if entry.corrections is not None and entry.residuals is not None:
+            frozen = {i for i, (c, r) in enumerate(
+                zip(entry.corrections, entry.residuals)) if c == 0 and r > 0}
+            if frozen and not past_first_freeze:
+                break
+            live -= frozen
+        if not live:
             break
-    usable = trace[:cutoff]
-    if usable and usable[0].errors is not None:
-        return [max(e.errors) for e in usable], "error"
-    return ([max(e.corrections) for e in usable if e.corrections is not None],
-            "correction")
+        if kind == "error":
+            sequence.append(max(entry.errors[i] for i in live))
+        elif entry.corrections is not None:
+            sequence.append(max(entry.corrections[i] for i in live))
+    return sequence, kind
 
 
 def trace_order(trace, bits, final):
     """(OrderEstimate, kind) of a trace's `order_error_sequence`.
 
-    Errors below 2**8 ulp at the magnitude of the final approximations (at
-    least 1) are roundoff, and the estimate leaves them out.  Raises
-    InsufficientDataError when no window of the sequence qualifies.
+    The window before the first freeze, where every coordinate still
+    converges, is preferred.  When it is too short (a multiple root froze
+    early while another coordinate went on converging), the sequence
+    continues past the first freeze.  Errors below 2**8 ulp at the
+    magnitude of the final approximations (at least 1) are roundoff, and
+    the estimate leaves them out.  Raises InsufficientDataError when no
+    window of either sequence qualifies.
     """
-    sequence, kind = order_error_sequence(trace)
     scale = max([mp.mpf(1)] + [abs(x) for x in final])
     floor = mp.mpf(2) ** 8 * eps(bits) * scale
-    return estimate_order(sequence, floor=floor), kind
+    sequence, kind = order_error_sequence(trace)
+    try:
+        return estimate_order(sequence, floor=floor), kind
+    except InsufficientDataError:
+        sequence, kind = order_error_sequence(trace, past_first_freeze=True)
+        return estimate_order(sequence, floor=floor), kind
 
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):

@@ -300,3 +300,22 @@ class TestOrderCommand:
         assert errors[-1] <= mp.mpf("1e-15") * errors[0]
         assert report.estimated_order is not None
         assert run("order", out) == 0
+
+    def test_a_root_frozen_early_leaves_the_window_alone(self, tmp_path,
+                                                         capsys):
+        # the triple root freezes at k = 5 while the simple one, which jumped
+        # about four periods at k = 3, still converges cubically to k = 8:
+        # each coordinate leaves the error sequence at its own freeze
+        problem, out = tmp_path / "p.json", tmp_path / "r.json"
+        assert run("generate", "--family", "trigonometric",
+                   "--roots=-2.6695:3,0.2620:2,2.3305:1",
+                   "--precision-bits", 192, "-o", problem) == 0
+        assert run("solve", problem, "-o", out) == 0
+        assert load_report(out).termination == "converged"
+        assert run("verify", problem, out) == 0
+        capsys.readouterr()
+        assert run("order", out) == 0
+        printed = capsys.readouterr().out
+        assert "window entries 2..7" in printed
+        value = mp.mpf(printed.rsplit(":", 1)[1])
+        assert mp.mpf("2.6") <= value <= mp.mpf("3.4")

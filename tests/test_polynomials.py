@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import fone, fzero
 
 from multiroots import polynomials
 from multiroots import (
@@ -81,9 +82,9 @@ class TestSeriesBasis:
         calls = Counter()
         fam = polynomials.FAMILY[family]
 
-        def counted(x):
+        def counted(x, prec):
             calls["basis_pair"] += 1
-            return fam.basis_pair(x)
+            return fam.basis_pair(x, prec)
 
         monkeypatch.setitem(polynomials.FAMILY, family,
                             replace(fam, basis_pair=counted))
@@ -101,9 +102,8 @@ class TestSeriesBasis:
     @pytest.mark.parametrize("bits", [53, 4096])
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
     def test_zero_gives_exact_one_and_zero(self, family, bits):
-        with mp.workprec(bits):
-            basis = polynomials._series_basis(family, mp.mpf(0), 16)
-        assert basis == [(1, 0)] * 16
+        basis = polynomials._series_basis(family, fzero, 16, bits)
+        assert basis == [(fone, fzero)] * 16
 
 
 class TestEvaluateDerivative:
@@ -128,9 +128,9 @@ class TestEvaluateDerivative:
         calls = Counter()
 
         def counted(name, fn):
-            def wrapper(u):
+            def wrapper(u, prec):
                 calls[name] += 1
-                return fn(u)
+                return fn(u, prec)
             return wrapper
 
         fam = polynomials.FAMILY[EXPONENTIAL]

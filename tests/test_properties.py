@@ -5,7 +5,11 @@ Each test draws factored configurations of one family and compares what the
 envelope, roots per degree, problem-file keys) with a computation that does
 not read the table: the coefficient ladder of `verification`, the quotient
 F'/F of a factored form, and the problem-file layout the README documents.
+The kernels compute on raw libmp values; two tests hold them to the mpf
+arithmetic they replace, bit for bit and at any ambient precision.
 """
+
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,15 +20,19 @@ from multiroots import (
     EXPONENTIAL,
     FAMILIES,
     TRIGONOMETRIC,
+    AlgebraicPoly,
+    CollisionError,
     FactoredForm,
     RootConfiguration,
+    SeriesPoly,
     evaluate,
     evaluate_derivative,
+    evaluation_noise,
     expand_from_roots,
     log_derivative_sum,
     magnitude_scale,
 )
-from multiroots.polynomials import _series_basis
+from multiroots.polynomials import FAMILY, _series_basis
 from multiroots.precision import format_real
 from multiroots.report_io import problem_from_dict, problem_to_dict
 from multiroots.verification import _derivative_ladder
@@ -36,13 +44,13 @@ FEW = settings(max_examples=15, deadline=None)
 
 
 @st.composite
-def configurations(draw, family):
+def configurations(draw, family, precisions=(53, 96, 160, 256)):
     """(factored form, point at least 0.1 away from every root).
 
     Roots stay inside [-2.4, 1.7], within one period of the trigonometric
     factor, and the series families get an even total multiplicity.
     """
-    bits = draw(st.sampled_from([53, 96, 160, 256]))
+    bits = draw(st.sampled_from(precisions))
     mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     if family != ALGEBRAIC and sum(mults) % 2:
         mults[-1] += 1
@@ -97,7 +105,8 @@ def test_series_basis_matches_mpmath(family, n, bits, mantissa, exponent,
     mantissa >>= max(0, mantissa.bit_length() - bits)
     with mp.workprec(bits):
         x = sign * mp.ldexp(mantissa, exponent - mantissa.bit_length())
-        basis = _series_basis(family, x, n)
+    basis = [tuple(map(mp.make_mpf, pair))
+             for pair in _series_basis(family, x._mpf_, n, bits)]
     if family == TRIGONOMETRIC:
         even, odd = mp.cos, mp.sin
     else:
@@ -184,3 +193,229 @@ def test_coefficient_problem_files_roundtrip(family, data):
         })
         assert problem.polynomial() == poly
         assert problem_from_dict(problem_to_dict(problem)).polynomial() == poly
+
+
+# The kernels as mpf arithmetic at the working precision, each operation the
+# one the raw libmp kernels must reproduce: the reference for bit identity.
+REF_FACTOR = {
+    ALGEBRAIC: lambda u: u,
+    TRIGONOMETRIC: lambda u: mp.sin(u / 2),
+    EXPONENTIAL: lambda u: mp.sinh(u / 2),
+}
+
+
+def _ref_sin_pair(u):
+    c, s = mp.cos_sin(u / 2)
+    return s, c / 2
+
+
+REF_FACTOR_PAIR = {
+    ALGEBRAIC: lambda u: (u, mp.mpf(1)),
+    TRIGONOMETRIC: _ref_sin_pair,
+    EXPONENTIAL: lambda u: (mp.sinh(u / 2), mp.cosh(u / 2) / 2),
+}
+REF_COUPLING = {
+    ALGEBRAIC: lambda a, u: a / u,
+    TRIGONOMETRIC: lambda a, u: a * mp.cot(u / 2) / 2,
+    EXPONENTIAL: lambda a, u: a * mp.coth(u / 2) / 2,
+}
+REF_BASIS = {TRIGONOMETRIC: (mp.cos_sin, -1),
+             EXPONENTIAL: (lambda x: (mp.cosh(x), mp.sinh(x)), 1)}
+
+
+def ref_basis(family, x, n):
+    pair, sign = REF_BASIS[family]
+    with mp.workprec(mp.prec + n.bit_length() + 10):
+        e1, o1 = pair(x)
+        so1 = sign * o1
+        e, o = e1, o1
+        pairs = [(e, o)]
+        for _ in range(n - 1):
+            e, o = e * e1 + o * so1, o * e1 + e * o1
+            pairs.append((e, o))
+    return pairs
+
+
+def ref_factored_value(form, x):
+    v = form.scale
+    for r, a in zip(form.config.roots, form.config.multiplicities):
+        v *= REF_FACTOR[form.family](x - r) ** a
+    return v
+
+
+def ref_evaluate(poly, x, bits):
+    with mp.workprec(bits):
+        x = mp.mpf(x)
+        if isinstance(poly, AlgebraicPoly):
+            v = mp.mpf(1)
+            for c in poly.coeffs:
+                v = v * x + c
+            return v
+        if isinstance(poly, SeriesPoly):
+            terms = [poly.a0 / 2]
+            for a, b, (e, o) in zip(poly.even, poly.odd,
+                                    ref_basis(poly.family, x, poly.degree)):
+                terms += [a * e, b * o]
+            return mp.fsum(terms)
+        return ref_factored_value(poly, x)
+
+
+def ref_evaluate_derivative(poly, x, bits):
+    with mp.workprec(bits):
+        x = mp.mpf(x)
+        if isinstance(poly, AlgebraicPoly):
+            v, dv = mp.mpf(1), mp.mpf(0)
+            for c in poly.coeffs:
+                dv = dv * x + v
+                v = v * x + c
+            return dv
+        if isinstance(poly, SeriesPoly):
+            sign = REF_BASIS[poly.family][1]
+            terms = []
+            for l, (a, b, (e, o)) in enumerate(zip(
+                    poly.even, poly.odd,
+                    ref_basis(poly.family, x, poly.degree)), start=1):
+                terms += [l * b * e, sign * l * a * o]
+            return mp.fsum(terms)
+        terms, powers = [], []
+        for r, a in zip(poly.config.roots, poly.config.multiplicities):
+            g, dg = REF_FACTOR_PAIR[poly.family](x - r)
+            terms.append(a * dg * g ** (a - 1))
+            powers.append(g ** a)
+        prefix = mp.mpf(1)
+        for k, p in enumerate(powers):
+            terms[k] *= prefix
+            prefix *= p
+        suffix = mp.mpf(1)
+        for k in range(len(powers) - 1, -1, -1):
+            terms[k] *= suffix
+            suffix *= powers[k]
+        return poly.scale * mp.fsum(terms)
+
+
+def ref_magnitude_scale(poly, x, bits):
+    with mp.workprec(bits):
+        x = mp.mpf(x)
+        if isinstance(poly, AlgebraicPoly):
+            v = mp.mpf(1)
+            for c in poly.coeffs:
+                v = v * abs(x) + abs(c)
+            return v
+        if isinstance(poly, SeriesPoly):
+            pairs = zip(poly.even, poly.odd)
+            if poly.family == TRIGONOMETRIC:
+                return abs(poly.a0) / 2 + mp.fsum(
+                    abs(a) + abs(b) for a, b in pairs)
+            basis = ref_basis(poly.family, x, poly.degree)
+            return mp.fsum([abs(poly.a0) / 2] + [
+                (abs(a) + abs(b)) * e for (a, b), (e, _) in zip(pairs, basis)])
+        return abs(ref_factored_value(poly, x))
+
+
+def ref_evaluation_noise(poly, x, bits):
+    with mp.workprec(bits):
+        if isinstance(poly, AlgebraicPoly):
+            ops = 2 * (poly.degree + 1)
+        elif isinstance(poly, SeriesPoly):
+            ops = 4 * poly.degree + 4
+        else:
+            ops = 3 * (poly.config.total_multiplicity + 1)
+        return ops * mp.mpf(2) ** (-bits) * ref_magnitude_scale(poly, x, bits)
+
+
+def ref_log_derivative_sum(family, roots, mults, x, bits):
+    with mp.workprec(bits):
+        x = mp.mpf(x)
+        threshold = mp.mpf(2) ** (mp.mpf(-bits) / 2)
+        terms = []
+        for j, (r, a) in enumerate(zip(roots, mults)):
+            u = x - mp.mpf(r)
+            if abs(u) < threshold:
+                raise CollisionError(j, u, threshold)
+            terms.append(REF_COUPLING[family](a, u))
+        return mp.fsum(terms)
+
+
+def outcome(kernel, *args):
+    """The kernel's mpf, or the collision it raised."""
+    try:
+        return kernel(*args)
+    except CollisionError as exc:
+        return ("collision", exc.j, exc.distance, exc.threshold)
+
+
+@st.composite
+def kernel_cases(draw, family):
+    """(factored form or its expansion, points): a point on a root, 0, one
+    near the roots and, for the exponential family, one near +-20."""
+    form, near = draw(configurations(family, (53, 128, 192, 1024, 4096)))
+    poly = draw(st.sampled_from([form, expand_from_roots(form)]))
+    points = [near, mp.mpf(0), draw(st.sampled_from(form.config.roots))]
+    if family == EXPONENTIAL:
+        points.append(mp.mpf(draw(st.sampled_from([1, -1]))
+                             * draw(st.floats(18, 22))))
+    return poly, points
+
+
+KERNELS = ((evaluate, ref_evaluate),
+           (evaluate_derivative, ref_evaluate_derivative),
+           (magnitude_scale, ref_magnitude_scale),
+           (evaluation_noise, ref_evaluation_noise))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernels_are_bit_identical_to_mpf_arithmetic(family, data):
+    """At the poly's own precision and at overrides below and above it."""
+    poly, points = data.draw(kernel_cases(family))
+    for x in points:
+        for bits in (None, 53, 192, 2 * poly.precision_bits):
+            prec = bits or poly.precision_bits
+            for kernel, reference in KERNELS:
+                got = kernel(poly, x, bits)
+                assert type(got) is mp.mpf
+                assert got == reference(poly, x, prec), (kernel.__name__, x,
+                                                         bits)
+            cfg = (poly if isinstance(poly, FactoredForm)
+                   else FactoredForm(family, RootConfiguration(
+                       [x + 1, x - mp.mpf("0.75")], [2, 2], prec))).config
+            args = (family, cfg.roots, cfg.multiplicities, x, prec)
+            assert outcome(log_derivative_sum, *args) == \
+                outcome(ref_log_derivative_sum, *args)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@FEW
+@given(data=st.data())
+def test_kernels_ignore_the_ambient_precision(family, data):
+    poly, points = data.draw(kernel_cases(family))
+    for x in points:
+        cfg = FactoredForm(family, RootConfiguration(
+            [x + 1, x - mp.mpf("0.75")], [1, 3], 128)).config
+        calls = [(kernel, (poly, x)) for kernel, _ in KERNELS]
+        calls.append((log_derivative_sum,
+                      (family, cfg.roots, cfg.multiplicities, x, 128)))
+        for kernel, args in calls:
+            values = []
+            for ambient in (53, 4096):
+                with mp.workprec(ambient):
+                    values.append(kernel(*args))
+                    assert mp.prec == ambient
+            assert all(type(v) is mp.mpf for v in values)
+            assert values[0] == values[1], kernel.__name__
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_coupling_rounds_as_the_mpf_functions_do(family):
+    """cot and coth round twice, at prec + 10 and then at prec; a double
+    rounding differs from a single one about once in 2**10 draws, too rarely
+    for the drawn examples above to show."""
+    rng = random.Random(7)
+    coupling = FAMILY[family].coupling
+    with mp.workprec(53):
+        for _ in range(4000):
+            u = mp.mpf(rng.uniform(-3, 3))
+            a = rng.randint(1, 3)
+            assert mp.make_mpf(coupling(a, u._mpf_, 53)) \
+                == REF_COUPLING[family](a, u), (a, u)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from mpmath import mp
@@ -389,6 +390,42 @@ class TestProperties:
                            true_roots=case["roots"])
             assert report.estimated_order is not None
             assert mp.mpf("2.6") <= report.estimated_order <= mp.mpf("3.4")
+
+
+class TestOrderErrorSequence:
+    @staticmethod
+    def entry(k, corrections, errors, residuals=(1, 1)):
+        return solver.TraceEntry(
+            k, (0, 0), tuple(map(mp.mpf, residuals)),
+            None if corrections is None else tuple(map(mp.mpf, corrections)),
+            tuple(map(mp.mpf, errors)), 53)
+
+    def test_each_coordinate_leaves_at_its_own_freeze(self):
+        trace = [self.entry(0, None, ("1e-1", "1")),
+                 self.entry(1, ("1e-1", "1"), ("1e-3", "1e-1")),
+                 self.entry(2, ("0", "1e-1"), ("1e-3", "1e-3")),
+                 self.entry(3, ("0", "1e-3"), ("1e-3", "1e-9")),
+                 self.entry(4, ("0", "0"), ("1e-3", "1e-9"))]
+        # coordinate 0 froze at k = 2, coordinate 1 at k = 4
+        assert solver.order_error_sequence(trace) == (
+            [mp.mpf(e) for e in ("1", "1e-1")], "error")
+        sequence, kind = solver.order_error_sequence(trace,
+                                                     past_first_freeze=True)
+        assert kind == "error"
+        assert sequence == [mp.mpf(e) for e in ("1", "1e-1", "1e-3", "1e-9")]
+
+    def test_an_exact_zero_is_not_a_freeze(self):
+        trace = [self.entry(0, None, ("1", "1")),
+                 self.entry(1, ("0", "1e-2"), ("0", "1e-2"), residuals=(0, 1))]
+        assert solver.order_error_sequence(trace)[0] == [1, mp.mpf("1e-2")]
+
+    def test_without_the_truth_corrections_stand_in(self):
+        trace = [self.entry(k, c, ("1", "1")) for k, c in enumerate(
+            (None, ("1e-1", "1"), ("0", "1e-2"), ("0", "0")))]
+        trace = [replace(e, errors=None) for e in trace]
+        assert solver.order_error_sequence(trace) == ([1], "correction")
+        assert solver.order_error_sequence(trace, past_first_freeze=True) == (
+            [1, mp.mpf("1e-2")], "correction")
 
 
 class TestSimpleRootReductionResidual:
