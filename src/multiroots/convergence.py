@@ -7,7 +7,7 @@ here evaluate every clause of those conditions and report each one with its
 computed sides, so feasibility searches and debugging can see the margins.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from mpmath import mp
 
@@ -15,6 +15,10 @@ from .errors import InsufficientDataError, InvalidConfigurationError
 from .polynomials import (ALGEBRAIC, EXPONENTIAL, FAMILIES, TRIGONOMETRIC,
                           RootConfiguration, degree_of, gaps)
 from .precision import require_bits, to_mpf, working
+
+BISECTIONS = 80  # steps of `max_feasible_c`
+GRID = 48  # points per axis of `feasible_point_trigonometric`
+MIN_WINDOW = 4  # the shortest run `estimate_order` accepts
 
 
 @dataclass(frozen=True)
@@ -197,17 +201,11 @@ def check_conditions(params):
     return _CHECKS[params.family](params)
 
 
-def _passes_at(params, c, kappa=None):
-    trial = ConvergenceParams(
-        family=params.family, c=c, q=params.q, roots=params.roots,
-        multiplicities=params.multiplicities,
-        kappa=kappa if params.family == TRIGONOMETRIC else None,
-        precision_bits=params.precision_bits,
-    )
-    return check_conditions(trial).passed
+def _passes_at(params, c):
+    return check_conditions(replace(params, c=c)).passed
 
 
-def max_feasible_c(params, iterations=80):
+def max_feasible_c(params):
     """Largest c passing the family's condition at the params' fixed q
     (and kappa, for the trigonometric family), found by bisection on c.
 
@@ -218,23 +216,22 @@ def max_feasible_c(params, iterations=80):
     with working(params.precision_bits):
         hi = params.d / 2
         lo = params.d * mp.mpf("1e-9")
-        if not _passes_at(params, lo, params.kappa):
+        if not _passes_at(params, lo):
             raise InvalidConfigurationError(
                 "condition fails even at tiny c; configuration infeasible"
             )
-        if _passes_at(params, hi, params.kappa):
+        if _passes_at(params, hi):
             return hi
-        for _ in range(iterations):
+        for _ in range(BISECTIONS):
             mid = (lo + hi) / 2
-            if _passes_at(params, mid, params.kappa):
+            if _passes_at(params, mid):
                 lo = mid
             else:
                 hi = mid
         return lo
 
 
-def feasible_point_trigonometric(roots, multiplicities, q, bits=53,
-                                 grid=48):
+def feasible_point_trigonometric(roots, multiplicities, q, bits=53):
     """Grid search over (c, kappa) for the trigonometric condition.
 
     Scans c in (0, d/2) and kappa in (2c, pi - max_gap/2); returns the
@@ -248,28 +245,16 @@ def feasible_point_trigonometric(roots, multiplicities, q, bits=53,
     with working(bits):
         d = probe.d
         kappa_hi = mp.pi - probe.max_gap / 2
-        best = None
-        for ic in range(grid, 0, -1):
-            c = d / 2 * ic / (grid + 1)
-            for ik in range(grid, 0, -1):
-                kappa = 2 * c + (kappa_hi - 2 * c) * ik / (grid + 1)
+        for ic in range(GRID, 0, -1):
+            c = d / 2 * ic / (GRID + 1)
+            for ik in range(GRID, 0, -1):
+                kappa = 2 * c + (kappa_hi - 2 * c) * ik / (GRID + 1)
                 if kappa <= 0:
                     continue
-                trial = ConvergenceParams(
-                    family=TRIGONOMETRIC, c=c, q=q, roots=roots,
-                    multiplicities=multiplicities, kappa=kappa,
-                    precision_bits=bits,
-                )
+                trial = replace(probe, c=c, kappa=kappa)
                 if check_conditions(trial).passed:
-                    best = trial
-                    break
-            if best is not None:
-                break
-        if best is None:
-            raise InvalidConfigurationError(
-                "no feasible (c, kappa) on the search grid"
-            )
-        return best
+                    return trial
+    raise InvalidConfigurationError("no feasible (c, kappa) on the search grid")
 
 
 @dataclass(frozen=True)
@@ -279,10 +264,10 @@ class OrderEstimate:
     per_step_orders: tuple
 
 
-def estimate_order(errors, floor=None, min_window=4):
+def estimate_order(errors, floor=None):
     """Empirical convergence order from a decreasing error sequence.
 
-    Finds the last run of >= `min_window` consecutive, strictly decreasing,
+    Finds the last run of >= MIN_WINDOW consecutive, strictly decreasing,
     positive entries (entries at or below `floor` are treated as saturated
     by roundoff and excluded), then computes the three-point log-ratio
 
@@ -301,21 +286,16 @@ def estimate_order(errors, floor=None, min_window=4):
     for i, ok in enumerate(valid):
         if ok and start is not None and values[i] < values[i - 1]:
             continue
-        if ok:
-            if start is not None:
-                runs.append((start, i - 1))
-            start = i
-        else:
-            if start is not None:
-                runs.append((start, i - 1))
-            start = None
+        if start is not None:
+            runs.append((start, i - 1))
+        start = i if ok else None
     if start is not None:
         runs.append((start, len(values) - 1))
 
-    runs = [(a, b) for a, b in runs if b - a + 1 >= min_window]
+    runs = [(a, b) for a, b in runs if b - a + 1 >= MIN_WINDOW]
     if not runs:
         raise InsufficientDataError(
-            f"no strictly decreasing positive window of length >= {min_window}"
+            f"no strictly decreasing positive window of length >= {MIN_WINDOW}"
         )
     a, b = runs[-1]
     per_step = []

@@ -14,7 +14,9 @@ mpf, but compute on raw `mpmath.libmp` values at an explicit precision,
 making the very calls mpmath's operators and functions would make at that
 precision, so they give the same bits without the cost of building an mpf
 and reading the global context for every operation.  They neither read nor
-change `mp.prec`.  The `FAMILY` callables take raw values and a precision.
+change `mp.prec`.  Each representation class holds its raw kernels
+(`_value`, `_slope`, `_magnitude`, `noise_ops`); the `FAMILY` callables
+take raw values and a precision.
 """
 
 from dataclasses import dataclass, replace
@@ -228,6 +230,7 @@ class AlgebraicPoly:
     precision_bits: int = 53
 
     family = ALGEBRAIC
+    noise_floors = True
 
     def __post_init__(self):
         require_bits(self.precision_bits)
@@ -239,6 +242,32 @@ class AlgebraicPoly:
     @property
     def degree(self):
         return len(self.coeffs)
+
+    @property
+    def noise_ops(self):
+        return 2 * (self.degree + 1)
+
+    def _value(self, x, prec):
+        v = fone
+        for c in self.coeffs:
+            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
+        return v
+
+    def _slope(self, x, prec):
+        # extended Horner: carries (value, derivative) together
+        v, dv = fone, fzero
+        for c in self.coeffs:
+            dv = mpf_add(mpf_mul(dv, x, prec, RND), v, prec, RND)
+            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
+        return dv
+
+    def _magnitude(self, x, prec):
+        ax = mpf_abs(x, prec, RND)
+        v = fone
+        for c in self.coeffs:
+            v = mpf_add(mpf_mul(v, ax, prec, RND),
+                        mpf_abs(c._mpf_, prec, RND), prec, RND)
+        return v
 
 
 @dataclass(frozen=True)
@@ -253,6 +282,7 @@ class SeriesPoly:
     precision_bits: int = 53
 
     family = None
+    noise_floors = True
 
     def __post_init__(self):
         if self.family is None:
@@ -276,6 +306,42 @@ class SeriesPoly:
     @property
     def degree(self):
         return len(self.even)
+
+    @property
+    def noise_ops(self):
+        return 4 * self.degree + 4
+
+    def _value(self, x, prec):
+        basis = _series_basis(self.family, x, self.degree, prec)
+        terms = [_half(self.a0._mpf_, prec)]
+        for a, b, (e, o) in zip(self.even, self.odd, basis):
+            terms.append(mpf_mul(a._mpf_, e, prec, RND))
+            terms.append(mpf_mul(b._mpf_, o, prec, RND))
+        return mpf_sum(terms, prec, RND)
+
+    def _slope(self, x, prec):
+        sign = FAMILY[self.family].derivative_sign
+        basis = _series_basis(self.family, x, self.degree, prec)
+        terms = []
+        for l, (a, b, (e, o)) in enumerate(
+                zip(self.even, self.odd, basis), start=1):
+            terms.append(mpf_mul(mpf_mul_int(b._mpf_, l, prec, RND), e,
+                                 prec, RND))
+            terms.append(mpf_mul(mpf_mul_int(a._mpf_, sign * l, prec, RND), o,
+                                 prec, RND))
+        return mpf_sum(terms, prec, RND)
+
+    def _magnitude(self, x, prec):
+        half_a0 = _half(mpf_abs(self.a0._mpf_, prec, RND), prec)
+        weights = [mpf_add(mpf_abs(a._mpf_, prec, RND),
+                           mpf_abs(b._mpf_, prec, RND), prec, RND)
+                   for a, b in zip(self.even, self.odd)]
+        if not FAMILY[self.family].envelope:
+            return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
+        basis = _series_basis(self.family, x, self.degree, prec)
+        return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
+                                    for w, (e, _) in zip(weights, basis)],
+                       prec, RND)
 
 
 class TrigPoly(SeriesPoly):
@@ -303,6 +369,10 @@ class FactoredForm:
     scale: object = 1
     precision_bits: int = None
 
+    # the rounding bound 3(sum(alpha) + 1) 2**-bits |f| is below |f| unless
+    # f == 0, so the solver need not compute it to freeze a coordinate
+    noise_floors = False
+
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidConfigurationError(f"unknown family {self.family!r}")
@@ -314,6 +384,41 @@ class FactoredForm:
         object.__setattr__(self, "scale", to_mpf(self.scale, bits))
         if self.scale == 0:
             raise InvalidConfigurationError("scale must be nonzero")
+
+    @property
+    def noise_ops(self):
+        return 3 * (self.config.total_multiplicity + 1)
+
+    def _value(self, x, prec):
+        factor = FAMILY[self.family].factor
+        v = self.scale._mpf_
+        for r, a in zip(self.config.roots, self.config.multiplicities):
+            g = factor(mpf_sub(x, r._mpf_, prec, RND), prec)
+            v = mpf_mul(v, mpf_pow_int(g, a, prec, RND), prec, RND)
+        return v
+
+    def _slope(self, x, prec):
+        pair = FAMILY[self.family].factor_pair
+        terms, powers = [], []
+        for r, a in zip(self.config.roots, self.config.multiplicities):
+            g, dg = pair(mpf_sub(x, r._mpf_, prec, RND), prec)
+            terms.append(mpf_mul(mpf_mul_int(dg, a, prec, RND),
+                                 mpf_pow_int(g, a - 1, prec, RND), prec, RND))
+            powers.append(mpf_pow_int(g, a, prec, RND))
+        # times the other roots' powers: those before k, then those after
+        prefix = fone
+        for k, p in enumerate(powers):
+            terms[k] = mpf_mul(terms[k], prefix, prec, RND)
+            prefix = mpf_mul(prefix, p, prec, RND)
+        suffix = fone
+        for k in range(len(powers) - 1, -1, -1):
+            terms[k] = mpf_mul(terms[k], suffix, prec, RND)
+            suffix = mpf_mul(suffix, powers[k], prec, RND)
+        return mpf_mul(self.scale._mpf_, mpf_sum(terms, prec, RND), prec, RND)
+
+    def _magnitude(self, x, prec):
+        # a product rounds alike for either sign: no cancellation
+        return mpf_abs(self._value(x, prec), prec, RND)
 
 
 def at_precision(poly, bits):
@@ -372,14 +477,12 @@ def _series_basis(family, x, n, prec):
     return pairs
 
 
-def _factored_value(form, x, prec):
-    """scale * prod_k g(x - r_k)^a_k at the raw point x, at `prec`."""
-    factor = FAMILY[form.family].factor
-    v = form.scale._mpf_
-    for r, a in zip(form.config.roots, form.config.multiplicities):
-        g = factor(mpf_sub(x, r._mpf_, prec, RND), prec)
-        v = mpf_mul(v, mpf_pow_int(g, a, prec, RND), prec, RND)
-    return v
+def _raw_point(poly, x, bits):
+    """(raw x, prec) at the poly's precision unless `bits` overrides it."""
+    if not isinstance(poly, (AlgebraicPoly, SeriesPoly, FactoredForm)):
+        raise TypeError(f"not a polynomial representation: {poly!r}")
+    prec = require_bits(bits or poly.precision_bits)
+    return _to_raw(x, prec), prec
 
 
 def evaluate(poly, x, bits=None):
@@ -388,24 +491,8 @@ def evaluate(poly, x, bits=None):
     A series of degree n costs one basis call per point plus O(n)
     multiplications at a few guard bits (`_series_basis`).
     """
-    prec = require_bits(bits or poly.precision_bits)
-    x = _to_raw(x, prec)
-    if isinstance(poly, AlgebraicPoly):
-        v = fone
-        for c in poly.coeffs:
-            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
-    elif isinstance(poly, SeriesPoly):
-        basis = _series_basis(poly.family, x, poly.degree, prec)
-        terms = [_half(poly.a0._mpf_, prec)]
-        for a, b, (e, o) in zip(poly.even, poly.odd, basis):
-            terms.append(mpf_mul(a._mpf_, e, prec, RND))
-            terms.append(mpf_mul(b._mpf_, o, prec, RND))
-        v = mpf_sum(terms, prec, RND)
-    elif isinstance(poly, FactoredForm):
-        v = _factored_value(poly, x, prec)
-    else:
-        raise TypeError(f"not a polynomial representation: {poly!r}")
-    return _finite(v, poly.family, x)
+    x, prec = _raw_point(poly, x, bits)
+    return _finite(poly._value(x, prec), poly.family, x)
 
 
 def evaluate_derivative(poly, x, bits=None):
@@ -421,72 +508,8 @@ def evaluate_derivative(poly, x, bits=None):
     j > k.  Nothing is divided by g_k, so x on a root needs no special case
     (0**0 is 1).
     """
-    prec = require_bits(bits or poly.precision_bits)
-    x = _to_raw(x, prec)
-    if isinstance(poly, AlgebraicPoly):
-        # extended Horner: carries (value, derivative) together
-        v, dv = fone, fzero
-        for c in poly.coeffs:
-            dv = mpf_add(mpf_mul(dv, x, prec, RND), v, prec, RND)
-            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
-    elif isinstance(poly, SeriesPoly):
-        sign = FAMILY[poly.family].derivative_sign
-        basis = _series_basis(poly.family, x, poly.degree, prec)
-        terms = []
-        for l, (a, b, (e, o)) in enumerate(
-                zip(poly.even, poly.odd, basis), start=1):
-            terms.append(mpf_mul(mpf_mul_int(b._mpf_, l, prec, RND), e,
-                                 prec, RND))
-            terms.append(mpf_mul(mpf_mul_int(a._mpf_, sign * l, prec, RND), o,
-                                 prec, RND))
-        dv = mpf_sum(terms, prec, RND)
-    elif isinstance(poly, FactoredForm):
-        pair = FAMILY[poly.family].factor_pair
-        terms, powers = [], []
-        for r, a in zip(poly.config.roots, poly.config.multiplicities):
-            g, dg = pair(mpf_sub(x, r._mpf_, prec, RND), prec)
-            terms.append(mpf_mul(mpf_mul_int(dg, a, prec, RND),
-                                 mpf_pow_int(g, a - 1, prec, RND), prec, RND))
-            powers.append(mpf_pow_int(g, a, prec, RND))
-        # times the other roots' powers: those before k, then those after
-        prefix = fone
-        for k, p in enumerate(powers):
-            terms[k] = mpf_mul(terms[k], prefix, prec, RND)
-            prefix = mpf_mul(prefix, p, prec, RND)
-        suffix = fone
-        for k in range(len(powers) - 1, -1, -1):
-            terms[k] = mpf_mul(terms[k], suffix, prec, RND)
-            suffix = mpf_mul(suffix, powers[k], prec, RND)
-        dv = mpf_mul(poly.scale._mpf_, mpf_sum(terms, prec, RND), prec, RND)
-    else:
-        raise TypeError(f"not a polynomial representation: {poly!r}")
-    return _finite(dv, poly.family, x)
-
-
-def _magnitude_scale(poly, x, prec):
-    """`magnitude_scale` on the raw point x, as a raw value."""
-    if isinstance(poly, AlgebraicPoly):
-        ax = mpf_abs(x, prec, RND)
-        v = fone
-        for c in poly.coeffs:
-            v = mpf_add(mpf_mul(v, ax, prec, RND),
-                        mpf_abs(c._mpf_, prec, RND), prec, RND)
-        return v
-    if isinstance(poly, SeriesPoly):
-        half_a0 = _half(mpf_abs(poly.a0._mpf_, prec, RND), prec)
-        weights = [mpf_add(mpf_abs(a._mpf_, prec, RND),
-                           mpf_abs(b._mpf_, prec, RND), prec, RND)
-                   for a, b in zip(poly.even, poly.odd)]
-        if not FAMILY[poly.family].envelope:
-            return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
-        basis = _series_basis(poly.family, x, poly.degree, prec)
-        return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
-                                    for w, (e, _) in zip(weights, basis)],
-                       prec, RND)
-    if isinstance(poly, FactoredForm):
-        # a product rounds alike for either sign: no cancellation
-        return mpf_abs(_factored_value(poly, x, prec), prec, RND)
-    raise TypeError(f"not a polynomial representation: {poly!r}")
+    x, prec = _raw_point(poly, x, bits)
+    return _finite(poly._slope(x, prec), poly.family, x)
 
 
 def magnitude_scale(poly, x, bits=None):
@@ -498,40 +521,31 @@ def magnitude_scale(poly, x, bits=None):
     basis call per point plus O(n) multiplications at a few guard bits; the
     trigonometric basis is bounded by 1 and needs no call.
     """
-    prec = require_bits(bits or poly.precision_bits)
-    return mp.make_mpf(_magnitude_scale(poly, _to_raw(x, prec), prec))
+    x, prec = _raw_point(poly, x, bits)
+    return mp.make_mpf(poly._magnitude(x, prec))
 
 
 def evaluation_noise(poly, x, bits=None):
     """A-priori rounding bound on evaluate(poly, x): roundoff times the
-    attainable magnitude times the operation count.
+    attainable magnitude times the representation's `noise_ops`.
 
     Coefficient forms cancel near multiple roots, so their bound is an
     absolute floor below which the computed value carries no signal.
     Factored forms evaluate with small relative error, so their bound is
-    proportional to the value itself and effectively never floors.
+    proportional to the value itself and never floors (`noise_floors`).
     """
-    prec = require_bits(bits or poly.precision_bits)
-    if isinstance(poly, AlgebraicPoly):
-        ops = 2 * (poly.degree + 1)
-    elif isinstance(poly, SeriesPoly):
-        ops = 4 * poly.degree + 4
-    elif isinstance(poly, FactoredForm):
-        ops = 3 * (poly.config.total_multiplicity + 1)
-    else:
-        raise TypeError(f"not a polynomial representation: {poly!r}")
-    unit = mpf_mul_int(mpf_pow_int(TWO, -prec, prec, RND), ops, prec, RND)
-    scale = _magnitude_scale(poly, _to_raw(x, prec), prec)
-    return mp.make_mpf(mpf_mul(unit, scale, prec, RND))
+    x, prec = _raw_point(poly, x, bits)
+    unit = mpf_mul_int(mpf_pow_int(TWO, -prec, prec, RND), poly.noise_ops,
+                       prec, RND)
+    return mp.make_mpf(mpf_mul(unit, poly._magnitude(x, prec), prec, RND))
 
 
-def _convolve_linear(coeffs, shift):
-    # multiply the ascending-in-z polynomial `coeffs` by (shift*z - 1)
-    out = [mp.mpf(0)] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k] = out[k] - c
-        out[k + 1] = out[k + 1] + c * shift
-    return out
+def _times_linear(coeffs, a, b):
+    """(a + b z) times the ascending-in-z polynomial `coeffs`: coefficient k
+    is the one rounded sum a c_k + b c_(k-1) at the working precision."""
+    return ([a * coeffs[0]]
+            + [a * c + b * p for c, p in zip(coeffs[1:], coeffs)]
+            + [b * coeffs[-1]])
 
 
 def expand_from_roots(form):
@@ -559,12 +573,11 @@ def expand_from_roots(form):
                 )
             coeffs = [mp.mpf(1)]
             for r, a in zip(cfg.roots, cfg.multiplicities):
+                # x - r = x (1 - r z) with z = 1/x: highest power of x first;
+                # -r exact, as the roots may carry more bits than the form
+                minus_r = mp.fneg(r, exact=True)
                 for _ in range(a):
-                    nxt = [mp.mpf(0)] * (len(coeffs) + 1)
-                    for k, c in enumerate(coeffs):
-                        nxt[k] += c
-                        nxt[k + 1] -= c * r
-                    coeffs = nxt
+                    coeffs = _times_linear(coeffs, 1, minus_r)
             expanded = AlgebraicPoly(tuple(coeffs[1:]), precision_bits=bits)
         else:
             sigma = mp.fsum(r * a for r, a in zip(cfg.roots, cfg.multiplicities))
@@ -575,7 +588,7 @@ def expand_from_roots(form):
                 for r, a in zip(cfg.roots, cfg.multiplicities):
                     w = mp.exp(mp.mpc(0, -1) * r)
                     for _ in range(a):
-                        coeffs = _convolve_linear(coeffs, w)
+                        coeffs = _times_linear(coeffs, -1, w)
                 lead = (
                     form.scale
                     * (-1) ** n
@@ -592,7 +605,7 @@ def expand_from_roots(form):
                 for r, a in zip(cfg.roots, cfg.multiplicities):
                     w = mp.exp(-r)
                     for _ in range(a):
-                        coeffs = _convolve_linear(coeffs, w)
+                        coeffs = _times_linear(coeffs, -1, w)
                 lead = form.scale * mp.exp(sigma / 2) / mp.mpf(2) ** total
                 d = [lead * c for c in coeffs]  # d[m + n] multiplies e^{mx}
                 a0 = 2 * d[n]

@@ -31,7 +31,6 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .polynomials import (
-    FactoredForm,
     at_precision,
     evaluate,
     evaluate_derivative,
@@ -50,6 +49,15 @@ MAX_ITERATIONS = "max_iterations"
 COLLISION = "collision"
 DIVERGED = "diverged"
 NONFINITE = "nonfinite"
+
+# What `solve` reports when a sweep raises one of these; `_ladder_step`
+# retries a rung's sweep at full precision on the same ones.
+FAILURES = {
+    CollisionError: COLLISION,
+    DegenerateDenominatorError: DIVERGED,
+    ZeroDivisionError: DIVERGED,
+    FamilyOverflowError: NONFINITE,
+}
 
 # The lowest rung of the precision ladder; a solve at or below it never
 # climbs one.  GUARD bits are kept beyond what the error estimate asks for.
@@ -131,7 +139,7 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
 
     Raises CollisionError / DegenerateDenominatorError / FamilyOverflowError
     on the corresponding per-root failures; `solve` maps these to termination
-    reasons.
+    reasons (FAILURES).
     """
     bits = settings.precision_bits
     if len(multiplicities) != len(entry.approximations):
@@ -148,7 +156,6 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
 def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
     """(new approximations, |corrections|) of one sweep at `bits`."""
     family = poly.family
-    factored = isinstance(poly, FactoredForm)
     with working(bits):
         current = list(approximations)
         new = list(approximations)
@@ -159,9 +166,8 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             # freeze the coordinate once |f| is below the evaluation's
             # rounding bound: past that point the residual is cancellation
             # noise and a correction computed from it walks away from the root.
-            # A factored form's bound is 3(sum(alpha) + 1) 2**-bits |f|, below
-            # |f| whenever f != 0, so only f == 0 can freeze it.
-            if fi == 0 or (not factored
+            # A representation whose bound never floors skips it.
+            if fi == 0 or (poly.noise_floors
                            and abs(fi) <= evaluation_noise(poly, xi, bits)):
                 continue
             fpi = evaluate_derivative(poly, xi, bits)
@@ -238,8 +244,7 @@ def _ladder_step(poly, rungs, multiplicities, entry, settings, true_roots):
                 rungs[rung], multiplicities,
                 [to_mpf(x, rung) for x in entry.approximations], rung,
                 settings.sweep_mode)
-        except (CollisionError, DegenerateDenominatorError, FamilyOverflowError,
-                ZeroDivisionError, InvalidConfigurationError):
+        except (*FAILURES, InvalidConfigurationError):
             # a rung too coarse to tell apart what full precision can (roots
             # that coincide once rounded included): retry at full precision
             break
@@ -313,7 +318,8 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the
     collision threshold), `diverged` (degenerate denominator or the
-    approximations left a generous bounding radius), `nonfinite`.
+    approximations left a generous bounding radius), `nonfinite` (see
+    FAILURES).  Only a converged solve carries an `estimated_order`.
     """
     settings = settings or SolveSettings()
     bits = settings.precision_bits
@@ -334,14 +340,8 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         try:
             entry = _ladder_step(poly, rungs, multiplicities, trace[-1],
                                  settings, true_roots)
-        except CollisionError:
-            termination = COLLISION
-            break
-        except (DegenerateDenominatorError, ZeroDivisionError):
-            termination = DIVERGED
-            break
-        except FamilyOverflowError:
-            termination = NONFINITE
+        except tuple(FAILURES) as exc:
+            termination = FAILURES[type(exc)]
             break
         trace.append(entry)
         if any(not mp.isfinite(x) for x in entry.approximations):
@@ -354,10 +354,12 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
             termination = CONVERGED
             break
     last = trace[-1]
-    try:
-        order = trace_order(trace, bits, last.approximations)[0].order
-    except InsufficientDataError:
-        order = None
+    order = None
+    if termination == CONVERGED:
+        try:
+            order = trace_order(trace, bits, last.approximations)[0].order
+        except InsufficientDataError:
+            pass
     return SolveReport(
         final=last.approximations,
         iterations_used=last.k,

@@ -75,6 +75,20 @@ class TestSolveCommand:
         assert report.termination == "max_iterations"
         assert len(report.trace) == 3
 
+    def test_failed_solve_reports_no_order(self, tmp_path, capsys):
+        # x_1 two-cycles 0.0136 from x_2 modulo 2 pi without progress until
+        # max_iterations; an order read off that trace would claim too much
+        problem, out = tmp_path / "p.json", tmp_path / "r.json"
+        assert run("generate", "--family", "trigonometric",
+                   "--roots=-2.4399:3,-0.0208:2,2.5601:1",
+                   "--precision-bits", 192, "-o", problem) == 0
+        capsys.readouterr()
+        assert run("solve", problem, "-o", out) == 1
+        assert "estimated order" not in capsys.readouterr().out
+        data = json.loads(out.read_text())
+        assert data["termination"] == "max_iterations"
+        assert data["estimated_order"] is None
+
     def test_theorem_flag_embeds_verdict(self, tmp_path):
         out = tmp_path / "r.json"
         code = run("solve", "example1", "-o", out,

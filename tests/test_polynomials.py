@@ -75,6 +75,15 @@ class TestEvaluate:
         assert err.value.family == EXPONENTIAL
 
 
+@pytest.mark.parametrize("not_a_poly", [
+    RootConfiguration(("1", "2"), (1, 1)), ("1", "2"), None])
+@pytest.mark.parametrize("kernel", [
+    evaluate, evaluate_derivative, magnitude_scale, evaluation_noise])
+def test_kernels_reject_a_non_polynomial(kernel, not_a_poly):
+    with pytest.raises(TypeError, match="not a polynomial representation"):
+        kernel(not_a_poly, "0.5", 64)
+
+
 class TestSeriesBasis:
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
     def test_each_series_kernel_makes_one_basis_call(self, monkeypatch,
@@ -177,6 +186,36 @@ class TestExpandFromRoots:
         assert evaluate(poly, 0) == 540
         for r in form.config.roots:
             assert abs(evaluate(poly, r)) <= mp.mpf(2) ** (-(bits - 12)) * 540
+
+    @pytest.mark.parametrize("bits", [53, 192, 1024])
+    def test_algebraic_expansion_is_the_descending_convolution(self, rng,
+                                                                bits):
+        def reference(roots, mults):
+            # highest power first: nxt[k] = c_k - c_(k-1) r, with c r rounded
+            coeffs = [mp.mpf(1)]
+            for r, a in zip(roots, mults):
+                for _ in range(a):
+                    nxt = [mp.mpf(0)] * (len(coeffs) + 1)
+                    for k, c in enumerate(coeffs):
+                        nxt[k] += c
+                        nxt[k + 1] -= c * r
+                    coeffs = nxt
+            return tuple(coeffs[1:])
+
+        for _ in range(8):
+            base = random_configuration(rng, ALGEBRAIC)
+            # thirds fill every bit; roots carrying more bits than the form
+            # round only in c r
+            for root_bits in (bits, bits + 100):
+                with mp.workprec(root_bits):
+                    roots = [r / 3 for r in base.roots]
+                cfg = RootConfiguration(roots, base.multiplicities,
+                                        precision_bits=root_bits)
+                form = FactoredForm(ALGEBRAIC, cfg, precision_bits=bits)
+                with mp.workprec(bits):
+                    want = reference(cfg.roots, cfg.multiplicities)
+                got = expand_from_roots(form).coeffs
+                assert [c._mpf_ for c in got] == [c._mpf_ for c in want]
 
     def test_exp_expansion_matches_product(self, rng):
         bits = 256
