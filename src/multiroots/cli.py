@@ -241,15 +241,20 @@ def _cmd_verify(args):
     except InvalidConfigurationError as exc:
         raise SchemaError(f"reported approximations are not a valid "
                           f"root configuration: {exc}")
-    outcome = verify_roots(problem.poly, claimed,
-                           checked_real(args.tolerance, bits, "--tolerance"),
-                           bits=bits)
+    tolerance = checked_real(args.tolerance, bits, "--tolerance")
+    try:
+        outcome = verify_roots(problem.poly, claimed, tolerance, bits=bits)
+    except InvalidConfigurationError as exc:  # only a tolerance <= 0
+        raise SchemaError(str(exc), "--tolerance")
     print(str(outcome))
     return EXIT_OK if outcome.passed else EXIT_NOT_CONVERGED
 
 
 def _cmd_order(args):
     report = load_report(args.report)
+    if report.termination != CONVERGED:
+        print(f"warning: report terminated {report.termination}; the order "
+              f"below is not a convergence order", file=sys.stderr)
     try:
         estimate, kind = trace_order(report.trace, report.precision_bits,
                                      report.final)

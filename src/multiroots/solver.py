@@ -100,7 +100,7 @@ class TraceEntry:
     residuals: tuple
     corrections: tuple  # None for the initial entry
     errors: tuple       # vs. true roots, when known; else None
-    precision_bits: int  # bits the sweep ran at
+    precision_bits: int  # bits the sweep, residuals and errors ran at
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ class SolveReport:
     precision_bits: int = 53
 
 
-def _entry(poly, approximations, k, bits, corrections=None, true_roots=None,
-           swept_at=None):
+def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
     with working(bits):
         residuals = tuple(abs(evaluate(poly, x, bits)) for x in approximations)
         errors = None
@@ -122,7 +121,7 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None,
             errors = tuple(abs(root_offset(poly.family, x, r))
                            for x, r in zip(approximations, true_roots))
     return TraceEntry(k, tuple(approximations), residuals, corrections, errors,
-                      swept_at or bits)
+                      bits)
 
 
 def initial_state(poly, initial, settings, true_roots=None):
@@ -228,8 +227,8 @@ def _ladder_step(poly, rungs, multiplicities, entry, settings, true_roots):
     tolerance and leave `_bits_needed` within the rung; otherwise it is
     redone at the rung they ask for.  So freezes, the converging sweep and
     any failure are decided at full precision.  `rungs` caches the
-    polynomial rounded to each rung.  The entry's residuals and errors are
-    always computed at full precision on `poly`.
+    polynomial rounded to each rung.  A kept rung sweep's entry takes its
+    residuals and errors at the rung, on that rounded polynomial.
     """
     bits = settings.precision_bits
     rung = bits  # at or below FLOOR every sweep runs at full precision
@@ -252,8 +251,8 @@ def _ladder_step(poly, rungs, multiplicities, entry, settings, true_roots):
             break  # a converging sweep is decided at full precision
         need = _bits_needed(multiplicities, corrections, 1)
         if need <= rung:
-            return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
-                          true_roots=true_roots, swept_at=rung)
+            return _entry(rungs[rung], new, entry.k + 1, rung,
+                          corrections=corrections, true_roots=true_roots)
         rung = _rung(need, bits)  # need > rung, so the rung rises
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 

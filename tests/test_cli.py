@@ -181,6 +181,17 @@ def test_boolean_or_non_finite_real_exits_2_naming_its_source(
     _assert_exits_2_naming(tmp_path, capsys, change, argv, named)
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "0"])
+def test_non_positive_verify_tolerance_exits_2_naming_it(tmp_path, capsys,
+                                                          tolerance):
+    # every check would compare against a bound <= 0 and fail: bad input,
+    # not a failed verification
+    _assert_exits_2_naming(
+        tmp_path, capsys, {},
+        ["verify", "example1", "REPORT", "--tolerance", tolerance],
+        "--tolerance")
+
+
 def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(EXAMPLE1, **change)))
@@ -289,6 +300,26 @@ class TestOrderCommand:
         assert "estimated order" in printed
         value = mp.mpf(printed.rsplit(":", 1)[1])
         assert mp.mpf("2.6") <= value <= mp.mpf("3.4")
+
+    def test_warns_on_a_report_that_did_not_converge(self, tmp_path, capsys):
+        # the gen58 two-cycle ends max_iterations; the order is still
+        # printed and exits as before, with a warning on stderr only
+        problem, out = tmp_path / "p.json", tmp_path / "r.json"
+        assert run("generate", "--family", "trigonometric",
+                   "--roots=-2.4399:3,-0.0208:2,2.5601:1",
+                   "--precision-bits", 192, "-o", problem) == 0
+        assert run("solve", problem, "-o", out) == 1
+        capsys.readouterr()
+        assert run("order", out) == 0
+        printed = capsys.readouterr()
+        assert "estimated order" in printed.out
+        assert "warning" not in printed.out
+        assert printed.err == ("warning: report terminated max_iterations; "
+                               "the order below is not a convergence order\n")
+        assert run("solve", "example1", "-o", out) == 0
+        capsys.readouterr()
+        assert run("order", out) == 0
+        assert capsys.readouterr().err == ""
 
     def test_trigonometric_solve_one_period_away(self, tmp_path, capsys):
         # started near r - 2pi, the solve converges to the roots one period

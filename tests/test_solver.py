@@ -17,6 +17,7 @@ from multiroots import (
     RootConfiguration,
     SolveSettings,
     classical_ehrlich_step,
+    evaluate,
     evaluation_noise,
     expand_from_roots,
     initial_state,
@@ -26,6 +27,7 @@ from multiroots import (
     step,
 )
 from multiroots import solver
+from multiroots.polynomials import at_precision, root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from conftest import random_simple_roots
 
@@ -276,6 +278,33 @@ class TestPrecisionLadder:
                                        settings, true_roots=case["roots"])
         assert report.termination == termination == "converged"
         assert report.trace == tuple(trace)
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family, case", LADDER_CASES,
+                             ids=[f for f, _ in LADDER_CASES])
+    def test_each_entry_is_evaluated_at_its_precision(self, family, case,
+                                                      mode):
+        # a rung entry's residuals and errors come from the polynomial
+        # rounded to its rung, at the rung; every other entry's from the
+        # full polynomial at full precision
+        bits = 1024
+        poly = expanded(family, case, bits)
+        settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+        report = solve(poly, case["mults"], case["initial"], settings,
+                       true_roots=case["roots"])
+        assert report.termination == "converged"
+        rungs = {entry.precision_bits for entry in report.trace}
+        assert solver.FLOOR in rungs and bits in rungs
+        for entry in report.trace:
+            p = entry.precision_bits
+            assert p <= bits
+            at_p = poly if p == bits else at_precision(poly, p)
+            with mp.workprec(p):
+                assert entry.residuals == tuple(
+                    abs(evaluate(at_p, x, p)) for x in entry.approximations)
+                assert entry.errors == tuple(
+                    abs(root_offset(family, x, to_mpf(r, bits)))
+                    for x, r in zip(entry.approximations, case["roots"]))
 
     @pytest.mark.parametrize("representation", [expanded, factored])
     def test_restart_from_converged_roots_redoes_at_full_precision(
