@@ -22,7 +22,6 @@ from .errors import (
 )
 from .polynomials import (
     FAMILIES,
-    TRIGONOMETRIC,
     FactoredForm,
     RootConfiguration,
     expand_from_roots,
@@ -83,16 +82,27 @@ def _resolve_problem_path(spec_arg):
     )
 
 
+def _at_flag(flag, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a value it rejects (ValueError, which
+    InvalidConfigurationError is) an input error naming `flag`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(str(exc), flag)
+
+
 def _apply_overrides(problem, args):
-    changes = {}
-    if args.max_iterations is not None:
-        changes["max_iterations"] = args.max_iterations
-    if args.tolerance is not None:
-        changes["correction_tolerance"] = checked_real(
-            args.tolerance, problem.precision_bits, "--tolerance")
-    if args.sweep is not None:
-        changes["sweep_mode"] = args.sweep
-    problem.settings = replace(problem.settings, **changes)
+    tolerance = args.tolerance
+    if tolerance is not None:
+        tolerance = checked_real(tolerance, problem.precision_bits,
+                                 "--tolerance")
+    for flag, field, value in (
+            ("--max-iterations", "max_iterations", args.max_iterations),
+            ("--tolerance", "correction_tolerance", tolerance),
+            ("--sweep", "sweep_mode", args.sweep)):
+        if value is not None:
+            problem.settings = _at_flag(flag, replace, problem.settings,
+                                        **{field: value})
 
 
 def _condition_params(problem, args):
@@ -104,11 +114,6 @@ def _condition_params(problem, args):
         )
     if args.c is None or args.q is None:
         raise SchemaError("--theorems requires --c and --q")
-    if (args.kappa is not None) != (problem.family == TRIGONOMETRIC):
-        raise SchemaError(
-            "--kappa is required for trigonometric problems and "
-            "disallowed otherwise"
-        )
     bits = problem.precision_bits
     kappa = (None if args.kappa is None
              else checked_real(args.kappa, bits, "--kappa"))
@@ -130,6 +135,8 @@ def _write(save, *args, **kwargs):
 
 
 def _cmd_solve(args):
+    if args.precision_bits is not None:
+        _at_flag("--precision-bits", require_bits, args.precision_bits)
     problem = load_problem(_resolve_problem_path(args.problem),
                            precision_override=args.precision_bits)
     _apply_overrides(problem, args)
@@ -199,11 +206,8 @@ def _default_initial(roots, mults, bits):
 
 
 def _cmd_generate(args):
-    bits = 192 if args.precision_bits is None else args.precision_bits
-    try:
-        require_bits(bits)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "--precision-bits")
+    bits = _at_flag("--precision-bits", require_bits,
+                    192 if args.precision_bits is None else args.precision_bits)
     roots, mults = _parse_roots_arg(args.roots, bits)
     cfg = RootConfiguration(roots, mults, precision_bits=bits)
     form = FactoredForm(args.family, cfg, precision_bits=bits,
@@ -242,10 +246,9 @@ def _cmd_verify(args):
         raise SchemaError(f"reported approximations are not a valid "
                           f"root configuration: {exc}")
     tolerance = checked_real(args.tolerance, bits, "--tolerance")
-    try:
-        outcome = verify_roots(problem.poly, claimed, tolerance, bits=bits)
-    except InvalidConfigurationError as exc:  # only a tolerance <= 0
-        raise SchemaError(str(exc), "--tolerance")
+    # verify_roots rejects only a tolerance <= 0
+    outcome = _at_flag("--tolerance", verify_roots, problem.poly, claimed,
+                       tolerance, bits=bits)
     print(str(outcome))
     return EXIT_OK if outcome.passed else EXIT_NOT_CONVERGED
 
@@ -256,8 +259,7 @@ def _cmd_order(args):
         print(f"warning: report terminated {report.termination}; the order "
               f"below is not a convergence order", file=sys.stderr)
     try:
-        estimate, kind = trace_order(report.trace, report.precision_bits,
-                                     report.final)
+        estimate, kind = trace_order(report.trace, report.precision_bits)
     except InsufficientDataError as exc:
         print(f"order: insufficient data ({exc})", file=sys.stderr)
         return EXIT_NOT_CONVERGED

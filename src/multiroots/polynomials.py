@@ -73,11 +73,11 @@ class Family:
     the factor g(u), the pair (g(u), g'(u)) from one call, the coupling
     (a, u) -> a g'(u)/g(u) and the number of roots (with multiplicity) per
     unit of degree.  Series families add their basis pair x -> (E(x), O(x))
-    from one call, the sign s in d/dx E(lx) = s l O(lx), which is also the
-    sign in E(a + b) = E(a) E(b) + s O(a) O(b), whether the basis needs an
-    `envelope` (|E(lx)| and |O(lx)| are at most E(lx); without one they are
-    at most 1) and their problem-file coefficient keys.  A `periodic`
-    family's roots repeat every 2 pi (`root_offset`).
+    from one call and the sign s in d/dx E(lx) = s l O(lx), which is also
+    the sign in E(a + b) = E(a) E(b) + s O(a) O(b).  s decides the rest: at
+    s = -1 the basis is bounded by 1 and roots repeat every 2 pi
+    (`root_offset`); at s = +1 |E(lx)| and |O(lx)| are bounded by the
+    envelope E(lx) (`magnitude_scale`).
 
     The callables work on raw libmp values: `factor(u, prec)`,
     `factor_pair(u, prec)`, `coupling(a, u, prec)` with an int a, and
@@ -90,9 +90,6 @@ class Family:
     roots_per_degree: int
     basis_pair: Callable = None
     derivative_sign: int = None
-    envelope: bool = False
-    keys: tuple = None
-    periodic: bool = False
 
 
 def _half(u, prec):
@@ -129,13 +126,13 @@ FAMILY = {
         factor_pair=_sin_half_pair,
         coupling=_half_reciprocal_coupling(mpf_tan), roots_per_degree=2,
         basis_pair=lambda x, prec: mpf_cos_sin(x, prec, RND),
-        derivative_sign=-1, keys=("cos", "sin"), periodic=True),
+        derivative_sign=-1),
     EXPONENTIAL: Family(
         factor=lambda u, prec: mpf_sinh(_half(u, prec), prec, RND),
         factor_pair=_sinh_half_pair,
         coupling=_half_reciprocal_coupling(mpf_tanh), roots_per_degree=2,
         basis_pair=lambda x, prec: mpf_cosh_sinh(x, prec, RND),
-        derivative_sign=1, envelope=True, keys=("ch", "sh")),
+        derivative_sign=1),
 }
 
 
@@ -152,10 +149,10 @@ def degree_of(family, multiplicities):
 
 
 def root_offset(family, x, r):
-    """x - r at the working precision, reduced to [-pi, pi] for a periodic
-    family, where x and r + 2 pi k are the same root."""
+    """x - r at the working precision, reduced to [-pi, pi] for the periodic
+    (s = -1) family, where x and r + 2 pi k are the same root."""
     u = x - r
-    if FAMILY[family].periodic:
+    if FAMILY[family].derivative_sign == -1:
         period = 2 * mp.pi
         u -= period * mp.nint(u / period)
     return u
@@ -169,6 +166,20 @@ def require_distinct(values, what):
             raise InvalidConfigurationError(
                 f"{what} {i} and {j} coincide at {values[i]}"
             )
+
+
+def require_multiplicities(values, count):
+    """`values` as a tuple of `count` integers >= 1; InvalidConfigurationError
+    otherwise.  bool is an int subclass, and True would silently mean 1."""
+    values = tuple(values)
+    if len(values) != count:
+        raise InvalidConfigurationError(
+            f"{len(values)} multiplicities for {count} roots")
+    for a in values:
+        if type(a) is not int or a < 1:
+            raise InvalidConfigurationError(
+                f"multiplicities must be integers >= 1, got {a!r}")
+    return values
 
 
 def gaps(values):
@@ -197,15 +208,9 @@ class RootConfiguration:
     def __post_init__(self):
         require_bits(self.precision_bits)
         roots = _as_mpf_tuple(self.roots, self.precision_bits)
-        mults = tuple(int(a) for a in self.multiplicities)
-        if len(roots) != len(mults):
-            raise InvalidConfigurationError(
-                f"{len(roots)} roots vs {len(mults)} multiplicities"
-            )
+        mults = require_multiplicities(self.multiplicities, len(roots))
         if not roots:
             raise InvalidConfigurationError("at least one root is required")
-        if any(a < 1 for a in mults):
-            raise InvalidConfigurationError("multiplicities must be >= 1")
         require_distinct(roots, "roots")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "multiplicities", mults)
@@ -336,7 +341,7 @@ class SeriesPoly:
         weights = [mpf_add(mpf_abs(a._mpf_, prec, RND),
                            mpf_abs(b._mpf_, prec, RND), prec, RND)
                    for a, b in zip(self.even, self.odd)]
-        if not FAMILY[self.family].envelope:
+        if FAMILY[self.family].derivative_sign < 0:  # bounded by 1
             return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
         basis = _series_basis(self.family, x, self.degree, prec)
         return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
@@ -517,7 +522,7 @@ def magnitude_scale(poly, x, bits=None):
     term replaced by its absolute value.  Used to turn absolute evaluation
     discrepancies into scale-free ones.
 
-    A series whose family needs an envelope weighs term l by E(lx), from one
+    An exponential series weighs term l by its envelope E(lx), from one
     basis call per point plus O(n) multiplications at a few guard bits; the
     trigonometric basis is bounded by 1 and needs no call.
     """
@@ -551,10 +556,13 @@ def _times_linear(coeffs, a, b):
 def expand_from_roots(form):
     """Coefficient representation matching the factored form pointwise.
 
-    Algebraic expansion convolves (x - r) factors into a monic polynomial
-    (scale must be 1: a monic form cannot absorb it).  Trigonometric and
-    exponential expansions convolve the half-angle exponential factors and
-    regroup into cos/sin (cosh/sinh) coefficients of degree n = sum(alpha)/2.
+    One loop multiplies a linear factor in z per root and multiplicity.
+    Algebraic: x - r = x (1 - r z) with z = 1/x, into a monic polynomial
+    (scale must be 1: a monic form cannot absorb it).  Series, with z =
+    e^{wx} and w*w = s the family's sign (w = i for cos/sin, 1 for
+    cosh/sinh): g(x - r) = e^{wr/2} z^{-1/2} (-1 + e^{-wr} z) / (2w), so
+    the product is s^n e^{w sigma/2} / 2^total z^-n sum_k c_k z^k, with
+    sigma = sum(alpha r), regrouped into E/O coefficients of degree n.
     The result is accepted only if it reproduces the factored values at a
     fixed set of probe points.
     """
@@ -564,54 +572,42 @@ def expand_from_roots(form):
     cfg = form.config
     total = cfg.total_multiplicity
     n = degree_of(form.family, cfg.multiplicities)
+    algebraic = form.family == ALGEBRAIC
+    if algebraic and form.scale != 1:
+        raise InvalidConfigurationError(
+            "algebraic expansion is monic; scale must be 1"
+        )
 
     with working(bits):
-        if form.family == ALGEBRAIC:
-            if form.scale != 1:
-                raise InvalidConfigurationError(
-                    "algebraic expansion is monic; scale must be 1"
-                )
-            coeffs = [mp.mpf(1)]
-            for r, a in zip(cfg.roots, cfg.multiplicities):
-                # x - r = x (1 - r z) with z = 1/x: highest power of x first;
-                # -r exact, as the roots may carry more bits than the form
-                minus_r = mp.fneg(r, exact=True)
-                for _ in range(a):
-                    coeffs = _times_linear(coeffs, 1, minus_r)
+        if algebraic:
+            # -r exact, as the roots may carry more bits than the form
+            factors = [(1, mp.fneg(r, exact=True)) for r in cfg.roots]
+        else:
+            s = FAMILY[form.family].derivative_sign
+            w = mp.sqrt(s)
+            factors = [(-1, mp.exp(-w * r)) for r in cfg.roots]
+        coeffs = [mp.mpf(1)]
+        for (a, b), alpha in zip(factors, cfg.multiplicities):
+            for _ in range(alpha):
+                coeffs = _times_linear(coeffs, a, b)
+
+        if algebraic:
             expanded = AlgebraicPoly(tuple(coeffs[1:]), precision_bits=bits)
         else:
             sigma = mp.fsum(r * a for r, a in zip(cfg.roots, cfg.multiplicities))
+            lead = form.scale * s ** n * mp.exp(w * sigma / 2) / mp.mpf(2) ** total
+            d = [lead * c for c in coeffs]  # d[m + n] multiplies e^{mwx}
+            # the regroupings round differently, so each family keeps its
+            # own; l = 0 gives a0
             if form.family == TRIGONOMETRIC:
-                # sin(u/2) = e^{-i r/2} z^{1/2} (z e^{-i r} - 1) / (2i z),
-                # z = e^{ix}; convolving all factors gives sum_k c_k z^k
-                coeffs = [mp.mpc(1)]
-                for r, a in zip(cfg.roots, cfg.multiplicities):
-                    w = mp.exp(mp.mpc(0, -1) * r)
-                    for _ in range(a):
-                        coeffs = _times_linear(coeffs, -1, w)
-                lead = (
-                    form.scale
-                    * (-1) ** n
-                    * mp.exp(mp.mpc(0, 1) * sigma / 2)
-                    / mp.mpf(2) ** total
-                )
-                d = [lead * c for c in coeffs]  # d[m + n] multiplies e^{imx}
-                a0 = 2 * d[n].real
-                cos_c = tuple(2 * d[n + l].real for l in range(1, n + 1))
-                sin_c = tuple(-2 * d[n + l].imag for l in range(1, n + 1))
-                expanded = TrigPoly(a0, cos_c, sin_c, precision_bits=bits)
+                series = TrigPoly
+                even = [2 * d[n + l].real for l in range(n + 1)]
+                odd = [-2 * d[n + l].imag for l in range(1, n + 1)]
             else:
-                coeffs = [mp.mpf(1)]
-                for r, a in zip(cfg.roots, cfg.multiplicities):
-                    w = mp.exp(-r)
-                    for _ in range(a):
-                        coeffs = _times_linear(coeffs, -1, w)
-                lead = form.scale * mp.exp(sigma / 2) / mp.mpf(2) ** total
-                d = [lead * c for c in coeffs]  # d[m + n] multiplies e^{mx}
-                a0 = 2 * d[n]
-                ch_c = tuple(d[n + l] + d[n - l] for l in range(1, n + 1))
-                sh_c = tuple(d[n + l] - d[n - l] for l in range(1, n + 1))
-                expanded = ExpPoly(a0, ch_c, sh_c, precision_bits=bits)
+                series = ExpPoly
+                even = [d[n + l] + d[n - l] for l in range(n + 1)]
+                odd = [d[n + l] - d[n - l] for l in range(1, n + 1)]
+            expanded = series(even[0], even[1:], odd, precision_bits=bits)
 
         _certify_roundtrip(form, expanded, bits)
         return expanded
@@ -648,8 +644,9 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits):
         trigonometric:  sum_j (a_j / 2) * cot((x - x_j) / 2)
         exponential:    sum_j (a_j / 2) * coth((x - x_j) / 2)
 
-    Raises CollisionError when x is within 2**(-bits/2) of any x_j (or lands
-    on another zero of the factor, for the periodic family).
+    Raises CollisionError when x is within 2**(-bits/2) of any x_j.  Every
+    term past that is finite (x a period from x_j too): mpf exponents are
+    unbounded and tan(u/2) and tanh(u/2) vanish only at u = 0.
     """
     require_bits(bits)
     if family not in FAMILY:
@@ -662,9 +659,5 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits):
         u = mpf_sub(x, _to_raw(r, bits), bits, RND)
         if mpf_lt(mpf_abs(u, bits, RND), threshold):
             raise CollisionError(j, mp.make_mpf(u), mp.make_mpf(threshold))
-        t = coupling(a, u, bits)
-        if t in NONFINITE:
-            # x sits on another zero of the factor (periodic collision)
-            raise CollisionError(j, mp.make_mpf(u), mp.make_mpf(threshold))
-        terms.append(t)
+        terms.append(coupling(a, u, bits))
     return mp.make_mpf(mpf_sum(terms, bits, RND))

@@ -14,8 +14,8 @@ from mpmath import mp
 from .errors import InvalidConfigurationError, SchemaError
 from .polynomials import (
     ALGEBRAIC,
+    EXPONENTIAL,
     FAMILIES,
-    FAMILY,
     TRIGONOMETRIC,
     AlgebraicPoly,
     ExpPoly,
@@ -23,6 +23,7 @@ from .polynomials import (
     RootConfiguration,
     TrigPoly,
     degree_of,
+    require_multiplicities,
 )
 from .precision import MIN_PRECISION_BITS, format_real, parse_real, require_bits
 from .solver import SolveReport, SolveSettings, TraceEntry
@@ -30,6 +31,10 @@ from .solver import SolveReport, SolveSettings, TraceEntry
 REPRESENTATIONS = ("coefficients", "roots")
 # the TraceEntry fields a report stores as lists of reals, in file order
 _TRACE_LISTS = ("approximations", "residuals", "corrections", "errors")
+# a series family's class and its problem-file keys for the even and odd
+# coefficients
+_SERIES = {TRIGONOMETRIC: (TrigPoly, "cos", "sin"),
+           EXPONENTIAL: (ExpPoly, "ch", "sh")}
 
 
 def _require(condition, message, location=None):
@@ -133,10 +138,9 @@ def _polynomial(data, family, representation, mults, bits, location):
     if family == ALGEBRAIC:
         return AlgebraicPoly(_parse_reals(c, bits, loc), precision_bits=bits)
     _require(isinstance(c, dict), "expected an object", loc)
-    even, odd = FAMILY[family].keys
+    series, even, odd = _SERIES[family]
     _require("a0" in c and even in c and odd in c,
              f"needs keys a0, {even}, {odd}", loc)
-    series = TrigPoly if family == TRIGONOMETRIC else ExpPoly
     return _build(loc, series, checked_real(c["a0"], bits, f"{loc}.a0"),
                   _parse_reals(c[even], bits, f"{loc}.{even}"),
                   _parse_reals(c[odd], bits, f"{loc}.{odd}"),
@@ -155,12 +159,11 @@ def problem_from_dict(data, location="problem"):
              f"{location}.representation")
     bits = _precision_bits(data, location)
     mults = data.get("multiplicities")
-    # bool is an int subclass, and true would silently mean 1
-    _require(isinstance(mults, list) and mults
-             and all(type(a) is int and a >= 1 for a in mults),
-             "multiplicities must be a nonempty list of integers >= 1",
-             f"{location}.multiplicities")
-    degree = _build(f"{location}.multiplicities", degree_of, family, mults)
+    loc = f"{location}.multiplicities"
+    _require(isinstance(mults, list) and mults,
+             "multiplicities must be a nonempty list", loc)
+    _build(loc, require_multiplicities, mults, len(mults))
+    degree = _build(loc, degree_of, family, mults)
     initial = _parse_reals(data.get("initial"), bits, f"{location}.initial")
     _require(len(initial) == len(mults),
              f"{len(initial)} initial values vs {len(mults)} multiplicities",
@@ -233,7 +236,7 @@ def problem_to_dict(problem):
     elif problem.family == ALGEBRAIC:
         data["coefficients"] = [format_real(v, bits) for v in poly.coeffs]
     else:
-        even, odd = FAMILY[problem.family].keys
+        _, even, odd = _SERIES[problem.family]
         data["coefficients"] = {
             "a0": format_real(poly.a0, bits),
             even: [format_real(v, bits) for v in poly.even],

@@ -37,6 +37,7 @@ from .polynomials import (
     evaluation_noise,
     log_derivative_sum,
     require_distinct,
+    require_multiplicities,
     root_offset,
 )
 from .precision import eps, require_bits, to_mpf, working
@@ -141,11 +142,7 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     reasons (FAILURES).
     """
     bits = settings.precision_bits
-    if len(multiplicities) != len(entry.approximations):
-        raise InvalidConfigurationError(
-            f"{len(multiplicities)} multiplicities vs "
-            f"{len(entry.approximations)} approximations"
-        )
+    require_multiplicities(multiplicities, len(entry.approximations))
     new, corrections = _sweep(poly, multiplicities, entry.approximations,
                               bits, settings.sweep_mode)
     return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
@@ -154,7 +151,6 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
 
 def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
     """(new approximations, |corrections|) of one sweep at `bits`."""
-    family = poly.family
     with working(bits):
         current = list(approximations)
         new = list(approximations)
@@ -176,7 +172,7 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             others = [j for j in range(len(current)) if j != i]
             try:
                 coupling = log_derivative_sum(
-                    family, [source[j] for j in others],
+                    poly.family, [source[j] for j in others],
                     [multiplicities[j] for j in others], xi, bits)
             except CollisionError as exc:
                 # exc.j indexes `others`; report the approximation's own index
@@ -185,9 +181,9 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             denom = fpi - fi * coupling
             if denom == 0 or abs(denom) < degenerate_floor * abs(fpi):
                 raise DegenerateDenominatorError(i, denom, fpi)
+            # finite: f is (`evaluate`), denom is and is nonzero, and mpf
+            # exponents are unbounded
             correction = multiplicities[i] * fi / denom
-            if not mp.isfinite(correction):
-                raise FamilyOverflowError(family, xi, detail="non-finite correction")
             new[i] = xi - correction
             corrections[i] = abs(correction)
         return tuple(new), tuple(corrections)
@@ -231,10 +227,9 @@ def _ladder_step(poly, rungs, multiplicities, entry, settings, true_roots):
     residuals and errors at the rung, on that rounded polynomial.
     """
     bits = settings.precision_bits
-    rung = bits  # at or below FLOOR every sweep runs at full precision
-    if bits > FLOOR:
-        rung = (FLOOR if entry.corrections is None else _rung(
-            _bits_needed(multiplicities, entry.corrections, 3), bits))
+    # at or below FLOOR the rung is `bits`: every sweep runs at full precision
+    rung = _rung(FLOOR if entry.corrections is None else _bits_needed(
+        multiplicities, entry.corrections, 3), bits)
     while rung < bits:
         try:
             if rung not in rungs:
@@ -289,18 +284,18 @@ def order_error_sequence(trace, past_first_freeze=False):
     return sequence, kind
 
 
-def trace_order(trace, bits, final):
+def trace_order(trace, bits):
     """(OrderEstimate, kind) of a trace's `order_error_sequence`.
 
     The window before the first freeze, where every coordinate still
     converges, is preferred.  When it is too short (a multiple root froze
     early while another coordinate went on converging), the sequence
     continues past the first freeze.  Errors below 2**8 ulp at the
-    magnitude of the final approximations (at least 1) are roundoff, and
-    the estimate leaves them out.  Raises InsufficientDataError when no
+    magnitude of the last entry's approximations (at least 1) are roundoff,
+    and the estimate leaves them out.  Raises InsufficientDataError when no
     window of either sequence qualifies.
     """
-    scale = max([mp.mpf(1)] + [abs(x) for x in final])
+    scale = max([mp.mpf(1)] + [abs(x) for x in trace[-1].approximations])
     floor = mp.mpf(2) ** 8 * eps(bits) * scale
     sequence, kind = order_error_sequence(trace)
     try:
@@ -322,10 +317,7 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     """
     settings = settings or SolveSettings()
     bits = settings.precision_bits
-    if len(initial) != len(multiplicities):
-        raise InvalidConfigurationError(
-            f"{len(initial)} initial values vs {len(multiplicities)} multiplicities"
-        )
+    require_multiplicities(multiplicities, len(initial))
     if true_roots is not None:
         true_roots = tuple(to_mpf(r, bits) for r in true_roots)
     trace = [initial_state(poly, initial, settings, true_roots=true_roots)]
@@ -343,9 +335,6 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
             termination = FAILURES[type(exc)]
             break
         trace.append(entry)
-        if any(not mp.isfinite(x) for x in entry.approximations):
-            termination = NONFINITE
-            break
         if max(abs(x) for x in entry.approximations) > escape_radius:
             termination = DIVERGED
             break
@@ -356,7 +345,7 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     order = None
     if termination == CONVERGED:
         try:
-            order = trace_order(trace, bits, last.approximations)[0].order
+            order = trace_order(trace, bits)[0].order
         except InsufficientDataError:
             pass
     return SolveReport(

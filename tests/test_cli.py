@@ -192,6 +192,18 @@ def test_non_positive_verify_tolerance_exits_2_naming_it(tmp_path, capsys,
         "--tolerance")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "example1", "--tolerance", "-1"], "--tolerance"),
+    (["solve", "example1", "--tolerance", "0"], "--tolerance"),
+    (["solve", "example1", "--max-iterations", "0"], "--max-iterations"),
+    (["solve", "example1", "--precision-bits", "40"], "--precision-bits"),
+], ids=["solve --tolerance -1", "solve --tolerance 0",
+        "solve --max-iterations 0", "solve --precision-bits 40"])
+def test_out_of_range_solve_flag_exits_2_naming_it(tmp_path, capsys, argv,
+                                                   named):
+    _assert_exits_2_naming(tmp_path, capsys, {}, argv, named)
+
+
 def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(EXAMPLE1, **change)))

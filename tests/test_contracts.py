@@ -48,6 +48,12 @@ class TestTypeValidation:
         assert cfg.min_gap() == 1
         assert cfg.max_gap() == 3
 
+    @pytest.mark.parametrize("alpha", [2.5, True, "2"])
+    def test_root_configuration_multiplicity_must_be_an_int(self, alpha):
+        # once silently truncated to 2, 1 and 2
+        with pytest.raises(InvalidConfigurationError):
+            RootConfiguration((1, 2), (1, alpha))
+
     def test_factored_form_zero_scale_rejected(self):
         cfg = RootConfiguration((1, 2), (1, 1))
         with pytest.raises(InvalidConfigurationError):

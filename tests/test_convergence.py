@@ -60,6 +60,10 @@ class TestAlgebraicCondition:
         with pytest.raises(InvalidConfigurationError):
             check_algebraic(params(EXPONENTIAL, EX3, "0.1"))
 
+    def test_boolean_multiplicity_rejected(self):
+        with pytest.raises(InvalidConfigurationError):
+            params(ALGEBRAIC, dict(EX1, mults=(2, True, 1)), "0.1")
+
 
 class TestTrigCondition:
     def test_kappa_not_above_2c_fails(self):

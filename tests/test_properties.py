@@ -1,10 +1,12 @@
 """Property tests of the per-family kernels against independent evaluations.
 
 Each test draws factored configurations of one family and compares what the
-`FAMILY` table drives (factor, derivative, coupling, basis, derivative sign,
-envelope, roots per degree, problem-file keys) with a computation that does
-not read the table: the coefficient ladder of `verification`, the quotient
-F'/F of a factored form, and the problem-file layout the README documents.
+`FAMILY` table drives (factor, derivative, coupling, basis, derivative sign
+and what the sign decides: the envelope and the period, roots per degree)
+and the problem-file keys `report_io` holds with a computation that does
+not read either table: the coefficient ladder of `verification`, the
+quotient F'/F of a factored form, and the problem-file layout the README
+documents.
 The kernels compute on raw libmp values; two tests hold them to the mpf
 arithmetic they replace, bit for bit and at any ambient precision.
 """
@@ -193,6 +195,23 @@ def test_coefficient_problem_files_roundtrip(family, data):
         })
         assert problem.polynomial() == poly
         assert problem_from_dict(problem_to_dict(problem)).polynomial() == poly
+
+
+@settings(max_examples=60, deadline=None)
+@example(k=2, bits=53, alpha=1, x=0.0)
+@example(k=6, bits=4096, alpha=3, x=0.0)
+@given(k=st.integers(1, 6), bits=st.integers(53, 4096),
+       alpha=st.integers(1, 3), x=st.floats(-3, 3))
+def test_trigonometric_coupling_a_multiple_of_pi_away_is_finite(k, bits,
+                                                                alpha, x):
+    """Approximations k pi apart, at the working precision, put tan(u/2)
+    near 0 or near a pole, but it is never 0 or infinite and mpf exponents
+    are unbounded: the coupling is finite and nothing is raised."""
+    with mp.workprec(bits):
+        x = mp.mpf(x)
+        other = x + k * mp.pi
+    got = log_derivative_sum(TRIGONOMETRIC, [other], [alpha], x, bits)
+    assert type(got) is mp.mpf and mp.isfinite(got)
 
 
 # The kernels as mpf arithmetic at the working precision, each operation the

@@ -132,6 +132,19 @@ class TestSolve:
         with pytest.raises(InvalidConfigurationError):
             solve(poly, (1, 1), (0.5,))
 
+    @pytest.mark.parametrize("mults", [(0, 1), (-1, 1), (True, 1), (1.0, 1)],
+                             ids=["zero", "negative", "bool", "float"])
+    def test_non_positive_or_non_integer_multiplicity_rejected(self, mults):
+        # (x - 1)(x - 2): with multiplicity 0 the solve once ended
+        # `converged` with x_0 = 0.5, which is not a root
+        poly = AlgebraicPoly((-3, 2))
+        settings = SolveSettings()
+        with pytest.raises(InvalidConfigurationError):
+            solve(poly, mults, (0.5, 2.5))
+        state = initial_state(poly, (0.5, 2.5), settings)
+        with pytest.raises(InvalidConfigurationError):
+            step(poly, mults, state, settings)
+
     def test_duplicate_initial_rejected(self):
         poly = AlgebraicPoly((0, -1))
         with pytest.raises(InvalidConfigurationError):
