@@ -24,13 +24,16 @@ from .polynomials import (
     FAMILIES,
     FactoredForm,
     RootConfiguration,
+    degree_of,
     expand_from_roots,
     gaps,
+    require_distinct,
 )
 from .precision import format_real, require_bits, working
 from .report_io import (
     Problem,
     checked_real,
+    located,
     load_problem,
     load_report,
     save_problem,
@@ -82,15 +85,6 @@ def _resolve_problem_path(spec_arg):
     )
 
 
-def _at_flag(flag, build, *args, **kwargs):
-    """`build(*args, **kwargs)`, with a value it rejects (ValueError, which
-    InvalidConfigurationError is) an input error naming `flag`."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise SchemaError(str(exc), flag)
-
-
 def _apply_overrides(problem, args):
     tolerance = args.tolerance
     if tolerance is not None:
@@ -101,8 +95,8 @@ def _apply_overrides(problem, args):
             ("--tolerance", "correction_tolerance", tolerance),
             ("--sweep", "sweep_mode", args.sweep)):
         if value is not None:
-            problem.settings = _at_flag(flag, replace, problem.settings,
-                                        **{field: value})
+            problem.settings = located(flag, replace, problem.settings,
+                                       **{field: value})
 
 
 def _condition_params(problem, args):
@@ -136,7 +130,7 @@ def _write(save, *args, **kwargs):
 
 def _cmd_solve(args):
     if args.precision_bits is not None:
-        _at_flag("--precision-bits", require_bits, args.precision_bits)
+        located("--precision-bits", require_bits, args.precision_bits)
     problem = load_problem(_resolve_problem_path(args.problem),
                            precision_override=args.precision_bits)
     _apply_overrides(problem, args)
@@ -197,7 +191,7 @@ def _parse_roots_arg(text, bits):
     return roots, mults
 
 
-def _default_initial(roots, mults, bits):
+def _default_initial(roots, bits):
     # deterministic off-root guesses: alternate sides at 0.25 * min gap
     with working(bits):
         gap = gaps(roots)[0] if len(roots) > 1 else mp.mpf(1)
@@ -206,24 +200,32 @@ def _default_initial(roots, mults, bits):
 
 
 def _cmd_generate(args):
-    bits = _at_flag("--precision-bits", require_bits,
-                    192 if args.precision_bits is None else args.precision_bits)
+    bits = located("--precision-bits", require_bits,
+                   192 if args.precision_bits is None else args.precision_bits)
     roots, mults = _parse_roots_arg(args.roots, bits)
-    cfg = RootConfiguration(roots, mults, precision_bits=bits)
-    form = FactoredForm(args.family, cfg, precision_bits=bits,
-                        scale=checked_real(args.scale, bits, "--scale"))
+    cfg = located("--roots", RootConfiguration, roots, mults,
+                  precision_bits=bits)
+    # before the expansion, which would blame an odd total on --scale
+    located("--roots", degree_of, args.family, mults)
+    form = located("--scale", FactoredForm, args.family, cfg,
+                   precision_bits=bits,
+                   scale=checked_real(args.scale, bits, "--scale"))
+    poly = located("--scale", expand_from_roots, form)
 
     if args.initial:
         initial = [checked_real(v, bits, "--initial")
                    for v in args.initial.split(",")]
+        if len(initial) != len(mults):
+            raise SchemaError(
+                f"{len(initial)} initial values vs {len(mults)} roots",
+                "--initial")
+        located("--initial", require_distinct, initial,
+                "initial approximations")
     else:
-        initial = _default_initial(cfg.roots, mults, bits)
-    if len(initial) != len(mults):
-        raise SchemaError(
-            f"{len(initial)} initial values vs {len(mults)} roots")
+        initial = _default_initial(cfg.roots, bits)
 
     problem = Problem(
-        poly=expand_from_roots(form),
+        poly=poly,
         multiplicities=tuple(mults),
         initial=tuple(initial),
         label=args.label,
@@ -239,16 +241,12 @@ def _cmd_verify(args):
     problem = load_problem(_resolve_problem_path(args.problem))
     report = load_report(args.report)
     bits = problem.precision_bits
-    try:
-        claimed = RootConfiguration(report.final, problem.multiplicities,
-                                    precision_bits=bits)
-    except InvalidConfigurationError as exc:
-        raise SchemaError(f"reported approximations are not a valid "
-                          f"root configuration: {exc}")
+    claimed = located(f"{args.report}.final", RootConfiguration,
+                      report.final, problem.multiplicities, precision_bits=bits)
     tolerance = checked_real(args.tolerance, bits, "--tolerance")
     # verify_roots rejects only a tolerance <= 0
-    outcome = _at_flag("--tolerance", verify_roots, problem.poly, claimed,
-                       tolerance, bits=bits)
+    outcome = located("--tolerance", verify_roots, problem.poly, claimed,
+                      tolerance, bits=bits)
     print(str(outcome))
     return EXIT_OK if outcome.passed else EXIT_NOT_CONVERGED
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .errors import InvalidConfigurationError, SchemaError
+from .errors import SchemaError
 from .polynomials import (
     ALGEBRAIC,
     EXPONENTIAL,
@@ -23,6 +23,7 @@ from .polynomials import (
     RootConfiguration,
     TrigPoly,
     degree_of,
+    require_distinct,
     require_multiplicities,
 )
 from .precision import MIN_PRECISION_BITS, format_real, parse_real, require_bits
@@ -40,6 +41,19 @@ _SERIES = {TRIGONOMETRIC: (TrigPoly, "cos", "sin"),
 def _require(condition, message, location=None):
     if not condition:
         raise SchemaError(message, location)
+
+
+def located(location, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a value it rejects an input error at
+    `location`: a SchemaError passes unchanged, and any other ValueError
+    (InvalidConfigurationError is one) becomes a SchemaError naming
+    `location`."""
+    try:
+        return build(*args, **kwargs)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc), location)
 
 
 def checked_real(value, bits, location, finite=True):
@@ -79,19 +93,8 @@ def _read_json(path):
 
 
 def _precision_bits(data, location):
-    try:
-        return require_bits(data.get("precision_bits", 53))
-    except ValueError as exc:
-        raise SchemaError(str(exc), f"{location}.precision_bits")
-
-
-def _build(location, constructor, *args, **kwargs):
-    """`constructor(*args, **kwargs)`, with an InvalidConfigurationError
-    turned into a SchemaError at `location`."""
-    try:
-        return constructor(*args, **kwargs)
-    except InvalidConfigurationError as exc:
-        raise SchemaError(str(exc), location)
+    return located(f"{location}.precision_bits", require_bits,
+                   data.get("precision_bits", 53))
 
 
 @dataclass
@@ -129,10 +132,10 @@ def _polynomial(data, family, representation, mults, bits, location):
     if representation == "roots":
         loc = f"{location}.roots"
         roots = _parse_reals(data.get("roots"), bits, loc)
-        cfg = _build(loc, RootConfiguration, roots, mults, precision_bits=bits)
+        cfg = located(loc, RootConfiguration, roots, mults, precision_bits=bits)
         loc = f"{location}.scale"
         scale = checked_real(data.get("scale", 1), bits, loc)
-        return _build(loc, FactoredForm, family, cfg, scale=scale)
+        return located(loc, FactoredForm, family, cfg, scale=scale)
     c = data.get("coefficients")
     loc = f"{location}.coefficients"
     if family == ALGEBRAIC:
@@ -141,10 +144,10 @@ def _polynomial(data, family, representation, mults, bits, location):
     series, even, odd = _SERIES[family]
     _require("a0" in c and even in c and odd in c,
              f"needs keys a0, {even}, {odd}", loc)
-    return _build(loc, series, checked_real(c["a0"], bits, f"{loc}.a0"),
-                  _parse_reals(c[even], bits, f"{loc}.{even}"),
-                  _parse_reals(c[odd], bits, f"{loc}.{odd}"),
-                  precision_bits=bits)
+    return located(loc, series, checked_real(c["a0"], bits, f"{loc}.a0"),
+                   _parse_reals(c[even], bits, f"{loc}.{even}"),
+                   _parse_reals(c[odd], bits, f"{loc}.{odd}"),
+                   precision_bits=bits)
 
 
 def problem_from_dict(data, location="problem"):
@@ -162,12 +165,14 @@ def problem_from_dict(data, location="problem"):
     loc = f"{location}.multiplicities"
     _require(isinstance(mults, list) and mults,
              "multiplicities must be a nonempty list", loc)
-    _build(loc, require_multiplicities, mults, len(mults))
-    degree = _build(loc, degree_of, family, mults)
-    initial = _parse_reals(data.get("initial"), bits, f"{location}.initial")
+    located(loc, require_multiplicities, mults, len(mults))
+    degree = located(loc, degree_of, family, mults)
+    loc = f"{location}.initial"
+    initial = _parse_reals(data.get("initial"), bits, loc)
     _require(len(initial) == len(mults),
              f"{len(initial)} initial values vs {len(mults)} multiplicities",
-             f"{location}.initial")
+             loc)
+    located(loc, require_distinct, initial, "initial approximations")
 
     poly = _polynomial(data, family, representation, mults, bits, location)
     if representation == "coefficients":
@@ -193,10 +198,7 @@ def problem_from_dict(data, location="problem"):
         kwargs["correction_tolerance"] = checked_real(
             raw_settings["correction_tolerance"], bits,
             f"{loc}.correction_tolerance")
-    try:
-        settings = SolveSettings(precision_bits=bits, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), loc)
+    settings = located(loc, SolveSettings, precision_bits=bits, **kwargs)
 
     return Problem(
         poly=poly,

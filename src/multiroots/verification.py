@@ -4,7 +4,9 @@ Everything here is deliberately written as a second implementation, not a
 call into the solver's code paths: the baseline isolates the value of the
 coupling term, the classical simple-root step cross-checks the reduction
 identity, and root verification differentiates coefficient forms with its
-own local routines.
+own local routines.  Its only knowledge of the series families is `_BASIS`,
+its own table of each family's basis pair and derivative sign; the input
+rules (multiplicities, distinct knots, precision) are the package's.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,13 @@ from .polynomials import (
     evaluate_derivative,
     expand_from_roots,
     require_distinct,
+    require_multiplicities,
 )
 from .precision import require_bits, to_mpf, working
+
+# a series family's basis pair (E, O) and the sign s in d/dx E(lx) = s l O(lx)
+_BASIS = {TRIGONOMETRIC: (mp.cos, mp.sin, -1),
+          EXPONENTIAL: (mp.cosh, mp.sinh, 1)}
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,7 @@ def newton_with_multiplicity(poly, multiplicity, initial, settings):
     does not; no coupling to other roots.  Raises
     DegenerateDerivativeError if f' underflows to zero away from a root.
     """
-    if multiplicity < 1:
-        raise InvalidConfigurationError("multiplicity must be >= 1")
+    (multiplicity,) = require_multiplicities((multiplicity,), 1)
     bits = settings.precision_bits
     with working(bits):
         x = to_mpf(initial, bits)
@@ -78,17 +84,6 @@ def newton_with_multiplicity(poly, multiplicity, initial, settings):
 
 # --- analytic coefficient differentiation, local to this module -------------
 
-def _coefficient_form(poly):
-    if isinstance(poly, FactoredForm):
-        return expand_from_roots(poly)
-    return poly
-
-
-def _alg_full_desc(poly):
-    # descending coefficients including the implicit leading 1
-    return [mp.mpf(1)] + list(poly.coeffs)
-
-
 def _alg_derive(coeffs):
     n = len(coeffs) - 1
     return [c * (n - k) for k, c in enumerate(coeffs[:-1])]
@@ -108,62 +103,52 @@ def _alg_abs_eval(coeffs, x):
     return v
 
 
-def _series_derive(a0, a, b, family):
-    # one analytic derivative in coefficient space; closed for both families
-    if family == TRIGONOMETRIC:
-        new_a = [l * b[l - 1] for l in range(1, len(a) + 1)]
-        new_b = [-l * a[l - 1] for l in range(1, len(a) + 1)]
-    else:
-        new_a = [l * b[l - 1] for l in range(1, len(a) + 1)]
-        new_b = [l * a[l - 1] for l in range(1, len(a) + 1)]
-    return mp.mpf(0), new_a, new_b
-
-
 def _series_eval(a0, a, b, family, x):
+    even, odd, _ = _BASIS[family]
     terms = [a0 / 2]
     for l in range(1, len(a) + 1):
-        if family == TRIGONOMETRIC:
-            terms.append(a[l - 1] * mp.cos(l * x))
-            terms.append(b[l - 1] * mp.sin(l * x))
-        else:
-            terms.append(a[l - 1] * mp.cosh(l * x))
-            terms.append(b[l - 1] * mp.sinh(l * x))
+        terms.append(a[l - 1] * even(l * x))
+        terms.append(b[l - 1] * odd(l * x))
     return mp.fsum(terms)
 
 
 def _series_abs_eval(a0, a, b, family, x):
+    # |E| <= 1 bounds a periodic (s < 0) term; cosh(lx) weighs the others
+    even, _, sign = _BASIS[family]
     terms = [abs(a0) / 2]
     for l in range(1, len(a) + 1):
-        if family == TRIGONOMETRIC:
-            terms.append(abs(a[l - 1]) + abs(b[l - 1]))
-        else:
-            terms.append((abs(a[l - 1]) + abs(b[l - 1])) * mp.cosh(l * x))
+        term = abs(a[l - 1]) + abs(b[l - 1])
+        terms.append(term * even(l * x) if sign > 0 else term)
     return mp.fsum(terms)
 
 
 def _derivative_ladder(poly, up_to):
     """Evaluators for f, f', ..., f^(up_to) from coefficient recurrences."""
-    poly = _coefficient_form(poly)
+    if isinstance(poly, FactoredForm):
+        poly = expand_from_roots(poly)
     evals = []
     if isinstance(poly, AlgebraicPoly):
-        coeffs = _alg_full_desc(poly)
+        # descending coefficients including the implicit leading 1
+        coeffs = [mp.mpf(1)] + list(poly.coeffs)
         for _ in range(up_to + 1):
-            frozen = list(coeffs)
             evals.append((
-                lambda x, cs=frozen: _alg_eval(cs, x),
-                lambda x, cs=frozen: _alg_abs_eval(cs, x),
+                lambda x, cs=coeffs: _alg_eval(cs, x),
+                lambda x, cs=coeffs: _alg_abs_eval(cs, x),
             ))
             coeffs = _alg_derive(coeffs)
     elif isinstance(poly, SeriesPoly):
         family = poly.family
+        sign = _BASIS[family][2]
         a0, a, b = poly.a0, list(poly.even), list(poly.odd)
         for _ in range(up_to + 1):
-            fa0, fa, fb = a0, list(a), list(b)
             evals.append((
-                lambda x, t=(fa0, fa, fb): _series_eval(*t, family, x),
-                lambda x, t=(fa0, fa, fb): _series_abs_eval(*t, family, x),
+                lambda x, t=(a0, a, b): _series_eval(*t, family, x),
+                lambda x, t=(a0, a, b): _series_abs_eval(*t, family, x),
             ))
-            a0, a, b = _series_derive(a0, a, b, family)
+            # one analytic derivative in coefficient space: l b_l onto E(lx),
+            # s l a_l onto O(lx)
+            a0, a, b = (mp.mpf(0), [l * v for l, v in enumerate(b, 1)],
+                        [sign * l * v for l, v in enumerate(a, 1)])
     else:
         raise TypeError(f"not a polynomial representation: {poly!r}")
     return evals
@@ -180,10 +165,8 @@ class CheckRecord:
 
 
 def _claim_factor(family, u):
-    if family == TRIGONOMETRIC:
-        return mp.sin(u / 2)
-    if family == EXPONENTIAL:
-        return mp.sinh(u / 2)
+    if family in _BASIS:
+        return _BASIS[family][1](u / 2)
     return u
 
 
@@ -194,10 +177,10 @@ def _claimed_shape(family, claimed, x):
     return v
 
 
-def _leading_scale(poly, family, claimed, value_fn):
+def _leading_scale(family, claimed, value_fn):
     # recover the overall multiplicative constant of the claimed factorization
     # at the probe point farthest from every claimed root
-    if family not in (TRIGONOMETRIC, EXPONENTIAL):
+    if family not in _BASIS:
         return mp.mpf(1)  # algebraic coefficient form is monic
     lo, hi = min(claimed.roots), max(claimed.roots)
     candidates = [hi + mp.mpf("0.9"), lo - mp.mpf("0.7"), (lo + hi) / 2 + mp.mpf("1.3")]
@@ -210,7 +193,7 @@ def _predicted_alpha_derivative(family, claimed, i, lead):
     a_i! * lead * (1/2)^{a_i} [trig/exp] * prod over other factors at r_i."""
     r_i, a_i = claimed.roots[i], claimed.multiplicities[i]
     v = mp.factorial(a_i) * abs(lead)
-    if family in (TRIGONOMETRIC, EXPONENTIAL):
+    if family in _BASIS:
         v /= mp.mpf(2) ** a_i
     for j, (r, a) in enumerate(zip(claimed.roots, claimed.multiplicities)):
         if j != i:
@@ -220,10 +203,9 @@ def _predicted_alpha_derivative(family, claimed, i, lead):
 
 @dataclass(frozen=True)
 class VerificationOutcome:
-    residuals: tuple          # per root, |f(r_i)|
-    derivative_checks: tuple  # per root, scale-relative |f^(j)(r_i)| for j=0..a_i
+    residuals: tuple  # per root, |f(r_i)|
     passed: bool
-    details: tuple            # CheckRecord per individual check
+    details: tuple    # CheckRecord per individual check
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -263,35 +245,26 @@ def verify_roots(poly, claimed, tolerance, bits=None):
     family = poly.family
     with working(bits):
         ladder = _derivative_ladder(poly, max(claimed.multiplicities))
-        lead = _leading_scale(poly, family, claimed, ladder[0][0])
-        residuals = []
-        rel_profiles = []
+        lead = _leading_scale(family, claimed, ladder[0][0])
         details = []
         for i, (r, a) in enumerate(zip(claimed.roots, claimed.multiplicities)):
-            profile = []
             for j in range(a + 1):
                 value_fn, scale_fn = ladder[j]
                 value = abs(value_fn(r))
-                if j < a:
-                    scale = max(scale_fn(r), mp.mpf(1))
-                    bound = tolerance * scale
+                want_zero = j < a
+                if want_zero:
+                    bound = tolerance * max(scale_fn(r), mp.mpf(1))
                     passed = value <= bound
-                    want_zero = True
                 else:
-                    scale = _predicted_alpha_derivative(family, claimed, i, lead)
-                    bound = tolerance * scale
+                    bound = tolerance * _predicted_alpha_derivative(
+                        family, claimed, i, lead)
                     passed = value > bound
-                    want_zero = False
                 details.append(
                     CheckRecord(i, j, value, bound, want_zero, passed)
                 )
-                profile.append(value / scale if scale > 0 else value)
-                if j == 0:
-                    residuals.append(value)
-            rel_profiles.append(tuple(profile))
         return VerificationOutcome(
-            residuals=tuple(residuals),
-            derivative_checks=tuple(rel_profiles),
+            residuals=tuple(rec.value for rec in details
+                            if rec.derivative_order == 0),
             passed=all(rec.passed for rec in details),
             details=tuple(details),
         )
@@ -302,8 +275,12 @@ def classical_ehrlich_step(poly, approximations, mode="simultaneous", bits=None)
     the solver: x_i <- x_i - f(x_i) / (f'(x_i) - f(x_i) * sum_j 1/(x_i - x_j)).
 
     All multiplicities are implicitly 1.  A single approximation degenerates
-    to a plain Newton step.
+    to a plain Newton step.  `mode` is "simultaneous" (Jacobi) or
+    "sequential" (Gauss-Seidel); anything else raises
+    InvalidConfigurationError.
     """
+    if mode not in ("simultaneous", "sequential"):
+        raise InvalidConfigurationError(f"unknown mode {mode!r}")
     bits = require_bits(bits or getattr(poly, "precision_bits", 53))
     with working(bits):
         x = [to_mpf(v, bits) for v in approximations]

@@ -204,6 +204,24 @@ def test_out_of_range_solve_flag_exits_2_naming_it(tmp_path, capsys, argv,
     _assert_exits_2_naming(tmp_path, capsys, {}, argv, named)
 
 
+@pytest.mark.parametrize("family, roots, more, named", [
+    ("algebraic", "2:0,3", [], "--roots"),
+    ("algebraic", "2:1,2", [], "--roots"),
+    ("trigonometric", "1:1", [], "--roots"),
+    ("algebraic", "1,2", ["--scale", "0"], "--scale"),
+    ("algebraic", "1,2", ["--scale", "2"], "--scale"),
+    ("algebraic", "1,2", ["--initial", "1"], "--initial"),
+    # solve would reject the file, naming no location
+    ("algebraic", "1,2", ["--initial", "0.5,0.5"], "--initial"),
+], ids=["zero multiplicity", "coincident roots", "odd trigonometric total",
+        "zero scale", "scaled algebraic", "initial count",
+        "coincident initial"])
+def test_structural_generate_error_exits_2_naming_its_flag(
+        tmp_path, capsys, family, roots, more, named):
+    argv = ["generate", "--family", family, "--roots", roots, *more]
+    _assert_exits_2_naming(tmp_path, capsys, {}, argv, named)
+
+
 def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(EXAMPLE1, **change)))
@@ -301,6 +319,16 @@ class TestVerifyCommand:
         broken = tmp_path / "broken.json"
         broken.write_text('{"final": ["2"]')
         assert run("verify", "example1", broken) == 2
+
+    def test_coincident_reported_roots_exit_2_naming_them(self, solved,
+                                                          tmp_path, capsys):
+        data = json.loads(solved.read_text())
+        data["final"][1] = data["final"][0]
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", "example1", tampered) == 2
+        assert f"{tampered}.final" in capsys.readouterr().err
 
 
 class TestOrderCommand:

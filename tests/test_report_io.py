@@ -159,6 +159,28 @@ class TestProblemFiles:
             load_problem(path)
         assert ":2:" in str(err.value) or ":3:" in str(err.value)
 
+    def test_coincident_initial_values_rejected_at_load(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(GOOD_PROBLEM,
+                                        initial=["0.4", "8", "0.4"])))
+        with pytest.raises(SchemaError) as err:
+            load_problem(path)
+        assert f"{path}.initial" in str(err.value)
+        assert "coincide" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["max_iterations", "sweep_mode"])
+    @pytest.mark.parametrize("value", ["x", 2.5, [1], {"a": 1}, None, True],
+                             ids=["string", "float", "list", "object", "null",
+                                  "true"])
+    def test_ill_typed_setting_rejected_naming_the_settings(self, tmp_path,
+                                                            key, value):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(GOOD_PROBLEM,
+                                        settings={key: value})))
+        with pytest.raises(SchemaError) as err:
+            load_problem(path)
+        assert f"{path}.settings" in str(err.value)
+
     def test_plain_json_numbers_accepted(self):
         data = dict(GOOD_PROBLEM, initial=[0.4, 3.5, 8],
                     coefficients=[-18, 132, -506, 1071, -1188, 540])

@@ -8,6 +8,7 @@ from multiroots import (
     AlgebraicPoly,
     DegenerateDerivativeError,
     FactoredForm,
+    InvalidConfigurationError,
     RootConfiguration,
     SolveSettings,
     classical_ehrlich_step,
@@ -59,6 +60,13 @@ class TestNewtonWithMultiplicity:
         poly = AlgebraicPoly((0, -1))  # x^2 - 1, f'(0) = 0
         with pytest.raises(DegenerateDerivativeError):
             newton_with_multiplicity(poly, 1, 0, SolveSettings())
+
+    @pytest.mark.parametrize("multiplicity", [True, 2.5])
+    def test_non_integer_multiplicity_rejected(self, multiplicity):
+        # True would silently mean 1, and 2.5 is no multiplicity
+        poly = AlgebraicPoly((-4, 4))
+        with pytest.raises(InvalidConfigurationError):
+            newton_with_multiplicity(poly, multiplicity, 3, SolveSettings())
 
 
 class TestVerifyRoots:
@@ -142,6 +150,12 @@ class TestClassicalEhrlichStep:
         seq = classical_ehrlich_step(poly, ("0.9", "-1.2"), mode="sequential")
         assert sim[0] == seq[0]
         assert sim[1] != seq[1]
+
+    def test_unknown_mode_rejected(self):
+        # anything but "sequential" would otherwise run the Jacobi sweep
+        poly = AlgebraicPoly((0, -1))
+        with pytest.raises(InvalidConfigurationError):
+            classical_ehrlich_step(poly, ("0.9", "-1.2"), mode="bogus")
 
 
 class TestBaselineSeparation:
