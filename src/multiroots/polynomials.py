@@ -427,13 +427,11 @@ class FactoredForm:
 
 
 def at_precision(poly, bits):
-    """A copy of `poly` with every stored real rounded to `bits`, built
-    through the representation's own validation (a factored form's root
-    configuration included), so kernels running at `bits` never multiply
-    wider mantissas."""
-    if isinstance(poly, FactoredForm):
-        return replace(poly, precision_bits=bits,
-                       config=replace(poly.config, precision_bits=bits))
+    """A copy of `poly` at `bits`: its validation rounds every stored
+    coefficient and scale to `bits`, so kernels running at `bits` never
+    multiply wider mantissas.  A factored form keeps its roots as they are:
+    its kernels only subtract a root from x, and x - r rounds once to `bits`,
+    so roots that coincide once rounded cannot make the copy fail."""
     return replace(poly, precision_bits=bits)
 
 

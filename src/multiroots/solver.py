@@ -14,8 +14,8 @@ cubic convergence.  `simultaneous` sweeps read only the incoming vector
 
 Above FLOOR bits, `solve` climbs a precision ladder: cubic convergence
 triples the correct bits per sweep, so each sweep runs at the smallest rung
-FLOOR * 2**j that the previous corrections say it needs, and is redone
-higher when its own corrections show too few bits to spare (`_ladder_step`).
+FLOOR * 2**j that the previous corrections say it needs, or is redone at
+full precision when its own corrections show too few bits (`_ladder_step`).
 """
 
 from dataclasses import dataclass
@@ -142,7 +142,8 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     reasons (FAILURES).
     """
     bits = settings.precision_bits
-    require_multiplicities(multiplicities, len(entry.approximations))
+    multiplicities = require_multiplicities(multiplicities,
+                                            len(entry.approximations))
     new, corrections = _sweep(poly, multiplicities, entry.approximations,
                               bits, settings.sweep_mode)
     return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
@@ -169,14 +170,13 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             # `new` holds the updated entries before i and the incoming ones
             # after it
             source = new if sweep_mode == SEQUENTIAL else current
-            others = [j for j in range(len(current)) if j != i]
             try:
                 coupling = log_derivative_sum(
-                    poly.family, [source[j] for j in others],
-                    [multiplicities[j] for j in others], xi, bits)
+                    poly.family, source[:i] + source[i + 1:],
+                    multiplicities[:i] + multiplicities[i + 1:], xi, bits)
             except CollisionError as exc:
-                # exc.j indexes `others`; report the approximation's own index
-                raise CollisionError(others[exc.j], exc.distance,
+                # exc.j indexes the others; report the approximation's own index
+                raise CollisionError(exc.j + (exc.j >= i), exc.distance,
                                      exc.threshold, i=i) from None
             denom = fpi - fi * coupling
             if denom == 0 or abs(denom) < degenerate_floor * abs(fpi):
@@ -189,10 +189,12 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
         return tuple(new), tuple(corrections)
 
 
-def _bits_needed(multiplicities, corrections, sweeps):
-    """max_i (alpha_i + 2) * sweeps * log2(1/c_i) + GUARD; infinite when a
-    coordinate froze (c_i = 0).  log2(1/c) is taken as -mp.mag(c), at most
-    one bit low, which GUARD covers.
+def _rung(multiplicities, corrections, sweeps, bits):
+    """The smallest FLOOR * 2**j, capped at `bits`, that holds
+    max_i (alpha_i + 2) * sweeps * log2(1/c_i) + GUARD bits: FLOOR without
+    corrections, and `bits` once a coordinate froze (c_i = 0; mp.mag(0) is
+    -inf).  log2(1/c) is taken as -mp.mag(c), at most one bit low, which
+    GUARD covers.
 
     At an error e from an alpha-fold root a coefficient form's f carries a
     relative error of about 2**-bits / e**alpha, and the correction needs a
@@ -201,54 +203,44 @@ def _bits_needed(multiplicities, corrections, sweeps):
     incoming errors, and the next sweep's errors are about their cube, so
     `sweeps` = 3 sizes the next sweep and 1 checks the sweep itself.
     """
-    worst = max((alpha + 2) * -mp.mag(c)  # mp.mag(0) is -inf
-                for alpha, c in zip(multiplicities, corrections))
-    return sweeps * worst + GUARD
-
-
-def _rung(need, bits):
-    """The smallest FLOOR * 2**j >= need, capped at bits."""
+    need = FLOOR if corrections is None else GUARD + sweeps * max(
+        (a + 2) * -mp.mag(c) for a, c in zip(multiplicities, corrections))
     rung = FLOOR
     while rung < min(need, bits):
         rung *= 2
     return min(rung, bits)
 
 
-def _ladder_step(poly, rungs, multiplicities, entry, settings, true_roots):
+def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     """`step` from `entry`, swept at the lowest rung that keeps its accuracy.
 
     The rung covers three times the bits of the previous corrections (cubic
-    convergence); the first sweep has none and takes FLOOR.  A rung's sweep
-    is kept only if its own corrections are all nonzero, above the
-    tolerance and leave `_bits_needed` within the rung; otherwise it is
-    redone at the rung they ask for.  So freezes, the converging sweep and
-    any failure are decided at full precision.  `rungs` caches the
-    polynomial rounded to each rung.  A kept rung sweep's entry takes its
-    residuals and errors at the rung, on that rounded polynomial.
+    convergence); the first sweep has none and takes FLOOR.  One sweep runs
+    on the polynomial and the approximations rounded to the rung.  It is
+    kept only if it raised nothing in FAILURES and its corrections are all
+    nonzero, the largest above the tolerance, and all within the rung
+    (`_rung` with sweeps=1); otherwise the sweep is redone at full
+    precision by `step`.  So freezes, the converging sweep and any failure
+    are decided at full precision.  A kept sweep's entry takes its
+    residuals and errors at the rung, on the rounded polynomial.
     """
     bits = settings.precision_bits
     # at or below FLOOR the rung is `bits`: every sweep runs at full precision
-    rung = _rung(FLOOR if entry.corrections is None else _bits_needed(
-        multiplicities, entry.corrections, 3), bits)
-    while rung < bits:
+    rung = _rung(multiplicities, entry.corrections, 3, bits)
+    if rung < bits:
+        rounded = at_precision(poly, rung)
         try:
-            if rung not in rungs:
-                rungs[rung] = at_precision(poly, rung)
             new, corrections = _sweep(
-                rungs[rung], multiplicities,
+                rounded, multiplicities,
                 [to_mpf(x, rung) for x in entry.approximations], rung,
                 settings.sweep_mode)
-        except (*FAILURES, InvalidConfigurationError):
-            # a rung too coarse to tell apart what full precision can (roots
-            # that coincide once rounded included): retry at full precision
-            break
-        if max(corrections) <= settings.tolerance:
-            break  # a converging sweep is decided at full precision
-        need = _bits_needed(multiplicities, corrections, 1)
-        if need <= rung:
-            return _entry(rungs[rung], new, entry.k + 1, rung,
-                          corrections=corrections, true_roots=true_roots)
-        rung = _rung(need, bits)  # need > rung, so the rung rises
+        except tuple(FAILURES):
+            pass  # a rung too coarse to tell apart what full precision can
+        else:
+            if (max(corrections) > settings.tolerance
+                    and _rung(multiplicities, corrections, 1, bits) <= rung):
+                return _entry(rounded, new, entry.k + 1, rung,
+                              corrections=corrections, true_roots=true_roots)
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
 
@@ -307,7 +299,8 @@ def trace_order(trace, bits):
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     """Iterate `step` until every correction is within tolerance, each sweep
-    above FLOOR bits on the precision ladder (`_ladder_step`).
+    above FLOOR bits on the precision ladder (`_ladder_step`).  Without
+    `settings` the solve runs at the polynomial's precision.
 
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the
@@ -315,9 +308,9 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     approximations left a generous bounding radius), `nonfinite` (see
     FAILURES).  Only a converged solve carries an `estimated_order`.
     """
-    settings = settings or SolveSettings()
+    settings = settings or SolveSettings(precision_bits=poly.precision_bits)
     bits = settings.precision_bits
-    require_multiplicities(multiplicities, len(initial))
+    multiplicities = require_multiplicities(multiplicities, len(initial))
     if true_roots is not None:
         true_roots = tuple(to_mpf(r, bits) for r in true_roots)
     trace = [initial_state(poly, initial, settings, true_roots=true_roots)]
@@ -325,12 +318,11 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         escape_radius = mp.mpf(10) ** 6 * (
             1 + max(abs(x) for x in trace[0].approximations)
         )
-    rungs = {}
     termination = MAX_ITERATIONS
     for _ in range(settings.max_iterations):
         try:
-            entry = _ladder_step(poly, rungs, multiplicities, trace[-1],
-                                 settings, true_roots)
+            entry = _ladder_step(poly, multiplicities, trace[-1], settings,
+                                 true_roots)
         except tuple(FAILURES) as exc:
             termination = FAILURES[type(exc)]
             break

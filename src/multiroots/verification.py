@@ -9,7 +9,7 @@ its own table of each family's basis pair and derivative sign; the input
 rules (multiplicities, distinct knots, precision) are the package's.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp
 
@@ -123,13 +123,19 @@ def _series_abs_eval(a0, a, b, family, x):
 
 
 def _derivative_ladder(poly, up_to):
-    """Evaluators for f, f', ..., f^(up_to) from coefficient recurrences."""
+    """Evaluators for f, f', ..., f^(up_to) from coefficient recurrences; a
+    factored form is expanded, its monic algebraic expansion times its scale."""
+    lead = 1
     if isinstance(poly, FactoredForm):
+        if poly.family not in _BASIS:
+            lead, poly = poly.scale, replace(poly, scale=1)
         poly = expand_from_roots(poly)
     evals = []
     if isinstance(poly, AlgebraicPoly):
         # descending coefficients including the implicit leading 1
         coeffs = [mp.mpf(1)] + list(poly.coeffs)
+        if lead != 1:
+            coeffs = [lead * c for c in coeffs]
         for _ in range(up_to + 1):
             evals.append((
                 lambda x, cs=coeffs: _alg_eval(cs, x),
@@ -177,15 +183,16 @@ def _claimed_shape(family, claimed, x):
     return v
 
 
-def _leading_scale(family, claimed, value_fn):
+def _leading_scale(poly, claimed, value_fn):
     # recover the overall multiplicative constant of the claimed factorization
     # at the probe point farthest from every claimed root
-    if family not in _BASIS:
-        return mp.mpf(1)  # algebraic coefficient form is monic
+    if poly.family not in _BASIS:
+        # a factored form leads with its scale; a coefficient form is monic
+        return poly.scale if isinstance(poly, FactoredForm) else mp.mpf(1)
     lo, hi = min(claimed.roots), max(claimed.roots)
     candidates = [hi + mp.mpf("0.9"), lo - mp.mpf("0.7"), (lo + hi) / 2 + mp.mpf("1.3")]
     probe = max(candidates, key=lambda x: min(abs(x - r) for r in claimed.roots))
-    return value_fn(probe) / _claimed_shape(family, claimed, probe)
+    return value_fn(probe) / _claimed_shape(poly.family, claimed, probe)
 
 
 def _predicted_alpha_derivative(family, claimed, i, lead):
@@ -245,7 +252,7 @@ def verify_roots(poly, claimed, tolerance, bits=None):
     family = poly.family
     with working(bits):
         ladder = _derivative_ladder(poly, max(claimed.multiplicities))
-        lead = _leading_scale(family, claimed, ladder[0][0])
+        lead = _leading_scale(poly, claimed, ladder[0][0])
         details = []
         for i, (r, a) in enumerate(zip(claimed.roots, claimed.multiplicities)):
             for j in range(a + 1):

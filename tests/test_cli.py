@@ -37,6 +37,14 @@ class TestSolveCommand:
         report = load_report(out)
         assert max(report.trace[4].errors) <= mp.mpf("1e-18")
 
+    def test_default_output_is_written_in_the_working_directory(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("solve", "example2") == 0
+        out = tmp_path / "example2.report.json"
+        assert load_report(out).termination == "converged"
+        assert f"report written to {out}" in capsys.readouterr().out
+
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -320,6 +328,16 @@ class TestVerifyCommand:
         broken.write_text('{"final": ["2"]')
         assert run("verify", "example1", broken) == 2
 
+    def test_scaled_algebraic_factored_form_verifies(self, tmp_path):
+        # the algebraic expansion is monic; verify once refused scale 2
+        problem, out = tmp_path / "p.json", tmp_path / "r.json"
+        problem.write_text(json.dumps({
+            "family": "algebraic", "representation": "roots",
+            "roots": ["1", "3"], "multiplicities": [2, 1], "scale": "2",
+            "initial": ["0.8", "3.3"], "precision_bits": 192}))
+        assert run("solve", problem, "-o", out) == 0
+        assert run("verify", problem, out) == 0
+
     def test_coincident_reported_roots_exit_2_naming_them(self, solved,
                                                           tmp_path, capsys):
         data = json.loads(solved.read_text())
@@ -360,6 +378,13 @@ class TestOrderCommand:
         capsys.readouterr()
         assert run("order", out) == 0
         assert capsys.readouterr().err == ""
+
+    def test_a_trace_too_short_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run("solve", "example1", "--max-iterations", 2, "-o", out) == 1
+        capsys.readouterr()
+        assert run("order", out) == 1
+        assert "order: insufficient data" in capsys.readouterr().err
 
     def test_trigonometric_solve_one_period_away(self, tmp_path, capsys):
         # started near r - 2pi, the solve converges to the roots one period

@@ -118,6 +118,23 @@ class TestTerminationEdges:
         assert report.termination == "nonfinite"
         assert len(report.trace) == 1
 
+    def test_escaping_the_bounding_radius_becomes_diverged(self, monkeypatch):
+        import multiroots.solver as solver_mod
+        from multiroots import evaluate, evaluate_derivative
+
+        # a coupling within 1e-9 of f'/f leaves a denominator of 1e-9 f':
+        # not degenerate, but the correction throws x far past 10**6
+        def near_pole(family, others, mults, x, bits):
+            ratio = evaluate_derivative(poly, x, bits) / evaluate(poly, x, bits)
+            return ratio * (1 - mp.mpf("1e-9"))
+
+        poly = AlgebraicPoly((0, -1))
+        monkeypatch.setattr(solver_mod, "log_derivative_sum", near_pole)
+        report = solve(poly, (1, 1), ("0.9", "-1.2"))
+        assert report.termination == "diverged"
+        assert len(report.trace) == 2
+        assert max(abs(x) for x in report.trace[-1].approximations) > 10 ** 6
+
     def test_sequential_sweep_solves_the_sextic(self):
         from multiroots import expand_from_roots
 

@@ -127,6 +127,15 @@ class TestSolve:
         assert report.iterations_used <= 1
         assert max(report.trace[-1].corrections) <= SolveSettings().tolerance
 
+    def test_default_settings_run_at_the_polynomial_precision(self):
+        bits = 192
+        poly = expanded(ALGEBRAIC, dict(roots=("1", "3"), mults=(2, 1)), bits)
+        report = solve(poly, (2, 1), ("0.8", "3.3"))
+        assert report.precision_bits == bits
+        assert report == solve(poly, (2, 1), ("0.8", "3.3"),
+                               SolveSettings(precision_bits=bits))
+        assert abs(report.final[0] - 1) <= mp.mpf("1e-25")
+
     def test_length_mismatch_rejected(self):
         poly = AlgebraicPoly((0, -1))
         with pytest.raises(InvalidConfigurationError):
@@ -341,8 +350,8 @@ class TestPrecisionLadder:
     def test_a_sweep_the_rung_cannot_carry_is_redone_at_full_precision(
             self, representation, base, gap):
         # at 256 bits, approximations 2**-150 apart collide (the threshold is
-        # 2**-128), and a factored form's roots 2**-300 apart coincide once
-        # rounded; at 1024 bits neither happens
+        # 2**-128), and so do a factored form's approximations about 2**-300
+        # apart once rounded; at 1024 bits neither happens
         bits = 1024
         with mp.workprec(bits):
             delta = mp.mpf(2) ** -gap
@@ -355,6 +364,45 @@ class TestPrecisionLadder:
                                        settings)
         assert report.termination == termination == "converged"
         assert report.trace[1] == trace[1]
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_a_rung_sweep_asking_for_more_is_redone_at_full_precision(
+            self, family):
+        # started 2**-100 from three simple roots, the first sweep runs at
+        # the floor, and its corrections ask for 512 bits: the sweep is
+        # redone at full precision, not at an intermediate rung
+        bits = 4096
+        case = dict(roots=("1", "2", "2.5"), mults=(1, 1, 1))
+        poly = factored(family, case, bits)
+        with mp.workprec(bits):
+            initial = [mp.mpf(r) + (-1) ** i * mp.mpf(2) ** -100
+                       for i, r in enumerate(case["roots"])]
+        settings = SolveSettings(precision_bits=bits)
+        report = solve(poly, case["mults"], initial, settings)
+        assert report.termination == "converged"
+        assert report.iterations_used == 5
+        assert report.trace[1] == step(poly, case["mults"], report.trace[0],
+                                       settings)
+
+    def test_a_factored_rung_copy_keeps_its_roots(self):
+        bits = 1024
+        with mp.workprec(bits):
+            thirds = (mp.mpf(1) / 3, mp.mpf(2) / 3)
+        poly = factored(ALGEBRAIC, dict(roots=thirds, mults=(1, 2)), bits)
+        rounded = at_precision(poly, solver.FLOOR)
+        assert rounded.precision_bits == solver.FLOOR
+        assert rounded.config == poly.config
+
+    def test_roots_that_coincide_once_rounded_keep_the_floor(self):
+        # roots 2**-300 apart coincide at 256 bits, but a factored rung copy
+        # keeps them apart, so the first sweep stays at the floor
+        bits = 1024
+        with mp.workprec(bits):
+            roots = (1, 1 + mp.mpf(2) ** -300)
+        poly = factored(ALGEBRAIC, dict(roots=roots, mults=(1, 1)), bits)
+        report = solve(poly, (1, 1), ("0.5", "1.5"),
+                       SolveSettings(precision_bits=bits, max_iterations=1))
+        assert report.trace[1].precision_bits == solver.FLOOR
 
 
 class TestProperties:

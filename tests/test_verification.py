@@ -122,6 +122,27 @@ class TestVerifyRoots:
                 outcome = verify_roots(poly, cfg, "1e-10", bits=bits)
                 assert outcome.passed, str(outcome)
 
+    @pytest.mark.parametrize("scale", ["1", "2", "-2.5", "0.75"])
+    @pytest.mark.parametrize("family, roots, mults", [
+        (ALGEBRAIC, ("1", "3"), (2, 1)),
+        (TRIGONOMETRIC, ("1", "2", "2.5"), (3, 2, 1)),
+        (EXPONENTIAL, ("-2", "3"), (2, 2))],
+        ids=[ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_factored_forms_verify_at_any_scale(self, family, roots, mults,
+                                                scale):
+        # the factored form is expanded inside the oracle; an algebraic
+        # expansion is monic and takes the scale on its coefficients
+        bits = 192
+        cfg = RootConfiguration(roots, mults, precision_bits=bits)
+        poly = FactoredForm(family, cfg, scale=scale, precision_bits=bits)
+        assert verify_roots(poly, cfg, "1e-30", bits=bits).passed
+        wrong = RootConfiguration(roots, (mults[0] + 1,) + mults[1:],
+                                  precision_bits=bits)
+        outcome = verify_roots(poly, wrong, "1e-30", bits=bits)
+        assert not outcome.passed
+        assert any(rec.root_index == 0 and not rec.passed
+                   for rec in outcome.details)
+
 
 class TestClassicalEhrlichStep:
     def test_single_approximation_is_newton(self):
