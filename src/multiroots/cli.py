@@ -111,8 +111,9 @@ def _condition_params(problem, args):
     bits = problem.precision_bits
     kappa = (None if args.kappa is None
              else checked_real(args.kappa, bits, "--kappa"))
-    return ConvergenceParams(
-        family=problem.family, c=checked_real(args.c, bits, "--c"),
+    return located(
+        "--theorems", ConvergenceParams, family=problem.family,
+        c=checked_real(args.c, bits, "--c"),
         q=checked_real(args.q, bits, "--q"), roots=truth,
         multiplicities=problem.multiplicities, kappa=kappa,
         precision_bits=bits,

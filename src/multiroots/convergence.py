@@ -2,9 +2,10 @@
 
 Each polynomial family has a sufficient condition under which the coupled
 iteration converges cubically from initial guesses within c*q of the true
-roots, with the error after k sweeps bounded by c*q**(3**k).  The checks
-here evaluate every clause of those conditions and report each one with its
-computed sides, so feasibility searches and debugging can see the margins.
+roots, with the error after k sweeps bounded by c*q**(3**k).  Each
+condition is the clauses all families share and then the family's own;
+`check_conditions` evaluates every clause on one path and reports each with
+its computed sides, so feasibility searches and debugging see the margins.
 """
 
 from dataclasses import dataclass, field, replace
@@ -81,8 +82,7 @@ class ConvergenceParams:
         if (self.kappa is not None) != (self.family == TRIGONOMETRIC):
             raise InvalidConfigurationError(
                 "kappa is required for the trigonometric family and "
-                "disallowed otherwise"
-            )
+                "disallowed otherwise")
         cfg = RootConfiguration(self.roots, self.multiplicities,
                                 precision_bits=self.precision_bits)
         if len(cfg.roots) < 2:
@@ -100,131 +100,115 @@ class ConvergenceParams:
             object.__setattr__(self, "kappa", to_mpf(self.kappa, self.precision_bits))
 
 
-def _base_clauses(p):
-    return [
-        Clause("q > 0", p.q > 0, p.q, mp.mpf(0)),
-        Clause("q < 1", p.q < 1, p.q, mp.mpf(1)),
-        Clause("c > 0", p.c > 0, p.c, mp.mpf(0)),
-        Clause("d - 2c > 0", p.d - 2 * p.c > 0, p.d - 2 * p.c, mp.mpf(0)),
+def _algebraic(p):
+    c, d, n = p.c, p.d, p.n
+    clauses = []
+    for i, a in enumerate(p.multiplicities):
+        mid, bound = c**2 * (n - 3 * a) + c * (n + (3 * d - 1) * a), d**2 * a
+        middle = f"c^2(n - 3a_{i}) + c(n + (3d - 1)a_{i})"
+        clauses += [Clause(f"0 < {middle}", mid > 0, mid, mp.mpf(0)),
+                    Clause(f"{middle} < d^2 a_{i}", mid < bound, mid, bound)]
+    return {}, clauses
+
+
+def _series_roots(p, k, l, name):
+    """A series family's per-root clauses c^2 (4n + a_i (k - 2)) < l a_i."""
+    clauses = []
+    for i, a in enumerate(p.multiplicities):
+        lhs, rhs = p.c**2 * (4 * p.n + a * (k - 2)), l * a
+        clauses.append(Clause(name.format(i=i), lhs < rhs, lhs, rhs))
+    return clauses
+
+
+def _trigonometric(p):
+    c, kappa = p.c, p.kappa
+    A = min(abs(mp.sin(kappa / 2)), abs(mp.sin(p.d / 2 - c)))
+    gap_bound = 2 * mp.pi - 2 * kappa
+    return {"A": A}, [
+        Clause("kappa > 0", kappa > 0, kappa, mp.mpf(0)),
+        Clause("2c < kappa", 2 * c < kappa, 2 * c, kappa),
+        Clause("max gap < 2 pi - 2 kappa",
+               p.max_gap < gap_bound, p.max_gap, gap_bound),
+        *_series_roots(p, 9 * A**2 / 8, A**2,
+                       "c^2(4n + a_{i}(9A^2/8 - 2)) < A^2 a_{i}"),
     ]
 
 
-def check_algebraic(params):
-    """Clause-by-clause verdict of the algebraic cubic-convergence condition:
-    0 < q < 1, c > 0, d - 2c > 0, and for every i
-    0 < c^2 (n - 3 a_i) + c (n + (3d - 1) a_i) < d^2 a_i."""
-    if params.family != ALGEBRAIC:
-        raise InvalidConfigurationError("params are not algebraic")
-    with working(params.precision_bits):
-        c, d, n = params.c, params.d, params.n
-        clauses = _base_clauses(params)
-        for i, a in enumerate(params.multiplicities):
-            mid = c**2 * (n - 3 * a) + c * (n + (3 * d - 1) * a)
-            bound = d**2 * a
-            clauses.append(
-                Clause(f"0 < c^2(n - 3a_{i}) + c(n + (3d - 1)a_{i})",
-                       mid > 0, mid, mp.mpf(0))
-            )
-            clauses.append(
-                Clause(f"c^2(n - 3a_{i}) + c(n + (3d - 1)a_{i}) < d^2 a_{i}",
-                       mid < bound, mid, bound)
-            )
-        return ConditionVerdict(
-            all(cl.passed for cl in clauses), tuple(clauses), {"d": d, "n": n}
-        )
+def _exponential(p):
+    S = mp.sinh((p.d - 2 * p.c) / 2)
+    return {"S": S}, _series_roots(p, S**2, S**2,
+                                   "c^2(4n + (S^2 - 2)a_{i}) < S^2 a_{i}")
 
 
-def check_trigonometric(params):
-    """Clause-by-clause verdict of the trigonometric condition:
-    0 < q < 1, c > 0, kappa > 0, 2c < kappa, d - 2c > 0,
-    max gap < 2*pi - 2*kappa, and with
-    A = min(|sin(kappa/2)|, |sin(d/2 - c)|)
-    for every i: c^2 (4n + a_i (9A^2/8 - 2)) < A^2 a_i."""
-    if params.family != TRIGONOMETRIC:
-        raise InvalidConfigurationError("params are not trigonometric")
-    with working(params.precision_bits):
-        c, d, n, kappa = params.c, params.d, params.n, params.kappa
-        A = min(abs(mp.sin(kappa / 2)), abs(mp.sin(d / 2 - c)))
-        clauses = _base_clauses(params)
-        clauses.append(Clause("kappa > 0", kappa > 0, kappa, mp.mpf(0)))
-        clauses.append(Clause("2c < kappa", 2 * c < kappa, 2 * c, kappa))
-        gap_bound = 2 * mp.pi - 2 * kappa
-        clauses.append(
-            Clause("max gap < 2 pi - 2 kappa",
-                   params.max_gap < gap_bound, params.max_gap, gap_bound)
-        )
-        for i, a in enumerate(params.multiplicities):
-            lhs = c**2 * (4 * n + a * (9 * A**2 / 8 - 2))
-            rhs = A**2 * a
-            clauses.append(
-                Clause(f"c^2(4n + a_{i}(9A^2/8 - 2)) < A^2 a_{i}",
-                       lhs < rhs, lhs, rhs)
-            )
-        return ConditionVerdict(
-            all(cl.passed for cl in clauses), tuple(clauses),
-            {"A": A, "d": d, "n": n},
-        )
-
-
-def check_exponential(params):
-    """Clause-by-clause verdict of the exponential condition:
-    0 < q < 1, c > 0, d - 2c > 0, and with S = sinh((d - 2c)/2)
-    for every i: c^2 (4n + (S^2 - 2) a_i) < S^2 a_i."""
-    if params.family != EXPONENTIAL:
-        raise InvalidConfigurationError("params are not exponential")
-    with working(params.precision_bits):
-        c, d, n = params.c, params.d, params.n
-        S = mp.sinh((d - 2 * c) / 2)
-        clauses = _base_clauses(params)
-        for i, a in enumerate(params.multiplicities):
-            lhs = c**2 * (4 * n + (S**2 - 2) * a)
-            rhs = S**2 * a
-            clauses.append(
-                Clause(f"c^2(4n + (S^2 - 2)a_{i}) < S^2 a_{i}",
-                       lhs < rhs, lhs, rhs)
-            )
-        return ConditionVerdict(
-            all(cl.passed for cl in clauses), tuple(clauses),
-            {"S": S, "d": d, "n": n},
-        )
-
-
-_CHECKS = {
-    ALGEBRAIC: check_algebraic,
-    TRIGONOMETRIC: check_trigonometric,
-    EXPONENTIAL: check_exponential,
-}
+_FAMILY_CLAUSES = {ALGEBRAIC: _algebraic, TRIGONOMETRIC: _trigonometric,
+                   EXPONENTIAL: _exponential}
 
 
 def check_conditions(params):
-    """Dispatch to the family-specific condition check."""
-    return _CHECKS[params.family](params)
+    """Clause-by-clause verdict of the params' family condition at their
+    precision: the shared clauses (0 < q < 1, c > 0, d - 2c > 0), then the
+    family's own from `_FAMILY_CLAUSES`, whose constant (A or S, if any)
+    `computed` lists before d and n."""
+    with working(params.precision_bits):
+        c, d, q = params.c, params.d, params.q
+        computed, own = _FAMILY_CLAUSES[params.family](params)
+        clauses = (
+            Clause("q > 0", q > 0, q, mp.mpf(0)),
+            Clause("q < 1", q < 1, q, mp.mpf(1)),
+            Clause("c > 0", c > 0, c, mp.mpf(0)),
+            Clause("d - 2c > 0", d - 2 * c > 0, d - 2 * c, mp.mpf(0)),
+            *own,
+        )
+        return ConditionVerdict(all(cl.passed for cl in clauses), clauses,
+                                {**computed, "d": d, "n": params.n})
 
 
-def _passes_at(params, c):
-    return check_conditions(replace(params, c=c)).passed
+def _of_family(params, family):
+    if params.family != family:
+        raise InvalidConfigurationError(f"params are not {family}")
+    return check_conditions(params)
+
+
+def check_algebraic(params):
+    """`check_conditions` for algebraic params, whose own clauses are, for
+    every i, 0 < c^2 (n - 3 a_i) + c (n + (3d - 1) a_i) < d^2 a_i."""
+    return _of_family(params, ALGEBRAIC)
+
+
+def check_trigonometric(params):
+    """`check_conditions` for trigonometric params, whose own clauses are
+    kappa > 0, 2c < kappa, max gap < 2*pi - 2*kappa and, with
+    A = min(|sin(kappa/2)|, |sin(d/2 - c)|), for every i
+    c^2 (4n + a_i (9A^2/8 - 2)) < A^2 a_i."""
+    return _of_family(params, TRIGONOMETRIC)
+
+
+def check_exponential(params):
+    """`check_conditions` for exponential params, whose own clauses are,
+    with S = sinh((d - 2c)/2), for every i c^2 (4n + (S^2 - 2) a_i) < S^2 a_i."""
+    return _of_family(params, EXPONENTIAL)
 
 
 def max_feasible_c(params):
     """Largest c passing the family's condition at the params' fixed q
     (and kappa, for the trigonometric family), found by bisection on c.
 
-    Returns an mpf c such that the condition passes at c and fails at the
-    next bisection point above it.  Raises InvalidConfigurationError when
-    even tiny c fails (the configuration is infeasible at this q/kappa).
+    The condition passes at `lo` and fails at `hi` throughout.  `hi` starts
+    at d/2, where d - 2c > 0 reads 0 > 0 (halving and doubling are exact in
+    binary), so it never passes.  Returns the last `lo`: an mpf c at which
+    the condition passes and fails at the bisection point above it.  Raises
+    InvalidConfigurationError when even tiny c fails (the configuration is
+    infeasible at this q/kappa).
     """
     with working(params.precision_bits):
         hi = params.d / 2
         lo = params.d * mp.mpf("1e-9")
-        if not _passes_at(params, lo):
+        if not check_conditions(replace(params, c=lo)).passed:
             raise InvalidConfigurationError(
-                "condition fails even at tiny c; configuration infeasible"
-            )
-        if _passes_at(params, hi):
-            return hi
+                "condition fails even at tiny c; configuration infeasible")
         for _ in range(BISECTIONS):
             mid = (lo + hi) / 2
-            if _passes_at(params, mid):
+            if check_conditions(replace(params, c=mid)).passed:
                 lo = mid
             else:
                 hi = mid

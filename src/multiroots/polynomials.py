@@ -96,24 +96,24 @@ def _half(u, prec):
     return mpf_div(u, TWO, prec, RND)
 
 
-def _sin_half_pair(u, prec):
-    c, s = mpf_cos_sin(_half(u, prec), prec, RND)
-    return s, _half(c, prec)
+def _series_family(pair, odd, tangent, sign):
+    """The series family of libmp `pair` (x -> (E, O)), `odd` (O alone, so
+    `factor` rounds no E), `tangent` (O/E) and sign s: g(u) = O(u/2), and the
+    coupling a / tangent(u/2) / 2 forms 1/tangent as mp.cot and mp.coth do,
+    at prec + 10, then rounded to prec."""
+    def factor_pair(u, prec):
+        even, o = pair(_half(u, prec), prec, RND)
+        return o, _half(even, prec)
 
-
-def _sinh_half_pair(u, prec):
-    c, s = mpf_cosh_sinh(_half(u, prec), prec, RND)
-    return s, _half(c, prec)
-
-
-def _half_reciprocal_coupling(tangent):
-    """(a, u, prec) -> a / tangent(u/2) / 2, where 1/tangent is formed as
-    mp.cot and mp.coth form it: at prec + 10, then rounded to prec."""
     def coupling(a, u, prec):
         t = tangent(_half(u, prec), prec + 10, RND)
         reciprocal = mpf_pos(mpf_div(fone, t, prec + 10, RND), prec, RND)
         return _half(mpf_mul_int(reciprocal, a, prec, RND), prec)
-    return coupling
+
+    return Family(
+        factor=lambda u, prec: odd(_half(u, prec), prec, RND),
+        factor_pair=factor_pair, coupling=coupling, roots_per_degree=2,
+        basis_pair=lambda x, prec: pair(x, prec, RND), derivative_sign=sign)
 
 
 FAMILY = {
@@ -121,18 +121,8 @@ FAMILY = {
         factor=lambda u, prec: u, factor_pair=lambda u, prec: (u, fone),
         coupling=lambda a, u, prec: mpf_rdiv_int(a, u, prec, RND),
         roots_per_degree=1),
-    TRIGONOMETRIC: Family(
-        factor=lambda u, prec: mpf_sin(_half(u, prec), prec, RND),
-        factor_pair=_sin_half_pair,
-        coupling=_half_reciprocal_coupling(mpf_tan), roots_per_degree=2,
-        basis_pair=lambda x, prec: mpf_cos_sin(x, prec, RND),
-        derivative_sign=-1),
-    EXPONENTIAL: Family(
-        factor=lambda u, prec: mpf_sinh(_half(u, prec), prec, RND),
-        factor_pair=_sinh_half_pair,
-        coupling=_half_reciprocal_coupling(mpf_tanh), roots_per_degree=2,
-        basis_pair=lambda x, prec: mpf_cosh_sinh(x, prec, RND),
-        derivative_sign=1),
+    TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_sin, mpf_tan, -1),
+    EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_sinh, mpf_tanh, 1),
 }
 
 

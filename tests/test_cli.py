@@ -230,6 +230,20 @@ def test_structural_generate_error_exits_2_naming_its_flag(
     _assert_exits_2_naming(tmp_path, capsys, {}, argv, named)
 
 
+THEOREMS = ["--theorems", "--c", "0.1", "--q", "0.5"]
+
+
+@pytest.mark.parametrize("change, argv", [
+    ({}, ["solve", "example2", *THEOREMS]),
+    ({}, ["solve", "example1", *THEOREMS, "--kappa", "1"]),
+    ({"coefficients": ["-2"], "multiplicities": [1], "initial": ["2.25"],
+      "true_roots": ["2"]}, ["solve", "PROBLEM", *THEOREMS]),
+], ids=["trigonometric without kappa", "kappa off trigonometric", "one root"])
+def test_rejected_condition_params_exit_2_naming_theorems(tmp_path, capsys,
+                                                           change, argv):
+    _assert_exits_2_naming(tmp_path, capsys, change, argv, "--theorems:")
+
+
 def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(EXAMPLE1, **change)))

@@ -149,3 +149,67 @@ class TestEstimateOrder:
         errors = ["1e-1", "1e-3", "1e-9", "1e-27", "0"]
         est = estimate_order(errors)
         assert est.window == (0, 3)
+
+
+BASE = ["q > 0", "q < 1", "c > 0", "d - 2c > 0"]
+
+
+class TestConditionSchema:
+    """Clause names and `computed` keys are written into reports: their
+    order is part of the file format."""
+
+    @pytest.mark.parametrize("family, case, kappa, names, keys", [
+        (ALGEBRAIC, EX1, None,
+         BASE + ["0 < c^2(n - 3a_0) + c(n + (3d - 1)a_0)",
+                 "c^2(n - 3a_0) + c(n + (3d - 1)a_0) < d^2 a_0",
+                 "0 < c^2(n - 3a_1) + c(n + (3d - 1)a_1)",
+                 "c^2(n - 3a_1) + c(n + (3d - 1)a_1) < d^2 a_1",
+                 "0 < c^2(n - 3a_2) + c(n + (3d - 1)a_2)",
+                 "c^2(n - 3a_2) + c(n + (3d - 1)a_2) < d^2 a_2"],
+         ["d", "n"]),
+        (TRIGONOMETRIC, EX2, "1.0",
+         BASE + ["kappa > 0", "2c < kappa", "max gap < 2 pi - 2 kappa"]
+         + ["c^2(4n + a_0(9A^2/8 - 2)) < A^2 a_0",
+            "c^2(4n + a_1(9A^2/8 - 2)) < A^2 a_1",
+            "c^2(4n + a_2(9A^2/8 - 2)) < A^2 a_2"],
+         ["A", "d", "n"]),
+        (EXPONENTIAL, EX3, None,
+         BASE + ["c^2(4n + (S^2 - 2)a_0) < S^2 a_0",
+                 "c^2(4n + (S^2 - 2)a_1) < S^2 a_1"],
+         ["S", "d", "n"]),
+    ], ids=[ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_clause_names_and_computed_keys_in_order(self, family, case,
+                                                      kappa, names, keys):
+        check = {ALGEBRAIC: check_algebraic, TRIGONOMETRIC: check_trigonometric,
+                 EXPONENTIAL: check_exponential}[family]
+        verdict = check(params(family, case, "0.1", kappa=kappa, bits=192))
+        assert [c.name for c in verdict.clauses] == names
+        assert list(verdict.computed) == keys
+
+    @pytest.mark.parametrize("check, other, case", [
+        (check_trigonometric, EXPONENTIAL, EX3),
+        (check_exponential, ALGEBRAIC, EX1),
+    ], ids=[TRIGONOMETRIC, EXPONENTIAL])
+    def test_family_mismatch_rejected(self, check, other, case):
+        with pytest.raises(InvalidConfigurationError, match="params are not"):
+            check(params(other, case, "0.1"))
+
+
+class TestInfeasibleAndInvalidParams:
+    def test_max_feasible_c_raises_when_tiny_c_fails(self):
+        with pytest.raises(InvalidConfigurationError,
+                           match="condition fails even at tiny c"):
+            max_feasible_c(params(ALGEBRAIC, EX1, "0.01", q="1.5"))
+
+    def test_grid_search_raises_when_no_point_is_feasible(self):
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"no feasible \(c, kappa\) on the search grid"):
+            feasible_point_trigonometric(("0", "10"), (1, 1), "0.5")
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match="unknown family"):
+            params("hyperbolic", EX1, "0.1")
+
+    def test_single_root_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match="need >= 2 roots"):
+            params(ALGEBRAIC, dict(roots=("2",), mults=(1,)), "0.1")
