@@ -251,9 +251,9 @@ class OrderEstimate:
 def estimate_order(errors, floor=None):
     """Empirical convergence order from a decreasing error sequence.
 
-    Finds the last run of >= MIN_WINDOW consecutive, strictly decreasing,
-    positive entries (entries at or below `floor` are treated as saturated
-    by roundoff and excluded), then computes the three-point log-ratio
+    Walks back from the end to the last run of >= MIN_WINDOW consecutive,
+    strictly decreasing, finite entries above `floor` (the roundoff floor,
+    default 0), then computes the three-point log-ratio
 
         p_k = log(e_{k+1} / e_k) / log(e_k / e_{k-1})
 
@@ -265,23 +265,18 @@ def estimate_order(errors, floor=None):
     values = [mp.mpf(e) for e in errors]
     valid = [mp.isfinite(v) and v > floor for v in values]
 
-    runs = []
-    start = None
-    for i, ok in enumerate(valid):
-        if ok and start is not None and values[i] < values[i - 1]:
-            continue
-        if start is not None:
-            runs.append((start, i - 1))
-        start = i if ok else None
-    if start is not None:
-        runs.append((start, len(values) - 1))
-
-    runs = [(a, b) for a, b in runs if b - a + 1 >= MIN_WINDOW]
-    if not runs:
+    b = len(values) - 1
+    while b >= MIN_WINDOW - 1:
+        a = b
+        while valid[a] and a > 0 and valid[a - 1] and values[a] < values[a - 1]:
+            a -= 1
+        if valid[b] and b - a + 1 >= MIN_WINDOW:
+            break
+        b = a - 1
+    else:
         raise InsufficientDataError(
             f"no strictly decreasing positive window of length >= {MIN_WINDOW}"
         )
-    a, b = runs[-1]
     per_step = []
     for k in range(a + 1, b):
         num = mp.log(values[k + 1] / values[k])

@@ -45,13 +45,11 @@ def _require(condition, message, location=None):
 
 def located(location, build, *args, **kwargs):
     """`build(*args, **kwargs)`, with a value it rejects an input error at
-    `location`: a SchemaError passes unchanged, and any other ValueError
-    (InvalidConfigurationError is one) becomes a SchemaError naming
-    `location`."""
+    `location`: a ValueError it raises (InvalidConfigurationError is one)
+    becomes a SchemaError naming `location`.  Callers parse every real
+    before the call, so `build` itself never raises a SchemaError."""
     try:
         return build(*args, **kwargs)
-    except SchemaError:
-        raise
     except ValueError as exc:
         raise SchemaError(str(exc), location)
 
@@ -256,10 +254,14 @@ def problem_to_dict(problem):
     return data
 
 
-def save_problem(problem, path):
+def _write_json(data, path):
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+def save_problem(problem, path):
+    _write_json(problem_to_dict(problem), path)
 
 
 def _verdict_to_dict(verdict, bits):
@@ -306,13 +308,15 @@ def report_to_dict(report, problem, verdict=None):
 
 
 def save_report(report, problem, path, verdict=None):
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report, problem, verdict=verdict), fh, indent=2)
-        fh.write("\n")
+    _write_json(report_to_dict(report, problem, verdict=verdict), path)
 
 
 def load_report(path):
-    """Parse a report file back into the SolveReport it was written from."""
+    """Parse a report file back into the SolveReport it was written from.
+
+    Every list in a trace entry holds one value per entry of `final`, and
+    `errors` is in every entry or in none; a report that breaks either rule
+    no longer describes one solve and is a SchemaError naming the list."""
     data = _read_json(path)
     location = str(path)
     _require(isinstance(data, dict), "report must be a JSON object", location)
@@ -321,10 +325,16 @@ def load_report(path):
         _require(key in data, f"missing key {key!r}", location)
     _require(isinstance(data["trace"], list) and data["trace"],
              "trace must be a nonempty list", f"{location}.trace")
+    final = _parse_reals(data["final"], bits, f"{location}.final", finite=False)
 
     def optional(record, key, loc):
-        return (_parse_reals(record[key], bits, f"{loc}.{key}", finite=False)
-                if record.get(key) else None)
+        if record.get(key) is None:
+            return None
+        values = _parse_reals(record[key], bits, f"{loc}.{key}", finite=False)
+        _require(len(values) == len(final),
+                 f"expected {len(final)} values, one per entry of final, "
+                 f"got {len(values)}", f"{loc}.{key}")
+        return values
 
     trace = []
     for idx, entry in enumerate(data["trace"]):
@@ -342,10 +352,12 @@ def load_report(path):
         trace.append(TraceEntry(entry.get("k", idx), **{
             key: optional(entry, key, loc) for key in _TRACE_LISTS},
             precision_bits=swept_at))
+        _require((trace[-1].errors is None) == (trace[0].errors is None),
+                 "errors must be in every trace entry or in none",
+                 f"{loc}.errors")
     order = data.get("estimated_order")
     return SolveReport(
-        final=_parse_reals(data["final"], bits, f"{location}.final",
-                           finite=False),
+        final=final,
         iterations_used=data.get("iterations_used"),
         termination=data["termination"],
         trace=tuple(trace),

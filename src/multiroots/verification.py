@@ -4,7 +4,8 @@ Everything here is deliberately written as a second implementation, not a
 call into the solver's code paths: the baseline isolates the value of the
 coupling term, the classical simple-root step cross-checks the reduction
 identity, and root verification differentiates coefficient forms with its
-own local routines.  Its only knowledge of the series families is `_BASIS`,
+own local routines and evaluates the algebraic ones with mpmath's
+`polyval`.  Its only knowledge of the series families is `_BASIS`,
 its own table of each family's basis pair and derivative sign; the input
 rules (multiplicities, distinct knots, precision) are the package's.
 """
@@ -89,20 +90,6 @@ def _alg_derive(coeffs):
     return [c * (n - k) for k, c in enumerate(coeffs[:-1])]
 
 
-def _alg_eval(coeffs, x):
-    v = mp.mpf(0)
-    for c in coeffs:
-        v = v * x + c
-    return v
-
-
-def _alg_abs_eval(coeffs, x):
-    v = mp.mpf(0)
-    for c in coeffs:
-        v = v * abs(x) + abs(c)
-    return v
-
-
 def _series_eval(a0, a, b, family, x):
     even, odd, _ = _BASIS[family]
     terms = [a0 / 2]
@@ -138,8 +125,8 @@ def _derivative_ladder(poly, up_to):
             coeffs = [lead * c for c in coeffs]
         for _ in range(up_to + 1):
             evals.append((
-                lambda x, cs=coeffs: _alg_eval(cs, x),
-                lambda x, cs=coeffs: _alg_abs_eval(cs, x),
+                lambda x, cs=coeffs: mp.polyval(cs, x),
+                lambda x, cs=coeffs: mp.polyval([abs(c) for c in cs], abs(x)),
             ))
             coeffs = _alg_derive(coeffs)
     elif isinstance(poly, SeriesPoly):
@@ -342,9 +329,9 @@ def simple_root_reduction_residual(simple_roots, index, bits=53):
         full = _expand_simple(roots)
         d1 = _alg_derive(full)
         d2 = _alg_derive(d1)
-        lhs = _alg_eval(d2, x) / _alg_eval(d1, x)
+        lhs = mp.polyval(d2, x) / mp.polyval(d1, x)
         others = roots[:index] + roots[index + 1:]
         qi = _expand_simple(others)
         qi1 = _alg_derive(qi)
-        rhs = 2 * _alg_eval(qi1, x) / _alg_eval(qi, x)
+        rhs = 2 * mp.polyval(qi1, x) / mp.polyval(qi, x)
         return lhs - rhs

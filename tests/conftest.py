@@ -42,6 +42,26 @@ def random_simple_roots(rng, m, gap_range=(0.35, 1.1)):
     return roots
 
 
+def cut_trace_list(report, change):
+    """Edit a report's JSON data in place so that its trace lists no longer
+    describe one solve; `change` names the edit."""
+    trace = report["trace"]
+    if change == "errors cut to one value":
+        for entry in trace:
+            if entry["errors"] is not None:
+                entry["errors"] = entry["errors"][:1]
+    elif change == "errors empty":
+        trace[1]["errors"] = []
+    elif change == "corrections cut to one value":
+        trace[2]["corrections"] = trace[2]["corrections"][:1]
+    elif change == "approximations cut to two values":
+        trace[1]["approximations"] = trace[1]["approximations"][:2]
+    elif change == "errors null in one entry":
+        trace[2]["errors"] = None
+    else:
+        raise ValueError(change)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

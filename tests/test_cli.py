@@ -4,8 +4,10 @@ from importlib import resources
 import pytest
 from mpmath import mp
 
+from multiroots import FamilyOverflowError, cli
 from multiroots.cli import main
 from multiroots.report_io import load_problem, load_report
+from conftest import cut_trace_list
 
 
 def run(*argv):
@@ -244,6 +246,42 @@ def test_rejected_condition_params_exit_2_naming_theorems(tmp_path, capsys,
     _assert_exits_2_naming(tmp_path, capsys, change, argv, "--theorems:")
 
 
+@pytest.mark.parametrize("change, argv, named", [
+    ({"true_roots": None}, ["solve", "PROBLEM", *THEOREMS],
+     "needs the true root configuration"),
+    ({}, ["solve", "example1", "--theorems"], "requires --c and --q"),
+    ({}, ["generate", "--family", "algebraic", "--roots", ","], "--roots"),
+], ids=["theorems without the truth", "theorems without c and q",
+        "generate without roots"])
+def test_incomplete_input_exits_2_naming_what_is_missing(tmp_path, capsys,
+                                                         change, argv, named):
+    _assert_exits_2_naming(tmp_path, capsys, change, argv, named)
+
+
+def test_generate_skips_an_empty_roots_chunk(tmp_path):
+    out = tmp_path / "p.json"
+    assert run("generate", "--family", "algebraic", "--roots", "2:1,,3",
+               "-o", out) == 0
+    assert load_problem(out).true_roots == (2, 3)
+
+
+def test_order_on_a_missing_report_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run("order", missing) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_a_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a MultirootsError that is not an input error is a numeric one
+    def overflow(form):
+        raise FamilyOverflowError(form.family, 0, "forced")
+
+    monkeypatch.setattr(cli, "expand_from_roots", overflow)
+    assert run("generate", "--family", "algebraic", "--roots", "2:1,3",
+               "-o", tmp_path / "p.json") == 3
+    assert capsys.readouterr().err.startswith("numeric error: ")
+
+
 def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(EXAMPLE1, **change)))
@@ -399,6 +437,30 @@ class TestOrderCommand:
         capsys.readouterr()
         assert run("order", out) == 1
         assert "order: insufficient data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth, change, named", [
+        (True, "errors cut to one value", "trace[0].errors"),
+        (True, "errors empty", "trace[1].errors"),
+        (False, "corrections cut to one value", "trace[2].corrections"),
+        (True, "approximations cut to two values", "trace[1].approximations"),
+    ], ids=["errors cut", "errors empty", "corrections cut",
+            "approximations cut"])
+    def test_a_trace_list_that_does_not_match_final_exits_2_naming_it(
+            self, tmp_path, capsys, truth, change, named):
+        # exit 1 would claim non-convergence, and exit 0 an order read off
+        # lists that no longer describe one solve
+        problem, out = tmp_path / "p.json", tmp_path / "r.json"
+        problem.write_text(json.dumps(
+            EXAMPLE1 if truth else dict(EXAMPLE1, true_roots=None)))
+        assert run("solve", problem, "-o", out) == 0
+        data = json.loads(out.read_text())
+        cut_trace_list(data, change)
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("order", out) == 2
+        err = capsys.readouterr().err
+        assert f"{out}.{named}: " in err
+        assert "Traceback" not in err
 
     def test_trigonometric_solve_one_period_away(self, tmp_path, capsys):
         # started near r - 2pi, the solve converges to the roots one period

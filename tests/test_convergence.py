@@ -15,6 +15,7 @@ from multiroots import (
     feasible_point_trigonometric,
     max_feasible_c,
 )
+from multiroots.convergence import MIN_WINDOW
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1))
 EX2 = dict(roots=("1", "2", "2.5"), mults=(3, 2, 1))
@@ -113,6 +114,14 @@ class TestExpCondition:
         assert any("a_" in c.name for c in verdict.failing)
 
 
+def log_ratio_orders(errors, window):
+    # p_k = log(e_{k+1} / e_k) / log(e_k / e_{k-1}) across the window
+    e = [mp.mpf(v) for v in errors]
+    a, b = window
+    return tuple(mp.log(e[k + 1] / e[k]) / mp.log(e[k] / e[k - 1])
+                 for k in range(a + 1, b))
+
+
 class TestEstimateOrder:
     def test_exact_cubic_sequence(self):
         est = estimate_order(["1e-1", "1e-3", "1e-9", "1e-27"])
@@ -149,6 +158,36 @@ class TestEstimateOrder:
         errors = ["1e-1", "1e-3", "1e-9", "1e-27", "0"]
         est = estimate_order(errors)
         assert est.window == (0, 3)
+
+    @pytest.mark.parametrize("errors, floor, window", [
+        (["1e-2", "1", "1e-1", "1e-3", "1e-9"], None, (1, 4)),
+        (["1", "1e-1", "1e-3", "1e-9", "1e-9"], None, (0, 3)),
+        (["1", "1e-1", "1e-3", "1e-9", "1", "1e-2", "1e-6", "1e-18", "1e-54"],
+         None, (4, 8)),
+        (["1", "1e-1", "1e-3", "1e-9", "1e-27", "1", "1e-2", "1e-6"], None,
+         (0, 4)),
+        (["1", "1e-1", "1e-3", "nan", "1e-4", "1e-8", "1e-16", "1e-32"], None,
+         (4, 7)),
+        (["1", "1e-1", "1e-3", "1e-9", "1e-20", "1e-20"], "1e-20", (0, 3)),
+        ([f"1e-{3 ** k}" for k in range(MIN_WINDOW)], None,
+         (0, MIN_WINDOW - 1)),
+    ], ids=["one run to the end", "a tie at the end", "the last of two runs",
+            "a shorter run after", "split by nan", "entries at the floor",
+            "exactly MIN_WINDOW"])
+    def test_window(self, errors, floor, window):
+        est = estimate_order(errors, floor=floor)
+        assert est.window == window
+        orders = log_ratio_orders(errors, window)
+        assert len(est.per_step_orders) == window[1] - window[0] - 1
+        assert est.per_step_orders == orders
+        assert est.order == orders[-1]
+
+    @pytest.mark.parametrize("errors", [
+        ["1", "1e-1", "1e-3", "1", "1e-1", "1e-3"], []],
+        ids=["no run of MIN_WINDOW", "empty"])
+    def test_no_window_raises(self, errors):
+        with pytest.raises(InsufficientDataError):
+            estimate_order(errors)
 
 
 BASE = ["q > 0", "q < 1", "c > 0", "d - 2c > 0"]

@@ -17,6 +17,7 @@ from multiroots import (
     FamilyOverflowError,
     InvalidConfigurationError,
     RootConfiguration,
+    SeriesPoly,
     TrigPoly,
     evaluate,
     evaluate_derivative,
@@ -327,3 +328,29 @@ class TestInvariants:
             true_value = abs(evaluate(factored, near_root))
         assert evaluation_noise(expanded, near_root) > true_value
         assert evaluation_noise(factored, near_root) < true_value
+
+
+class TestRejectedInput:
+    def test_a_configuration_needs_a_root(self):
+        with pytest.raises(InvalidConfigurationError, match="at least one"):
+            RootConfiguration((), ())
+
+    def test_series_poly_is_abstract(self):
+        with pytest.raises(TypeError, match="abstract"):
+            SeriesPoly(1, (1,), (0,))
+
+    def test_only_a_factored_form_expands(self):
+        with pytest.raises(TypeError, match="FactoredForm"):
+            expand_from_roots(AlgebraicPoly((1,)))
+
+    def test_log_derivative_sum_rejects_an_unknown_family(self):
+        with pytest.raises(InvalidConfigurationError, match="bogus"):
+            log_derivative_sum("bogus", (1,), (1,), 0, 53)
+
+    def test_an_expansion_that_misses_its_form_fails_the_round_trip(self):
+        # the form is x^2 - 3x + 2; the wrong expansion is x^2 - 3x + 2.5
+        form = FactoredForm(ALGEBRAIC, RootConfiguration((1, 2), (1, 1)))
+        wrong = AlgebraicPoly((-3, "2.5"))
+        with pytest.raises(FamilyOverflowError,
+                           match="expansion failed round-trip"):
+            polynomials._certify_roundtrip(form, wrong, 64)

@@ -15,6 +15,7 @@ from multiroots.report_io import (
     save_report,
 )
 from multiroots.solver import NONFINITE, SolveReport, TraceEntry
+from conftest import cut_trace_list
 
 GOOD_PROBLEM = {
     "label": "t",
@@ -278,6 +279,37 @@ class TestReports:
         with pytest.raises(SchemaError) as err:
             load_report(path)
         assert "trace[1].precision_bits" in str(err.value)
+
+    @pytest.mark.parametrize("truth, change, named, message", [
+        (True, "errors cut to one value", "trace[0].errors",
+         "expected 3 values"),
+        (True, "errors empty", "trace[1].errors", "nonempty list"),
+        (False, "corrections cut to one value", "trace[2].corrections",
+         "expected 3 values"),
+        (True, "approximations cut to two values",
+         "trace[1].approximations", "expected 3 values"),
+        (True, "errors null in one entry", "trace[2].errors",
+         "every trace entry or in none"),
+    ], ids=["errors cut", "errors empty", "corrections cut",
+            "approximations cut", "errors null in one entry"])
+    def test_trace_list_that_does_not_match_final_rejected(
+            self, tmp_path, truth, change, named, message):
+        # such a trace no longer describes one solve: `order` would crash
+        # on it or estimate an order from it
+        problem = problem_from_dict(
+            GOOD_PROBLEM if truth else dict(GOOD_PROBLEM, true_roots=None))
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings,
+                       true_roots=problem.truth())
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        cut_trace_list(data, change)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert f"{path}.{named}: " in str(err.value)
+        assert message in str(err.value)
 
     @pytest.mark.parametrize("source", ["example1", "example2", "example3",
                                         "no true roots"])

@@ -530,6 +530,10 @@ class TestSimpleRootReductionResidual:
         with pytest.raises(InvalidConfigurationError):
             simple_root_reduction_residual((1, 1, 2), 0)
 
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match="out of range"):
+            simple_root_reduction_residual((1, 2), 2)
+
     def test_random_four_knot_configurations(self):
         rng = random.Random(99)
         for _ in range(20):

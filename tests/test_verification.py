@@ -6,6 +6,7 @@ from multiroots import (
     EXPONENTIAL,
     TRIGONOMETRIC,
     AlgebraicPoly,
+    CollisionError,
     DegenerateDerivativeError,
     FactoredForm,
     InvalidConfigurationError,
@@ -55,6 +56,18 @@ class TestNewtonWithMultiplicity:
         floor = mp.mpf(2) ** (8 - bits) * 4
         order = estimate_order(errors, floor=floor).order
         assert mp.mpf("0.8") <= order <= mp.mpf("1.2")
+
+    def test_stops_once_a_correction_is_within_the_tolerance(self):
+        # x^2 - 2 from 1.5: f(x) never rounds to 0, so the tolerance stops it
+        settings = SolveSettings()
+        trace = newton_with_multiplicity(AlgebraicPoly((0, -2)), 1, "1.5",
+                                         settings)
+        assert trace.converged
+        assert len(trace.corrections) == 5
+        last, before = trace.corrections[-1], trace.corrections[-2]
+        assert last <= settings.tolerance < before
+        assert abs(last - mp.mpf("1.6e-16")) <= mp.mpf("1e-17")
+        assert abs(trace.approximations[-1] - mp.sqrt(2)) <= mp.mpf("1e-15")
 
     def test_derivative_underflow_raises(self):
         poly = AlgebraicPoly((0, -1))  # x^2 - 1, f'(0) = 0
@@ -171,6 +184,13 @@ class TestClassicalEhrlichStep:
         seq = classical_ehrlich_step(poly, ("0.9", "-1.2"), mode="sequential")
         assert sim[0] == seq[0]
         assert sim[1] != seq[1]
+
+    def test_close_approximations_raise_a_collision_naming_both(self):
+        points = (mp.mpf(1), mp.mpf(1) + mp.mpf(2) ** -40)
+        with pytest.raises(CollisionError) as err:
+            classical_ehrlich_step(AlgebraicPoly((-3, 2)), points)
+        assert (err.value.i, err.value.j) == (1, 0)
+        assert "approximations 1 and 0" in str(err.value)
 
     def test_unknown_mode_rejected(self):
         # anything but "sequential" would otherwise run the Jacobi sweep
