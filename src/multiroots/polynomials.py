@@ -17,6 +17,17 @@ and reading the global context for every operation.  They neither read nor
 change `mp.prec`.  Each representation class holds its raw kernels
 (`_value`, `_slope`, `_magnitude`, `noise_ops`); the `FAMILY` callables
 take raw values and a precision.
+
+A solver asks for f, f' and the noise bound at one point, and the next
+sweep asks again at the points the trace entry took residuals at.  So the
+costly per-point intermediate is computed once and shared by the kernels: a
+series keeps its basis (`SeriesPoly._basis`) and a factored form its factor
+pairs (`FactoredForm._pairs`) in a memo on the instance, keyed by (raw x,
+prec).  It drops its oldest point past twice the representation's root
+count (the distinct roots of a factored form, 2n for a series of degree
+n), so the points of one trace entry are still there when the next sweep
+reads them.  `solver.solve` runs on its own copy of the polynomial, so a
+memo lives for one solve.  The kernels return the same bits either way.
 """
 
 from dataclasses import dataclass, replace
@@ -42,8 +53,6 @@ from mpmath.libmp import (
     mpf_pow,
     mpf_pow_int,
     mpf_rdiv_int,
-    mpf_sin,
-    mpf_sinh,
     mpf_sub,
     mpf_sum,
     mpf_tan,
@@ -70,7 +79,7 @@ NONFINITE = (finf, fninf, fnan)
 @dataclass(frozen=True)
 class Family:
     """What distinguishes one family, with u = x - r the offset from a root:
-    the factor g(u), the pair (g(u), g'(u)) from one call, the coupling
+    the pair (g(u), g'(u)) of the factor g from one call, the coupling
     (a, u) -> a g'(u)/g(u) and the number of roots (with multiplicity) per
     unit of degree.  Series families add their basis pair x -> (E(x), O(x))
     from one call and the sign s in d/dx E(lx) = s l O(lx), which is also
@@ -79,12 +88,11 @@ class Family:
     (`root_offset`); at s = +1 |E(lx)| and |O(lx)| are bounded by the
     envelope E(lx) (`magnitude_scale`).
 
-    The callables work on raw libmp values: `factor(u, prec)`,
-    `factor_pair(u, prec)`, `coupling(a, u, prec)` with an int a, and
-    `basis_pair(x, prec)`, each rounding to nearest at `prec`.
+    The callables work on raw libmp values: `factor_pair(u, prec)`,
+    `coupling(a, u, prec)` with an int a, and `basis_pair(x, prec)`, each
+    rounding to nearest at `prec`.
     """
 
-    factor: Callable
     factor_pair: Callable
     coupling: Callable
     roots_per_degree: int
@@ -96,11 +104,12 @@ def _half(u, prec):
     return mpf_div(u, TWO, prec, RND)
 
 
-def _series_family(pair, odd, tangent, sign):
-    """The series family of libmp `pair` (x -> (E, O)), `odd` (O alone, so
-    `factor` rounds no E), `tangent` (O/E) and sign s: g(u) = O(u/2), and the
-    coupling a / tangent(u/2) / 2 forms 1/tangent as mp.cot and mp.coth do,
-    at prec + 10, then rounded to prec."""
+def _series_family(pair, tangent, sign):
+    """The series family of libmp `pair` (x -> (E, O)), `tangent` (O/E) and
+    sign s: g(u) = O(u/2), and the coupling a / tangent(u/2) / 2 forms
+    1/tangent as mp.cot and mp.coth do, at prec + 10, then rounded to prec.
+    libmp's sin and sinh take their value from the same cos_sin and
+    cosh_sinh computation, so g from the pair has their bits."""
     def factor_pair(u, prec):
         even, o = pair(_half(u, prec), prec, RND)
         return o, _half(even, prec)
@@ -111,18 +120,17 @@ def _series_family(pair, odd, tangent, sign):
         return _half(mpf_mul_int(reciprocal, a, prec, RND), prec)
 
     return Family(
-        factor=lambda u, prec: odd(_half(u, prec), prec, RND),
         factor_pair=factor_pair, coupling=coupling, roots_per_degree=2,
         basis_pair=lambda x, prec: pair(x, prec, RND), derivative_sign=sign)
 
 
 FAMILY = {
     ALGEBRAIC: Family(
-        factor=lambda u, prec: u, factor_pair=lambda u, prec: (u, fone),
+        factor_pair=lambda u, prec: (u, fone),
         coupling=lambda a, u, prec: mpf_rdiv_int(a, u, prec, RND),
         roots_per_degree=1),
-    TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_sin, mpf_tan, -1),
-    EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_sinh, mpf_tanh, 1),
+    TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_tan, -1),
+    EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_tanh, 1),
 }
 
 
@@ -185,6 +193,17 @@ def gaps(values):
 
 def _as_mpf_tuple(values, bits):
     return tuple(to_mpf(v, bits) for v in values)
+
+
+def _memoized(memo, limit, key, compute):
+    """compute(), kept in `memo` under `key`; past `limit` entries the one
+    stored first is dropped."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+        if len(memo) > limit:
+            del memo[next(iter(memo))]
+    return value
 
 
 @dataclass(frozen=True)
@@ -297,6 +316,7 @@ class SeriesPoly:
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "even", even)
         object.__setattr__(self, "odd", odd)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def degree(self):
@@ -306,8 +326,15 @@ class SeriesPoly:
     def noise_ops(self):
         return 4 * self.degree + 4
 
+    def _basis(self, x, prec):
+        """`_series_basis` at the raw point x, memoized for 4n points: a
+        series of degree n has 2n roots."""
+        n = self.degree
+        return _memoized(self._memo, 4 * n, (x, prec),
+                         lambda: _series_basis(self.family, x, n, prec))
+
     def _value(self, x, prec):
-        basis = _series_basis(self.family, x, self.degree, prec)
+        basis = self._basis(x, prec)
         terms = [_half(self.a0._mpf_, prec)]
         for a, b, (e, o) in zip(self.even, self.odd, basis):
             terms.append(mpf_mul(a._mpf_, e, prec, RND))
@@ -316,7 +343,7 @@ class SeriesPoly:
 
     def _slope(self, x, prec):
         sign = FAMILY[self.family].derivative_sign
-        basis = _series_basis(self.family, x, self.degree, prec)
+        basis = self._basis(x, prec)
         terms = []
         for l, (a, b, (e, o)) in enumerate(
                 zip(self.even, self.odd, basis), start=1):
@@ -333,7 +360,7 @@ class SeriesPoly:
                    for a, b in zip(self.even, self.odd)]
         if FAMILY[self.family].derivative_sign < 0:  # bounded by 1
             return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
-        basis = _series_basis(self.family, x, self.degree, prec)
+        basis = self._basis(x, prec)
         return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
                                     for w, (e, _) in zip(weights, basis)],
                        prec, RND)
@@ -379,24 +406,30 @@ class FactoredForm:
         object.__setattr__(self, "scale", to_mpf(self.scale, bits))
         if self.scale == 0:
             raise InvalidConfigurationError("scale must be nonzero")
+        object.__setattr__(self, "_memo", {})
 
     @property
     def noise_ops(self):
         return 3 * (self.config.total_multiplicity + 1)
 
+    def _pairs(self, x, prec):
+        """[factor_pair(x - r_k) for every root r_k] at the raw point x,
+        memoized for twice as many points as there are roots."""
+        pair = FAMILY[self.family].factor_pair
+        roots = self.config.roots
+        return _memoized(self._memo, 2 * len(roots), (x, prec), lambda: [
+            pair(mpf_sub(x, r._mpf_, prec, RND), prec) for r in roots])
+
     def _value(self, x, prec):
-        factor = FAMILY[self.family].factor
         v = self.scale._mpf_
-        for r, a in zip(self.config.roots, self.config.multiplicities):
-            g = factor(mpf_sub(x, r._mpf_, prec, RND), prec)
+        for (g, _), a in zip(self._pairs(x, prec), self.config.multiplicities):
             v = mpf_mul(v, mpf_pow_int(g, a, prec, RND), prec, RND)
         return v
 
     def _slope(self, x, prec):
-        pair = FAMILY[self.family].factor_pair
         terms, powers = [], []
-        for r, a in zip(self.config.roots, self.config.multiplicities):
-            g, dg = pair(mpf_sub(x, r._mpf_, prec, RND), prec)
+        for (g, dg), a in zip(self._pairs(x, prec),
+                              self.config.multiplicities):
             terms.append(mpf_mul(mpf_mul_int(dg, a, prec, RND),
                                  mpf_pow_int(g, a - 1, prec, RND), prec, RND))
             powers.append(mpf_pow_int(g, a, prec, RND))
@@ -481,8 +514,10 @@ def _raw_point(poly, x, bits):
 def evaluate(poly, x, bits=None):
     """Value of the polynomial at x, at the poly's precision unless overridden.
 
-    A series of degree n costs one basis call per point plus O(n)
-    multiplications at a few guard bits (`_series_basis`).
+    A series of degree n costs one basis call per point and precision,
+    shared with the other kernels, plus O(n) multiplications at a few
+    guard bits (`_series_basis`); a factored form with m roots, m
+    `factor_pair` calls, shared alike.
     """
     x, prec = _raw_point(poly, x, bits)
     return _finite(poly._value(x, prec), poly.family, x)
@@ -492,13 +527,13 @@ def evaluate_derivative(poly, x, bits=None):
     """First derivative at x.
 
     Coefficient forms differentiate term by term: extended Horner for the
-    algebraic family, and for a series of degree n one basis call per point
-    plus O(n) multiplications at a few guard bits.  A factored form
+    algebraic family, and for a series of degree n the basis `evaluate`
+    takes plus O(n) multiplications at a few guard bits.  A factored form
     scale * prod_k g_k^a_k, with g_k = g(x - r_k), uses the product rule
-    in O(m) per point for m roots: one `factor_pair` call per root gives
-    g_k and g'_k, and term k is a_k g'_k g_k^(a_k - 1) times the prefix
-    product of the g_j^a_j with j < k and the suffix product of those with
-    j > k.  Nothing is divided by g_k, so x on a root needs no special case
+    in O(m) per point for m roots: the `factor_pair` call per root that
+    `evaluate` shares gives g_k and g'_k, and term k is
+    a_k g'_k g_k^(a_k - 1) times the prefix product of the g_j^a_j with
+    j < k and the suffix product of those with j > k.  Nothing is divided by g_k, so x on a root needs no special case
     (0**0 is 1).
     """
     x, prec = _raw_point(poly, x, bits)
@@ -510,8 +545,8 @@ def magnitude_scale(poly, x, bits=None):
     term replaced by its absolute value.  Used to turn absolute evaluation
     discrepancies into scale-free ones.
 
-    An exponential series weighs term l by its envelope E(lx), from one
-    basis call per point plus O(n) multiplications at a few guard bits; the
+    An exponential series weighs term l by its envelope E(lx), from the
+    basis `evaluate` takes plus O(n) multiplications at a few guard bits; the
     trigonometric basis is bounded by 1 and needs no call.
     """
     x, prec = _raw_point(poly, x, bits)

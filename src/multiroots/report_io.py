@@ -27,7 +27,7 @@ from .polynomials import (
     require_multiplicities,
 )
 from .precision import MIN_PRECISION_BITS, format_real, parse_real, require_bits
-from .solver import SolveReport, SolveSettings, TraceEntry
+from .solver import TERMINATIONS, SolveReport, SolveSettings, TraceEntry
 
 REPRESENTATIONS = ("coefficients", "roots")
 # the TraceEntry fields a report stores as lists of reals, in file order
@@ -314,15 +314,22 @@ def save_report(report, problem, path, verdict=None):
 def load_report(path):
     """Parse a report file back into the SolveReport it was written from.
 
-    Every list in a trace entry holds one value per entry of `final`, and
-    `errors` is in every entry or in none; a report that breaks either rule
-    no longer describes one solve and is a SchemaError naming the list."""
+    Every list in a trace entry holds one value per entry of `final`,
+    `residuals` and `corrections` are in every entry past the first, and
+    `errors` is in every entry or in none.  `termination` is one of the
+    solver's TERMINATIONS, entry i's `k` is i, and `iterations_used` is the
+    last entry's `k`; a missing `k` or `iterations_used` takes that value.
+    A report that breaks a rule no longer describes one solve and is a
+    SchemaError naming the key."""
     data = _read_json(path)
     location = str(path)
     _require(isinstance(data, dict), "report must be a JSON object", location)
     bits = _precision_bits(data, location)
     for key in ("termination", "final", "trace"):
         _require(key in data, f"missing key {key!r}", location)
+    _require(data["termination"] in TERMINATIONS,
+             f"termination must be one of {', '.join(TERMINATIONS)}, "
+             f"got {data['termination']!r}", f"{location}.termination")
     _require(isinstance(data["trace"], list) and data["trace"],
              "trace must be a nonempty list", f"{location}.trace")
     final = _parse_reals(data["final"], bits, f"{location}.final", finite=False)
@@ -341,6 +348,13 @@ def load_report(path):
         loc = f"{location}.trace[{idx}]"
         _require(isinstance(entry, dict) and entry.get("approximations"),
                  "trace entries need approximations", loc)
+        k = entry.get("k", idx)
+        _require(type(k) is int and k == idx,
+                 f"k must be the entry's index {idx}, got {k!r}", f"{loc}.k")
+        # only the initial entry has no sweep behind it
+        for key in ("residuals", "corrections") if idx else ():
+            _require(entry.get(key) is not None,
+                     "every entry after the first needs it", f"{loc}.{key}")
         # reports written before the precision ladder ran every sweep at
         # the report's precision and carry no per-entry key
         swept_at = entry.get("precision_bits", bits)
@@ -349,16 +363,20 @@ def load_report(path):
                  f"precision_bits must be an integer in "
                  f"{MIN_PRECISION_BITS}..{bits}",
                  f"{loc}.precision_bits")
-        trace.append(TraceEntry(entry.get("k", idx), **{
+        trace.append(TraceEntry(k, **{
             key: optional(entry, key, loc) for key in _TRACE_LISTS},
             precision_bits=swept_at))
         _require((trace[-1].errors is None) == (trace[0].errors is None),
                  "errors must be in every trace entry or in none",
                  f"{loc}.errors")
+    used = data.get("iterations_used", trace[-1].k)
+    _require(type(used) is int and used == trace[-1].k,
+             f"iterations_used must be the last entry's k {trace[-1].k}, "
+             f"got {used!r}", f"{location}.iterations_used")
     order = data.get("estimated_order")
     return SolveReport(
         final=final,
-        iterations_used=data.get("iterations_used"),
+        iterations_used=used,
         termination=data["termination"],
         trace=tuple(trace),
         estimated_order=(checked_real(order, bits, f"{location}.estimated_order",

@@ -18,7 +18,7 @@ FLOOR * 2**j that the previous corrections say it needs, or is redone at
 full precision when its own corrections show too few bits (`_ladder_step`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp
 
@@ -50,6 +50,7 @@ MAX_ITERATIONS = "max_iterations"
 COLLISION = "collision"
 DIVERGED = "diverged"
 NONFINITE = "nonfinite"
+TERMINATIONS = (CONVERGED, MAX_ITERATIONS, COLLISION, DIVERGED, NONFINITE)
 
 # What `solve` reports when a sweep raises one of these; `_ladder_step`
 # retries a rung's sweep at full precision on the same ones.
@@ -309,6 +310,9 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     FAILURES).  Only a converged solve carries an `estimated_order`.
     """
     settings = settings or SolveSettings(precision_bits=poly.precision_bits)
+    # a copy with an empty point memo: no solve reads the points another
+    # solve or the caller evaluated
+    poly = replace(poly)
     bits = settings.precision_bits
     multiplicities = require_multiplicities(multiplicities, len(initial))
     if true_roots is not None:

@@ -1,11 +1,13 @@
 """Shared test helpers: seeded random root configurations per family."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from mpmath import mp
 
-from multiroots import ALGEBRAIC, EXPONENTIAL, RootConfiguration
+from multiroots import ALGEBRAIC, EXPONENTIAL, RootConfiguration, polynomials
 
 
 def random_configuration(rng, family, bits=53, m_range=(2, 5), alpha_max=4,
@@ -60,6 +62,51 @@ def cut_trace_list(report, change):
         trace[2]["errors"] = None
     else:
         raise ValueError(change)
+
+
+def count_family_calls(monkeypatch, family):
+    """A Counter, by name, of the `basis_pair` and `factor_pair` calls
+    through `family`'s FAMILY entry until monkeypatch undoes it."""
+    calls = Counter()
+    fam = polynomials.FAMILY[family]
+
+    def counted(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return getattr(fam, name)(*args)
+        return wrapper
+
+    monkeypatch.setitem(polynomials.FAMILY, family, replace(
+        fam, basis_pair=counted("basis_pair"),
+        factor_pair=counted("factor_pair")))
+    return calls
+
+
+# edits to a report's JSON data that give a key a value no solve writes
+# beside the others, each with the key the SchemaError must name
+REPORT_KEY_EDITS = {
+    "termination not a name": ("termination", 42),
+    "termination unknown": ("termination", "finished"),
+    "k not the index": ("trace[2].k", 5),
+    "k not an int": ("trace[1].k", 1.0),
+    "k boolean": ("trace[1].k", True),
+    "iterations_used not the last k": ("iterations_used", 1),
+    "iterations_used a string": ("iterations_used", "3"),
+    "corrections null past the first": ("trace[1].corrections", None),
+    "residuals null past the first": ("trace[2].residuals", None),
+}
+
+
+def edit_report_key(report, change):
+    """Set the key REPORT_KEY_EDITS names for `change` in a report's
+    JSON data; returns that key."""
+    named, value = REPORT_KEY_EDITS[change]
+    if named.startswith("trace["):
+        entry, key = named.split(".")
+        report["trace"][int(entry[6:-1])][key] = value
+    else:
+        report[named] = value
+    return named
 
 
 @pytest.fixture

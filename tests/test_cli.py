@@ -7,7 +7,7 @@ from mpmath import mp
 from multiroots import FamilyOverflowError, cli
 from multiroots.cli import main
 from multiroots.report_io import load_problem, load_report
-from conftest import cut_trace_list
+from conftest import REPORT_KEY_EDITS, cut_trace_list, edit_report_key
 
 
 def run(*argv):
@@ -455,6 +455,20 @@ class TestOrderCommand:
         assert run("solve", problem, "-o", out) == 0
         data = json.loads(out.read_text())
         cut_trace_list(data, change)
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("order", out) == 2
+        err = capsys.readouterr().err
+        assert f"{out}.{named}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("change", sorted(REPORT_KEY_EDITS))
+    def test_a_key_no_solve_writes_exits_2_naming_it(
+            self, tmp_path, capsys, change):
+        out = tmp_path / "r.json"
+        assert run("solve", "example1", "-o", out) == 0
+        data = json.loads(out.read_text())
+        named = edit_report_key(data, change)
         out.write_text(json.dumps(data))
         capsys.readouterr()
         assert run("order", out) == 2

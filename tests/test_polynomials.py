@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,7 +25,7 @@ from multiroots import (
     log_derivative_sum,
     magnitude_scale,
 )
-from conftest import assert_close, random_configuration
+from conftest import assert_close, count_family_calls, random_configuration
 
 # independently computed with the factored product at 256 bits
 T3_AT_0P2 = "0.03307453734398724732237873591725980805875002968812298335351705923076569"
@@ -89,25 +88,53 @@ class TestSeriesBasis:
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
     def test_each_series_kernel_makes_one_basis_call(self, monkeypatch,
                                                      family):
-        calls = Counter()
-        fam = polynomials.FAMILY[family]
-
-        def counted(x, prec):
-            calls["basis_pair"] += 1
-            return fam.basis_pair(x, prec)
-
-        monkeypatch.setitem(polynomials.FAMILY, family,
-                            replace(fam, basis_pair=counted))
+        calls = count_family_calls(monkeypatch, family)
         cls = TrigPoly if family == TRIGONOMETRIC else ExpPoly
         poly = cls("0.5", [k / 3 for k in range(1, 9)],
                    [1 - k / 5 for k in range(1, 9)], precision_bits=128)
         # the trigonometric basis is bounded by 1 and needs no envelope
         envelope_calls = 1 if family == EXPONENTIAL else 0
-        for kernel, want in ((evaluate, 1), (evaluate_derivative, 1),
-                             (magnitude_scale, envelope_calls)):
+        kernels = (evaluate, evaluate_derivative, magnitude_scale)
+        for kernel, want in zip(kernels, (1, 1, envelope_calls)):
             calls.clear()
-            kernel(poly, "0.3")
+            kernel(replace(poly), "0.3")
             assert calls["basis_pair"] == want, kernel.__name__
+        # one instance computes the basis once per point and precision
+        calls.clear()
+        for kernel in kernels:
+            kernel(poly, "0.3")
+        assert calls["basis_pair"] == 1
+        for x, bits in (("0.7", None), ("0.3", 192)):
+            calls.clear()
+            for kernel in kernels:
+                kernel(poly, x, bits)
+            assert calls["basis_pair"] == 1, (x, bits)
+
+    @pytest.mark.parametrize("build", ["series", "factored"])
+    def test_the_point_memo_keeps_its_limit_first_in_first_out(
+            self, monkeypatch, build):
+        # the limit is twice the root count: 2 * 2n for a series of degree
+        # n, twice the distinct roots of a factored form
+        calls = count_family_calls(monkeypatch, EXPONENTIAL)
+        if build == "series":  # degree 3
+            poly = ExpPoly("0.5", [1, 2, 3], [3, 2, 1])
+            limit, name = 12, "basis_pair"
+        else:  # three distinct roots
+            poly = FactoredForm(EXPONENTIAL, RootConfiguration(
+                ["-1", "0.5", "2"], [1, 2, 3], precision_bits=128))
+            limit, name = 6, "factor_pair"
+        points = [k / 7 for k in range(10 * limit)]
+        for x in points:
+            evaluate(poly, x)
+        assert len(poly._memo) == limit
+        # the last `limit` points are kept, the earlier ones are gone
+        calls.clear()
+        for x in points[-limit:]:
+            evaluate_derivative(poly, x)
+        assert calls[name] == 0
+        evaluate_derivative(poly, points[-limit - 1])
+        assert calls[name] > 0
+        assert len(poly._memo) == limit
 
     @pytest.mark.parametrize("bits", [53, 4096])
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
@@ -134,23 +161,15 @@ class TestEvaluateDerivative:
         assert_close(got, oracle, rel=mp.mpf("1e-10"))
 
     def test_factored_form_calls_each_factor_once(self, monkeypatch):
-        # O(m) per point: one factor_pair call per root, no bare factor calls
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(u, prec):
-                calls[name] += 1
-                return fn(u, prec)
-            return wrapper
-
-        fam = polynomials.FAMILY[EXPONENTIAL]
-        monkeypatch.setitem(polynomials.FAMILY, EXPONENTIAL, replace(
-            fam, factor=counted("factor", fam.factor),
-            factor_pair=counted("factor_pair", fam.factor_pair)))
+        # O(m) per point: one factor_pair call per root, shared by the
+        # value, the derivative and the magnitude, and no other factor call
+        calls = count_family_calls(monkeypatch, EXPONENTIAL)
         m = 12
         cfg = RootConfiguration([k / 4 for k in range(m)], [1, 2, 3] * 4,
                                 precision_bits=128)
-        evaluate_derivative(FactoredForm(EXPONENTIAL, cfg), "0.3")
+        form = FactoredForm(EXPONENTIAL, cfg)
+        for kernel in (evaluate, evaluate_derivative, magnitude_scale):
+            kernel(form, "0.3")
         assert calls == {"factor_pair": m}
 
     def test_coefficient_forms_against_central_difference(self, rng):

@@ -8,10 +8,12 @@ not read either table: the coefficient ladder of `verification`, the
 quotient F'/F of a factored form, and the problem-file layout the README
 documents.
 The kernels compute on raw libmp values; two tests hold them to the mpf
-arithmetic they replace, bit for bit and at any ambient precision.
+arithmetic they replace, bit for bit and at any ambient precision, and one
+holds the per-point memo to the bits a fresh instance gives.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +27,7 @@ from multiroots import (
     AlgebraicPoly,
     CollisionError,
     FactoredForm,
+    FamilyOverflowError,
     RootConfiguration,
     SeriesPoly,
     evaluate,
@@ -34,7 +37,7 @@ from multiroots import (
     log_derivative_sum,
     magnitude_scale,
 )
-from multiroots.polynomials import FAMILY, _series_basis
+from multiroots.polynomials import FAMILY, _series_basis, at_precision
 from multiroots.precision import format_real
 from multiroots.report_io import problem_from_dict, problem_to_dict
 from multiroots.verification import _derivative_ladder
@@ -438,3 +441,39 @@ def test_coupling_rounds_as_the_mpf_functions_do(family):
             a = rng.randint(1, 3)
             assert mp.make_mpf(coupling(a, u._mpf_, 53)) \
                 == REF_COUPLING[family](a, u), (a, u)
+
+
+def raw_outcome(kernel, poly, x, bits):
+    """The kernel's raw value, or the type of what it raised."""
+    try:
+        return kernel(poly, x, bits)._mpf_
+    except FamilyOverflowError:
+        return FamilyOverflowError
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_point_memo_never_changes_a_bit(family, data):
+    """Kernel calls interleaved on one instance and its at_precision copies:
+    repeated and new points, `bits` overrides and enough points to evict.
+    Each gives what the same call gives on a fresh instance."""
+    form, near = data.draw(configurations(family, (53, 128, 192, 1024)))
+    poly = form
+    if family != ALGEBRAIC:
+        poly = data.draw(st.sampled_from([form, expand_from_roots(form)]))
+    points = [near, mp.mpf(0), data.draw(st.sampled_from(form.config.roots))]
+    points += [mp.mpf(x) for x in data.draw(
+        st.lists(st.floats(-3, 3), min_size=0, max_size=10))]
+    instances = {None: poly}
+    for _ in range(data.draw(st.integers(5, 40))):
+        copy_bits = data.draw(st.sampled_from([None, None, 53, 192]))
+        if copy_bits not in instances:
+            instances[copy_bits] = at_precision(poly, copy_bits)
+        target = instances[copy_bits]
+        kernel = data.draw(st.sampled_from([k for k, _ in KERNELS]))
+        x = data.draw(st.sampled_from(points))
+        bits = data.draw(st.sampled_from([None, None, 53, 192]))
+        assert raw_outcome(kernel, target, x, bits) == \
+            raw_outcome(kernel, replace(target), x, bits), \
+            (kernel.__name__, copy_bits, x, bits)

@@ -15,7 +15,7 @@ from multiroots.report_io import (
     save_report,
 )
 from multiroots.solver import NONFINITE, SolveReport, TraceEntry
-from conftest import cut_trace_list
+from conftest import REPORT_KEY_EDITS, cut_trace_list, edit_report_key
 
 GOOD_PROBLEM = {
     "label": "t",
@@ -310,6 +310,38 @@ class TestReports:
             load_report(path)
         assert f"{path}.{named}: " in str(err.value)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("change", sorted(REPORT_KEY_EDITS))
+    def test_a_key_no_solve_writes_rejected(self, tmp_path, change):
+        # `order` would read a freeze test, an index or a verdict off keys
+        # that no solve wrote together
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings,
+                       true_roots=problem.truth())
+        assert report.iterations_used >= 3
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        named = edit_report_key(data, change)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert f"{path}.{named}: " in str(err.value)
+
+    def test_report_without_k_or_iterations_used_loads(self, tmp_path):
+        # each defaults to what the trace says
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings)
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        del data["iterations_used"]
+        for entry in data["trace"]:
+            del entry["k"]
+        path.write_text(json.dumps(data))
+        assert load_report(path) == report
 
     @pytest.mark.parametrize("source", ["example1", "example2", "example3",
                                         "no true roots"])

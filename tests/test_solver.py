@@ -29,7 +29,7 @@ from multiroots import (
 from multiroots import solver
 from multiroots.polynomials import at_precision, root_offset
 from multiroots.precision import to_mpf, ulps_apart
-from conftest import random_simple_roots
+from conftest import count_family_calls, random_simple_roots
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1), initial=("0.4", "3.5", "8"))
 EX2 = dict(roots=("1", "2", "2.5"), mults=(3, 2, 1), initial=("0.2", "1.7", "3"))
@@ -188,6 +188,31 @@ class TestSolve:
                            SolveSettings(precision_bits=bits))
             assert report.termination == "converged"
             assert bool(calls) == want
+
+    @pytest.mark.parametrize("family, case", [(TRIGONOMETRIC, EX2),
+                                              (EXPONENTIAL, EX3)])
+    @pytest.mark.parametrize("build", [factored, expanded])
+    def test_each_solve_computes_its_own_points(self, monkeypatch, family,
+                                                case, build):
+        # the point memo lives for one solve: neither an earlier solve of
+        # the same object nor the caller's evaluations save a later solve
+        # a transcendental call, on the ladder's rungs (512 bits) or not
+        calls = count_family_calls(monkeypatch, family)
+        for bits in (192, 512):
+            poly = build(family, case, bits)
+            settings = SolveSettings(precision_bits=bits)
+            counts, reports = [], []
+            for warm in (False, False, True):
+                if warm:
+                    for x in case["initial"]:
+                        evaluate(poly, x)
+                calls.clear()
+                reports.append(solve(poly, case["mults"], case["initial"],
+                                     settings))
+                counts.append(dict(calls))
+            assert reports[0].termination == "converged"
+            assert reports[1] == reports[2] == reports[0]
+            assert counts[1] == counts[2] == counts[0] != {}
 
     @pytest.mark.parametrize("family, case", [
         (TRIGONOMETRIC, dict(roots=("-1.3", "-0.2", "0.9", "1.8"),
