@@ -163,32 +163,6 @@ def check_conditions(params):
                                 {**computed, "d": d, "n": params.n})
 
 
-def _of_family(params, family):
-    if params.family != family:
-        raise InvalidConfigurationError(f"params are not {family}")
-    return check_conditions(params)
-
-
-def check_algebraic(params):
-    """`check_conditions` for algebraic params, whose own clauses are, for
-    every i, 0 < c^2 (n - 3 a_i) + c (n + (3d - 1) a_i) < d^2 a_i."""
-    return _of_family(params, ALGEBRAIC)
-
-
-def check_trigonometric(params):
-    """`check_conditions` for trigonometric params, whose own clauses are
-    kappa > 0, 2c < kappa, max gap < 2*pi - 2*kappa and, with
-    A = min(|sin(kappa/2)|, |sin(d/2 - c)|), for every i
-    c^2 (4n + a_i (9A^2/8 - 2)) < A^2 a_i."""
-    return _of_family(params, TRIGONOMETRIC)
-
-
-def check_exponential(params):
-    """`check_conditions` for exponential params, whose own clauses are,
-    with S = sinh((d - 2c)/2), for every i c^2 (4n + (S^2 - 2) a_i) < S^2 a_i."""
-    return _of_family(params, EXPONENTIAL)
-
-
 def max_feasible_c(params):
     """Largest c passing the family's condition at the params' fixed q
     (and kappa, for the trigonometric family), found by bisection on c.

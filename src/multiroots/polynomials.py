@@ -14,20 +14,22 @@ mpf, but compute on raw `mpmath.libmp` values at an explicit precision,
 making the very calls mpmath's operators and functions would make at that
 precision, so they give the same bits without the cost of building an mpf
 and reading the global context for every operation.  They neither read nor
-change `mp.prec`.  Each representation class holds its raw kernels
-(`_value`, `_slope`, `_magnitude`, `noise_ops`); the `FAMILY` callables
-take raw values and a precision.
+change `mp.prec`.  The `FAMILY` callables take raw values and a precision.
 
 A solver asks for f, f' and the noise bound at one point, and the next
-sweep asks again at the points the trace entry took residuals at.  So the
-costly per-point intermediate is computed once and shared by the kernels: a
-series keeps its basis (`SeriesPoly._basis`) and a factored form its factor
-pairs (`FactoredForm._pairs`) in a memo on the instance, keyed by (raw x,
-prec).  It drops its oldest point past twice the representation's root
-count (the distinct roots of a factored form, 2n for a series of degree
-n), so the points of one trace entry are still there when the next sweep
-reads them.  `solver.solve` runs on its own copy of the polynomial, so a
-memo lives for one solve.  The kernels return the same bits either way.
+sweep asks again at the points the trace entry took residuals at.  So each
+representation class has one private pass, `_pass(x, prec)`, that returns
+the raw triple (f, f', magnitude) at a raw point: extended Horner for the
+algebraic form, one series basis (`_series_basis`) for a series, one
+`factor_pair` call and one power g^a per root for a factored form.  The
+four point kernels share it through a memo on the instance, keyed by (raw
+x, prec), and each picks its component.  The memo drops its oldest point
+past twice the representation's root count (n for an algebraic polynomial
+of degree n, 2n for a series of degree n, the distinct roots of a factored
+form), so the points of one trace entry are still there when the next
+sweep reads them.  `solver.solve` runs on its own copy of the polynomial,
+so a memo lives for one solve.  The kernels return the same bits either
+way.
 """
 
 from dataclasses import dataclass, replace
@@ -252,6 +254,7 @@ class AlgebraicPoly:
         if not coeffs:
             raise InvalidConfigurationError("degree must be >= 1")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def degree(self):
@@ -261,27 +264,22 @@ class AlgebraicPoly:
     def noise_ops(self):
         return 2 * (self.degree + 1)
 
-    def _value(self, x, prec):
-        v = fone
-        for c in self.coeffs:
-            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
-        return v
+    @property
+    def _memo_limit(self):
+        return 2 * self.degree
 
-    def _slope(self, x, prec):
-        # extended Horner: carries (value, derivative) together
-        v, dv = fone, fzero
-        for c in self.coeffs:
-            dv = mpf_add(mpf_mul(dv, x, prec, RND), v, prec, RND)
-            v = mpf_add(mpf_mul(v, x, prec, RND), c._mpf_, prec, RND)
-        return dv
-
-    def _magnitude(self, x, prec):
+    def _pass(self, x, prec):
+        # extended Horner carries (value, derivative) together, and the
+        # magnitude is the same Horner on |x| and the |c_k|
         ax = mpf_abs(x, prec, RND)
-        v = fone
+        v, dv, mag = fone, fzero, fone
         for c in self.coeffs:
-            v = mpf_add(mpf_mul(v, ax, prec, RND),
-                        mpf_abs(c._mpf_, prec, RND), prec, RND)
-        return v
+            c = c._mpf_
+            dv = mpf_add(mpf_mul(dv, x, prec, RND), v, prec, RND)
+            v = mpf_add(mpf_mul(v, x, prec, RND), c, prec, RND)
+            mag = mpf_add(mpf_mul(mag, ax, prec, RND),
+                          mpf_abs(c, prec, RND), prec, RND)
+        return v, dv, mag
 
 
 @dataclass(frozen=True)
@@ -326,44 +324,32 @@ class SeriesPoly:
     def noise_ops(self):
         return 4 * self.degree + 4
 
-    def _basis(self, x, prec):
-        """`_series_basis` at the raw point x, memoized for 4n points: a
-        series of degree n has 2n roots."""
-        n = self.degree
-        return _memoized(self._memo, 4 * n, (x, prec),
-                         lambda: _series_basis(self.family, x, n, prec))
+    @property
+    def _memo_limit(self):
+        return 4 * self.degree  # a series of degree n has 2n roots
 
-    def _value(self, x, prec):
-        basis = self._basis(x, prec)
-        terms = [_half(self.a0._mpf_, prec)]
-        for a, b, (e, o) in zip(self.even, self.odd, basis):
-            terms.append(mpf_mul(a._mpf_, e, prec, RND))
-            terms.append(mpf_mul(b._mpf_, o, prec, RND))
-        return mpf_sum(terms, prec, RND)
-
-    def _slope(self, x, prec):
+    def _pass(self, x, prec):
         sign = FAMILY[self.family].derivative_sign
-        basis = self._basis(x, prec)
-        terms = []
+        basis = _series_basis(self.family, x, self.degree, prec)
+        values, slopes, weights = [_half(self.a0._mpf_, prec)], [], []
         for l, (a, b, (e, o)) in enumerate(
                 zip(self.even, self.odd, basis), start=1):
-            terms.append(mpf_mul(mpf_mul_int(b._mpf_, l, prec, RND), e,
-                                 prec, RND))
-            terms.append(mpf_mul(mpf_mul_int(a._mpf_, sign * l, prec, RND), o,
-                                 prec, RND))
-        return mpf_sum(terms, prec, RND)
-
-    def _magnitude(self, x, prec):
+            a, b = a._mpf_, b._mpf_
+            values.append(mpf_mul(a, e, prec, RND))
+            values.append(mpf_mul(b, o, prec, RND))
+            slopes.append(mpf_mul(mpf_mul_int(b, l, prec, RND), e, prec, RND))
+            slopes.append(mpf_mul(mpf_mul_int(a, sign * l, prec, RND), o,
+                                  prec, RND))
+            weights.append(mpf_add(mpf_abs(a, prec, RND),
+                                   mpf_abs(b, prec, RND), prec, RND))
         half_a0 = _half(mpf_abs(self.a0._mpf_, prec, RND), prec)
-        weights = [mpf_add(mpf_abs(a._mpf_, prec, RND),
-                           mpf_abs(b._mpf_, prec, RND), prec, RND)
-                   for a, b in zip(self.even, self.odd)]
-        if FAMILY[self.family].derivative_sign < 0:  # bounded by 1
-            return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
-        basis = self._basis(x, prec)
-        return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
-                                    for w, (e, _) in zip(weights, basis)],
-                       prec, RND)
+        if sign < 0:  # bounded by 1
+            mag = mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
+        else:  # term l weighs by its envelope E(lx)
+            mag = mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
+                                       for w, (e, _) in zip(weights, basis)],
+                          prec, RND)
+        return (mpf_sum(values, prec, RND), mpf_sum(slopes, prec, RND), mag)
 
 
 class TrigPoly(SeriesPoly):
@@ -412,27 +398,19 @@ class FactoredForm:
     def noise_ops(self):
         return 3 * (self.config.total_multiplicity + 1)
 
-    def _pairs(self, x, prec):
-        """[factor_pair(x - r_k) for every root r_k] at the raw point x,
-        memoized for twice as many points as there are roots."""
+    @property
+    def _memo_limit(self):
+        return 2 * len(self.config.roots)
+
+    def _pass(self, x, prec):
         pair = FAMILY[self.family].factor_pair
-        roots = self.config.roots
-        return _memoized(self._memo, 2 * len(roots), (x, prec), lambda: [
-            pair(mpf_sub(x, r._mpf_, prec, RND), prec) for r in roots])
-
-    def _value(self, x, prec):
-        v = self.scale._mpf_
-        for (g, _), a in zip(self._pairs(x, prec), self.config.multiplicities):
-            v = mpf_mul(v, mpf_pow_int(g, a, prec, RND), prec, RND)
-        return v
-
-    def _slope(self, x, prec):
-        terms, powers = [], []
-        for (g, dg), a in zip(self._pairs(x, prec),
-                              self.config.multiplicities):
+        v, terms, powers = self.scale._mpf_, [], []
+        for r, a in zip(self.config.roots, self.config.multiplicities):
+            g, dg = pair(mpf_sub(x, r._mpf_, prec, RND), prec)
             terms.append(mpf_mul(mpf_mul_int(dg, a, prec, RND),
                                  mpf_pow_int(g, a - 1, prec, RND), prec, RND))
             powers.append(mpf_pow_int(g, a, prec, RND))
+            v = mpf_mul(v, powers[-1], prec, RND)
         # times the other roots' powers: those before k, then those after
         prefix = fone
         for k, p in enumerate(powers):
@@ -442,11 +420,9 @@ class FactoredForm:
         for k in range(len(powers) - 1, -1, -1):
             terms[k] = mpf_mul(terms[k], suffix, prec, RND)
             suffix = mpf_mul(suffix, powers[k], prec, RND)
-        return mpf_mul(self.scale._mpf_, mpf_sum(terms, prec, RND), prec, RND)
-
-    def _magnitude(self, x, prec):
+        dv = mpf_mul(self.scale._mpf_, mpf_sum(terms, prec, RND), prec, RND)
         # a product rounds alike for either sign: no cancellation
-        return mpf_abs(self._value(x, prec), prec, RND)
+        return v, dv, mpf_abs(v, prec, RND)
 
 
 def at_precision(poly, bits):
@@ -504,53 +480,60 @@ def _series_basis(family, x, n, prec):
 
 
 def _raw_point(poly, x, bits):
-    """(raw x, prec) at the poly's precision unless `bits` overrides it."""
+    """(raw x, prec, (f, f', magnitude)) at the poly's precision unless
+    `bits` overrides it: the triple is the poly's one pass at the point,
+    kept in its memo."""
     if not isinstance(poly, (AlgebraicPoly, SeriesPoly, FactoredForm)):
         raise TypeError(f"not a polynomial representation: {poly!r}")
     prec = require_bits(bits or poly.precision_bits)
-    return _to_raw(x, prec), prec
+    x = _to_raw(x, prec)
+    return x, prec, _memoized(poly._memo, poly._memo_limit, (x, prec),
+                              lambda: poly._pass(x, prec))
 
 
 def evaluate(poly, x, bits=None):
     """Value of the polynomial at x, at the poly's precision unless overridden.
 
-    A series of degree n costs one basis call per point and precision,
-    shared with the other kernels, plus O(n) multiplications at a few
-    guard bits (`_series_basis`); a factored form with m roots, m
-    `factor_pair` calls, shared alike.
+    A series of degree n costs one basis call per point and precision plus
+    O(n) multiplications at a few guard bits (`_series_basis`); a factored
+    form with m roots, m `factor_pair` calls.  The pass that computes the
+    value also computes the derivative and the magnitude, so the other
+    kernels at the same point and precision cost nothing more.
     """
-    x, prec = _raw_point(poly, x, bits)
-    return _finite(poly._value(x, prec), poly.family, x)
+    x, prec, (value, _, _) = _raw_point(poly, x, bits)
+    return _finite(value, poly.family, x)
 
 
 def evaluate_derivative(poly, x, bits=None):
-    """First derivative at x.
+    """First derivative at x, from the pass that computes the value.
 
     Coefficient forms differentiate term by term: extended Horner for the
-    algebraic family, and for a series of degree n the basis `evaluate`
-    takes plus O(n) multiplications at a few guard bits.  A factored form
+    algebraic family, and for a series of degree n the value's basis plus
+    O(n) multiplications at a few guard bits.  A factored form
     scale * prod_k g_k^a_k, with g_k = g(x - r_k), uses the product rule
-    in O(m) per point for m roots: the `factor_pair` call per root that
-    `evaluate` shares gives g_k and g'_k, and term k is
-    a_k g'_k g_k^(a_k - 1) times the prefix product of the g_j^a_j with
-    j < k and the suffix product of those with j > k.  Nothing is divided by g_k, so x on a root needs no special case
-    (0**0 is 1).
+    in O(m) per point for m roots: the value's `factor_pair` call per root
+    gives g_k and g'_k, and term k is a_k g'_k g_k^(a_k - 1) times the
+    prefix product of the powers g_j^a_j with j < k and the suffix product
+    of those with j > k; the value multiplies the same powers.  Nothing is
+    divided by g_k, so x on a root needs no special case (0**0 is 1).
     """
-    x, prec = _raw_point(poly, x, bits)
-    return _finite(poly._slope(x, prec), poly.family, x)
+    x, prec, (_, slope, _) = _raw_point(poly, x, bits)
+    return _finite(slope, poly.family, x)
 
 
 def magnitude_scale(poly, x, bits=None):
     """Attainable-magnitude scale of evaluate(poly, x): same sum with every
-    term replaced by its absolute value.  Used to turn absolute evaluation
-    discrepancies into scale-free ones.
+    term replaced by its absolute value, from the pass that computes the
+    value.  Used to turn absolute evaluation discrepancies into scale-free
+    ones.
 
     An exponential series weighs term l by its envelope E(lx), from the
-    basis `evaluate` takes plus O(n) multiplications at a few guard bits; the
-    trigonometric basis is bounded by 1 and needs no call.
+    value's basis plus O(n) multiplications at a few guard bits; the
+    trigonometric basis is bounded by 1, so its weights are 1.  A factored
+    form's magnitude is |f|.
     """
-    x, prec = _raw_point(poly, x, bits)
-    return mp.make_mpf(poly._magnitude(x, prec))
+    _, _, (_, _, magnitude) = _raw_point(poly, x, bits)
+    return mp.make_mpf(magnitude)
 
 
 def evaluation_noise(poly, x, bits=None):
@@ -562,10 +545,10 @@ def evaluation_noise(poly, x, bits=None):
     Factored forms evaluate with small relative error, so their bound is
     proportional to the value itself and never floors (`noise_floors`).
     """
-    x, prec = _raw_point(poly, x, bits)
+    _, prec, (_, _, magnitude) = _raw_point(poly, x, bits)
     unit = mpf_mul_int(mpf_pow_int(TWO, -prec, prec, RND), poly.noise_ops,
                        prec, RND)
-    return mp.make_mpf(mpf_mul(unit, poly._magnitude(x, prec), prec, RND))
+    return mp.make_mpf(mpf_mul(unit, magnitude, prec, RND))
 
 
 def _times_linear(coeffs, a, b):

@@ -82,6 +82,21 @@ def count_family_calls(monkeypatch, family):
     return calls
 
 
+def count_passes(monkeypatch):
+    """A Counter of the representations' `_pass` runs by (id(poly), raw x,
+    prec) until monkeypatch undoes it, and a dict id -> poly that holds
+    every instance seen, so that no later instance can reuse a counted id."""
+    calls, held = Counter(), {}
+    for cls in (polynomials.AlgebraicPoly, polynomials.SeriesPoly,
+                polynomials.FactoredForm):
+        def counted(poly, x, prec, run=cls._pass):
+            held[id(poly)] = poly
+            calls[id(poly), x, prec] += 1
+            return run(poly, x, prec)
+        monkeypatch.setattr(cls, "_pass", counted)
+    return calls, held
+
+
 # edits to a report's JSON data that give a key a value no solve writes
 # beside the others, each with the key the SchemaError must name
 REPORT_KEY_EDITS = {

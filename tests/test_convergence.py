@@ -8,9 +8,7 @@ from multiroots import (
     ConvergenceParams,
     InsufficientDataError,
     InvalidConfigurationError,
-    check_algebraic,
-    check_exponential,
-    check_trigonometric,
+    check_conditions,
     estimate_order,
     feasible_point_trigonometric,
     max_feasible_c,
@@ -30,14 +28,14 @@ def params(family, case, c, q="0.5", kappa=None, bits=53):
 
 class TestAlgebraicCondition:
     def test_zero_c_fails_strict_positivity(self):
-        verdict = check_algebraic(params(ALGEBRAIC, EX1, 0))
+        verdict = check_conditions(params(ALGEBRAIC, EX1, 0))
         assert not verdict.passed
         failing = {c.name for c in verdict.failing}
         assert any(name.startswith("0 < c^2") for name in failing)
 
     def test_separation_clause_named_on_failure(self):
         # d = 1 here, so c = 0.5 kills d - 2c > 0 with otherwise-benign values
-        verdict = check_algebraic(params(ALGEBRAIC, EX1, "0.5"))
+        verdict = check_conditions(params(ALGEBRAIC, EX1, "0.5"))
         assert not verdict.passed
         assert "d - 2c > 0" in {c.name for c in verdict.failing}
 
@@ -47,19 +45,16 @@ class TestAlgebraicCondition:
         c_max = max_feasible_c(p)
         c_star = (-4 + mp.sqrt(19)) / 3
         assert abs(c_max - c_star) <= mp.mpf("1e-6")
-        assert check_algebraic(params(ALGEBRAIC, EX1, c_max)).passed
-        assert not check_algebraic(params(ALGEBRAIC, EX1, c_max * mp.mpf("1.01"))).passed
+        assert check_conditions(params(ALGEBRAIC, EX1, c_max)).passed
+        above = c_max * mp.mpf("1.01")
+        assert not check_conditions(params(ALGEBRAIC, EX1, above)).passed
 
     def test_monotone_in_c_below_feasible_maximum(self):
         p = params(ALGEBRAIC, EX1, "0.01")
         c_max = max_feasible_c(p)
         for k in range(1, 11):
             c = c_max * k / 10
-            assert check_algebraic(params(ALGEBRAIC, EX1, c)).passed
-
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(InvalidConfigurationError):
-            check_algebraic(params(EXPONENTIAL, EX3, "0.1"))
+            assert check_conditions(params(ALGEBRAIC, EX1, c)).passed
 
     def test_boolean_multiplicity_rejected(self):
         with pytest.raises(InvalidConfigurationError):
@@ -68,21 +63,21 @@ class TestAlgebraicCondition:
 
 class TestTrigCondition:
     def test_kappa_not_above_2c_fails(self):
-        verdict = check_trigonometric(
+        verdict = check_conditions(
             params(TRIGONOMETRIC, EX2, "0.1", kappa="0.2"))
         assert not verdict.passed
         assert "2c < kappa" in {c.name for c in verdict.failing}
 
     def test_grid_search_finds_feasible_point(self):
         best = feasible_point_trigonometric(EX2["roots"], EX2["mults"], "0.5")
-        verdict = check_trigonometric(best)
+        verdict = check_conditions(best)
         assert verdict.passed
         assert "A" in verdict.computed
         assert verdict.computed["A"] > 0
 
     def test_wide_spread_fails_max_gap_clause(self):
         wide = dict(roots=("0", "3"), mults=(1, 1))
-        verdict = check_trigonometric(
+        verdict = check_conditions(
             params(TRIGONOMETRIC, wide, "0.1", kappa="1.7"))
         assert not verdict.passed
         assert "max gap < 2 pi - 2 kappa" in {c.name for c in verdict.failing}
@@ -97,7 +92,7 @@ class TestTrigCondition:
 class TestExpCondition:
     def test_degenerate_separation_fails(self):
         # d = 5; c = 2.5 makes S = 0 and the per-root bound's right side 0
-        verdict = check_exponential(params(EXPONENTIAL, EX3, "2.5"))
+        verdict = check_conditions(params(EXPONENTIAL, EX3, "2.5"))
         assert not verdict.passed
         assert verdict.computed["S"] == 0
         failing = {c.name for c in verdict.failing}
@@ -106,9 +101,9 @@ class TestExpCondition:
     def test_bisection_boundary(self):
         p = params(EXPONENTIAL, EX3, "0.01")
         c_max = max_feasible_c(p)
-        assert check_exponential(params(EXPONENTIAL, EX3, c_max)).passed
+        assert check_conditions(params(EXPONENTIAL, EX3, c_max)).passed
         above = c_max * mp.mpf("1.02")
-        verdict = check_exponential(params(EXPONENTIAL, EX3, above))
+        verdict = check_conditions(params(EXPONENTIAL, EX3, above))
         assert not verdict.passed
         # the constructed failure names a per-root inequality
         assert any("a_" in c.name for c in verdict.failing)
@@ -219,19 +214,10 @@ class TestConditionSchema:
     ], ids=[ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
     def test_clause_names_and_computed_keys_in_order(self, family, case,
                                                       kappa, names, keys):
-        check = {ALGEBRAIC: check_algebraic, TRIGONOMETRIC: check_trigonometric,
-                 EXPONENTIAL: check_exponential}[family]
-        verdict = check(params(family, case, "0.1", kappa=kappa, bits=192))
+        verdict = check_conditions(
+            params(family, case, "0.1", kappa=kappa, bits=192))
         assert [c.name for c in verdict.clauses] == names
         assert list(verdict.computed) == keys
-
-    @pytest.mark.parametrize("check, other, case", [
-        (check_trigonometric, EXPONENTIAL, EX3),
-        (check_exponential, ALGEBRAIC, EX1),
-    ], ids=[TRIGONOMETRIC, EXPONENTIAL])
-    def test_family_mismatch_rejected(self, check, other, case):
-        with pytest.raises(InvalidConfigurationError, match="params are not"):
-            check(params(other, case, "0.1"))
 
 
 class TestInfeasibleAndInvalidParams:

@@ -25,7 +25,8 @@ from multiroots import (
     log_derivative_sum,
     magnitude_scale,
 )
-from conftest import assert_close, count_family_calls, random_configuration
+from conftest import (
+    assert_close, count_family_calls, count_passes, random_configuration)
 
 # independently computed with the factored product at 256 bits
 T3_AT_0P2 = "0.03307453734398724732237873591725980805875002968812298335351705923076569"
@@ -92,13 +93,14 @@ class TestSeriesBasis:
         cls = TrigPoly if family == TRIGONOMETRIC else ExpPoly
         poly = cls("0.5", [k / 3 for k in range(1, 9)],
                    [1 - k / 5 for k in range(1, 9)], precision_bits=128)
-        # the trigonometric basis is bounded by 1 and needs no envelope
-        envelope_calls = 1 if family == EXPONENTIAL else 0
-        kernels = (evaluate, evaluate_derivative, magnitude_scale)
-        for kernel, want in zip(kernels, (1, 1, envelope_calls)):
+        kernels = (evaluate, evaluate_derivative, magnitude_scale,
+                   evaluation_noise)
+        # one pass computes f, f' and the magnitude together, so each
+        # kernel on a fresh instance makes the point's one basis call
+        for kernel in kernels:
             calls.clear()
             kernel(replace(poly), "0.3")
-            assert calls["basis_pair"] == want, kernel.__name__
+            assert calls["basis_pair"] == 1, kernel.__name__
         # one instance computes the basis once per point and precision
         calls.clear()
         for kernel in kernels:
@@ -110,19 +112,21 @@ class TestSeriesBasis:
                 kernel(poly, x, bits)
             assert calls["basis_pair"] == 1, (x, bits)
 
-    @pytest.mark.parametrize("build", ["series", "factored"])
+    @pytest.mark.parametrize("build", ["algebraic", "series", "factored"])
     def test_the_point_memo_keeps_its_limit_first_in_first_out(
             self, monkeypatch, build):
-        # the limit is twice the root count: 2 * 2n for a series of degree
-        # n, twice the distinct roots of a factored form
-        calls = count_family_calls(monkeypatch, EXPONENTIAL)
-        if build == "series":  # degree 3
-            poly = ExpPoly("0.5", [1, 2, 3], [3, 2, 1])
-            limit, name = 12, "basis_pair"
+        # the limit is twice the root count: 2n for an algebraic polynomial
+        # of degree n, 2 * 2n for a series of degree n, twice the distinct
+        # roots of a factored form
+        calls, _ = count_passes(monkeypatch)
+        if build == "algebraic":  # degree 4
+            poly, limit = AlgebraicPoly((1, -2, 3, -4)), 8
+        elif build == "series":  # degree 3
+            poly, limit = ExpPoly("0.5", [1, 2, 3], [3, 2, 1]), 12
         else:  # three distinct roots
             poly = FactoredForm(EXPONENTIAL, RootConfiguration(
                 ["-1", "0.5", "2"], [1, 2, 3], precision_bits=128))
-            limit, name = 6, "factor_pair"
+            limit = 6
         points = [k / 7 for k in range(10 * limit)]
         for x in points:
             evaluate(poly, x)
@@ -131,9 +135,10 @@ class TestSeriesBasis:
         calls.clear()
         for x in points[-limit:]:
             evaluate_derivative(poly, x)
-        assert calls[name] == 0
+            evaluation_noise(poly, x)
+        assert not calls
         evaluate_derivative(poly, points[-limit - 1])
-        assert calls[name] > 0
+        assert sum(calls.values()) == 1
         assert len(poly._memo) == limit
 
     @pytest.mark.parametrize("bits", [53, 4096])

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from mpmath import mp
@@ -29,7 +30,8 @@ from multiroots import (
 from multiroots import solver
 from multiroots.polynomials import at_precision, root_offset
 from multiroots.precision import to_mpf, ulps_apart
-from conftest import count_family_calls, random_simple_roots
+from multiroots.report_io import load_problem
+from conftest import count_family_calls, count_passes, random_simple_roots
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1), initial=("0.4", "3.5", "8"))
 EX2 = dict(roots=("1", "2", "2.5"), mults=(3, 2, 1), initial=("0.2", "1.7", "3"))
@@ -98,6 +100,22 @@ class TestStep:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("bits", [192, 1024])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    def test_each_point_pass_runs_once_per_solve(self, monkeypatch, name,
+                                                 bits):
+        # the solve's copy of the polynomial and, above FLOOR, the ladder's
+        # rung copies each keep their own memo
+        calls, held = count_passes(monkeypatch)
+        problem = load_problem(
+            resources.files("multiroots.problems") / f"{name}.json", bits)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings)
+        assert report.termination == "converged"
+        assert calls and max(calls.values()) == 1
+        rungs = {poly.precision_bits for poly in held.values()}
+        assert (min(rungs), max(rungs)) == (min(bits, solver.FLOOR), bits)
+
     def test_example2_converges_within_five_sweeps(self):
         bits = 192
         poly = factored(TRIGONOMETRIC, EX2, bits)
