@@ -15,6 +15,9 @@ making the very calls mpmath's operators and functions would make at that
 precision, so they give the same bits without the cost of building an mpf
 and reading the global context for every operation.  They neither read nor
 change `mp.prec`.  The `FAMILY` callables take raw values and a precision.
+Asked for fewer bits than a representation holds, a kernel reads its
+stored coefficients and scale rounded to those bits; a factored form's
+roots are read as they are, since x - r rounds once.
 
 A solver asks for f, f' and the noise bound at one point, and the next
 sweep asks again at the points the trace entry took residuals at.  So each
@@ -28,11 +31,11 @@ past twice the representation's root count (n for an algebraic polynomial
 of degree n, 2n for a series of degree n, the distinct roots of a factored
 form), so the points of one trace entry are still there when the next
 sweep reads them.  `solver.solve` runs on its own copy of the polynomial,
-so a memo lives for one solve.  The kernels return the same bits either
-way.
+so a memo lives for one solve and spans every rung of its precision
+ladder.  The kernels return the same bits either way.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from mpmath import mp
@@ -274,7 +277,7 @@ class AlgebraicPoly:
         ax = mpf_abs(x, prec, RND)
         v, dv, mag = fone, fzero, fone
         for c in self.coeffs:
-            c = c._mpf_
+            c = _to_raw(c, prec)
             dv = mpf_add(mpf_mul(dv, x, prec, RND), v, prec, RND)
             v = mpf_add(mpf_mul(v, x, prec, RND), c, prec, RND)
             mag = mpf_add(mpf_mul(mag, ax, prec, RND),
@@ -331,10 +334,11 @@ class SeriesPoly:
     def _pass(self, x, prec):
         sign = FAMILY[self.family].derivative_sign
         basis = _series_basis(self.family, x, self.degree, prec)
-        values, slopes, weights = [_half(self.a0._mpf_, prec)], [], []
+        a0 = _to_raw(self.a0, prec)
+        values, slopes, weights = [_half(a0, prec)], [], []
         for l, (a, b, (e, o)) in enumerate(
                 zip(self.even, self.odd, basis), start=1):
-            a, b = a._mpf_, b._mpf_
+            a, b = _to_raw(a, prec), _to_raw(b, prec)
             values.append(mpf_mul(a, e, prec, RND))
             values.append(mpf_mul(b, o, prec, RND))
             slopes.append(mpf_mul(mpf_mul_int(b, l, prec, RND), e, prec, RND))
@@ -342,7 +346,7 @@ class SeriesPoly:
                                   prec, RND))
             weights.append(mpf_add(mpf_abs(a, prec, RND),
                                    mpf_abs(b, prec, RND), prec, RND))
-        half_a0 = _half(mpf_abs(self.a0._mpf_, prec, RND), prec)
+        half_a0 = _half(mpf_abs(a0, prec, RND), prec)
         if sign < 0:  # bounded by 1
             mag = mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
         else:  # term l weighs by its envelope E(lx)
@@ -404,7 +408,8 @@ class FactoredForm:
 
     def _pass(self, x, prec):
         pair = FAMILY[self.family].factor_pair
-        v, terms, powers = self.scale._mpf_, [], []
+        scale = _to_raw(self.scale, prec)
+        v, terms, powers = scale, [], []
         for r, a in zip(self.config.roots, self.config.multiplicities):
             g, dg = pair(mpf_sub(x, r._mpf_, prec, RND), prec)
             terms.append(mpf_mul(mpf_mul_int(dg, a, prec, RND),
@@ -420,18 +425,9 @@ class FactoredForm:
         for k in range(len(powers) - 1, -1, -1):
             terms[k] = mpf_mul(terms[k], suffix, prec, RND)
             suffix = mpf_mul(suffix, powers[k], prec, RND)
-        dv = mpf_mul(self.scale._mpf_, mpf_sum(terms, prec, RND), prec, RND)
+        dv = mpf_mul(scale, mpf_sum(terms, prec, RND), prec, RND)
         # a product rounds alike for either sign: no cancellation
         return v, dv, mpf_abs(v, prec, RND)
-
-
-def at_precision(poly, bits):
-    """A copy of `poly` at `bits`: its validation rounds every stored
-    coefficient and scale to `bits`, so kernels running at `bits` never
-    multiply wider mantissas.  A factored form keeps its roots as they are:
-    its kernels only subtract a root from x, and x - r rounds once to `bits`,
-    so roots that coincide once rounded cannot make the copy fail."""
-    return replace(poly, precision_bits=bits)
 
 
 def _to_raw(value, prec):
@@ -482,7 +478,8 @@ def _series_basis(family, x, n, prec):
 def _raw_point(poly, x, bits):
     """(raw x, prec, (f, f', magnitude)) at the poly's precision unless
     `bits` overrides it: the triple is the poly's one pass at the point,
-    kept in its memo."""
+    kept in its memo.  Below the poly's precision the pass reads the stored
+    values rounded to `bits`."""
     if not isinstance(poly, (AlgebraicPoly, SeriesPoly, FactoredForm)):
         raise TypeError(f"not a polynomial representation: {poly!r}")
     prec = require_bits(bits or poly.precision_bits)

@@ -36,6 +36,7 @@ _TRACE_LISTS = ("approximations", "residuals", "corrections", "errors")
 # coefficients
 _SERIES = {TRIGONOMETRIC: (TrigPoly, "cos", "sin"),
            EXPONENTIAL: (ExpPoly, "ch", "sh")}
+_SETTINGS = ("max_iterations", "correction_tolerance", "sweep_mode")
 
 
 def _require(condition, message, location=None):
@@ -151,6 +152,9 @@ def _polynomial(data, family, representation, mults, bits, location):
 def problem_from_dict(data, location="problem"):
     _require(isinstance(data, dict), "problem file must be a JSON object",
              location)
+    label = data.get("label", "")
+    _require(isinstance(label, str), "label must be a string",
+             f"{location}.label")
     family = data.get("family")
     _require(family in FAMILIES, f"family must be one of {FAMILIES}",
              f"{location}.family")
@@ -190,19 +194,19 @@ def problem_from_dict(data, location="problem"):
     raw_settings = data.get("settings", {})
     loc = f"{location}.settings"
     _require(isinstance(raw_settings, dict), "settings must be an object", loc)
-    kwargs = {key: raw_settings[key] for key in ("max_iterations", "sweep_mode")
-              if key in raw_settings}
-    if "correction_tolerance" in raw_settings:
-        kwargs["correction_tolerance"] = checked_real(
-            raw_settings["correction_tolerance"], bits,
-            f"{loc}.correction_tolerance")
+    kwargs = dict(raw_settings)
+    for key, value in kwargs.items():
+        _require(key in _SETTINGS, f"settings are {', '.join(_SETTINGS)}",
+                 f"{loc}.{key}")
+        if key == "correction_tolerance":
+            kwargs[key] = checked_real(value, bits, f"{loc}.{key}")
     settings = located(loc, SolveSettings, precision_bits=bits, **kwargs)
 
     return Problem(
         poly=poly,
         multiplicities=tuple(mults),
         initial=initial,
-        label=data.get("label", ""),
+        label=label,
         true_roots=true_roots,
         settings=settings,
     )
@@ -379,7 +383,7 @@ def load_report(path):
         iterations_used=used,
         termination=data["termination"],
         trace=tuple(trace),
-        estimated_order=(checked_real(order, bits, f"{location}.estimated_order",
-                                      finite=False) if order else None),
+        estimated_order=(None if order is None else checked_real(
+            order, bits, f"{location}.estimated_order", finite=False)),
         precision_bits=bits,
     )

@@ -31,7 +31,6 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .polynomials import (
-    at_precision,
     evaluate,
     evaluate_derivative,
     evaluation_noise,
@@ -223,16 +222,15 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     (`_rung` with sweeps=1); otherwise the sweep is redone at full
     precision by `step`.  So freezes, the converging sweep and any failure
     are decided at full precision.  A kept sweep's entry takes its
-    residuals and errors at the rung, on the rounded polynomial.
+    residuals and errors at the rung, from the same polynomial.
     """
     bits = settings.precision_bits
     # at or below FLOOR the rung is `bits`: every sweep runs at full precision
     rung = _rung(multiplicities, entry.corrections, 3, bits)
     if rung < bits:
-        rounded = at_precision(poly, rung)
         try:
             new, corrections = _sweep(
-                rounded, multiplicities,
+                poly, multiplicities,
                 [to_mpf(x, rung) for x in entry.approximations], rung,
                 settings.sweep_mode)
         except tuple(FAILURES):
@@ -240,7 +238,7 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
         else:
             if (max(corrections) > settings.tolerance
                     and _rung(multiplicities, corrections, 1, bits) <= rung):
-                return _entry(rounded, new, entry.k + 1, rung,
+                return _entry(poly, new, entry.k + 1, rung,
                               corrections=corrections, true_roots=true_roots)
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
@@ -310,8 +308,8 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     FAILURES).  Only a converged solve carries an `estimated_order`.
     """
     settings = settings or SolveSettings(precision_bits=poly.precision_bits)
-    # a copy with an empty point memo: no solve reads the points another
-    # solve or the caller evaluated
+    # a copy with an empty point memo, which serves every rung of this
+    # solve: no solve reads the points another solve or the caller evaluated
     poly = replace(poly)
     bits = settings.precision_bits
     multiplicities = require_multiplicities(multiplicities, len(initial))

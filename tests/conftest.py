@@ -109,6 +109,8 @@ REPORT_KEY_EDITS = {
     "iterations_used a string": ("iterations_used", "3"),
     "corrections null past the first": ("trace[1].corrections", None),
     "residuals null past the first": ("trace[2].residuals", None),
+    "estimated_order false": ("estimated_order", False),
+    "estimated_order empty": ("estimated_order", ""),
 }
 
 

@@ -470,11 +470,12 @@ class TestOrderCommand:
         data = json.loads(out.read_text())
         named = edit_report_key(data, change)
         out.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert run("order", out) == 2
-        err = capsys.readouterr().err
-        assert f"{out}.{named}: " in err
-        assert "Traceback" not in err
+        for argv in (["order", out], ["verify", "example1", out]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert f"{out}.{named}: " in err
+            assert "Traceback" not in err
 
     def test_trigonometric_solve_one_period_away(self, tmp_path, capsys):
         # started near r - 2pi, the solve converges to the roots one period

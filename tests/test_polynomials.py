@@ -85,6 +85,30 @@ def test_kernels_reject_a_non_polynomial(kernel, not_a_poly):
         kernel(not_a_poly, "0.5", 64)
 
 
+@pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+@pytest.mark.parametrize("representation", ["coefficients", "roots"])
+def test_a_kernel_at_a_rung_reads_the_values_rounded_to_it(family,
+                                                           representation):
+    # a kernel asked for fewer bits than the polynomial holds gives the bits
+    # of the copy built at those bits, which rounds every stored coefficient
+    # and the scale; one third keeps every mantissa full at 1024 bits
+    bits, rung = 1024, 256
+    with mp.workprec(bits):
+        third = mp.mpf(1) / 3
+        cfg = RootConfiguration((third, 2, "2.5"), (3, 2, 1),
+                                precision_bits=bits)
+    if representation == "coefficients":
+        poly = expand_from_roots(FactoredForm(family, cfg))
+    else:
+        poly = FactoredForm(family, cfg, scale=third)
+    rounded = replace(poly, precision_bits=rung)
+    for x in ("0.3", "1.7", third + mp.mpf(2) ** -40, "3.1"):
+        for kernel in (evaluate, evaluate_derivative, magnitude_scale,
+                       evaluation_noise):
+            assert kernel(poly, x, rung)._mpf_ == \
+                kernel(rounded, x, rung)._mpf_, (kernel.__name__, x)
+
+
 class TestSeriesBasis:
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
     def test_each_series_kernel_makes_one_basis_call(self, monkeypatch,

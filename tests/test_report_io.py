@@ -11,6 +11,7 @@ from multiroots.report_io import (
     load_problem,
     load_report,
     problem_from_dict,
+    problem_to_dict,
     save_problem,
     save_report,
 )
@@ -55,6 +56,8 @@ class TestProblemFiles:
         assert again.initial == problem.initial
         assert again.polynomial() == problem.polynomial()
         assert again.true_roots == problem.true_roots
+        # the file holds only keys the loader accepts, settings included
+        assert problem_to_dict(again) == problem_to_dict(problem)
 
     def test_mismatched_lengths_rejected(self):
         bad = dict(GOOD_PROBLEM, initial=["0.4", "3.5"])
@@ -181,6 +184,21 @@ class TestProblemFiles:
         with pytest.raises(SchemaError) as err:
             load_problem(path)
         assert f"{path}.settings" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["max_iteration", "precision_bits",
+                                     "tolerance"])
+    def test_unknown_setting_rejected_naming_it(self, key):
+        # a misspelt setting would otherwise leave its default in force
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(dict(GOOD_PROBLEM, settings={key: 2}))
+        assert f"problem.settings.{key}: " in str(err.value)
+
+    @pytest.mark.parametrize("label", [5, ["a"], {"x": 1}, None, True],
+                             ids=["number", "list", "object", "null", "true"])
+    def test_label_that_is_not_a_string_rejected(self, label):
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(dict(GOOD_PROBLEM, label=label))
+        assert "problem.label: " in str(err.value)
 
     def test_plain_json_numbers_accepted(self):
         data = dict(GOOD_PROBLEM, initial=[0.4, 3.5, 8],

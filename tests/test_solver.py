@@ -28,7 +28,7 @@ from multiroots import (
     step,
 )
 from multiroots import solver
-from multiroots.polynomials import at_precision, root_offset
+from multiroots.polynomials import root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from multiroots.report_io import load_problem
 from conftest import count_family_calls, count_passes, random_simple_roots
@@ -104,8 +104,8 @@ class TestSolve:
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_each_point_pass_runs_once_per_solve(self, monkeypatch, name,
                                                  bits):
-        # the solve's copy of the polynomial and, above FLOOR, the ladder's
-        # rung copies each keep their own memo
+        # the solve's copy of the polynomial runs every pass, at every rung
+        # of the ladder, and its memo serves them all
         calls, held = count_passes(monkeypatch)
         problem = load_problem(
             resources.files("multiroots.problems") / f"{name}.json", bits)
@@ -113,7 +113,8 @@ class TestSolve:
                        problem.initial, problem.settings)
         assert report.termination == "converged"
         assert calls and max(calls.values()) == 1
-        rungs = {poly.precision_bits for poly in held.values()}
+        assert len(held) == 1
+        rungs = {prec for _, _, prec in calls}
         assert (min(rungs), max(rungs)) == (min(bits, solver.FLOOR), bits)
 
     def test_example2_converges_within_five_sweeps(self):
@@ -363,7 +364,7 @@ class TestPrecisionLadder:
         for entry in report.trace:
             p = entry.precision_bits
             assert p <= bits
-            at_p = poly if p == bits else at_precision(poly, p)
+            at_p = poly if p == bits else replace(poly, precision_bits=p)
             with mp.workprec(p):
                 assert entry.residuals == tuple(
                     abs(evaluate(at_p, x, p)) for x in entry.approximations)
@@ -432,7 +433,7 @@ class TestPrecisionLadder:
         with mp.workprec(bits):
             thirds = (mp.mpf(1) / 3, mp.mpf(2) / 3)
         poly = factored(ALGEBRAIC, dict(roots=thirds, mults=(1, 2)), bits)
-        rounded = at_precision(poly, solver.FLOOR)
+        rounded = replace(poly, precision_bits=solver.FLOOR)
         assert rounded.precision_bits == solver.FLOOR
         assert rounded.config == poly.config
 
