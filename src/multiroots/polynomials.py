@@ -54,6 +54,7 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
+    mpf_neg,
     mpf_pos,
     mpf_pow,
     mpf_pow_int,
@@ -93,9 +94,15 @@ class Family:
     (`root_offset`); at s = +1 |E(lx)| and |O(lx)| are bounded by the
     envelope E(lx) (`magnitude_scale`).
 
+    A series family's coupling is (a/2) c(u) with c its odd part, the
+    half-cotangent 1/tangent(u/2), which the family also holds on its own:
+    `log_derivative_sum` reads c(-u) of a sweep's partner pair as -c(u)
+    (`pairs`).  The algebraic family has none: its coupling a/u is one
+    rounded division, and 1/u times a would round twice.
+
     The callables work on raw libmp values: `factor_pair(u, prec)`,
-    `coupling(a, u, prec)` with an int a, and `basis_pair(x, prec)`, each
-    rounding to nearest at `prec`.
+    `coupling(a, u, prec)` with an int a, `basis_pair(x, prec)` and
+    `half_cotangent(u, prec)`, each rounding to nearest at `prec`.
     """
 
     factor_pair: Callable
@@ -103,30 +110,38 @@ class Family:
     roots_per_degree: int
     basis_pair: Callable = None
     derivative_sign: int = None
+    half_cotangent: Callable = None
 
 
 def _half(u, prec):
     return mpf_div(u, TWO, prec, RND)
 
 
+def _weighted_half(a, c, prec):
+    """(a/2) c, a series coupling from its half-cotangent c."""
+    return _half(mpf_mul_int(c, a, prec, RND), prec)
+
+
 def _series_family(pair, tangent, sign):
     """The series family of libmp `pair` (x -> (E, O)), `tangent` (O/E) and
-    sign s: g(u) = O(u/2), and the coupling a / tangent(u/2) / 2 forms
-    1/tangent as mp.cot and mp.coth do, at prec + 10, then rounded to prec.
+    sign s: g(u) = O(u/2), and the half-cotangent 1/tangent(u/2) is formed
+    as mp.cot and mp.coth form it, at prec + 10, then rounded to prec.
     libmp's sin and sinh take their value from the same cos_sin and
     cosh_sinh computation, so g from the pair has their bits."""
     def factor_pair(u, prec):
         even, o = pair(_half(u, prec), prec, RND)
         return o, _half(even, prec)
 
-    def coupling(a, u, prec):
+    def half_cotangent(u, prec):
         t = tangent(_half(u, prec), prec + 10, RND)
-        reciprocal = mpf_pos(mpf_div(fone, t, prec + 10, RND), prec, RND)
-        return _half(mpf_mul_int(reciprocal, a, prec, RND), prec)
+        return mpf_pos(mpf_div(fone, t, prec + 10, RND), prec, RND)
 
     return Family(
-        factor_pair=factor_pair, coupling=coupling, roots_per_degree=2,
-        basis_pair=lambda x, prec: pair(x, prec, RND), derivative_sign=sign)
+        factor_pair=factor_pair,
+        coupling=lambda a, u, prec: _weighted_half(a, half_cotangent(u, prec),
+                                                   prec),
+        roots_per_degree=2, basis_pair=lambda x, prec: pair(x, prec, RND),
+        derivative_sign=sign, half_cotangent=half_cotangent)
 
 
 FAMILY = {
@@ -637,7 +652,8 @@ def _certify_roundtrip(form, expanded, bits):
             )
 
 
-def log_derivative_sum(family, other_roots, other_multiplicities, x, bits):
+def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
+                       pairs=None):
     """Logarithmic derivative of the product of the other roots' factors.
 
     Computed directly as a sum of per-root terms (the product itself is never
@@ -649,18 +665,45 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits):
 
     Raises CollisionError when x is within 2**(-bits/2) of any x_j.  Every
     term past that is finite (x a period from x_j too): mpf exponents are
-    unbounded and tan(u/2) and tanh(u/2) vanish only at u = 0.
+    unbounded and tan(u/2) and tanh(u/2) vanish only at u = 0.  The
+    multiplicities must be one integer >= 1 per other root
+    (InvalidConfigurationError).
+
+    `pairs` is a dict that the calls of one sweep share, all at `bits`.  A
+    series term stores its half-cotangent c(u) there, negated, under -u,
+    and a later call whose difference is -u, the partner's, takes it
+    instead of computing c(-u): x_j - x_i rounds to exactly -(x_i - x_j),
+    and cot and coth are odd.  For cot that oddness holds bit for bit
+    (cos_sin negates only the sine, and the divisions round symmetrically).
+    For coth it is measured, not proven: libmp's tanh floors a negative
+    quotient at prec + 14 bits, so tanh(-v) and -tanh(v) can differ there
+    by one unit, and no such difference has shown after the two later
+    roundings to prec.  An entry is keyed by u alone, so a dict must not
+    outlive one sweep or span two precisions.  The algebraic term a/u is
+    one rounded division and stores nothing.
     """
     require_bits(bits)
     if family not in FAMILY:
         raise InvalidConfigurationError(f"unknown family {family!r}")
-    coupling = FAMILY[family].coupling
+    multiplicities = require_multiplicities(other_multiplicities,
+                                            len(other_roots))
+    fam = FAMILY[family]
+    half_cotangent = fam.half_cotangent
+    if pairs is None:
+        pairs = {}  # nothing shared: what the terms store goes unread
     x = _to_raw(x, bits)
     threshold = mpf_pow(TWO, mpf_div(from_int(-bits), TWO, bits, RND), bits, RND)
     terms = []
-    for j, (r, a) in enumerate(zip(other_roots, other_multiplicities)):
+    for j, (r, a) in enumerate(zip(other_roots, multiplicities)):
         u = mpf_sub(x, _to_raw(r, bits), bits, RND)
         if mpf_lt(mpf_abs(u, bits, RND), threshold):
             raise CollisionError(j, mp.make_mpf(u), mp.make_mpf(threshold))
-        terms.append(coupling(a, u, bits))
+        if half_cotangent is None:
+            terms.append(fam.coupling(a, u, bits))
+            continue
+        c = pairs.pop(u, None)
+        if c is None:
+            c = half_cotangent(u, bits)
+            pairs[mpf_neg(u)] = mpf_neg(c)
+        terms.append(_weighted_half(a, c, bits))
     return mp.make_mpf(mpf_sum(terms, bits, RND))

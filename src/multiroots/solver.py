@@ -157,6 +157,9 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
         new = list(approximations)
         corrections = [mp.mpf(0)] * len(current)
         degenerate_floor = mp.mpf(2) ** (-(bits - 4))
+        # half-cotangents stored for the partner pair: one dict per sweep,
+        # so no sweep reads another's differences or precision
+        pairs = {}
         for i, xi in enumerate(current):
             fi = evaluate(poly, xi, bits)
             # freeze the coordinate once |f| is below the evaluation's
@@ -173,7 +176,8 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             try:
                 coupling = log_derivative_sum(
                     poly.family, source[:i] + source[i + 1:],
-                    multiplicities[:i] + multiplicities[i + 1:], xi, bits)
+                    multiplicities[:i] + multiplicities[i + 1:], xi, bits,
+                    pairs=pairs)
             except CollisionError as exc:
                 # exc.j indexes the others; report the approximation's own index
                 raise CollisionError(exc.j + (exc.j >= i), exc.distance,

@@ -65,20 +65,24 @@ def cut_trace_list(report, change):
 
 
 def count_family_calls(monkeypatch, family):
-    """A Counter, by name, of the `basis_pair` and `factor_pair` calls
-    through `family`'s FAMILY entry until monkeypatch undoes it."""
+    """A Counter, by name, of the `basis_pair`, `factor_pair` and
+    `half_cotangent` calls through `family`'s FAMILY entry until monkeypatch
+    undoes it.  A field the family leaves None stays None."""
     calls = Counter()
     fam = polynomials.FAMILY[family]
 
     def counted(name):
+        if getattr(fam, name) is None:
+            return None
+
         def wrapper(*args):
             calls[name] += 1
             return getattr(fam, name)(*args)
         return wrapper
 
-    monkeypatch.setitem(polynomials.FAMILY, family, replace(
-        fam, basis_pair=counted("basis_pair"),
-        factor_pair=counted("factor_pair")))
+    monkeypatch.setitem(polynomials.FAMILY, family, replace(fam, **{
+        name: counted(name)
+        for name in ("basis_pair", "factor_pair", "half_cotangent")}))
     return calls
 
 

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -354,6 +355,57 @@ class TestLogDerivativeSum:
             assert doubled == 2 * base
 
 
+def _outcome(call):
+    """call()'s raw value, or the CollisionError's (j, distance, threshold)."""
+    try:
+        return call()._mpf_
+    except CollisionError as exc:
+        return exc.j, exc.distance._mpf_, exc.threshold._mpf_
+
+
+def _sweep_couplings(family, points, mults, bits, pairs):
+    """log_derivative_sum at every coordinate of a Jacobi sweep, in order,
+    each call given `pairs`."""
+    return [_outcome(lambda i=i: log_derivative_sum(
+                family, points[:i] + points[i + 1:], mults[:i] + mults[i + 1:],
+                points[i], bits, pairs=pairs))
+            for i in range(len(points))]
+
+
+class TestPairMemo:
+    """A sweep's shared dict of half-cotangents changes no bit.
+
+    For the trigonometric family cot's oddness is exact: cos_sin negates
+    only the sine and the divisions round symmetrically.  For the
+    exponential family it is measured: libmp's tanh floors a negative
+    quotient, so tanh(-v) and -tanh(v) can differ by one unit at prec + 14
+    bits, and these seeded draws check that the two later roundings leave
+    no difference.
+    """
+
+    @pytest.mark.parametrize("bits", [53, 128, 1024, 4096])
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_shared_pairs_give_the_bits_of_separate_calls(self, family, bits):
+        rng = random.Random(f"pairs:{family}:{bits}")
+        with mp.workprec(bits):
+            threshold = mp.mpf(2) ** (-mp.mpf(bits) / 2)
+            for m in range(2, 9):
+                points = [mp.mpf(rng.uniform(-2.5, 2.5)) for _ in range(m)]
+                # a pair just above the collision threshold
+                points[1] = points[0] + threshold * mp.mpf("1.0625")
+                mults = [rng.randint(1, 4) for _ in range(m)]
+                want = _sweep_couplings(family, points, mults, bits, None)
+                assert all(type(w) is tuple and len(w) == 4 for w in want)
+                assert _sweep_couplings(family, points, mults, bits,
+                                        {}) == want, m
+                # and one below it: the same CollisionError at each end
+                points[1] = points[0] + threshold * mp.mpf("0.9375")
+                want = _sweep_couplings(family, points, mults, bits, None)
+                assert want[0][0] == 0 and want[1][0] == 0
+                assert _sweep_couplings(family, points, mults, bits,
+                                        {}) == want, m
+
+
 class TestInvariants:
     def test_trig_periodicity(self, rng):
         bits = 128
@@ -394,6 +446,18 @@ class TestRejectedInput:
     def test_log_derivative_sum_rejects_an_unknown_family(self):
         with pytest.raises(InvalidConfigurationError, match="bogus"):
             log_derivative_sum("bogus", (1,), (1,), 0, 53)
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    @pytest.mark.parametrize("mults, match", [
+        ((2,), "1 multiplicities for 2 roots"),  # zip would drop root 4
+        ((2, 0), "got 0"),
+        ((True, 1), "got True"),
+        ((1.5, 1), "got 1.5"),
+    ])
+    def test_log_derivative_sum_rejects_bad_multiplicities(self, family,
+                                                           mults, match):
+        with pytest.raises(InvalidConfigurationError, match=match):
+            log_derivative_sum(family, (0, 4), mults, 2, 53)
 
     def test_an_expansion_that_misses_its_form_fails_the_round_trip(self):
         # the form is x^2 - 3x + 2; the wrong expansion is x^2 - 3x + 2.5

@@ -31,7 +31,8 @@ from multiroots import solver
 from multiroots.polynomials import root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from multiroots.report_io import load_problem
-from conftest import count_family_calls, count_passes, random_simple_roots
+from conftest import (count_family_calls, count_passes, random_configuration,
+                      random_simple_roots)
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1), initial=("0.4", "3.5", "8"))
 EX2 = dict(roots=("1", "2", "2.5"), mults=(3, 2, 1), initial=("0.2", "1.7", "3"))
@@ -447,6 +448,105 @@ class TestPrecisionLadder:
         report = solve(poly, (1, 1), ("0.5", "1.5"),
                        SolveSettings(precision_bits=bits, max_iterations=1))
         assert report.trace[1].precision_bits == solver.FLOOR
+
+
+def drawn_case(rng, family, m, bits):
+    """Factored form of m seeded roots and starting points a tenth of the
+    smallest gap off them, alternating sides."""
+    cfg = random_configuration(rng, family, bits=bits, m_range=(m, m),
+                               alpha_max=2 if m > 5 else 3,
+                               gap_range=(0.35, 0.7))
+    with mp.workprec(bits):
+        nudge = cfg.min_gap() / 10
+        initial = [r + (-1) ** i * nudge for i, r in enumerate(cfg.roots)]
+    return FactoredForm(family, cfg), cfg.multiplicities, initial
+
+
+class TestPairMemo:
+    """One sweep shares one dict of half-cotangents across its coordinates
+    (`log_derivative_sum`'s `pairs`)."""
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_a_first_sweep_computes_each_pair_once(self, monkeypatch, family,
+                                                   m):
+        poly, mults, initial = drawn_case(random.Random(m), family, m, 128)
+        calls = count_family_calls(monkeypatch, family)
+        series = family != ALGEBRAIC
+        for mode, want in (("simultaneous", m * (m - 1) // 2),
+                           ("sequential", m * (m - 1))):
+            settings = SolveSettings(precision_bits=128, sweep_mode=mode)
+            state = initial_state(poly, initial, settings)
+            calls.clear()
+            entry = step(poly, mults, state, settings)
+            assert all(c > 0 for c in entry.corrections)  # none froze
+            assert calls["half_cotangent"] == (want if series else 0), mode
+
+    @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+    @pytest.mark.parametrize("bits", [128, 1024])
+    def test_a_second_solve_makes_the_same_calls(self, monkeypatch, family,
+                                                 bits):
+        poly, mults, initial = drawn_case(random.Random(bits), family, 4, bits)
+        calls = count_family_calls(monkeypatch, family)
+        counts, reports = [], []
+        for _ in range(2):
+            calls.clear()
+            reports.append(solve(poly, mults, initial,
+                                 SolveSettings(precision_bits=bits)))
+            counts.append(calls["half_cotangent"])
+        assert reports[0].termination == "converged"
+        assert reports[1] == reports[0]
+        assert counts[1] == counts[0] > 0
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    def test_each_sweep_has_its_own_dict_at_one_precision(self, monkeypatch,
+                                                          mode):
+        # an entry is keyed by the difference alone: read in another sweep,
+        # or at another rung, it would carry the bits of another precision
+        sweeps, seen = [], []
+        real_sweep, real_sum = solver._sweep, solver.log_derivative_sum
+
+        def counted_sweep(*args):
+            sweeps.append(args[3])  # the sweep's bits
+            return real_sweep(*args)
+
+        def recorded_sum(*args, pairs=None):
+            seen.append((len(sweeps) - 1, pairs, args[-1]))
+            return real_sum(*args, pairs=pairs)
+
+        monkeypatch.setattr(solver, "_sweep", counted_sweep)
+        monkeypatch.setattr(solver, "log_derivative_sum", recorded_sum)
+        poly, mults, initial = drawn_case(random.Random(3), TRIGONOMETRIC, 4,
+                                          1024)
+        report = solve(poly, mults, initial,
+                       SolveSettings(precision_bits=1024, sweep_mode=mode))
+        assert report.termination == "converged"
+        assert {entry.precision_bits for entry in report.trace} == {256, 1024}
+        owner = {}  # `seen` holds every dict, so no id is reused
+        for sweep, pairs, bits in seen:
+            assert type(pairs) is dict and bits == sweeps[sweep]
+            assert owner.setdefault(id(pairs), sweep) == sweep
+        assert len(owner) == len({sweep for sweep, _, _ in seen}) > 1
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    @pytest.mark.parametrize("form", ["factored", "coefficients"])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    def test_a_solve_has_the_bits_of_one_without_the_dict(
+            self, monkeypatch, family, form, mode):
+        rng = random.Random(f"{family}:{form}:{mode}")
+        cases = []
+        for m in range(2, 9):
+            bits = (53, 128, 1024, 4096)[m % 4]
+            poly, mults, initial = drawn_case(rng, family, m, bits)
+            if form == "coefficients":
+                poly = expand_from_roots(poly)
+            cases.append((poly, mults, initial, SolveSettings(
+                precision_bits=bits, max_iterations=8, sweep_mode=mode)))
+        shared = [solve(*case) for case in cases]
+        real = solver.log_derivative_sum
+        monkeypatch.setattr(solver, "log_derivative_sum",
+                            lambda *args, pairs=None: real(*args))
+        assert [solve(*case) for case in cases] == shared
 
 
 class TestProperties:
