@@ -6,6 +6,7 @@ failed verification), 2 input or schema error, 3 internal numeric error
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -270,7 +271,13 @@ def _cmd_order(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built on the first call and returned by
+    every later one.  It holds no per-call state: `parse_args` puts each
+    command's values and defaults into a new Namespace.  Reuse saves only
+    in-process callers of `main` (tests, benchmarks, library code); a
+    one-command ``multiroots`` process still builds one parser."""
     parser = argparse.ArgumentParser(
         prog="multiroots",
         description="Simultaneous refinement of all roots (with known "
@@ -330,8 +337,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, InvalidConfigurationError) as exc:

@@ -8,7 +8,7 @@ created inside a ``workprec`` block stay valid after it exits.
 
 import math
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 MIN_PRECISION_BITS = 53
 
@@ -58,15 +58,21 @@ def decimal_digits(bits):
 
 
 def format_real(x, bits):
-    """Serialize an mpf as a decimal string that parses back exactly at `bits`."""
-    with working(bits):
-        x = mp.mpf(x)
-        if not mp.isfinite(x):
-            return str(x)
-        return mp.nstr(x, decimal_digits(bits), strip_zeros=True)
+    """Serialize an mpf as a decimal string that parses back exactly at `bits`.
+
+    The value is rounded to `bits` once and written by the libmp call
+    ``mp.nstr`` makes, so no ``workprec`` context is entered."""
+    digits = decimal_digits(bits)
+    x = mp.mpf(x, prec=bits)
+    if not mp.isfinite(x):
+        return str(x)
+    return libmp.to_str(x._mpf_, digits, strip_zeros=True)
 
 
 def parse_real(text, bits):
-    """Parse a decimal string (or JSON number) back to an mpf at `bits`."""
-    with working(bits):
-        return mp.mpf(text)
+    """Parse a decimal string (or JSON number) back to an mpf at `bits`.
+
+    The same conversion ``mp.mpf(text)`` makes under ``workprec(bits)``,
+    rounded at `bits` without entering the context.  A string ``p/q`` is
+    accepted and divided; ``q`` = 0 raises ZeroDivisionError."""
+    return mp.mpf(text, prec=require_bits(bits))

@@ -66,7 +66,8 @@ def checked_real(value, bits, location, finite=True):
              location)
     try:
         real = parse_real(value, bits)
-    except ValueError:
+    # "p/0" parses as a division by zero
+    except (ValueError, ZeroDivisionError):
         raise SchemaError(f"unparseable real {value!r}", location)
     _require(not finite or mp.isfinite(real), f"non-finite real {value!r}",
              location)
@@ -259,9 +260,10 @@ def problem_to_dict(problem):
 
 
 def _write_json(data, path):
+    # one write: json.dump would issue one per encoder chunk
+    text = json.dumps(data, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def save_problem(problem, path):

@@ -6,6 +6,7 @@ from mpmath import mp
 
 from multiroots import FamilyOverflowError, cli
 from multiroots.cli import main
+from multiroots.precision import parse_real
 from multiroots.report_io import load_problem, load_report
 from conftest import REPORT_KEY_EDITS, cut_trace_list, edit_report_key
 
@@ -166,6 +167,65 @@ EXAMPLE1 = json.loads(
 def test_unparseable_real_exits_2_naming_its_source(tmp_path, capsys, change,
                                                      argv, named):
     _assert_exits_2_naming(tmp_path, capsys, change, argv, named)
+
+
+@pytest.mark.parametrize("change, argv, named", [
+    ({}, ["solve", "example1", "--tolerance", "1/0"], "--tolerance"),
+    ({"initial": ["1/0", "3.5", "8"]}, ["solve", "PROBLEM"], ".initial[0]"),
+], ids=["solve --tolerance", "problem initial"])
+def test_division_by_zero_real_exits_2_naming_its_source(tmp_path, capsys,
+                                                          change, argv, named):
+    # a decimal string "p/q" is read as a quotient; q = 0 once escaped as a
+    # ZeroDivisionError traceback with exit 1, which claims non-convergence
+    _assert_exits_2_naming(tmp_path, capsys, change, argv, named)
+
+
+def test_division_by_zero_report_value_exits_2_naming_it(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert run("solve", "example1", "-o", report) == 0
+    data = json.loads(report.read_text())
+    data["trace"][2]["corrections"][1] = "0/0"
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("order", report) == 2
+    assert f"{report}.trace[2].corrections[1]" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_good_command_runs_after_a_rejected_argv(self, tmp_path,
+                                                       capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "example1", "--sweep", "sideways")
+        assert exc.value.code == 2
+        assert run("solve", "example1", "-o", tmp_path / "r.json") == 0
+        assert "termination: converged" in capsys.readouterr().out
+
+    def test_solve_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run("solve", "example1", "--sweep", "sequential", "-o", out) == 0
+        assert "sweep: sequential" in capsys.readouterr().out
+        assert run("solve", "example1", "-o", out) == 0
+        assert "sweep: simultaneous" in capsys.readouterr().out
+
+    def test_verify_defaults_do_not_leak_between_calls(self, tmp_path,
+                                                       monkeypatch):
+        report = tmp_path / "r.json"
+        assert run("solve", "example1", "-o", report) == 0
+        tolerances = []
+
+        def recording(poly, claimed, tolerance, bits, verify=cli.verify_roots):
+            tolerances.append(tolerance)
+            return verify(poly, claimed, tolerance, bits=bits)
+
+        monkeypatch.setattr(cli, "verify_roots", recording)
+        assert run("verify", "example1", report, "--tolerance", "1e-3") == 0
+        assert run("verify", "example1", report) == 0
+        bits = EXAMPLE1["precision_bits"]
+        assert tolerances == [parse_real("1e-3", bits),
+                              parse_real("1e-12", bits)]
 
 
 @pytest.mark.parametrize("change, argv, named", [

@@ -12,6 +12,7 @@ from multiroots.report_io import (
     load_report,
     problem_from_dict,
     problem_to_dict,
+    report_to_dict,
     save_problem,
     save_report,
 )
@@ -44,6 +45,50 @@ class TestRealSerialization:
     def test_digit_count_rule(self):
         assert decimal_digits(53) == 20
         assert decimal_digits(192) == 61
+
+    @pytest.mark.parametrize("bits", [53, 64, 128, 192, 256, 1024, 4096])
+    def test_same_text_and_bits_as_the_context_reference(self, bits):
+        # the reference: the conversions made under workprec(bits)
+        def reference_format(x):
+            with mp.workprec(bits):
+                x = mp.mpf(x)
+                if not mp.isfinite(x):
+                    return str(x)
+                return mp.nstr(x, decimal_digits(bits), strip_zeros=True)
+
+        def reference_parse(text):
+            with mp.workprec(bits):
+                return mp.mpf(text)._mpf_
+
+        rng = random.Random(bits)
+        specials = [mp.mpf(0), -mp.mpf(0), mp.inf, -mp.inf, mp.nan, 0, 0.0,
+                    -0.0, float("inf"), float("nan")]
+        # mantissas wider than `bits`, binary exponents to about 10^+-3000
+        wide = [mp.mpf((rng.choice((-1, 1)) * rng.getrandbits(bits + 40),
+                        rng.randint(-10000, 10000)))
+                for _ in range(60)]
+        values = (specials + wide
+                  + [rng.uniform(-1e3, 1e3) for _ in range(10)]
+                  + [rng.randint(-2 ** (bits + 9), 2 ** (bits + 9))
+                     for _ in range(10)])
+        for x in values:
+            assert format_real(x, bits) == reference_format(x)
+
+        texts = [format_real(x, bits) for x in wide]
+        # decimals with more digits than `bits` holds
+        texts += [mp.nstr(x, decimal_digits(bits) + 20) for x in wide[:20]]
+        texts += [f"{rng.randint(1, 9)}.{rng.getrandbits(64)}e{e}"
+                  for e in (-3000, -301, -1, 0, 17, 300, 3000)]
+        texts += ["1.5E+300", "-2.5E-7", "INF", "-Inf", "NaN", "+inf",
+                  " 2.5 ", "\t-7\n", "1_000", "-12_345.6_7", "1/3", "-7/9",
+                  "0", "-0", "+0.0", "-0.0e5", "0.1", "1e-3000", "-1e3000"]
+        # JSON numbers: ints wider than `bits`, and floats
+        texts += [rng.randint(-2 ** (bits + 9), 2 ** (bits + 9))
+                  for _ in range(10)]
+        texts += [rng.uniform(-1e3, 1e3) for _ in range(10)]
+        texts += [0, -1, 1e-300, 1.7976931348623157e308, 5e-324, -0.0]
+        for text in texts:
+            assert parse_real(text, bits)._mpf_ == reference_parse(text), text
 
 
 class TestProblemFiles:
@@ -225,6 +270,18 @@ class TestReports:
                 assert got.corrections is None
             else:
                 assert got.corrections == want.corrections
+
+    def test_files_are_the_indented_json_text(self, tmp_path):
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings,
+                       true_roots=problem.truth())
+        problem_path, report_path = tmp_path / "p.json", tmp_path / "r.json"
+        save_problem(problem, problem_path)
+        save_report(report, problem, report_path)
+        for path, data in ((problem_path, problem_to_dict(problem)),
+                           (report_path, report_to_dict(report, problem))):
+            assert path.read_text() == json.dumps(data, indent=2) + "\n"
 
     def test_nonfinite_report_loads(self, tmp_path):
         # a `nonfinite` solve writes nan and inf into its report
