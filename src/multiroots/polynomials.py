@@ -5,7 +5,8 @@ coefficient form, trigonometric polynomials as finite cos/sin series, and
 exponential polynomials as finite cosh/sinh series.  Each family also has a
 factored representation built from distinct roots with multiplicities; the
 factored form is first-class, so solvers accept either representation.
-What tells the families apart lives in one table, `FAMILY`.
+What tells the families apart lives in one table, `FAMILY`, from which
+`log_derivative_sum` forms each family's coupling term.
 
 Containers hold mpmath mpf values and record the binary precision they were
 built at.  The per-point kernels (`evaluate`, `evaluate_derivative`,
@@ -85,28 +86,27 @@ NONFINITE = (finf, fninf, fnan)
 @dataclass(frozen=True)
 class Family:
     """What distinguishes one family, with u = x - r the offset from a root:
-    the pair (g(u), g'(u)) of the factor g from one call, the coupling
-    (a, u) -> a g'(u)/g(u) and the number of roots (with multiplicity) per
-    unit of degree.  Series families add their basis pair x -> (E(x), O(x))
-    from one call and the sign s in d/dx E(lx) = s l O(lx), which is also
-    the sign in E(a + b) = E(a) E(b) + s O(a) O(b).  s decides the rest: at
-    s = -1 the basis is bounded by 1 and roots repeat every 2 pi
-    (`root_offset`); at s = +1 |E(lx)| and |O(lx)| are bounded by the
-    envelope E(lx) (`magnitude_scale`).
+    the pair (g(u), g'(u)) of the factor g from one call and the number of
+    roots (with multiplicity) per unit of degree.  Series families add
+    their basis pair x -> (E(x), O(x)) from one call and the sign s in
+    d/dx E(lx) = s l O(lx), which is also the sign in E(a + b) =
+    E(a) E(b) + s O(a) O(b).  s decides the rest: at s = -1 the basis is
+    bounded by 1 and roots repeat every 2 pi (`root_offset`); at s = +1
+    |E(lx)| and |O(lx)| are bounded by the envelope E(lx)
+    (`magnitude_scale`).
 
-    A series family's coupling is (a/2) c(u) with c its odd part, the
-    half-cotangent 1/tangent(u/2), which the family also holds on its own:
-    `log_derivative_sum` reads c(-u) of a sweep's partner pair as -c(u)
-    (`pairs`).  The algebraic family has none: its coupling a/u is one
-    rounded division, and 1/u times a would round twice.
+    A series family's coupling term a g'(u)/g(u) is (a/2) c(u), with c the
+    half-cotangent 1/tangent(u/2), odd by construction; `log_derivative_sum`
+    forms the term from it and reads c(-u) of a sweep's partner pair as
+    -c(u) (`pairs`).  The algebraic family has no half-cotangent: its term
+    a/u is one rounded division, and 1/u times a would round twice.
 
     The callables work on raw libmp values: `factor_pair(u, prec)`,
-    `coupling(a, u, prec)` with an int a, `basis_pair(x, prec)` and
-    `half_cotangent(u, prec)`, each rounding to nearest at `prec`.
+    `basis_pair(x, prec)` and `half_cotangent(u, prec)`, each rounding to
+    nearest at `prec`.
     """
 
     factor_pair: Callable
-    coupling: Callable
     roots_per_degree: int
     basis_pair: Callable = None
     derivative_sign: int = None
@@ -115,11 +115,6 @@ class Family:
 
 def _half(u, prec):
     return mpf_div(u, TWO, prec, RND)
-
-
-def _weighted_half(a, c, prec):
-    """(a/2) c, a series coupling from its half-cotangent c."""
-    return _half(mpf_mul_int(c, a, prec, RND), prec)
 
 
 def _series_family(pair, tangent, sign):
@@ -133,22 +128,20 @@ def _series_family(pair, tangent, sign):
         return o, _half(even, prec)
 
     def half_cotangent(u, prec):
-        t = tangent(_half(u, prec), prec + 10, RND)
-        return mpf_pos(mpf_div(fone, t, prec + 10, RND), prec, RND)
+        # odd by construction: libmp's tanh(-v) is not always -tanh(v)
+        t = tangent(_half(mpf_abs(u), prec), prec + 10, RND)
+        c = mpf_pos(mpf_div(fone, t, prec + 10, RND), prec, RND)
+        return mpf_neg(c) if u[0] else c
 
     return Family(
         factor_pair=factor_pair,
-        coupling=lambda a, u, prec: _weighted_half(a, half_cotangent(u, prec),
-                                                   prec),
         roots_per_degree=2, basis_pair=lambda x, prec: pair(x, prec, RND),
         derivative_sign=sign, half_cotangent=half_cotangent)
 
 
 FAMILY = {
-    ALGEBRAIC: Family(
-        factor_pair=lambda u, prec: (u, fone),
-        coupling=lambda a, u, prec: mpf_rdiv_int(a, u, prec, RND),
-        roots_per_degree=1),
+    ALGEBRAIC: Family(factor_pair=lambda u, prec: (u, fone),
+                      roots_per_degree=1),
     TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_tan, -1),
     EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_tanh, 1),
 }
@@ -215,17 +208,6 @@ def _as_mpf_tuple(values, bits):
     return tuple(to_mpf(v, bits) for v in values)
 
 
-def _memoized(memo, limit, key, compute):
-    """compute(), kept in `memo` under `key`; past `limit` entries the one
-    stored first is dropped."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute()
-        if len(memo) > limit:
-            del memo[next(iter(memo))]
-    return value
-
-
 @dataclass(frozen=True)
 class RootConfiguration:
     """Distinct roots paired with positive integer multiplicities."""
@@ -247,13 +229,6 @@ class RootConfiguration:
     @property
     def total_multiplicity(self):
         return sum(self.multiplicities)
-
-    def min_gap(self):
-        """Smallest pairwise distance between the roots."""
-        return gaps(self.roots)[0]
-
-    def max_gap(self):
-        return gaps(self.roots)[1]
 
 
 @dataclass(frozen=True)
@@ -499,8 +474,13 @@ def _raw_point(poly, x, bits):
         raise TypeError(f"not a polynomial representation: {poly!r}")
     prec = require_bits(bits or poly.precision_bits)
     x = _to_raw(x, prec)
-    return x, prec, _memoized(poly._memo, poly._memo_limit, (x, prec),
-                              lambda: poly._pass(x, prec))
+    memo = poly._memo
+    triple = memo.get((x, prec))
+    if triple is None:
+        triple = memo[x, prec] = poly._pass(x, prec)
+        if len(memo) > poly._memo_limit:
+            del memo[next(iter(memo))]
+    return x, prec, triple
 
 
 def evaluate(poly, x, bits=None):
@@ -673,22 +653,17 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
     series term stores its half-cotangent c(u) there, negated, under -u,
     and a later call whose difference is -u, the partner's, takes it
     instead of computing c(-u): x_j - x_i rounds to exactly -(x_i - x_j),
-    and cot and coth are odd.  For cot that oddness holds bit for bit
-    (cos_sin negates only the sine, and the divisions round symmetrically).
-    For coth it is measured, not proven: libmp's tanh floors a negative
-    quotient at prec + 14 bits, so tanh(-v) and -tanh(v) can differ there
-    by one unit, and no such difference has shown after the two later
-    roundings to prec.  An entry is keyed by u alone, so a dict must not
-    outlive one sweep or span two precisions.  The algebraic term a/u is
-    one rounded division and stores nothing.
+    and the family's half-cotangent is odd by construction.  An entry is
+    keyed by u alone, so a dict must not outlive one sweep or span two
+    precisions.  The algebraic term a/u is one rounded division, formed
+    here, and stores nothing.
     """
     require_bits(bits)
     if family not in FAMILY:
         raise InvalidConfigurationError(f"unknown family {family!r}")
     multiplicities = require_multiplicities(other_multiplicities,
                                             len(other_roots))
-    fam = FAMILY[family]
-    half_cotangent = fam.half_cotangent
+    half_cotangent = FAMILY[family].half_cotangent
     if pairs is None:
         pairs = {}  # nothing shared: what the terms store goes unread
     x = _to_raw(x, bits)
@@ -699,11 +674,11 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
         if mpf_lt(mpf_abs(u, bits, RND), threshold):
             raise CollisionError(j, mp.make_mpf(u), mp.make_mpf(threshold))
         if half_cotangent is None:
-            terms.append(fam.coupling(a, u, bits))
+            terms.append(mpf_rdiv_int(a, u, bits, RND))
             continue
         c = pairs.pop(u, None)
         if c is None:
             c = half_cotangent(u, bits)
             pairs[mpf_neg(u)] = mpf_neg(c)
-        terms.append(_weighted_half(a, c, bits))
+        terms.append(_half(mpf_mul_int(c, a, bits, RND), bits))
     return mp.make_mpf(mpf_sum(terms, bits, RND))

@@ -27,9 +27,9 @@ def working(bits):
 
 
 def to_mpf(value, bits):
-    """Convert int/float/str/mpf to an mpf rounded at `bits`."""
-    with working(bits):
-        return mp.mpf(value)
+    """Convert int/float/str/mpf to an mpf rounded at `bits`, as
+    ``mp.mpf(value)`` does under ``workprec(bits)``."""
+    return mp.mpf(value, prec=require_bits(bits))
 
 
 def eps(bits):
@@ -75,4 +75,4 @@ def parse_real(text, bits):
     The same conversion ``mp.mpf(text)`` makes under ``workprec(bits)``,
     rounded at `bits` without entering the context.  A string ``p/q`` is
     accepted and divided; ``q`` = 0 raises ZeroDivisionError."""
-    return mp.mpf(text, prec=require_bits(bits))
+    return to_mpf(text, bits)

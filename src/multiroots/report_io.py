@@ -37,6 +37,10 @@ _TRACE_LISTS = ("approximations", "residuals", "corrections", "errors")
 _SERIES = {TRIGONOMETRIC: (TrigPoly, "cos", "sin"),
            EXPONENTIAL: (ExpPoly, "ch", "sh")}
 _SETTINGS = ("max_iterations", "correction_tolerance", "sweep_mode")
+# the top-level problem-file keys, both representations' (as in the README)
+_PROBLEM_KEYS = ("label", "family", "representation", "precision_bits",
+                 "multiplicities", "initial", "coefficients", "roots", "scale",
+                 "true_roots", "settings")
 
 
 def _require(condition, message, location=None):
@@ -153,6 +157,10 @@ def _polynomial(data, family, representation, mults, bits, location):
 def problem_from_dict(data, location="problem"):
     _require(isinstance(data, dict), "problem file must be a JSON object",
              location)
+    for key in data:
+        _require(key in _PROBLEM_KEYS,
+                 f"problem keys are {', '.join(_PROBLEM_KEYS)}",
+                 f"{location}.{key}")
     label = data.get("label", "")
     _require(isinstance(label, str), "label must be a string",
              f"{location}.label")

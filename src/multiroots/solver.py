@@ -125,17 +125,25 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
                       bits)
 
 
+def _truths(true_roots, bits):
+    """The true roots, when known, converted as `solve` converts them."""
+    if true_roots is None:
+        return None
+    return tuple(to_mpf(r, bits) for r in true_roots)
+
+
 def initial_state(poly, initial, settings, true_roots=None):
-    """The k=0 TraceEntry at the initial approximations."""
+    """The k=0 TraceEntry at the initial approximations.  `true_roots`
+    takes what `solve` takes."""
     bits = settings.precision_bits
     x0 = tuple(to_mpf(v, bits) for v in initial)
     require_distinct(x0, "initial approximations")
-    return _entry(poly, x0, 0, bits, true_roots=true_roots)
+    return _entry(poly, x0, 0, bits, true_roots=_truths(true_roots, bits))
 
 
 def step(poly, multiplicities, entry, settings, true_roots=None):
     """One sweep over the approximations of `entry`; returns the next
-    TraceEntry.
+    TraceEntry.  `true_roots` takes what `solve` takes.
 
     Raises CollisionError / DegenerateDenominatorError / FamilyOverflowError
     on the corresponding per-root failures; `solve` maps these to termination
@@ -147,7 +155,7 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     new, corrections = _sweep(poly, multiplicities, entry.approximations,
                               bits, settings.sweep_mode)
     return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
-                  true_roots=true_roots)
+                  true_roots=_truths(true_roots, bits))
 
 
 def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
@@ -317,8 +325,7 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     poly = replace(poly)
     bits = settings.precision_bits
     multiplicities = require_multiplicities(multiplicities, len(initial))
-    if true_roots is not None:
-        true_roots = tuple(to_mpf(r, bits) for r in true_roots)
+    true_roots = _truths(true_roots, bits)
     trace = [initial_state(poly, initial, settings, true_roots=true_roots)]
     with working(bits):
         escape_radius = mp.mpf(10) ** 6 * (

@@ -32,6 +32,7 @@ from multiroots import (
     verify_roots,
     log_derivative_sum,
 )
+from multiroots.polynomials import gaps
 from multiroots.precision import ulps_apart
 from conftest import random_configuration, random_simple_roots
 
@@ -203,7 +204,7 @@ def test_roundtrip_oracle_equivalence():
             cfg = random_configuration(rng, family, bits=bits)
             poly = expand_from_roots(FactoredForm(family, cfg,
                                                   precision_bits=bits))
-            d = cfg.min_gap()
+            d = gaps(cfg.roots)[0]
             perturbed = [r + mp.mpf(rng.uniform(-1, 1)) * d / 10
                          for r in cfg.roots]
             report = solve(poly, cfg.multiplicities, perturbed,

@@ -180,6 +180,12 @@ def test_division_by_zero_real_exits_2_naming_its_source(tmp_path, capsys,
     _assert_exits_2_naming(tmp_path, capsys, change, argv, named)
 
 
+def test_misspelt_problem_key_exits_2_naming_it(tmp_path, capsys):
+    # once ignored: the solve ran at the default precision and exited 0
+    _assert_exits_2_naming(tmp_path, capsys, {"precison_bits": 1024},
+                           ["solve", "PROBLEM"], ".precison_bits")
+
+
 def test_division_by_zero_report_value_exits_2_naming_it(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert run("solve", "example1", "-o", report) == 0

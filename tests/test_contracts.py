@@ -13,6 +13,7 @@ from multiroots import (
     TrigPoly,
     solve,
 )
+from multiroots.polynomials import gaps
 from multiroots.precision import require_bits
 
 
@@ -45,8 +46,7 @@ class TestTypeValidation:
             RootConfiguration((1, 2), (1,))    # length mismatch
         cfg = RootConfiguration((1, 2, 4), (2, 1, 1))
         assert cfg.total_multiplicity == 4
-        assert cfg.min_gap() == 1
-        assert cfg.max_gap() == 3
+        assert gaps(cfg.roots) == (1, 3)
 
     @pytest.mark.parametrize("alpha", [2.5, True, "2"])
     def test_root_configuration_multiplicity_must_be_an_int(self, alpha):

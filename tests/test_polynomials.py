@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import fone, fzero
+from mpmath.libmp import fone, fzero, mpf_neg
 
 from multiroots import polynomials
 from multiroots import (
@@ -26,6 +26,7 @@ from multiroots import (
     log_derivative_sum,
     magnitude_scale,
 )
+from multiroots.precision import to_mpf
 from conftest import (
     assert_close, count_family_calls, count_passes, random_configuration)
 
@@ -373,15 +374,8 @@ def _sweep_couplings(family, points, mults, bits, pairs):
 
 
 class TestPairMemo:
-    """A sweep's shared dict of half-cotangents changes no bit.
-
-    For the trigonometric family cot's oddness is exact: cos_sin negates
-    only the sine and the divisions round symmetrically.  For the
-    exponential family it is measured: libmp's tanh floors a negative
-    quotient, so tanh(-v) and -tanh(v) can differ by one unit at prec + 14
-    bits, and these seeded draws check that the two later roundings leave
-    no difference.
-    """
+    """A sweep's shared dict of half-cotangents changes no bit: each
+    family's half-cotangent is odd by construction."""
 
     @pytest.mark.parametrize("bits", [53, 128, 1024, 4096])
     @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
@@ -404,6 +398,22 @@ class TestPairMemo:
                 assert want[0][0] == 0 and want[1][0] == 0
                 assert _sweep_couplings(family, points, mults, bits,
                                         {}) == want, m
+
+    # u/2, a 53-bit value, and a precision at which libmp's tanh(-u/2) and
+    # -tanh(u/2) differ at prec + 10 bits
+    @pytest.mark.parametrize("half_u, bits", [
+        ("0.042594241063546908754", 64), ("0.82943915604985563039", 128),
+        ("0.59424387886861063102", 128), ("2.4405103533025616080", 256)])
+    @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+    def test_half_cotangent_is_odd_where_tanh_is_not(self, family, half_u,
+                                                     bits):
+        u = 2 * to_mpf(half_u, 53)
+        half_cotangent = polynomials.FAMILY[family].half_cotangent
+        assert half_cotangent(mpf_neg(u._mpf_), bits) \
+            == mpf_neg(half_cotangent(u._mpf_, bits))
+        points, mults = [mp.mpf(0), u], [1, 1]
+        assert _sweep_couplings(family, points, mults, bits, {}) \
+            == _sweep_couplings(family, points, mults, bits, None)
 
 
 class TestInvariants:

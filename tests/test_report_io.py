@@ -238,6 +238,19 @@ class TestProblemFiles:
             problem_from_dict(dict(GOOD_PROBLEM, settings={key: 2}))
         assert f"problem.settings.{key}: " in str(err.value)
 
+    @pytest.mark.parametrize("key", ["precison_bits", "true_root", "setting"])
+    def test_unknown_top_level_key_rejected_naming_it(self, key):
+        # a misspelt key would otherwise leave its default in force
+        with pytest.raises(SchemaError) as err:
+            problem_from_dict(dict(GOOD_PROBLEM, **{key: 1024}))
+        assert f"problem.{key}: " in str(err.value)
+
+    def test_keys_of_the_other_representation_accepted(self):
+        # the README's template lists the keys of both representations
+        problem = problem_from_dict(dict(GOOD_PROBLEM, roots=["2", "3", "5"],
+                                         scale="1"))
+        assert problem.poly == problem_from_dict(GOOD_PROBLEM).poly
+
     @pytest.mark.parametrize("label", [5, ["a"], {"x": 1}, None, True],
                              ids=["number", "list", "object", "null", "true"])
     def test_label_that_is_not_a_string_rejected(self, label):

@@ -28,7 +28,7 @@ from multiroots import (
     step,
 )
 from multiroots import solver
-from multiroots.polynomials import root_offset
+from multiroots.polynomials import gaps, root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from multiroots.report_io import load_problem
 from conftest import (count_family_calls, count_passes, random_configuration,
@@ -73,6 +73,20 @@ class TestStep:
                        SolveSettings(precision_bits=bits),
                        true_roots=EX1["roots"])
         assert max(report.trace[4].errors) <= mp.mpf("1e-18")
+
+    def test_hand_driven_loop_takes_string_truths_as_solve_does(self):
+        # initial_state and step once subtracted the strings from mpf values
+        bits = 192  # below FLOOR: every sweep of the solve is a `step`
+        poly = expanded(ALGEBRAIC, EX1, bits)
+        settings = SolveSettings(precision_bits=bits)
+        report = solve(poly, EX1["mults"], EX1["initial"], settings,
+                       true_roots=EX1["roots"])
+        entries = [initial_state(poly, EX1["initial"], settings,
+                                 true_roots=EX1["roots"])]
+        while len(entries) < len(report.trace):
+            entries.append(step(poly, EX1["mults"], entries[-1], settings,
+                                true_roots=EX1["roots"]))
+        assert tuple(entries) == report.trace
 
     def test_degenerate_denominator_raises(self):
         poly = AlgebraicPoly((0, -1))  # x^2 - 1, f'(0) = 0
@@ -457,7 +471,7 @@ def drawn_case(rng, family, m, bits):
                                alpha_max=2 if m > 5 else 3,
                                gap_range=(0.35, 0.7))
     with mp.workprec(bits):
-        nudge = cfg.min_gap() / 10
+        nudge = gaps(cfg.roots)[0] / 10
         initial = [r + (-1) ** i * nudge for i, r in enumerate(cfg.roots)]
     return FactoredForm(family, cfg), cfg.multiplicities, initial
 
