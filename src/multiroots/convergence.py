@@ -18,7 +18,7 @@ from .polynomials import (ALGEBRAIC, EXPONENTIAL, FAMILIES, TRIGONOMETRIC,
 from .precision import require_bits, to_mpf, working
 
 BISECTIONS = 80  # steps of `max_feasible_c`
-GRID = 48  # points per axis of `feasible_point_trigonometric`
+GRID = 48  # grid points per axis in `feasible_point_trigonometric`
 MIN_WINDOW = 4  # the shortest run `estimate_order` accepts
 
 
@@ -190,11 +190,13 @@ def max_feasible_c(params):
 
 
 def feasible_point_trigonometric(roots, multiplicities, q, bits=53):
-    """Grid search over (c, kappa) for the trigonometric condition.
+    """Largest c on a grid passing the trigonometric condition.
 
-    Scans c in (0, d/2) and kappa in (2c, pi - max_gap/2); returns the
-    feasible ConvergenceParams with the largest c (ties: largest kappa).
-    Raises InvalidConfigurationError when the whole grid fails.
+    Scans GRID values of c in (0, d/2), largest first, each at the largest
+    of GRID values of kappa in (2c, pi - max_gap/2): no clause that passes
+    at a smaller kappa of that grid fails there (README, "Feasible
+    constants"), so the scan finds the c the full (c, kappa) grid finds.
+    Raises InvalidConfigurationError when every c fails.
     """
     probe = ConvergenceParams(
         family=TRIGONOMETRIC, c="0.001", q=q, roots=roots,
@@ -205,13 +207,10 @@ def feasible_point_trigonometric(roots, multiplicities, q, bits=53):
         kappa_hi = mp.pi - probe.max_gap / 2
         for ic in range(GRID, 0, -1):
             c = d / 2 * ic / (GRID + 1)
-            for ik in range(GRID, 0, -1):
-                kappa = 2 * c + (kappa_hi - 2 * c) * ik / (GRID + 1)
-                if kappa <= 0:
-                    continue
-                trial = replace(probe, c=c, kappa=kappa)
-                if check_conditions(trial).passed:
-                    return trial
+            kappa = 2 * c + (kappa_hi - 2 * c) * GRID / (GRID + 1)
+            trial = replace(probe, c=c, kappa=kappa)
+            if check_conditions(trial).passed:
+                return trial
     raise InvalidConfigurationError("no feasible (c, kappa) on the search grid")
 
 

@@ -329,10 +329,13 @@ def load_report(path):
     """Parse a report file back into the SolveReport it was written from.
 
     Every list in a trace entry holds one value per entry of `final`,
-    `residuals` and `corrections` are in every entry past the first, and
-    `errors` is in every entry or in none.  `termination` is one of the
-    solver's TERMINATIONS, entry i's `k` is i, and `iterations_used` is the
-    last entry's `k`; a missing `k` or `iterations_used` takes that value.
+    `residuals` and `corrections` are in every entry past the first,
+    `corrections` is not in the first, and `errors` is in every entry or in
+    none.  Entry 0's `precision_bits` is the report's, and every other
+    entry's lies between MIN_PRECISION_BITS and it.  `termination` is one
+    of the solver's TERMINATIONS, entry i's `k` is i, and `iterations_used`
+    is the last entry's `k`; a missing `k` or `iterations_used` takes that
+    value.
     A report that breaks a rule no longer describes one solve and is a
     SchemaError naming the key."""
     data = _read_json(path)
@@ -369,13 +372,16 @@ def load_report(path):
         for key in ("residuals", "corrections") if idx else ():
             _require(entry.get(key) is not None,
                      "every entry after the first needs it", f"{loc}.{key}")
-        # reports written before the precision ladder ran every sweep at
-        # the report's precision and carry no per-entry key
+        _require(idx or entry.get("corrections") is None,
+                 "the initial entry has no sweep behind it",
+                 f"{loc}.corrections")
+        # the initial entry is taken at the report's precision and a sweep
+        # at any rung up to it; reports written before the precision ladder
+        # ran every sweep at the report's precision and carry no per-entry key
         swept_at = entry.get("precision_bits", bits)
-        _require(type(swept_at) is int
-                 and MIN_PRECISION_BITS <= swept_at <= bits,
-                 f"precision_bits must be an integer in "
-                 f"{MIN_PRECISION_BITS}..{bits}",
+        lowest = MIN_PRECISION_BITS if idx else bits
+        _require(type(swept_at) is int and lowest <= swept_at <= bits,
+                 f"precision_bits must be an integer in {lowest}..{bits}",
                  f"{loc}.precision_bits")
         trace.append(TraceEntry(k, **{
             key: optional(entry, key, loc) for key in _TRACE_LISTS},

@@ -113,6 +113,10 @@ REPORT_KEY_EDITS = {
     "iterations_used a string": ("iterations_used", "3"),
     "corrections null past the first": ("trace[1].corrections", None),
     "residuals null past the first": ("trace[2].residuals", None),
+    "corrections in the initial entry": ("trace[0].corrections",
+                                         ["0", "0", "0"]),
+    "initial entry below the report's precision": ("trace[0].precision_bits",
+                                                   53),
     "estimated_order false": ("estimated_order", False),
     "estimated_order empty": ("estimated_order", ""),
 }

@@ -1,0 +1,129 @@
+"""The accuracy contract: what a solve guarantees beyond its own bits.
+
+Each part runs on seeded `random_configuration` samples of every family,
+in factored and coefficient form, at 128 bits and at 1024 bits, where the
+precision ladder runs the early sweeps below full precision.
+"""
+
+import random
+
+import pytest
+from mpmath import mp
+
+from multiroots import (
+    ALGEBRAIC,
+    EXPONENTIAL,
+    TRIGONOMETRIC,
+    ConvergenceParams,
+    FactoredForm,
+    SolveSettings,
+    expand_from_roots,
+    feasible_point_trigonometric,
+    max_feasible_c,
+    solve,
+)
+from multiroots.precision import working
+from multiroots.solver import (CONVERGED, MAX_ITERATIONS, SEQUENTIAL,
+                               SIMULTANEOUS)
+from conftest import random_configuration
+
+FAMILIES = (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL)
+PRECISIONS = (128, 1024)
+Q = "0.5"
+
+
+def forms(family, cfg, bits):
+    """The configuration's factored form and its coefficient expansion."""
+    factored = FactoredForm(family, cfg, precision_bits=bits)
+    return {"factored": factored, "coefficients": expand_from_roots(factored)}
+
+
+def feasible_c(family, cfg, bits):
+    """A c that passes the family's condition at q = Q: the largest by
+    bisection, or the trigonometric search's."""
+    if family == TRIGONOMETRIC:
+        return feasible_point_trigonometric(cfg.roots, cfg.multiplicities, Q,
+                                            bits=bits).c
+    return max_feasible_c(ConvergenceParams(
+        family=family, c="0.001", q=Q, roots=cfg.roots,
+        multiplicities=cfg.multiplicities, precision_bits=bits))
+
+
+def raw(values):
+    return None if values is None else tuple(v._mpf_ for v in values)
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_errors_stay_within_the_a_priori_bound(family, bits):
+    # the paper: from starts within c*q of the roots, the largest error
+    # after sweep k is at most c*q**(3**k).  Rounding ends the descent at a
+    # floor: about 2**-bits for a factored form, and about eps**(1/alpha)
+    # for a coefficient form, where an alpha-fold root freezes
+    rng = random.Random(f"a-priori bound {family} {bits}")
+    violations, worst = [], 0
+    for sample in range(10):
+        cfg = random_configuration(rng, family, bits)
+        c = feasible_c(family, cfg, bits)
+        with working(bits):
+            q = mp.mpf(Q)
+            initial = [r + mp.mpf(rng.uniform(-1, 1)) * c * q
+                       for r in cfg.roots]
+            for form, poly in forms(family, cfg, bits).items():
+                floor = mp.mpf(2) ** (40 - bits)
+                if form == "coefficients":
+                    floor **= mp.mpf(1) / max(cfg.multiplicities)
+                bounds = []
+                while c * q ** (3 ** (len(bounds) + 1)) > floor:
+                    bounds.append(c * q ** (3 ** (len(bounds) + 1)))
+                for mode in (SIMULTANEOUS, SEQUENTIAL):
+                    report = solve(poly, cfg.multiplicities, initial,
+                                   SolveSettings(precision_bits=bits,
+                                                 max_iterations=len(bounds),
+                                                 sweep_mode=mode),
+                                   true_roots=cfg.roots)
+                    assert report.termination in (CONVERGED, MAX_ITERATIONS)
+                    for entry, bound in zip(report.trace[1:], bounds):
+                        ratio = max(entry.errors) / bound
+                        worst = max(worst, ratio)
+                        if ratio > 1:
+                            violations.append((sample, form, mode, entry.k,
+                                               mp.nstr(ratio, 3)))
+    assert not violations, f"worst error/bound {mp.nstr(worst, 3)}"
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_simultaneous_solve_commutes_with_a_permutation(family, bits):
+    # every sweep reads the same incoming approximations and sums the
+    # coupling terms with one rounding, so the roots' order is a label
+    rng = random.Random(f"permutation {family} {bits}")
+    for _ in range(5):
+        cfg = random_configuration(rng, family, bits)
+        m = len(cfg.roots)
+        order = list(range(m))
+        while order == sorted(order):
+            rng.shuffle(order)
+
+        def permuted(values):
+            return None if values is None else tuple(values[i] for i in order)
+
+        with working(bits):
+            initial = [r + mp.mpf(rng.uniform(-0.1, 0.1)) for r in cfg.roots]
+        settings = SolveSettings(precision_bits=bits)
+        for poly in forms(family, cfg, bits).values():
+            report = solve(poly, cfg.multiplicities, initial, settings,
+                           true_roots=cfg.roots)
+            other = solve(poly, permuted(cfg.multiplicities),
+                          permuted(initial), settings,
+                          true_roots=permuted(cfg.roots))
+            assert ((other.termination, other.iterations_used)
+                    == (report.termination, report.iterations_used))
+            assert raw(other.final) == raw(permuted(report.final))
+            assert other.estimated_order == report.estimated_order
+            for a, b in zip(report.trace, other.trace):
+                assert b.precision_bits == a.precision_bits
+                for key in ("approximations", "residuals", "corrections",
+                            "errors"):
+                    assert raw(getattr(b, key)) == raw(
+                        permuted(getattr(a, key))), (a.k, key)

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 from mpmath import mp
 
-from multiroots import FamilyOverflowError, cli
+from multiroots import FamilyOverflowError, cli, solver
 from multiroots.cli import main
 from multiroots.precision import parse_real
 from multiroots.report_io import load_problem, load_report
@@ -195,6 +195,11 @@ def test_division_by_zero_report_value_exits_2_naming_it(tmp_path, capsys):
     capsys.readouterr()
     assert run("order", report) == 2
     assert f"{report}.trace[2].corrections[1]" in capsys.readouterr().err
+
+
+def test_every_termination_has_an_exit_code():
+    # a termination without one would end `solve` in a KeyError
+    assert set(cli._TERMINATION_EXIT) == set(solver.TERMINATIONS)
 
 
 class TestParserReuse:

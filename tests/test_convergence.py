@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 from mpmath import mp
 
@@ -13,7 +16,10 @@ from multiroots import (
     feasible_point_trigonometric,
     max_feasible_c,
 )
-from multiroots.convergence import MIN_WINDOW
+from multiroots import convergence
+from multiroots.convergence import GRID, MIN_WINDOW
+from multiroots.precision import working
+from conftest import random_configuration
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1))
 EX2 = dict(roots=("1", "2", "2.5"), mults=(3, 2, 1))
@@ -87,6 +93,76 @@ class TestTrigCondition:
             params(TRIGONOMETRIC, EX2, "0.1")  # no kappa
         with pytest.raises(InvalidConfigurationError):
             params(ALGEBRAIC, EX1, "0.1", kappa="1.0")
+
+
+def grid_reference(roots, multiplicities, q, bits=53):
+    """The full GRID x GRID search over (c, kappa): at each c, largest
+    first, every kappa on the grid, largest first."""
+    probe = ConvergenceParams(
+        family=TRIGONOMETRIC, c="0.001", q=q, roots=roots,
+        multiplicities=multiplicities, kappa="0.01", precision_bits=bits)
+    with working(bits):
+        kappa_hi = mp.pi - probe.max_gap / 2
+        for ic in range(GRID, 0, -1):
+            c = probe.d / 2 * ic / (GRID + 1)
+            for ik in range(GRID, 0, -1):
+                kappa = 2 * c + (kappa_hi - 2 * c) * ik / (GRID + 1)
+                if kappa <= 0:
+                    continue
+                trial = replace(probe, c=c, kappa=kappa)
+                if check_conditions(trial).passed:
+                    return trial
+    raise InvalidConfigurationError("no feasible (c, kappa) on the search grid")
+
+
+def search_outcome(search, *args, **kwargs):
+    try:
+        found = search(*args, **kwargs)
+    except InvalidConfigurationError as exc:
+        return str(exc)
+    return found.c._mpf_, found.kappa._mpf_
+
+
+def seeded_trigonometric_cases():
+    rng = random.Random(2101)
+    for q, bits in [("0.1", 53), ("0.5", 53), ("0.9", 53), ("0.1", 192),
+                    ("0.5", 192), ("0.9", 192)]:
+        cfg = random_configuration(rng, TRIGONOMETRIC, bits,
+                                   gap_range=(0.3, 1.5))
+        yield pytest.param(cfg.roots, cfg.multiplicities, q, bits,
+                           id=f"seeded-q{q}-{bits}")
+
+
+class TestTrigonometricScan:
+    """`feasible_point_trigonometric` checks one kappa per c: the grid's
+    largest, which decides the whole kappa column."""
+
+    @pytest.mark.parametrize("roots, mults, q, bits", [
+        pytest.param(EX2["roots"], EX2["mults"], "0.5", 53, id="example2-53"),
+        pytest.param(EX2["roots"], EX2["mults"], "0.5", 128,
+                     id="example2-128"),
+        pytest.param(("0", "10"), (1, 1), "0.5", 53, id="infeasible"),
+        *seeded_trigonometric_cases(),
+    ])
+    def test_same_point_as_the_full_grid(self, roots, mults, q, bits):
+        assert (search_outcome(feasible_point_trigonometric, roots, mults, q,
+                               bits=bits)
+                == search_outcome(grid_reference, roots, mults, q, bits=bits))
+
+    @pytest.mark.parametrize("roots, mults, checks", [
+        (EX2["roots"], EX2["mults"], 38),
+        (("0", "10"), (1, 1), GRID),
+    ], ids=["example2", "infeasible"])
+    def test_at_most_one_check_per_c(self, monkeypatch, roots, mults, checks):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return check_conditions(params)
+
+        monkeypatch.setattr(convergence, "check_conditions", counted)
+        search_outcome(feasible_point_trigonometric, roots, mults, "0.5")
+        assert len(calls) == checks <= GRID
 
 
 class TestExpCondition:
