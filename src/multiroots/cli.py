@@ -259,7 +259,7 @@ def _cmd_order(args):
         print(f"warning: report terminated {report.termination}; the order "
               f"below is not a convergence order", file=sys.stderr)
     try:
-        estimate, kind = trace_order(report.trace, report.precision_bits)
+        estimate, kind = trace_order(report.trace)
     except InsufficientDataError as exc:
         print(f"order: insufficient data ({exc})", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -27,7 +27,8 @@ from .polynomials import (
     require_multiplicities,
 )
 from .precision import MIN_PRECISION_BITS, format_real, parse_real, require_bits
-from .solver import TERMINATIONS, SolveReport, SolveSettings, TraceEntry
+from .solver import (CONVERGED, TERMINATIONS, SolveReport, SolveSettings,
+                     TraceEntry)
 
 REPRESENTATIONS = ("coefficients", "roots")
 # the TraceEntry fields a report stores as lists of reals, in file order
@@ -335,7 +336,8 @@ def load_report(path):
     entry's lies between MIN_PRECISION_BITS and it.  `termination` is one
     of the solver's TERMINATIONS, entry i's `k` is i, and `iterations_used`
     is the last entry's `k`; a missing `k` or `iterations_used` takes that
-    value.
+    value.  `final` and `residuals`, when present, are the last entry's,
+    and only a converged report carries an `estimated_order`.
     A report that breaks a rule no longer describes one solve and is a
     SchemaError naming the key."""
     data = _read_json(path)
@@ -393,13 +395,19 @@ def load_report(path):
     _require(type(used) is int and used == trace[-1].k,
              f"iterations_used must be the last entry's k {trace[-1].k}, "
              f"got {used!r}", f"{location}.iterations_used")
+    # raw values: a `nonfinite` report holds nan, and nan != nan
+    raw = lambda values: values and [v._mpf_ for v in values]
+    _require(raw(final) == raw(trace[-1].approximations),
+             "final must be the last entry's approximations",
+             f"{location}.final")
+    _require("residuals" not in data
+             or raw(optional(data, "residuals", location))
+             == raw(trace[-1].residuals),
+             "residuals must be the last entry's", f"{location}.residuals")
     order = data.get("estimated_order")
-    return SolveReport(
-        final=final,
-        iterations_used=used,
-        termination=data["termination"],
-        trace=tuple(trace),
-        estimated_order=(None if order is None else checked_real(
-            order, bits, f"{location}.estimated_order", finite=False)),
-        precision_bits=bits,
-    )
+    loc = f"{location}.estimated_order"
+    _require(order is None or data["termination"] == CONVERGED,
+             "only a converged solve carries an order", loc)
+    if order is not None:
+        order = checked_real(order, bits, loc, finite=False)
+    return SolveReport(data["termination"], tuple(trace), order)

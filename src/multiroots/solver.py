@@ -106,12 +106,23 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SolveReport:
-    final: tuple
-    iterations_used: int
+    """A solve's record: its trace, which holds the roots it ended on, the
+    sweeps it ran and its precision, how it ended, and the order it saw."""
     termination: str
     trace: tuple
     estimated_order: object = None
-    precision_bits: int = 53
+
+    @property
+    def final(self):
+        return self.trace[-1].approximations
+
+    @property
+    def iterations_used(self):
+        return self.trace[-1].k
+
+    @property
+    def precision_bits(self):
+        return self.trace[0].precision_bits
 
 
 def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
@@ -255,28 +266,27 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
 
-def order_error_sequence(trace, past_first_freeze=False):
+def order_error_sequence(trace):
     """Per-iteration max error (or max correction, when the truth is not in
-    the trace) suitable for order estimation.
+    the trace) suitable for order estimation, from one walk of the trace.
 
     A coordinate that froze on the evaluation noise floor (correction 0 with
     a nonzero residual) no longer converges, and its stale error would
-    pollute the ratios.  The sequence ends at the first iteration where any
-    coordinate froze.  With `past_first_freeze` it goes on instead: each
-    coordinate leaves at its own freeze, entry k is the max over the
-    coordinates not yet frozen at k, and the sequence ends when every
-    coordinate has frozen.
-    Returns (sequence, kind) with kind in {"error", "correction"}.
+    pollute the ratios.  Each coordinate leaves at its own freeze, entry k
+    is the max over the coordinates not yet frozen at k, and the sequence
+    ends when every coordinate has frozen.  `cut` counts its entries before
+    the first iteration where any coordinate froze.
+    Returns (sequence, kind, cut) with kind in {"error", "correction"}.
     """
     kind = "error" if trace and trace[0].errors is not None else "correction"
     live = set(range(len(trace[0].approximations))) if trace else set()
-    sequence = []
+    sequence, cut = [], None
     for entry in trace:
         if entry.corrections is not None and entry.residuals is not None:
             frozen = {i for i, (c, r) in enumerate(
                 zip(entry.corrections, entry.residuals)) if c == 0 and r > 0}
-            if frozen and not past_first_freeze:
-                break
+            if frozen and cut is None:
+                cut = len(sequence)
             live -= frozen
         if not live:
             break
@@ -284,28 +294,29 @@ def order_error_sequence(trace, past_first_freeze=False):
             sequence.append(max(entry.errors[i] for i in live))
         elif entry.corrections is not None:
             sequence.append(max(entry.corrections[i] for i in live))
-    return sequence, kind
+    return sequence, kind, len(sequence) if cut is None else cut
 
 
-def trace_order(trace, bits):
-    """(OrderEstimate, kind) of a trace's `order_error_sequence`.
+def trace_order(trace):
+    """(OrderEstimate, kind) of a trace's `order_error_sequence`, computed
+    at 53 bits whatever the caller's `mp.prec`.
 
-    The window before the first freeze, where every coordinate still
-    converges, is preferred.  When it is too short (a multiple root froze
-    early while another coordinate went on converging), the sequence
-    continues past the first freeze.  Errors below 2**8 ulp at the
-    magnitude of the last entry's approximations (at least 1) are roundoff,
-    and the estimate leaves them out.  Raises InsufficientDataError when no
-    window of either sequence qualifies.
+    The window before the first freeze, `sequence[:cut]`, where every
+    coordinate still converges, is preferred.  When it is too short (a
+    multiple root froze early while another coordinate went on converging),
+    the whole sequence is used.  Errors below 2**8 ulp at the trace's
+    precision and the magnitude of the last entry's approximations (at
+    least 1) are roundoff, and the estimate leaves them out.  Raises
+    InsufficientDataError when no window of either sequence qualifies.
     """
-    scale = max([mp.mpf(1)] + [abs(x) for x in trace[-1].approximations])
-    floor = mp.mpf(2) ** 8 * eps(bits) * scale
-    sequence, kind = order_error_sequence(trace)
-    try:
-        return estimate_order(sequence, floor=floor), kind
-    except InsufficientDataError:
-        sequence, kind = order_error_sequence(trace, past_first_freeze=True)
-        return estimate_order(sequence, floor=floor), kind
+    sequence, kind, cut = order_error_sequence(trace)
+    with working(53):
+        scale = max([mp.mpf(1)] + [abs(x) for x in trace[-1].approximations])
+        floor = mp.mpf(2) ** 8 * eps(trace[0].precision_bits) * scale
+        try:
+            return estimate_order(sequence[:cut], floor=floor), kind
+        except InsufficientDataError:
+            return estimate_order(sequence, floor=floor), kind
 
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
@@ -346,18 +357,10 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         if max(entry.corrections) <= settings.tolerance:
             termination = CONVERGED
             break
-    last = trace[-1]
     order = None
     if termination == CONVERGED:
         try:
-            order = trace_order(trace, bits)[0].order
+            order = trace_order(trace)[0].order
         except InsufficientDataError:
             pass
-    return SolveReport(
-        final=last.approximations,
-        iterations_used=last.k,
-        termination=termination,
-        trace=tuple(trace),
-        estimated_order=order,
-        precision_bits=bits,
-    )
+    return SolveReport(termination, tuple(trace), order)

@@ -119,6 +119,8 @@ REPORT_KEY_EDITS = {
                                                    53),
     "estimated_order false": ("estimated_order", False),
     "estimated_order empty": ("estimated_order", ""),
+    "final not the last approximations": ("final", ["1.5", "2.5", "4.5"]),
+    "residuals not the last residuals": ("residuals", ["7", "7", "7"]),
 }
 
 

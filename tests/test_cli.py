@@ -440,8 +440,10 @@ class TestVerifyCommand:
 
     def test_perturbed_approximation_fails(self, solved, tmp_path):
         data = json.loads(solved.read_text())
+        # the last entry's approximations with it, which `final` must equal
         x0 = mp.mpf(data["final"][0]) + mp.mpf("1e-6")
-        data["final"][0] = mp.nstr(x0, 40)
+        data["final"][0] = data["trace"][-1]["approximations"][0] = \
+            mp.nstr(x0, 40)
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(data))
         assert run("verify", "example1", tampered) == 1
@@ -501,6 +503,20 @@ class TestOrderCommand:
         capsys.readouterr()
         assert run("order", out) == 0
         assert capsys.readouterr().err == ""
+
+    def test_an_order_on_a_failed_solve_exits_2_naming_it(self, tmp_path,
+                                                           capsys):
+        # only a converged solve carries an estimated order
+        out = tmp_path / "r.json"
+        assert run("solve", "example1", "-o", out) == 0
+        data = json.loads(out.read_text())
+        assert data["estimated_order"] is not None
+        data["termination"] = "max_iterations"
+        out.write_text(json.dumps(data))
+        for argv in (["order", out], ["verify", "example1", out]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            assert f"{out}.estimated_order: " in capsys.readouterr().err
 
     def test_a_trace_too_short_exits_1(self, tmp_path, capsys):
         out = tmp_path / "r.json"

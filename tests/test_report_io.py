@@ -305,9 +305,7 @@ class TestReports:
         last = TraceEntry(1, (mp.nan, mp.mpf(3), mp.inf),
                           (mp.nan, mp.mpf(0), mp.inf),
                           (mp.nan, mp.mpf("0.5"), mp.inf), None, bits)
-        report = SolveReport(final=last.approximations, iterations_used=1,
-                             termination=NONFINITE, trace=(start, last),
-                             precision_bits=problem.precision_bits)
+        report = SolveReport(NONFINITE, (start, last))
         path = tmp_path / "r.json"
         save_report(report, problem, path)
         loaded = load_report(path)
@@ -416,6 +414,37 @@ class TestReports:
         with pytest.raises(SchemaError) as err:
             load_report(path)
         assert f"{path}.{named}: " in str(err.value)
+
+    @pytest.mark.parametrize("termination", [
+        "max_iterations", "collision", "diverged", "nonfinite"])
+    def test_an_order_on_a_failed_solve_rejected(self, tmp_path, termination):
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings)
+        assert report.estimated_order is not None
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        data["termination"] = termination
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert f"{path}.estimated_order: " in str(err.value)
+        data["estimated_order"] = None
+        path.write_text(json.dumps(data))
+        assert load_report(path).termination == termination
+
+    def test_report_without_residuals_loads(self, tmp_path):
+        # the top-level residuals repeat the last entry's and may be left out
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings)
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        data = json.loads(path.read_text())
+        del data["residuals"]
+        path.write_text(json.dumps(data))
+        assert load_report(path) == report
 
     def test_report_without_k_or_iterations_used_loads(self, tmp_path):
         # each defaults to what the trace says

@@ -655,25 +655,84 @@ class TestOrderErrorSequence:
                  self.entry(3, ("0", "1e-3"), ("1e-3", "1e-9")),
                  self.entry(4, ("0", "0"), ("1e-3", "1e-9"))]
         # coordinate 0 froze at k = 2, coordinate 1 at k = 4
-        assert solver.order_error_sequence(trace) == (
-            [mp.mpf(e) for e in ("1", "1e-1")], "error")
-        sequence, kind = solver.order_error_sequence(trace,
-                                                     past_first_freeze=True)
+        sequence, kind, cut = solver.order_error_sequence(trace)
         assert kind == "error"
+        assert sequence[:cut] == [mp.mpf(e) for e in ("1", "1e-1")]
         assert sequence == [mp.mpf(e) for e in ("1", "1e-1", "1e-3", "1e-9")]
 
     def test_an_exact_zero_is_not_a_freeze(self):
         trace = [self.entry(0, None, ("1", "1")),
                  self.entry(1, ("0", "1e-2"), ("0", "1e-2"), residuals=(0, 1))]
-        assert solver.order_error_sequence(trace)[0] == [1, mp.mpf("1e-2")]
+        sequence, _, cut = solver.order_error_sequence(trace)
+        assert sequence[:cut] == sequence == [1, mp.mpf("1e-2")]
 
     def test_without_the_truth_corrections_stand_in(self):
         trace = [self.entry(k, c, ("1", "1")) for k, c in enumerate(
             (None, ("1e-1", "1"), ("0", "1e-2"), ("0", "0")))]
         trace = [replace(e, errors=None) for e in trace]
-        assert solver.order_error_sequence(trace) == ([1], "correction")
-        assert solver.order_error_sequence(trace, past_first_freeze=True) == (
-            [1, mp.mpf("1e-2")], "correction")
+        sequence, kind, cut = solver.order_error_sequence(trace)
+        assert (sequence[:cut], kind) == ([1], "correction")
+        assert sequence == [1, mp.mpf("1e-2")]
+
+    @staticmethod
+    def two_walks(trace, past_first_freeze=False):
+        """The sequence as two walks of the trace once gave it: the first
+        stopped at the first freeze, the second went on past it."""
+        kind = "error" if trace[0].errors is not None else "correction"
+        live = set(range(len(trace[0].approximations)))
+        sequence = []
+        for entry in trace:
+            if entry.corrections is not None:
+                frozen = {i for i, (c, r) in enumerate(
+                    zip(entry.corrections, entry.residuals))
+                    if c == 0 and r > 0}
+                if frozen and not past_first_freeze:
+                    break
+                live -= frozen
+            if not live:
+                break
+            if kind == "error":
+                sequence.append(max(entry.errors[i] for i in live))
+            elif entry.corrections is not None:
+                sequence.append(max(entry.corrections[i] for i in live))
+        return sequence, kind
+
+    def test_one_walk_gives_both_sequences_of_seeded_solves(self):
+        rng, froze = random.Random(20261019), 0
+        for family in (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL):
+            for _ in range(4):
+                cfg = random_configuration(rng, family, bits=128)
+                poly = expand_from_roots(FactoredForm(family, cfg))
+                with mp.workprec(128):
+                    initial = [r + mp.mpf("0.05") * (-1) ** i
+                               for i, r in enumerate(cfg.roots)]
+                report = solve(poly, cfg.multiplicities, initial,
+                               SolveSettings(precision_bits=128),
+                               true_roots=cfg.roots)
+                froze += any(c == 0 and r > 0 for e in report.trace[1:-1]
+                             for c, r in zip(e.corrections, e.residuals))
+                for trace in (report.trace, [replace(e, errors=None)
+                                             for e in report.trace]):
+                    sequence, kind, cut = solver.order_error_sequence(trace)
+                    assert self.two_walks(trace) == (sequence[:cut], kind)
+                    assert self.two_walks(trace, True) == (sequence, kind)
+        assert froze >= 6  # a freeze before the last sweep, in most solves
+
+
+class TestOrderPrecision:
+    def test_the_order_does_not_depend_on_the_callers_precision(self):
+        problem = load_problem(
+            resources.files("multiroots.problems") / "example1.json")
+        args = (problem.poly, problem.multiplicities, problem.initial,
+                problem.settings)
+        report = solve(*args, true_roots=problem.truth())
+        with mp.workprec(400):
+            again = solve(*args, true_roots=problem.truth())
+            estimate, kind = solver.trace_order(report.trace)
+        assert again.trace == report.trace
+        assert again.estimated_order == report.estimated_order
+        assert estimate.order == report.estimated_order
+        assert (estimate, kind) == solver.trace_order(report.trace)
 
 
 class TestSimpleRootReductionResidual:
