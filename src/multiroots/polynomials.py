@@ -34,8 +34,13 @@ form), so the points of one trace entry are still there when the next
 sweep reads them.  `solver.solve` runs on its own copy of the polynomial,
 so a memo lives for one solve and spans every rung of its precision
 ladder.  The kernels return the same bits either way.
+
+A factored form also has a float twin, `FloatForm` (`float_form`), whose
+residual the solver's 53-bit rung reads; the family's float entries in
+`FAMILY` give it g and g'/g.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,11 +108,16 @@ class Family:
 
     The callables work on raw libmp values: `factor_pair(u, prec)`,
     `basis_pair(x, prec)` and `half_cotangent(u, prec)`, each rounding to
-    nearest at `prec`.
+    nearest at `prec`.  Two more take and return Python floats, for the
+    solver's 53-bit rung (`FloatForm`): `float_factor(u)`, the factor g,
+    and `float_log_derivative(u)`, h = g'/g, which is 1/u or the halved
+    half-cotangent.
     """
 
     factor_pair: Callable
     roots_per_degree: int
+    float_factor: Callable
+    float_log_derivative: Callable
     basis_pair: Callable = None
     derivative_sign: int = None
     half_cotangent: Callable = None
@@ -117,12 +127,13 @@ def _half(u, prec):
     return mpf_div(u, TWO, prec, RND)
 
 
-def _series_family(pair, tangent, sign):
+def _series_family(pair, tangent, sign, float_odd, float_tangent):
     """The series family of libmp `pair` (x -> (E, O)), `tangent` (O/E) and
     sign s: g(u) = O(u/2), and the half-cotangent 1/tangent(u/2) is formed
     as mp.cot and mp.coth form it, at prec + 10, then rounded to prec.
     libmp's sin and sinh take their value from the same cos_sin and
-    cosh_sinh computation, so g from the pair has their bits."""
+    cosh_sinh computation, so g from the pair has their bits.  `float_odd`
+    and `float_tangent` are O and O/E in floats, from `math`."""
     def factor_pair(u, prec):
         even, o = pair(_half(u, prec), prec, RND)
         return o, _half(even, prec)
@@ -134,16 +145,21 @@ def _series_family(pair, tangent, sign):
         return mpf_neg(c) if u[0] else c
 
     return Family(
-        factor_pair=factor_pair,
-        roots_per_degree=2, basis_pair=lambda x, prec: pair(x, prec, RND),
+        factor_pair=factor_pair, roots_per_degree=2,
+        float_factor=lambda u: float_odd(0.5 * u),
+        float_log_derivative=lambda u: 0.5 / float_tangent(0.5 * u),
+        basis_pair=lambda x, prec: pair(x, prec, RND),
         derivative_sign=sign, half_cotangent=half_cotangent)
 
 
 FAMILY = {
     ALGEBRAIC: Family(factor_pair=lambda u, prec: (u, fone),
-                      roots_per_degree=1),
-    TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_tan, -1),
-    EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_tanh, 1),
+                      roots_per_degree=1, float_factor=lambda u: u,
+                      float_log_derivative=lambda u: 1.0 / u),
+    TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_tan, -1,
+                                  math.sin, math.tan),
+    EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_tanh, 1,
+                                math.sinh, math.tanh),
 }
 
 
@@ -418,6 +434,55 @@ class FactoredForm:
         dv = mpf_mul(scale, mpf_sum(terms, prec, RND), prec, RND)
         # a product rounds alike for either sign: no cancellation
         return v, dv, mpf_abs(v, prec, RND)
+
+
+@dataclass(frozen=True)
+class FloatForm:
+    """A factored form in Python floats, for the solver's 53-bit rung.
+
+    Each root r is held as floats (hi, lo, alpha), hi the float nearest r
+    and lo the float nearest r - hi, so the offset (x - hi) - lo from a
+    float x near r keeps its relative accuracy where x - hi would carry
+    r's rounding.  |scale| is held as math.frexp holds it, (mantissa,
+    exponent).  Build it with `float_form`.
+    """
+
+    family: str
+    roots: tuple
+    scale: tuple
+
+    def residual(self, x):
+        """|f(x)| = |scale| prod_k |g(x - r_k)|^alpha_k at the float x, as an
+        exact mpf.  A running exponent keeps the product from over- or
+        underflowing: each factor enters as its math.frexp mantissa in
+        [0.5, 1), whose power stays normal while alpha < 1022
+        (`float_form`).  A factor that overflows raises OverflowError."""
+        g = FAMILY[self.family].float_factor
+        man, exp = self.scale
+        for hi, lo, a in self.roots:
+            gm, ge = math.frexp(g(x - hi - lo))
+            man, shift = math.frexp(man * gm ** a)
+            exp += ge * a + shift
+        return mp.ldexp(to_mpf(abs(man), 53), exp)
+
+
+def float_form(poly):
+    """`poly` as a FloatForm, or None unless it is a FactoredForm whose roots
+    are finite and pairwise distinct as floats, with every multiplicity
+    below 1022.  Two roots that share a float would be one root to the
+    float sweep."""
+    if not isinstance(poly, FactoredForm):
+        return None
+    roots = []
+    for r, a in zip(poly.config.roots, poly.config.multiplicities):
+        hi = float(r)
+        roots.append((hi, float(mp.fsub(r, hi, exact=True)), a))
+    highs = {hi for hi, _, _ in roots}
+    if (len(highs) < len(roots) or not all(map(math.isfinite, highs))
+            or max(poly.config.multiplicities) >= 1022):
+        return None
+    man, exp = mp.frexp(poly.scale)
+    return FloatForm(poly.family, tuple(roots), (abs(float(man)), exp))
 
 
 def _to_raw(value, prec):

@@ -16,8 +16,15 @@ Above FLOOR bits, `solve` climbs a precision ladder: cubic convergence
 triples the correct bits per sweep, so each sweep runs at the smallest rung
 FLOOR * 2**j that the previous corrections say it needs, or is redone at
 full precision when its own corrections show too few bits (`_ladder_step`).
+For a factored form solved above 53 bits the ladder starts lower, at a
+rung of Python floats (`_float_step`): a factored form evaluates with small
+relative error, so its first sweeps, whose corrections need only a few
+correct bits, run in floats and are kept on the same terms as a rung's.
+A coefficient form cancels near an alpha-fold root, and its sweeps stay on
+the mpmath rungs.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from mpmath import mp
@@ -31,9 +38,11 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .polynomials import (
+    FAMILY,
     evaluate,
     evaluate_derivative,
     evaluation_noise,
+    float_form,
     log_derivative_sum,
     require_distinct,
     require_multiplicities,
@@ -64,6 +73,15 @@ FAILURES = {
 # climbs one.  GUARD bits are kept beyond what the error estimate asks for.
 FLOOR = 256
 GUARD = 32
+
+# The float rung: Python floats carry FLOAT_BITS, and a factored sweep is
+# kept in floats while FLOAT_GUARD plus twice the bits its corrections call
+# for fit (`_float_need`).  A float denominator within FLOAT_DEGENERATE of
+# its terms' magnitude is rounding noise, as `_sweep`'s degenerate floor
+# is 2**(4 - bits) of |f'|.
+FLOAT_BITS = 53
+FLOAT_GUARD = 8
+FLOAT_DEGENERATE = 2.0 ** (4 - FLOAT_BITS)
 
 
 @dataclass(frozen=True)
@@ -127,13 +145,20 @@ class SolveReport:
 
 def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
     with working(bits):
-        residuals = tuple(abs(evaluate(poly, x, bits)) for x in approximations)
-        errors = None
-        if true_roots is not None:
-            errors = tuple(abs(root_offset(poly.family, x, r))
-                           for x, r in zip(approximations, true_roots))
-    return TraceEntry(k, tuple(approximations), residuals, corrections, errors,
+        residuals = tuple(abs(evaluate(poly, x, bits))
+                          for x in approximations)
+    return TraceEntry(k, tuple(approximations), residuals, corrections,
+                      _errors(poly.family, approximations, true_roots, bits),
                       bits)
+
+
+def _errors(family, approximations, true_roots, bits):
+    """|x_i - r_i| at `bits`, modulo the period, when the truth is known."""
+    if true_roots is None:
+        return None
+    with working(bits):
+        return tuple(abs(root_offset(family, x, r))
+                     for x, r in zip(approximations, true_roots))
 
 
 def _truths(true_roots, bits):
@@ -266,6 +291,83 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
 
+def _float_need(corrections, sweeps):
+    """The bits a factored sweep needs: FLOAT_GUARD + max_i 2 * sweeps *
+    log2(1/c_i), infinite once a correction is 0.  A factored form's f
+    keeps its relative accuracy near a root, so a sweep whose incoming
+    errors are about e needs only the correction's 2 log2(1/e), not the
+    alpha + 2 of `_rung`; `sweeps` reads as there."""
+    return FLOAT_GUARD + 2 * sweeps * max(-mp.mag(c) for c in corrections)
+
+
+def _float_sweep(form, multiplicities, approximations, sweep_mode):
+    """(new approximations, |corrections|) of one sweep of the FloatForm
+    `form` in Python floats.  With h = g'/g the family's log-derivative,
+    D_i / f(x_i) = sum_k a_k h(x_i - r_k) - sum_{j != i} alpha_j h(x_i - x_j),
+    formed by one math.fsum, so the terms' order does not matter, and x_i
+    moves by alpha_i / (D_i / f(x_i)).  The sequential mode reads the
+    updated entries, as `_sweep` does.
+
+    Raises ArithmeticError or ValueError where floats cannot carry the
+    sweep: an iterate on a root or on another iterate (h(0) divides by
+    zero), a sum that overflows, or a denominator within FLOAT_DEGENERATE
+    of its terms' magnitude (ZeroDivisionError).
+    """
+    h = FAMILY[form.family].float_log_derivative
+    current = [float(x) for x in approximations]
+    new = list(current)
+    corrections = []
+    for i, xi in enumerate(current):
+        source = new if sweep_mode == SEQUENTIAL else current
+        terms = [a * h(xi - hi - lo) for hi, lo, a in form.roots]
+        terms += [-a * h(xi - xj) for j, (xj, a)
+                  in enumerate(zip(source, multiplicities)) if j != i]
+        denom = math.fsum(terms)
+        if not abs(denom) > FLOAT_DEGENERATE * math.fsum(map(abs, terms)):
+            raise ZeroDivisionError("float denominator within rounding")
+        correction = multiplicities[i] / denom
+        new[i] = xi - correction
+        corrections.append(abs(correction))
+    return new, corrections
+
+
+def _float_step(form, multiplicities, entry, settings, true_roots):
+    """The sweep from `entry` in Python floats as a FLOAT_BITS entry, or
+    None where the float rung does not carry it and the sweep goes to
+    `_ladder_step` unchanged.
+
+    The sweep is tried only when the incoming corrections (none before the
+    first sweep) predict that FLOAT_BITS suffice (`_float_need` with
+    sweeps=3).  It is kept only on the ladder's terms: it raised nothing,
+    and its corrections are all nonzero and finite, the largest above the
+    tolerance, and all within FLOAT_BITS (`_float_need` with sweeps=1).  So
+    freezes, failures and the converging sweep are still decided on the
+    mpmath rungs.  The kept entry's approximations are the floats, its
+    residuals the FloatForm's, and its errors are taken at FLOAT_BITS, as
+    a rung's.
+    """
+    if (entry.corrections is not None
+            and _float_need(entry.corrections, 3) > FLOAT_BITS):
+        return None
+    try:
+        new, corrections = _float_sweep(form, multiplicities,
+                                        entry.approximations,
+                                        settings.sweep_mode)
+        residuals = tuple(form.residual(x) for x in new)
+    except (ArithmeticError, ValueError):
+        return None
+    if not all(map(math.isfinite, corrections)):
+        return None
+    corrections = tuple(to_mpf(c, FLOAT_BITS) for c in corrections)
+    if (max(corrections) <= settings.tolerance
+            or _float_need(corrections, 1) > FLOAT_BITS):
+        return None
+    new = tuple(to_mpf(x, FLOAT_BITS) for x in new)
+    return TraceEntry(entry.k + 1, new, residuals, corrections,
+                      _errors(form.family, new, true_roots, FLOAT_BITS),
+                      FLOAT_BITS)
+
+
 def order_error_sequence(trace):
     """Per-iteration max error (or max correction, when the truth is not in
     the trace) suitable for order estimation, from one walk of the trace.
@@ -321,8 +423,10 @@ def trace_order(trace):
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     """Iterate `step` until every correction is within tolerance, each sweep
-    above FLOOR bits on the precision ladder (`_ladder_step`).  Without
-    `settings` the solve runs at the polynomial's precision.
+    above FLOOR bits on the precision ladder (`_ladder_step`), and a
+    factored form's sweeps above 53 bits first on its float rung
+    (`_float_step`).  Without `settings` the solve runs at the polynomial's
+    precision.
 
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the
@@ -342,11 +446,17 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         escape_radius = mp.mpf(10) ** 6 * (
             1 + max(abs(x) for x in trace[0].approximations)
         )
+    floats = float_form(poly) if bits > FLOAT_BITS else None
     termination = MAX_ITERATIONS
     for _ in range(settings.max_iterations):
+        entry = None
+        if floats is not None:
+            entry = _float_step(floats, multiplicities, trace[-1], settings,
+                                true_roots)
         try:
-            entry = _ladder_step(poly, multiplicities, trace[-1], settings,
-                                 true_roots)
+            if entry is None:
+                entry = _ladder_step(poly, multiplicities, trace[-1],
+                                     settings, true_roots)
         except tuple(FAILURES) as exc:
             termination = FAILURES[type(exc)]
             break

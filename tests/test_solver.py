@@ -349,8 +349,10 @@ class TestPrecisionLadder:
     @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
     @pytest.mark.parametrize("family, case", LADDER_CASES,
                              ids=[f for f, _ in LADDER_CASES])
-    def test_at_or_below_the_floor_solve_is_the_step_loop(self, family, case,
-                                                          mode, bits):
+    def test_a_coefficient_form_at_or_below_the_floor_is_the_step_loop(
+            self, family, case, mode, bits):
+        # coefficient forms only: a factored form above 53 bits starts on
+        # the float rung (TestFloatRung)
         poly = expanded(family, case, bits)
         settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
         report = solve(poly, case["mults"], case["initial"], settings,
@@ -464,6 +466,139 @@ class TestPrecisionLadder:
         assert report.trace[1].precision_bits == solver.FLOOR
 
 
+def float_rung_case(family, m, bits):
+    """A seeded factored form of m roots 0.3-0.45 apart, within one period,
+    with multiplicities 1-3, and starts a tenth of the smallest gap off the
+    roots, alternating sides.  The roots are 6-decimal strings, none of
+    them a float: a float sweep can land exactly on a float root, and the
+    solve then ends sooner than the mpmath ladder alone."""
+    rng = random.Random(f"float rung {family} {m} {bits}")
+    mults = [rng.randint(1, 3) for _ in range(m)]
+    if family != ALGEBRAIC and sum(mults) % 2:
+        mults[-1] += 1 if mults[-1] < 3 else -1
+    roots = [rng.uniform(-2.0, -1.5)]
+    for _ in range(m - 1):
+        roots.append(roots[-1] + rng.uniform(0.3, 0.45))
+    cfg = RootConfiguration([f"{r:.6f}" for r in roots], mults,
+                            precision_bits=bits)
+    with mp.workprec(bits):
+        nudge = gaps(cfg.roots)[0] / 10
+        initial = [r + (-1) ** i * nudge for i, r in enumerate(cfg.roots)]
+    return FactoredForm(family, cfg), cfg.multiplicities, initial
+
+
+def without_float_rung(monkeypatch, *args, **kwargs):
+    """`solve` with the float rung taken out, as the mpmath ladder alone
+    solves."""
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "float_form", lambda poly: None)
+        return solve(*args, **kwargs)
+
+
+def count_float_sweeps(monkeypatch):
+    """A list that gains an item per `solver._float_sweep` call until
+    monkeypatch undoes it."""
+    calls, real = [], solver._float_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_float_sweep", counted)
+    return calls
+
+
+# (family, roots, multiplicities, starts, bits) of solves whose float
+# sweeps all go to the mpmath ladder
+with mp.workprec(128):
+    FLOAT_FALLBACKS = {
+        # sinh((x - r)/2) overflows a float 3000 apart
+        "sinh overflows": (EXPONENTIAL, ("-1500", "1500.5"), (2, 2),
+                           ("-1499.9", "1500.4"), 192),
+        # x - hi - lo is -lo: the correction is below 2**-53
+        "start on a root's float": (ALGEBRAIC, (mp.mpf(1) / 3, 2), (2, 1),
+                                    (float(mp.mpf(1) / 3), "2.1"), 128),
+        # x - r is 0: h divides by zero
+        "start on a float root": (TRIGONOMETRIC, ("0.5", 2), (2, 2),
+                                  ("0.5", "2.1"), 128),
+        # the starts are 2**-58 apart, one float: h(x_0 - x_1) divides
+        # by zero
+        "starts on one float": (
+            EXPONENTIAL, (1, 1 + mp.mpf(2) ** -50, 3), (1, 1, 2),
+            (1 + mp.mpf(2) ** -51 - mp.mpf(2) ** -59,
+             1 + mp.mpf(2) ** -51 + mp.mpf(2) ** -59, "3.1"), 128),
+    }
+
+
+class TestFloatRung:
+    """A factored solve above 53 bits runs its first sweeps in Python floats
+    (`solver._float_step`), kept on the ladder's terms."""
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    @pytest.mark.parametrize("m", [2, 5, 12])
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_a_float_entry_is_the_full_precision_step_to_53_bits(
+            self, monkeypatch, family, m, bits):
+        # each 53-bit entry lies within 4 ulps of max(|x|, 1) of `step` at
+        # full precision from the same entry, and its residuals agree with
+        # the 53-bit `evaluate` to 2**-40; the solve ends as the mpmath
+        # ladder alone ends it, after as many sweeps
+        poly, mults, initial = float_rung_case(family, m, bits)
+        for mode in ("simultaneous", "sequential"):
+            settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+            report = solve(poly, mults, initial, settings)
+            kept = [e for e in report.trace
+                    if e.precision_bits == solver.FLOAT_BITS]
+            assert kept, mode
+            for entry in kept:
+                exact = step(poly, mults, report.trace[entry.k - 1], settings)
+                for x, y in zip(entry.approximations, exact.approximations):
+                    assert abs(x - y) <= 4 * mp.mpf(2) ** -53 * max(abs(y), 1)
+                for x, residual in zip(entry.approximations, entry.residuals):
+                    want = abs(evaluate(poly, x, 53))
+                    assert abs(residual - want) <= mp.mpf(2) ** -40 * want
+            parent = without_float_rung(monkeypatch, poly, mults, initial,
+                                        settings)
+            assert ((report.termination, report.iterations_used)
+                    == (parent.termination, parent.iterations_used)), mode
+
+    @pytest.mark.parametrize("case", list(FLOAT_FALLBACKS))
+    def test_a_sweep_floats_cannot_carry_goes_to_the_ladder(self, monkeypatch,
+                                                            case):
+        # each solve tries the float sweep, and hands every one it tries
+        # to the ladder unchanged
+        family, roots, mults, initial, bits = FLOAT_FALLBACKS[case]
+        cfg = RootConfiguration(roots, mults, precision_bits=bits)
+        poly = FactoredForm(family, cfg)
+        settings = SolveSettings(precision_bits=bits)
+        calls = count_float_sweeps(monkeypatch)
+        report = solve(poly, mults, initial, settings)
+        assert calls
+        parent = without_float_rung(monkeypatch, poly, mults, initial,
+                                    settings)
+        assert report.termination == parent.termination == "converged"
+        assert solver.FLOAT_BITS not in {e.precision_bits
+                                         for e in report.trace}
+        assert report.trace == parent.trace
+
+    def test_no_float_sweep_at_53_bits_or_in_coefficient_form(self,
+                                                             monkeypatch):
+        calls = count_float_sweeps(monkeypatch)
+        for family, case in LADDER_CASES:
+            for poly, bits in ((factored(family, case, 53), 53),
+                               (expanded(family, case, 128), 128),
+                               (expanded(family, case, 1024), 1024)):
+                report = solve(poly, case["mults"], case["initial"],
+                               SolveSettings(precision_bits=bits))
+                assert report.termination == "converged"
+            assert not calls, family
+            report = solve(factored(family, case, 128), case["mults"],
+                           case["initial"], SolveSettings(precision_bits=128))
+            assert report.trace[1].precision_bits == solver.FLOAT_BITS
+            assert calls
+            calls.clear()
+
+
 def drawn_case(rng, family, m, bits):
     """Factored form of m seeded roots and starting points a tenth of the
     smallest gap off them, alternating sides."""
@@ -530,9 +665,11 @@ class TestPairMemo:
 
         monkeypatch.setattr(solver, "_sweep", counted_sweep)
         monkeypatch.setattr(solver, "log_derivative_sum", recorded_sum)
+        # the coefficient form: the factored form's first sweeps run on the
+        # float rung, which holds no dict, and leave the 256-bit rung out
         poly, mults, initial = drawn_case(random.Random(3), TRIGONOMETRIC, 4,
                                           1024)
-        report = solve(poly, mults, initial,
+        report = solve(expand_from_roots(poly), mults, initial,
                        SolveSettings(precision_bits=1024, sweep_mode=mode))
         assert report.termination == "converged"
         assert {entry.precision_bits for entry in report.trace} == {256, 1024}
