@@ -17,7 +17,7 @@ triples the correct bits per sweep, so each sweep runs at the smallest rung
 FLOOR * 2**j that the previous corrections say it needs, or is redone at
 full precision when its own corrections show too few bits (`_ladder_step`).
 For a factored form solved above 53 bits the ladder starts lower, at a
-rung of Python floats (`_float_step`): a factored form evaluates with small
+rung of Python floats (`_float_sweep`): a factored form evaluates with small
 relative error, so its first sweeps, whose corrections need only a few
 correct bits, run in floats and are kept on the same terms as a rung's.
 A coefficient form cancels near an alpha-fold root, and its sweeps stay on
@@ -25,6 +25,7 @@ the mpmath rungs.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from mpmath import mp
@@ -75,10 +76,10 @@ FLOOR = 256
 GUARD = 32
 
 # The float rung: Python floats carry FLOAT_BITS, and a factored sweep is
-# kept in floats while FLOAT_GUARD plus twice the bits its corrections call
-# for fit (`_float_need`).  A float denominator within FLOAT_DEGENERATE of
-# its terms' magnitude is rounding noise, as `_sweep`'s degenerate floor
-# is 2**(4 - bits) of |f'|.
+# kept in floats while FLOAT_GUARD, the bits of its iterates' size and
+# twice the bits its corrections call for fit (`_float_need`).  A float
+# denominator within FLOAT_DEGENERATE of its terms' magnitude is rounding
+# noise, as `_sweep`'s degenerate floor is 2**(4 - bits) of |f'|.
 FLOAT_BITS = 53
 FLOAT_GUARD = 8
 FLOAT_DEGENERATE = 2.0 ** (4 - FLOAT_BITS)
@@ -143,10 +144,14 @@ class SolveReport:
         return self.trace[0].precision_bits
 
 
-def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
-    with working(bits):
-        residuals = tuple(abs(evaluate(poly, x, bits))
-                          for x in approximations)
+def _entry(poly, approximations, k, bits, corrections=None, true_roots=None,
+           residuals=None):
+    """The TraceEntry of `approximations`, with their residuals and errors
+    at `bits`; `residuals` given are taken as they are."""
+    if residuals is None:
+        with working(bits):
+            residuals = tuple(abs(evaluate(poly, x, bits))
+                              for x in approximations)
     return TraceEntry(k, tuple(approximations), residuals, corrections,
                       _errors(poly.family, approximations, true_roots, bits),
                       bits)
@@ -237,10 +242,9 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
         return tuple(new), tuple(corrections)
 
 
-def _rung(multiplicities, corrections, sweeps, bits):
-    """The smallest FLOOR * 2**j, capped at `bits`, that holds
-    max_i (alpha_i + 2) * sweeps * log2(1/c_i) + GUARD bits: FLOOR without
-    corrections, and `bits` once a coordinate froze (c_i = 0; mp.mag(0) is
+def _need(multiplicities, corrections, sweeps):
+    """The bits an mpmath sweep needs: max_i (alpha_i + 2) * sweeps *
+    log2(1/c_i) + GUARD, infinite once a correction is 0 (mp.mag(0) is
     -inf).  log2(1/c) is taken as -mp.mag(c), at most one bit low, which
     GUARD covers.
 
@@ -251,58 +255,96 @@ def _rung(multiplicities, corrections, sweeps, bits):
     incoming errors, and the next sweep's errors are about their cube, so
     `sweeps` = 3 sizes the next sweep and 1 checks the sweep itself.
     """
-    need = FLOOR if corrections is None else GUARD + sweeps * max(
+    return GUARD + sweeps * max(
         (a + 2) * -mp.mag(c) for a, c in zip(multiplicities, corrections))
+
+
+def _rung(multiplicities, corrections, sweeps, bits):
+    """The smallest FLOOR * 2**j, capped at `bits`, that holds `_need`:
+    FLOOR without corrections, and `bits` once a coordinate froze."""
+    need = (FLOOR if corrections is None
+            else _need(multiplicities, corrections, sweeps))
     rung = FLOOR
     while rung < min(need, bits):
         rung *= 2
     return min(rung, bits)
 
 
-def _ladder_step(poly, multiplicities, entry, settings, true_roots):
+def _float_need(approximations, corrections, sweeps):
+    """The bits a factored sweep needs on the float rung: FLOAT_GUARD +
+    log2 max_i(|x_i|, 1) + max_i 2 * sweeps * log2(1/c_i), the last term
+    left out without corrections.  Logarithms are taken by mp.mag, at most
+    one bit high.
+
+    A factored form's f keeps its relative accuracy near a root, so a
+    sweep whose incoming errors are about e needs only the correction's
+    2 log2(1/e), not the alpha + 2 of `_need`; `sweeps` reads as there.  A
+    float holds x only to 2**-53 |x|, so the iterates' size comes on top.
+    A correction below half an ulp of its iterate needs more than
+    FLOAT_BITS by this rule, so no kept float sweep leaves an iterate
+    where it was.
+    """
+    need = FLOAT_GUARD + max(0, max(mp.mag(x) for x in approximations))
+    if corrections is None:
+        return need
+    return need + 2 * sweeps * max(-mp.mag(c) for c in corrections)
+
+
+def _ladder_step(poly, multiplicities, entry, settings, true_roots,
+                 floats=None):
     """`step` from `entry`, swept at the lowest rung that keeps its accuracy.
 
-    The rung covers three times the bits of the previous corrections (cubic
-    convergence); the first sweep has none and takes FLOOR.  One sweep runs
-    on the polynomial and the approximations rounded to the rung.  It is
-    kept only if it raised nothing in FAILURES and its corrections are all
-    nonzero, the largest above the tolerance, and all within the rung
-    (`_rung` with sweeps=1); otherwise the sweep is redone at full
-    precision by `step`.  So freezes, the converging sweep and any failure
-    are decided at full precision.  A kept sweep's entry takes its
-    residuals and errors at the rung, from the same polynomial.
+    The rungs are tried from the bottom.  With `floats`, the polynomial's
+    FloatForm, the float rung comes first where `_float_need` with
+    sweeps=3 fits FLOAT_BITS.  Next comes the mpmath rung that covers
+    three times the bits of the previous corrections (`_rung`; the first
+    sweep has none and takes FLOOR), where it lies below full precision.
+    A rung's sweep runs on the approximations rounded to it.  It is kept
+    only if it raised nothing, moved every approximation (a correction
+    below half an ulp leaves its iterate where it was, and the next sweep
+    would repeat this one), the largest of its corrections is above the
+    tolerance, and all are within the rung (the rung's need with
+    sweeps=1).  Otherwise the next rung is tried, and last the sweep is
+    redone at full precision by `step`.  So freezes, the converging sweep
+    and any failure are decided at full precision.  A kept mpmath sweep's
+    entry takes its residuals and errors at the rung, from the same
+    polynomial; a float sweep's takes the FloatForm's residuals and its
+    errors at FLOAT_BITS.
     """
     bits = settings.precision_bits
-    # at or below FLOOR the rung is `bits`: every sweep runs at full precision
-    rung = _rung(multiplicities, entry.corrections, 3, bits)
-    if rung < bits:
+    # at or below FLOOR the mpmath rung is `bits`: no rung below it
+    rungs = [_rung(multiplicities, entry.corrections, 3, bits)]
+    if floats is not None and FLOAT_BITS >= _float_need(
+            entry.approximations, entry.corrections, 3):
+        rungs.insert(0, FLOAT_BITS)
+    for rung in rungs:
+        if rung == bits:
+            break
+        residuals = None
         try:
-            new, corrections = _sweep(
-                poly, multiplicities,
-                [to_mpf(x, rung) for x in entry.approximations], rung,
-                settings.sweep_mode)
-        except tuple(FAILURES):
-            pass  # a rung too coarse to tell apart what full precision can
-        else:
-            if (max(corrections) > settings.tolerance
-                    and _rung(multiplicities, corrections, 1, bits) <= rung):
-                return _entry(poly, new, entry.k + 1, rung,
-                              corrections=corrections, true_roots=true_roots)
+            if rung == FLOAT_BITS:
+                start = [float(x) for x in entry.approximations]
+                new, corrections, residuals = _float_sweep(
+                    floats, multiplicities, start, settings.sweep_mode)
+                need = _float_need(new, corrections, 1)
+            else:
+                start = [to_mpf(x, rung) for x in entry.approximations]
+                new, corrections = _sweep(poly, multiplicities, start, rung,
+                                          settings.sweep_mode)
+                need = _need(multiplicities, corrections, 1)
+        except (ArithmeticError, ValueError):
+            continue  # a rung too coarse to carry what full precision can
+        if (need <= rung and max(corrections) > settings.tolerance
+                and all(map(operator.ne, new, start))):
+            return _entry(poly, new, entry.k + 1, rung, corrections,
+                          true_roots, residuals)
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
 
-def _float_need(corrections, sweeps):
-    """The bits a factored sweep needs: FLOAT_GUARD + max_i 2 * sweeps *
-    log2(1/c_i), infinite once a correction is 0.  A factored form's f
-    keeps its relative accuracy near a root, so a sweep whose incoming
-    errors are about e needs only the correction's 2 log2(1/e), not the
-    alpha + 2 of `_rung`; `sweeps` reads as there."""
-    return FLOAT_GUARD + 2 * sweeps * max(-mp.mag(c) for c in corrections)
-
-
 def _float_sweep(form, multiplicities, approximations, sweep_mode):
-    """(new approximations, |corrections|) of one sweep of the FloatForm
-    `form` in Python floats.  With h = g'/g the family's log-derivative,
+    """(new approximations, |corrections|, residuals) of one sweep of the
+    FloatForm `form` from the float `approximations`, each an exact mpf.
+    With h = g'/g the family's log-derivative,
     D_i / f(x_i) = sum_k a_k h(x_i - r_k) - sum_{j != i} alpha_j h(x_i - x_j),
     formed by one math.fsum, so the terms' order does not matter, and x_i
     moves by alpha_i / (D_i / f(x_i)).  The sequential mode reads the
@@ -310,11 +352,12 @@ def _float_sweep(form, multiplicities, approximations, sweep_mode):
 
     Raises ArithmeticError or ValueError where floats cannot carry the
     sweep: an iterate on a root or on another iterate (h(0) divides by
-    zero), a sum that overflows, or a denominator within FLOAT_DEGENERATE
-    of its terms' magnitude (ZeroDivisionError).
+    zero), a sum or an iterate that overflows, a denominator within
+    FLOAT_DEGENERATE of its terms' magnitude (ZeroDivisionError), or a
+    residual that overflows.
     """
     h = FAMILY[form.family].float_log_derivative
-    current = [float(x) for x in approximations]
+    current = list(approximations)
     new = list(current)
     corrections = []
     for i, xi in enumerate(current):
@@ -327,45 +370,12 @@ def _float_sweep(form, multiplicities, approximations, sweep_mode):
             raise ZeroDivisionError("float denominator within rounding")
         correction = multiplicities[i] / denom
         new[i] = xi - correction
+        if not math.isfinite(new[i]):
+            raise OverflowError("float iterate overflows")
         corrections.append(abs(correction))
-    return new, corrections
-
-
-def _float_step(form, multiplicities, entry, settings, true_roots):
-    """The sweep from `entry` in Python floats as a FLOAT_BITS entry, or
-    None where the float rung does not carry it and the sweep goes to
-    `_ladder_step` unchanged.
-
-    The sweep is tried only when the incoming corrections (none before the
-    first sweep) predict that FLOAT_BITS suffice (`_float_need` with
-    sweeps=3).  It is kept only on the ladder's terms: it raised nothing,
-    and its corrections are all nonzero and finite, the largest above the
-    tolerance, and all within FLOAT_BITS (`_float_need` with sweeps=1).  So
-    freezes, failures and the converging sweep are still decided on the
-    mpmath rungs.  The kept entry's approximations are the floats, its
-    residuals the FloatForm's, and its errors are taken at FLOAT_BITS, as
-    a rung's.
-    """
-    if (entry.corrections is not None
-            and _float_need(entry.corrections, 3) > FLOAT_BITS):
-        return None
-    try:
-        new, corrections = _float_sweep(form, multiplicities,
-                                        entry.approximations,
-                                        settings.sweep_mode)
-        residuals = tuple(form.residual(x) for x in new)
-    except (ArithmeticError, ValueError):
-        return None
-    if not all(map(math.isfinite, corrections)):
-        return None
-    corrections = tuple(to_mpf(c, FLOAT_BITS) for c in corrections)
-    if (max(corrections) <= settings.tolerance
-            or _float_need(corrections, 1) > FLOAT_BITS):
-        return None
-    new = tuple(to_mpf(x, FLOAT_BITS) for x in new)
-    return TraceEntry(entry.k + 1, new, residuals, corrections,
-                      _errors(form.family, new, true_roots, FLOAT_BITS),
-                      FLOAT_BITS)
+    residuals = tuple(map(form.residual, new))
+    return (tuple(to_mpf(x, FLOAT_BITS) for x in new),
+            tuple(to_mpf(c, FLOAT_BITS) for c in corrections), residuals)
 
 
 def order_error_sequence(trace):
@@ -423,10 +433,9 @@ def trace_order(trace):
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     """Iterate `step` until every correction is within tolerance, each sweep
-    above FLOOR bits on the precision ladder (`_ladder_step`), and a
-    factored form's sweeps above 53 bits first on its float rung
-    (`_float_step`).  Without `settings` the solve runs at the polynomial's
-    precision.
+    above FLOOR bits, and a factored form's above 53 bits, on the precision
+    ladder (`_ladder_step`).  Without `settings` the solve runs at the
+    polynomial's precision.
 
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the
@@ -449,14 +458,9 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     floats = float_form(poly) if bits > FLOAT_BITS else None
     termination = MAX_ITERATIONS
     for _ in range(settings.max_iterations):
-        entry = None
-        if floats is not None:
-            entry = _float_step(floats, multiplicities, trace[-1], settings,
-                                true_roots)
         try:
-            if entry is None:
-                entry = _ladder_step(poly, multiplicities, trace[-1],
-                                     settings, true_roots)
+            entry = _ladder_step(poly, multiplicities, trace[-1], settings,
+                                 true_roots, floats)
         except tuple(FAILURES) as exc:
             termination = FAILURES[type(exc)]
             break

@@ -531,8 +531,8 @@ with mp.workprec(128):
 
 
 class TestFloatRung:
-    """A factored solve above 53 bits runs its first sweeps in Python floats
-    (`solver._float_step`), kept on the ladder's terms."""
+    """A factored solve above 53 bits runs its first sweeps in Python floats,
+    the lowest rung of `solver._ladder_step`, kept on the ladder's terms."""
 
     @pytest.mark.parametrize("bits", [128, 1024])
     @pytest.mark.parametrize("m", [2, 5, 12])
@@ -561,6 +561,37 @@ class TestFloatRung:
                                         settings)
             assert ((report.termination, report.iterations_used)
                     == (parent.termination, parent.iterations_used)), mode
+
+    @pytest.mark.parametrize("bits", [128, 192])
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_roots_far_from_zero_end_as_the_mpmath_ladder_ends(
+            self, monkeypatch, family, bits):
+        # floats 1e15 apart from zero are 1/8 apart: a correction below
+        # 1/16 leaves its iterate where it was, and a float sweep kept there
+        # repeats until max_iterations.  The iterates' size keeps the float
+        # rung out near 1e15 and narrows it near 2**20, and every sweep it
+        # keeps moves every iterate
+        for centre, floated in (("1e15", False), ("1048576", True)):
+            with mp.workprec(bits):
+                roots = [mp.mpf(centre) + mp.mpf(d) for d in ("0.3", "1.3")]
+                initial = [roots[0] - mp.mpf("0.1"), roots[1] + mp.mpf("0.1")]
+            cfg = RootConfiguration(roots, (2, 2), precision_bits=bits)
+            poly = FactoredForm(family, cfg)
+            for mode in ("simultaneous", "sequential"):
+                settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+                report = solve(poly, (2, 2), initial, settings)
+                parent = without_float_rung(monkeypatch, poly, (2, 2),
+                                            initial, settings)
+                assert report.termination == "converged", (centre, mode)
+                assert (report.iterations_used
+                        == parent.iterations_used), (centre, mode)
+                kept = [e for e in report.trace
+                        if e.precision_bits == solver.FLOAT_BITS]
+                assert bool(kept) == floated, (centre, mode)
+                for entry in kept:
+                    before = report.trace[entry.k - 1].approximations
+                    assert all(float(x) != float(y) for x, y
+                               in zip(entry.approximations, before))
 
     @pytest.mark.parametrize("case", list(FLOAT_FALLBACKS))
     def test_a_sweep_floats_cannot_carry_goes_to_the_ladder(self, monkeypatch,
