@@ -22,18 +22,30 @@ roots are read as they are, since x - r rounds once.
 
 A solver asks for f, f' and the noise bound at one point, and the next
 sweep asks again at the points the trace entry took residuals at.  So each
-representation class has one private pass, `_pass(x, prec)`, that returns
-the raw triple (f, f', magnitude) at a raw point: extended Horner for the
-algebraic form, one series basis (`_series_basis`) for a series, one
-`factor_pair` call and one power g^a per root for a factored form.  The
-four point kernels share it through a memo on the instance, keyed by (raw
-x, prec), and each picks its component.  The memo drops its oldest point
-past twice the representation's root count (n for an algebraic polynomial
-of degree n, 2n for a series of degree n, the distinct roots of a factored
-form), so the points of one trace entry are still there when the next
-sweep reads them.  `solver.solve` runs on its own copy of the polynomial,
-so a memo lives for one solve and spans every rung of its precision
-ladder.  The kernels return the same bits either way.
+representation class computes a point in stages.  Its value stage,
+`_pass(x, prec)`, returns f at a raw point together with the state its two
+later stages read: extended Horner's partial values for the algebraic
+form, the series basis (`_series_basis`) for a series, one `factor_pair`
+call and one power g^a per root for a factored form.  `_slope` (f') and
+`_magnitude` run from that state on the first kernel that reads them, so
+a point whose f alone is read (the residuals of a trace entry that no
+sweep reads again) costs only its value stage.  The stages do the
+arithmetic one eager pass would do, call for call, so every kernel keeps
+its bits.  The four point kernels share the stages through a memo on the
+instance, keyed by (raw x, prec), that holds one `_Point` per point.  The
+memo drops its oldest point past twice the representation's root count
+(n for an algebraic polynomial of degree n, 2n for a series of degree n,
+the distinct roots of a factored form), so the points of one trace entry
+are still there when the next sweep reads them.  `solver.solve` runs on
+its own copy of the polynomial, so a memo lives for one solve and spans
+every rung of its precision ladder.  The kernels return the same bits
+either way.
+
+The memo of a series also serves `log_derivative_sum`: given the
+polynomial, it forms each coupling term from the first basis pairs
+(E(x), O(x)) the two points' value stages hold, by angle subtraction,
+and calls the family's half-cotangent only where that cancels
+(`_product_half_cotangent`).
 
 A factored form also has a float twin, `FloatForm` (`float_form`), whose
 residual the solver's 53-bit rung reads; the family's float entries in
@@ -177,9 +189,11 @@ def degree_of(family, multiplicities):
 
 def root_offset(family, x, r):
     """x - r at the working precision, reduced to [-pi, pi] for the periodic
-    (s = -1) family, where x and r + 2 pi k are the same root."""
+    (s = -1) family, where x and r + 2 pi k are the same root.  Below 3 in
+    size, u / 2 pi rounds to a nearest integer of exactly 0, so u is
+    already reduced and the reduction is skipped."""
     u = x - r
-    if FAMILY[family].derivative_sign == -1:
+    if FAMILY[family].derivative_sign == -1 and not abs(u) < 3:
         period = 2 * mp.pi
         u -= period * mp.nint(u / period)
     return u
@@ -278,17 +292,29 @@ class AlgebraicPoly:
         return 2 * self.degree
 
     def _pass(self, x, prec):
-        # extended Horner carries (value, derivative) together, and the
-        # magnitude is the same Horner on |x| and the |c_k|
-        ax = mpf_abs(x, prec, RND)
-        v, dv, mag = fone, fzero, fone
+        # extended Horner: the partial values v feed the derivative stage
+        v, partials = fone, []
         for c in self.coeffs:
-            c = _to_raw(c, prec)
+            partials.append(v)
+            v = mpf_add(mpf_mul(v, x, prec, RND), _to_raw(c, prec), prec, RND)
+        return v, partials
+
+    def _slope(self, point):
+        x, prec = point.x, point.prec
+        dv = fzero
+        for v in point.state:
             dv = mpf_add(mpf_mul(dv, x, prec, RND), v, prec, RND)
-            v = mpf_add(mpf_mul(v, x, prec, RND), c, prec, RND)
+        return dv
+
+    def _magnitude(self, point):
+        # the same Horner on |x| and the |c_k|
+        prec = point.prec
+        ax = mpf_abs(point.x, prec, RND)
+        mag = fone
+        for c in self.coeffs:
             mag = mpf_add(mpf_mul(mag, ax, prec, RND),
-                          mpf_abs(c, prec, RND), prec, RND)
-        return v, dv, mag
+                          mpf_abs(_to_raw(c, prec), prec, RND), prec, RND)
+        return mag
 
 
 @dataclass(frozen=True)
@@ -338,28 +364,38 @@ class SeriesPoly:
         return 4 * self.degree  # a series of degree n has 2n roots
 
     def _pass(self, x, prec):
-        sign = FAMILY[self.family].derivative_sign
+        # the basis feeds the later stages and `log_derivative_sum`
         basis = _series_basis(self.family, x, self.degree, prec)
-        a0 = _to_raw(self.a0, prec)
-        values, slopes, weights = [_half(a0, prec)], [], []
+        values = [_half(_to_raw(self.a0, prec), prec)]
+        for a, b, (e, o) in zip(self.even, self.odd, basis):
+            values.append(mpf_mul(_to_raw(a, prec), e, prec, RND))
+            values.append(mpf_mul(_to_raw(b, prec), o, prec, RND))
+        return mpf_sum(values, prec, RND), basis
+
+    def _slope(self, point):
+        prec = point.prec
+        sign = FAMILY[self.family].derivative_sign
+        slopes = []
         for l, (a, b, (e, o)) in enumerate(
-                zip(self.even, self.odd, basis), start=1):
+                zip(self.even, self.odd, point.state), start=1):
             a, b = _to_raw(a, prec), _to_raw(b, prec)
-            values.append(mpf_mul(a, e, prec, RND))
-            values.append(mpf_mul(b, o, prec, RND))
             slopes.append(mpf_mul(mpf_mul_int(b, l, prec, RND), e, prec, RND))
             slopes.append(mpf_mul(mpf_mul_int(a, sign * l, prec, RND), o,
                                   prec, RND))
-            weights.append(mpf_add(mpf_abs(a, prec, RND),
-                                   mpf_abs(b, prec, RND), prec, RND))
-        half_a0 = _half(mpf_abs(a0, prec, RND), prec)
-        if sign < 0:  # bounded by 1
-            mag = mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
-        else:  # term l weighs by its envelope E(lx)
-            mag = mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
-                                       for w, (e, _) in zip(weights, basis)],
-                          prec, RND)
-        return (mpf_sum(values, prec, RND), mpf_sum(slopes, prec, RND), mag)
+        return mpf_sum(slopes, prec, RND)
+
+    def _magnitude(self, point):
+        prec, basis = point.prec, point.state
+        weights = [mpf_add(mpf_abs(_to_raw(a, prec), prec, RND),
+                           mpf_abs(_to_raw(b, prec), prec, RND), prec, RND)
+                   for a, b in zip(self.even, self.odd)]
+        half_a0 = _half(mpf_abs(_to_raw(self.a0, prec), prec, RND), prec)
+        if FAMILY[self.family].derivative_sign < 0:  # bounded by 1
+            return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
+        # term l weighs by its envelope E(lx)
+        return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
+                                    for w, (e, _) in zip(weights, basis)],
+                       prec, RND)
 
 
 class TrigPoly(SeriesPoly):
@@ -413,15 +449,21 @@ class FactoredForm:
         return 2 * len(self.config.roots)
 
     def _pass(self, x, prec):
+        # the factor pairs and powers feed the derivative stage
         pair = FAMILY[self.family].factor_pair
-        scale = _to_raw(self.scale, prec)
-        v, terms, powers = scale, [], []
+        v, pairs, powers = _to_raw(self.scale, prec), [], []
         for r, a in zip(self.config.roots, self.config.multiplicities):
-            g, dg = pair(mpf_sub(x, r._mpf_, prec, RND), prec)
-            terms.append(mpf_mul(mpf_mul_int(dg, a, prec, RND),
-                                 mpf_pow_int(g, a - 1, prec, RND), prec, RND))
-            powers.append(mpf_pow_int(g, a, prec, RND))
+            pairs.append(pair(mpf_sub(x, r._mpf_, prec, RND), prec))
+            powers.append(mpf_pow_int(pairs[-1][0], a, prec, RND))
             v = mpf_mul(v, powers[-1], prec, RND)
+        return v, (pairs, powers)
+
+    def _slope(self, point):
+        prec = point.prec
+        pairs, powers = point.state
+        terms = [mpf_mul(mpf_mul_int(dg, a, prec, RND),
+                         mpf_pow_int(g, a - 1, prec, RND), prec, RND)
+                 for (g, dg), a in zip(pairs, self.config.multiplicities)]
         # times the other roots' powers: those before k, then those after
         prefix = fone
         for k, p in enumerate(powers):
@@ -431,9 +473,12 @@ class FactoredForm:
         for k in range(len(powers) - 1, -1, -1):
             terms[k] = mpf_mul(terms[k], suffix, prec, RND)
             suffix = mpf_mul(suffix, powers[k], prec, RND)
-        dv = mpf_mul(scale, mpf_sum(terms, prec, RND), prec, RND)
+        return mpf_mul(_to_raw(self.scale, prec), mpf_sum(terms, prec, RND),
+                       prec, RND)
+
+    def _magnitude(self, point):
         # a product rounds alike for either sign: no cancellation
-        return v, dv, mpf_abs(v, prec, RND)
+        return mpf_abs(point.value, point.prec, RND)
 
 
 @dataclass(frozen=True)
@@ -502,6 +547,12 @@ def _finite(value, family, x):
     return mp.make_mpf(value)
 
 
+def _basis_guard(n):
+    """The guard bits of a degree-n series basis above the kernel's
+    precision."""
+    return n.bit_length() + 10
+
+
 def _series_basis(family, x, n, prec):
     """[(E(lx), O(lx)) for l = 1..n] of a series family at the raw point x,
     from one `basis_pair` call, by angle addition with s the family's sign:
@@ -509,14 +560,14 @@ def _series_basis(family, x, n, prec):
         E((l+1)x) = E(lx) E(x) + s O(lx) O(x)
         O((l+1)x) = O(lx) E(x) + E(lx) O(x)
 
-    The recurrence runs n.bit_length() + 10 bits above `prec` and its raw
+    The recurrence runs `_basis_guard(n)` bits above `prec` and its raw
     values are returned unrounded.  The trigonometric step is a rotation,
     so its absolute error grows by about one ulp per step; the hyperbolic
     terms share one sign and never cancel, so the relative error grows
     alike.  x = 0 gives E = 1 and O = 0 exactly.
     """
     fam = FAMILY[family]
-    prec += n.bit_length() + 10
+    prec += _basis_guard(n)
     e1, o1 = fam.basis_pair(x, prec)
     so1 = mpf_mul_int(o1, fam.derivative_sign, prec, RND)
     e, o = e1, o1
@@ -530,22 +581,46 @@ def _series_basis(family, x, n, prec):
     return pairs
 
 
+class _Point:
+    """A representation's stages at one raw point x and precision: f from
+    the value stage, the `state` the later stages read, and f' and the
+    magnitude, None until a kernel first reads them."""
+
+    __slots__ = ("x", "prec", "value", "state", "slope", "magnitude")
+
+    def __init__(self, x, prec, value, state):
+        self.x, self.prec, self.value, self.state = x, prec, value, state
+        self.slope = self.magnitude = None
+
+
 def _raw_point(poly, x, bits):
-    """(raw x, prec, (f, f', magnitude)) at the poly's precision unless
-    `bits` overrides it: the triple is the poly's one pass at the point,
-    kept in its memo.  Below the poly's precision the pass reads the stored
-    values rounded to `bits`."""
+    """The `_Point` of the poly at x, at the poly's precision unless `bits`
+    overrides it (`_memo_point`).  Below the poly's precision the stages
+    read the stored values rounded to `bits`."""
     if not isinstance(poly, (AlgebraicPoly, SeriesPoly, FactoredForm)):
         raise TypeError(f"not a polynomial representation: {poly!r}")
     prec = require_bits(bits or poly.precision_bits)
-    x = _to_raw(x, prec)
+    return _memo_point(poly, _to_raw(x, prec), prec)
+
+
+def _memo_point(poly, x, prec):
+    """The `_Point` of the poly at the raw x and `prec`, kept in its memo:
+    its value stage runs on the first read."""
     memo = poly._memo
-    triple = memo.get((x, prec))
-    if triple is None:
-        triple = memo[x, prec] = poly._pass(x, prec)
+    point = memo.get((x, prec))
+    if point is None:
+        point = memo[x, prec] = _Point(x, prec, *poly._pass(x, prec))
         if len(memo) > poly._memo_limit:
             del memo[next(iter(memo))]
-    return x, prec, triple
+    return point
+
+
+def _magnitude_point(poly, x, bits):
+    """The `_Point` of the poly at x with its magnitude stage run."""
+    point = _raw_point(poly, x, bits)
+    if point.magnitude is None:
+        point.magnitude = poly._magnitude(point)
+    return point
 
 
 def evaluate(poly, x, bits=None):
@@ -553,20 +628,20 @@ def evaluate(poly, x, bits=None):
 
     A series of degree n costs one basis call per point and precision plus
     O(n) multiplications at a few guard bits (`_series_basis`); a factored
-    form with m roots, m `factor_pair` calls.  The pass that computes the
-    value also computes the derivative and the magnitude, so the other
-    kernels at the same point and precision cost nothing more.
+    form with m roots, m `factor_pair` calls and m powers.  This is the
+    value stage of the point: the derivative and the magnitude are later
+    stages, run from what it keeps only when a kernel reads them.
     """
-    x, prec, (value, _, _) = _raw_point(poly, x, bits)
-    return _finite(value, poly.family, x)
+    point = _raw_point(poly, x, bits)
+    return _finite(point.value, poly.family, point.x)
 
 
 def evaluate_derivative(poly, x, bits=None):
-    """First derivative at x, from the pass that computes the value.
+    """First derivative at x, from the value stage's state at the point.
 
     Coefficient forms differentiate term by term: extended Horner for the
     algebraic family, and for a series of degree n the value's basis plus
-    O(n) multiplications at a few guard bits.  A factored form
+    O(n) multiplications.  A factored form
     scale * prod_k g_k^a_k, with g_k = g(x - r_k), uses the product rule
     in O(m) per point for m roots: the value's `factor_pair` call per root
     gives g_k and g'_k, and term k is a_k g'_k g_k^(a_k - 1) times the
@@ -574,23 +649,24 @@ def evaluate_derivative(poly, x, bits=None):
     of those with j > k; the value multiplies the same powers.  Nothing is
     divided by g_k, so x on a root needs no special case (0**0 is 1).
     """
-    x, prec, (_, slope, _) = _raw_point(poly, x, bits)
-    return _finite(slope, poly.family, x)
+    point = _raw_point(poly, x, bits)
+    if point.slope is None:
+        point.slope = poly._slope(point)
+    return _finite(point.slope, poly.family, point.x)
 
 
 def magnitude_scale(poly, x, bits=None):
     """Attainable-magnitude scale of evaluate(poly, x): same sum with every
-    term replaced by its absolute value, from the pass that computes the
-    value.  Used to turn absolute evaluation discrepancies into scale-free
-    ones.
+    term replaced by its absolute value, from the value stage's state at
+    the point.  Used to turn absolute evaluation discrepancies into
+    scale-free ones.
 
     An exponential series weighs term l by its envelope E(lx), from the
-    value's basis plus O(n) multiplications at a few guard bits; the
-    trigonometric basis is bounded by 1, so its weights are 1.  A factored
-    form's magnitude is |f|.
+    value's basis plus O(n) multiplications; the trigonometric basis is
+    bounded by 1, so its weights are 1.  A factored form's magnitude is
+    |f|.
     """
-    _, _, (_, _, magnitude) = _raw_point(poly, x, bits)
-    return mp.make_mpf(magnitude)
+    return mp.make_mpf(_magnitude_point(poly, x, bits).magnitude)
 
 
 def evaluation_noise(poly, x, bits=None):
@@ -602,10 +678,11 @@ def evaluation_noise(poly, x, bits=None):
     Factored forms evaluate with small relative error, so their bound is
     proportional to the value itself and never floors (`noise_floors`).
     """
-    _, prec, (_, _, magnitude) = _raw_point(poly, x, bits)
+    point = _magnitude_point(poly, x, bits)
+    prec = point.prec
     unit = mpf_mul_int(mpf_pow_int(TWO, -prec, prec, RND), poly.noise_ops,
                        prec, RND)
-    return mp.make_mpf(mpf_mul(unit, magnitude, prec, RND))
+    return mp.make_mpf(mpf_mul(unit, point.magnitude, prec, RND))
 
 
 def _times_linear(coeffs, a, b):
@@ -697,8 +774,54 @@ def _certify_roundtrip(form, expanded, bits):
             )
 
 
+def _top(*values):
+    """The least integer t with |v| < 2**t for every v, the mantissa-less
+    zero counting as below any."""
+    return max(v[2] + v[3] if v[1] else -math.inf for v in values)
+
+
+def _product_half_cotangent(sign, own, other, bits, guard):
+    """c(x_i - x_j) rounded once to `bits`, from the basis pairs (E, O) of
+    x_i (`own`) and x_j (`other`) rounded at bits + guard, or None where
+    the angle subtraction cancels past what the guard covers.
+
+    With s the family's sign, C = E_i E_j - s O_i O_j and S = O_i E_j -
+    E_i O_j are cos u and sin u, or cosh u and sinh u, and c = (1 + C)/S
+    when C >= 0 and S/(1 - C) otherwise, so neither 1 + C nor 1 - C
+    cancels.  A difference that lies L bits below its larger operand
+    carries the operands' relative error times less than 2**(L + 2).  With
+    L at most guard - 6 for S and for 1 +- C against the products of C,
+    c is within 0.4 ulp at `bits` before its one rounding, so within 1 ulp
+    after it.  Close pairs exceed that, and so do trigonometric pairs near
+    u = +-pi or +-2pi (unless the products are as small as S, as near a
+    zero of cos or sin at both points), exponential pairs far from 0, a
+    zero S and a nonfinite one.  The rule reads magnitudes that do not
+    depend on the order of the pair, and S changes sign exactly with it,
+    so c(x_j - x_i) is -c(x_i - x_j) bit for bit.
+    """
+    prec = bits + guard
+    (ei, oi), (ej, oj) = own, other
+    p, q = mpf_mul(oi, ej, prec, RND), mpf_mul(ei, oj, prec, RND)
+    even, odd = mpf_mul(ei, ej, prec, RND), mpf_mul(oi, oj, prec, RND)
+    sine = mpf_sub(p, q, prec, RND)
+    cosine = (mpf_sub if sign > 0 else mpf_add)(even, odd, prec, RND)
+    if cosine[0]:  # C < 0
+        num = sine
+        shifted = den = mpf_sub(fone, cosine, prec, RND)
+    else:
+        shifted = num = mpf_add(fone, cosine, prec, RND)
+        den = sine
+    if not (sine[1] and shifted[1]):  # zero or not finite
+        return None
+    limit = guard - 6
+    if (_top(p, q) - _top(sine) > limit
+            or _top(even, odd) - _top(shifted) > limit):
+        return None
+    return mpf_div(num, den, bits, RND)
+
+
 def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
-                       pairs=None):
+                       pairs=None, poly=None):
     """Logarithmic derivative of the product of the other roots' factors.
 
     Computed directly as a sum of per-root terms (the product itself is never
@@ -714,36 +837,62 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
     multiplicities must be one integer >= 1 per other root
     (InvalidConfigurationError).
 
+    A series term is (a_j/2) c(u) with c the half-cotangent.  Given `poly`,
+    a coefficient-form series of `family`, c is formed from the first
+    basis pairs of x and x_j that the poly's point memo holds at `bits`
+    (`_product_half_cotangent`; `_memo_point` runs the value stage of a
+    point not yet there), and the family's `half_cotangent` of the rounded
+    difference u is called only where that product form cancels past its
+    guard.  A solve's sweep passes the polynomial it solves.  Any other
+    representation is ignored, and a series of another family is an
+    InvalidConfigurationError.
+
     `pairs` is a dict that the calls of one sweep share, all at `bits`.  A
-    series term stores its half-cotangent c(u) there, negated, under -u,
-    and a later call whose difference is -u, the partner's, takes it
-    instead of computing c(-u): x_j - x_i rounds to exactly -(x_i - x_j),
-    and the family's half-cotangent is odd by construction.  An entry is
-    keyed by u alone, so a dict must not outlive one sweep or span two
-    precisions.  The algebraic term a/u is one rounded division, formed
-    here, and stores nothing.
+    series term stores its c, negated, under the pair (x_j, x), and a later
+    call at x_j whose other point is x, the partner's, takes it instead of
+    computing c(x_j - x): either way c is odd bit for bit, as x_j - x
+    rounds to exactly -(x - x_j), the family's half-cotangent is odd by
+    construction, and the product form is odd in the pair.  An entry is
+    keyed by raw values alone, so a dict must not outlive one sweep or span
+    two precisions.  The algebraic term a/u is one rounded division,
+    formed here, and stores nothing.
     """
     require_bits(bits)
     if family not in FAMILY:
         raise InvalidConfigurationError(f"unknown family {family!r}")
     multiplicities = require_multiplicities(other_multiplicities,
                                             len(other_roots))
-    half_cotangent = FAMILY[family].half_cotangent
+    fam = FAMILY[family]
+    if not isinstance(poly, SeriesPoly):
+        poly = None
+    elif poly.family != family:
+        raise InvalidConfigurationError(
+            f"a {poly.family} polynomial cannot lend {family} basis pairs")
     if pairs is None:
         pairs = {}  # nothing shared: what the terms store goes unread
     x = _to_raw(x, bits)
     threshold = mpf_pow(TWO, mpf_div(from_int(-bits), TWO, bits, RND), bits, RND)
+    own = None
     terms = []
     for j, (r, a) in enumerate(zip(other_roots, multiplicities)):
-        u = mpf_sub(x, _to_raw(r, bits), bits, RND)
+        r = _to_raw(r, bits)
+        u = mpf_sub(x, r, bits, RND)
         if mpf_lt(mpf_abs(u, bits, RND), threshold):
             raise CollisionError(j, mp.make_mpf(u), mp.make_mpf(threshold))
-        if half_cotangent is None:
+        if fam.half_cotangent is None:
             terms.append(mpf_rdiv_int(a, u, bits, RND))
             continue
-        c = pairs.pop(u, None)
+        c = pairs.pop((x, r), None)
         if c is None:
-            c = half_cotangent(u, bits)
-            pairs[mpf_neg(u)] = mpf_neg(c)
+            if poly is not None:
+                if own is None:
+                    own = _memo_point(poly, x, bits).state[0]
+                c = _product_half_cotangent(
+                    fam.derivative_sign, own,
+                    _memo_point(poly, r, bits).state[0], bits,
+                    _basis_guard(poly.degree))
+            if c is None:
+                c = fam.half_cotangent(u, bits)
+            pairs[r, x] = mpf_neg(c)
         terms.append(_half(mpf_mul_int(c, a, bits, RND), bits))
     return mp.make_mpf(mpf_sum(terms, bits, RND))

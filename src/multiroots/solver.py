@@ -207,7 +207,7 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
         corrections = [mp.mpf(0)] * len(current)
         degenerate_floor = mp.mpf(2) ** (-(bits - 4))
         # half-cotangents stored for the partner pair: one dict per sweep,
-        # so no sweep reads another's differences or precision
+        # so no sweep reads another's points or precision
         pairs = {}
         for i, xi in enumerate(current):
             fi = evaluate(poly, xi, bits)
@@ -222,11 +222,13 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             # `new` holds the updated entries before i and the incoming ones
             # after it
             source = new if sweep_mode == SEQUENTIAL else current
+            # a series coefficient form lends the coupling the basis pairs
+            # its point memo holds
             try:
                 coupling = log_derivative_sum(
                     poly.family, source[:i] + source[i + 1:],
                     multiplicities[:i] + multiplicities[i + 1:], xi, bits,
-                    pairs=pairs)
+                    pairs=pairs, poly=poly)
             except CollisionError as exc:
                 # exc.j indexes the others; report the approximation's own index
                 raise CollisionError(exc.j + (exc.j >= i), exc.distance,

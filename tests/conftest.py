@@ -101,6 +101,32 @@ def count_passes(monkeypatch):
     return calls, held
 
 
+def count_stages(monkeypatch):
+    """A Counter of the representations' stage runs by (stage name, id(poly),
+    raw x, prec) until monkeypatch undoes it: `_pass` (the value stage),
+    `_slope` and `_magnitude`.  It holds every instance it counts, so that
+    no later instance can reuse a counted id."""
+    calls, held = Counter(), []
+    for cls in (polynomials.AlgebraicPoly, polynomials.SeriesPoly,
+                polynomials.FactoredForm):
+        def value(poly, x, prec, run=cls._pass):
+            held.append(poly)
+            calls["_pass", id(poly), x, prec] += 1
+            return run(poly, x, prec)
+
+        def stage(name, run):
+            def counted(poly, point):
+                held.append(poly)
+                calls[name, id(poly), point.x, point.prec] += 1
+                return run(poly, point)
+            return counted
+
+        monkeypatch.setattr(cls, "_pass", value)
+        for name in ("_slope", "_magnitude"):
+            monkeypatch.setattr(cls, name, stage(name, getattr(cls, name)))
+    return calls
+
+
 # edits to a report's JSON data that give a key a value no solve writes
 # beside the others, each with the key the SchemaError must name
 REPORT_KEY_EDITS = {

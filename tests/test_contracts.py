@@ -124,7 +124,7 @@ class TestTerminationEdges:
 
         # a coupling within 1e-9 of f'/f leaves a denominator of 1e-9 f':
         # not degenerate, but the correction throws x far past 10**6
-        def near_pole(family, others, mults, x, bits, pairs=None):
+        def near_pole(family, others, mults, x, bits, pairs=None, poly=None):
             ratio = evaluate_derivative(poly, x, bits) / evaluate(poly, x, bits)
             return ratio * (1 - mp.mpf("1e-9"))
 

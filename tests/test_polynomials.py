@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -27,8 +28,9 @@ from multiroots import (
     magnitude_scale,
 )
 from multiroots.precision import to_mpf
-from conftest import (
-    assert_close, count_family_calls, count_passes, random_configuration)
+from multiroots.polynomials import root_offset
+from conftest import (assert_close, count_family_calls, count_passes,
+                      count_stages, random_configuration)
 
 # independently computed with the factored product at 256 bits
 T3_AT_0P2 = "0.03307453734398724732237873591725980805875002968812298335351705923076569"
@@ -166,6 +168,41 @@ class TestSeriesBasis:
         evaluate_derivative(poly, points[-limit - 1])
         assert sum(calls.values()) == 1
         assert len(poly._memo) == limit
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC,
+                                        EXPONENTIAL])
+    @pytest.mark.parametrize("representation", ["coefficients", "roots"])
+    def test_evaluate_runs_the_value_stage_alone(self, monkeypatch, family,
+                                                 representation):
+        # f' and the magnitude are later stages: each runs once, on the
+        # first kernel that reads it, from what the value stage kept, with
+        # no second basis_pair or factor_pair call
+        poly = ex_factored(family, EX1_CONFIG if family == ALGEBRAIC
+                           else EX2_CONFIG, 192)
+        if representation == "coefficients":
+            poly = expand_from_roots(poly)
+        stages = count_stages(monkeypatch)
+        calls = count_family_calls(monkeypatch, family)
+
+        def ran():
+            return Counter(name for name, *_ in stages.elements())
+
+        for x in ("0.3", "1.7"):
+            stages.clear()
+            evaluate(poly, x)
+            evaluate(poly, x)
+            assert ran() == {"_pass": 1}
+            first = sum(calls.values())
+            for kernel, stage in (
+                    (evaluate_derivative, "_slope"),
+                    (evaluation_noise, "_magnitude"),
+                    (magnitude_scale, None), (evaluate_derivative, None),
+                    (evaluate, None)):
+                before = ran()
+                kernel(poly, x)
+                assert ran() - before == ({stage: 1} if stage else {})
+            assert sum(calls.values()) == first
+            assert ran() == {"_pass": 1, "_slope": 1, "_magnitude": 1}
 
     @pytest.mark.parametrize("bits", [53, 4096])
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
@@ -428,6 +465,26 @@ class TestInvariants:
                 scale = max(magnitude_scale(poly, x), mp.mpf(1))
                 assert diff <= mp.mpf(2) ** (-(bits - 12)) * scale
 
+    @pytest.mark.parametrize("bits", [53, 128, 1024])
+    def test_root_offset_reduces_only_past_three(self, bits):
+        # below 3 in size u / 2 pi rounds to 0, so skipping the reduction
+        # keeps every bit; past it the reduction runs as before
+        rng = random.Random(bits)
+        with mp.workprec(bits):
+            period = 2 * mp.pi
+            for _ in range(200):
+                r = mp.mpf(rng.uniform(-4, 4))
+                x = r + mp.mpf(rng.choice([rng.uniform(-3.2, 3.2),
+                                           rng.uniform(-20, 20)]))
+                u = x - r
+                want = u - period * mp.nint(u / period)
+                got = root_offset(TRIGONOMETRIC, x, r)
+                assert got._mpf_ == want._mpf_, (x, r)
+                assert root_offset(EXPONENTIAL, x, r)._mpf_ == u._mpf_
+            for x in (mp.mpf(3), -mp.mpf(3), 3 - mp.eps, mp.pi):
+                want = x - period * mp.nint(x / period)
+                assert root_offset(TRIGONOMETRIC, x, 0)._mpf_ == want._mpf_
+
     def test_noise_floor_orders(self):
         # coefficient forms floor absolutely; factored forms floor relatively
         bits = 128
@@ -452,6 +509,11 @@ class TestRejectedInput:
     def test_only_a_factored_form_expands(self):
         with pytest.raises(TypeError, match="FactoredForm"):
             expand_from_roots(AlgebraicPoly((1,)))
+
+    def test_log_derivative_sum_rejects_a_series_of_another_family(self):
+        poly = ExpPoly(0, (1,), (0,))
+        with pytest.raises(InvalidConfigurationError, match="basis pairs"):
+            log_derivative_sum(TRIGONOMETRIC, (1,), (1,), 0, 53, poly=poly)
 
     def test_log_derivative_sum_rejects_an_unknown_family(self):
         with pytest.raises(InvalidConfigurationError, match="bogus"):

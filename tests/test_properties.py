@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import mpf_neg
 
 from multiroots import (
     ALGEBRAIC,
@@ -26,10 +27,12 @@ from multiroots import (
     TRIGONOMETRIC,
     AlgebraicPoly,
     CollisionError,
+    ExpPoly,
     FactoredForm,
     FamilyOverflowError,
     RootConfiguration,
     SeriesPoly,
+    TrigPoly,
     evaluate,
     evaluate_derivative,
     evaluation_noise,
@@ -38,9 +41,10 @@ from multiroots import (
     magnitude_scale,
 )
 from multiroots.polynomials import _series_basis
-from multiroots.precision import format_real
+from multiroots.precision import format_real, ulps_apart
 from multiroots.report_io import problem_from_dict, problem_to_dict
 from multiroots.verification import _derivative_ladder
+from conftest import count_family_calls
 
 # the coefficient keys of a series problem file, as the README states them
 FILE_KEYS = {TRIGONOMETRIC: ("cos", "sin"), EXPONENTIAL: ("ch", "sh")}
@@ -447,6 +451,23 @@ def test_coupling_rounds_as_the_mpf_functions_do(family):
                 == REF_COUPLING[family](a, u), (a, u)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@FEW
+@given(data=st.data())
+def test_the_stages_give_the_eager_bits_in_any_order(family, data):
+    """Each point's value, derivative and magnitude stages, run in a drawn
+    order of the four kernels on a fresh instance, give the bits of the
+    mpf arithmetic that computes all of them at once."""
+    poly, points = data.draw(kernel_cases(family))
+    order = data.draw(st.permutations(KERNELS))
+    prec = poly.precision_bits
+    for x in points:
+        fresh = replace(poly)
+        for kernel, reference in order:
+            assert kernel(fresh, x)._mpf_ == reference(poly, x, prec)._mpf_, \
+                (kernel.__name__, x)
+
+
 def raw_outcome(kernel, poly, x, bits):
     """The kernel's raw value, or the type of what it raised."""
     try:
@@ -460,8 +481,10 @@ def raw_outcome(kernel, poly, x, bits):
 @given(data=st.data())
 def test_the_point_memo_never_changes_a_bit(family, data):
     """Kernel calls interleaved on one instance and its copies at other
-    precisions: repeated and new points, `bits` overrides and enough points
-    to evict.  Each gives what the same call gives on a fresh instance."""
+    precisions: first the four kernels in a drawn order at one point, so
+    that the stages of a point run in any order, then repeated and new
+    points, `bits` overrides and enough points to evict.  Each gives what
+    the same call gives on a fresh instance."""
     form, near = data.draw(configurations(family, (53, 128, 192, 1024)))
     poly = form
     if family != ALGEBRAIC:
@@ -470,14 +493,87 @@ def test_the_point_memo_never_changes_a_bit(family, data):
     points += [mp.mpf(x) for x in data.draw(
         st.lists(st.floats(-3, 3), min_size=0, max_size=10))]
     instances = {None: poly}
-    for _ in range(data.draw(st.integers(5, 40))):
-        copy_bits = data.draw(st.sampled_from([None, None, 53, 192]))
+    order = data.draw(st.permutations([k for k, _ in KERNELS]))
+    for step in range(len(order) + data.draw(st.integers(5, 40))):
+        if step < len(order):
+            copy_bits, kernel, x, bits = None, order[step], near, None
+        else:
+            copy_bits = data.draw(st.sampled_from([None, None, 53, 192]))
+            kernel = data.draw(st.sampled_from([k for k, _ in KERNELS]))
+            x = data.draw(st.sampled_from(points))
+            bits = data.draw(st.sampled_from([None, None, 53, 192]))
         if copy_bits not in instances:
             instances[copy_bits] = replace(poly, precision_bits=copy_bits)
         target = instances[copy_bits]
-        kernel = data.draw(st.sampled_from([k for k, _ in KERNELS]))
-        x = data.draw(st.sampled_from(points))
-        bits = data.draw(st.sampled_from([None, None, 53, 192]))
         assert raw_outcome(kernel, target, x, bits) == \
             raw_outcome(kernel, replace(target), x, bits), \
             (kernel.__name__, copy_bits, x, bits)
+
+
+def _bits_number(rng, bits, low, high):
+    """A number in [low, high) that fills `bits` bits of mantissa."""
+    with mp.workprec(bits):
+        return low + (high - low) * mp.ldexp(rng.getrandbits(bits), -bits)
+
+
+@st.composite
+def coupling_pairs(draw, family):
+    """(bits, a series of `family` and degree 1-12 at bits, x_i, x_j): any
+    pair, a pair just above the collision threshold, for the
+    trigonometric family a pair within 2**-20 of u = +-pi or +-2pi, and for
+    the exponential one a pair with |x| up to 40."""
+    bits = draw(st.sampled_from([128, 192, 256, 1024, 4096]))
+    n = draw(st.integers(1, 12))
+    cls = TrigPoly if family == TRIGONOMETRIC else ExpPoly
+    poly = cls(0, [0] * (n - 1) + [1], [0] * n, precision_bits=bits)
+    kind = draw(st.sampled_from(["any", "any", "collision",
+                                 "pi" if family == TRIGONOMETRIC else "far"]))
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    reach = 40 if kind == "far" else 4
+    x = _bits_number(rng, bits, -reach, reach)
+    with mp.workprec(bits):
+        if kind == "collision":
+            other = x + mp.mpf(2) ** (-mp.mpf(bits) / 2) * _bits_number(
+                rng, 53, 1.0625, 4) * draw(st.sampled_from([1, -1]))
+        elif kind == "pi":
+            offset = mp.ldexp(draw(st.sampled_from([1, -1])),
+                              -draw(st.integers(20, bits // 2 - 2)))
+            other = x + draw(st.sampled_from([1, -1, 2, -2])) * mp.pi + offset
+        else:
+            other = _bits_number(rng, bits, -reach, reach)
+    return bits, poly, x, other
+
+
+@pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_product_coupling_is_within_an_ulp_of_the_half_cotangent(family,
+                                                                      data):
+    """The series coupling term formed from the two points' basis pairs
+    (log_derivative_sum given the polynomial): within 1 ulp at `bits` of
+    mp.cot or mp.coth of the exact half difference at twice the precision,
+    or, where the family's half_cotangent is called, bit-equal to the term
+    without the polynomial; and odd in the pair bit for bit.  With one
+    other root of multiplicity 2 the term is c itself."""
+    bits, poly, x, other = data.draw(coupling_pairs(family))
+    if x == other:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_family_calls(patch, family)
+        try:
+            got = log_derivative_sum(family, [other], [2], x, bits, poly=poly)
+        except CollisionError:
+            with pytest.raises(CollisionError):
+                log_derivative_sum(family, [other], [2], x, bits)
+            return
+        fallback = calls["half_cotangent"]
+        back = log_derivative_sum(family, [x], [2], other, bits, poly=poly)
+    assert back._mpf_ == mpf_neg(got._mpf_)
+    if fallback:
+        assert got._mpf_ == log_derivative_sum(family, [other], [2], x,
+                                               bits)._mpf_
+        return
+    with mp.workprec(2 * bits):
+        half = mp.fsub(x, other, exact=True) / 2
+        want = mp.cot(half) if family == TRIGONOMETRIC else mp.coth(half)
+    assert ulps_apart(got, want, bits) <= 1, (x, other)

@@ -690,9 +690,9 @@ class TestPairMemo:
             sweeps.append(args[3])  # the sweep's bits
             return real_sweep(*args)
 
-        def recorded_sum(*args, pairs=None):
+        def recorded_sum(*args, pairs=None, poly=None):
             seen.append((len(sweeps) - 1, pairs, args[-1]))
-            return real_sum(*args, pairs=pairs)
+            return real_sum(*args, pairs=pairs, poly=poly)
 
         monkeypatch.setattr(solver, "_sweep", counted_sweep)
         monkeypatch.setattr(solver, "log_derivative_sum", recorded_sum)
@@ -727,8 +727,60 @@ class TestPairMemo:
         shared = [solve(*case) for case in cases]
         real = solver.log_derivative_sum
         monkeypatch.setattr(solver, "log_derivative_sum",
-                            lambda *args, pairs=None: real(*args))
+                            lambda *args, pairs=None, poly=None:
+                            real(*args, poly=poly))
         assert [solve(*case) for case in cases] == shared
+
+
+class TestSeriesCoupling:
+    """A series coefficient form's sweep forms each coupling term from the
+    basis pairs of the point memo (`log_derivative_sum`'s `poly`), and
+    calls the family's half_cotangent only where they cancel."""
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+    def test_one_basis_call_per_point_and_no_tangent(self, monkeypatch,
+                                                     family, mode, bits):
+        form, mults, initial = drawn_case(random.Random(bits), family, 4,
+                                          bits)
+        poly = expand_from_roots(form)
+        calls = count_family_calls(monkeypatch, family)
+        passes, _ = count_passes(monkeypatch)
+        settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+        state = initial_state(poly, initial, settings)
+        entry = step(poly, mults, state, settings)
+        assert all(c > 0 for c in entry.corrections)  # none froze
+        points = set(state.approximations) | set(entry.approximations)
+        assert len(points) == 2 * len(initial)
+        assert calls == {"basis_pair": len(points)}
+        assert len(passes) == len(points) and max(passes.values()) == 1
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    def test_a_pair_near_a_half_period_calls_the_tangent_once(
+            self, monkeypatch, mode):
+        # x_1 - x_0 is 2**-14 past pi, where sin u cancels; in sequential
+        # mode x_0's update of about 0.1 takes the next pair out of reach
+        bits = 192
+        with mp.workprec(bits):
+            cfg = RootConfiguration(("0.3", mp.mpf("0.4") + mp.pi, "-1.2"),
+                                    (1, 1, 2), precision_bits=bits)
+            initial = (mp.mpf("0.4"), cfg.roots[1] + mp.mpf(2) ** -14,
+                       mp.mpf("-1.25"))
+        poly = expand_from_roots(FactoredForm(TRIGONOMETRIC, cfg))
+        calls = count_family_calls(monkeypatch, TRIGONOMETRIC)
+        settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+        state = initial_state(poly, initial, settings)
+        calls.clear()
+        entry = step(poly, cfg.multiplicities, state, settings)
+        assert all(c > 0 for c in entry.corrections)
+        assert calls == {"basis_pair": 3, "half_cotangent": 1}
+        report = solve(poly, cfg.multiplicities, initial, settings,
+                       true_roots=cfg.roots)
+        assert report.termination == "converged"
+        # an alpha-fold root in coefficient form is good to eps^(1/alpha)
+        for error, alpha in zip(report.trace[-1].errors, cfg.multiplicities):
+            assert error <= mp.mpf(2) ** ((32 - bits) / alpha)
 
 
 class TestProperties:
