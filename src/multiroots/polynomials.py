@@ -26,20 +26,20 @@ representation class computes a point in stages.  Its value stage,
 `_pass(x, prec)`, returns f at a raw point together with the state its two
 later stages read: extended Horner's partial values for the algebraic
 form, the series basis (`_series_basis`) for a series, one `factor_pair`
-call and one power g^a per root for a factored form.  `_slope` (f') and
-`_magnitude` run from that state on the first kernel that reads them, so
-a point whose f alone is read (the residuals of a trace entry that no
-sweep reads again) costs only its value stage.  The stages do the
-arithmetic one eager pass would do, call for call, so every kernel keeps
-its bits.  The four point kernels share the stages through a memo on the
-instance, keyed by (raw x, prec), that holds one `_Point` per point.  The
-memo drops its oldest point past twice the representation's root count
-(n for an algebraic polynomial of degree n, 2n for a series of degree n,
-the distinct roots of a factored form), so the points of one trace entry
-are still there when the next sweep reads them.  `solver.solve` runs on
-its own copy of the polynomial, so a memo lives for one solve and spans
-every rung of its precision ladder.  The kernels return the same bits
-either way.
+call per root for a factored form, whose value stage at one of its stored
+roots is a lookup.  `_slope` (f') and `_magnitude` run from that state on
+the first kernel that reads them, so a point whose f alone is read (the
+residuals of a trace entry that no sweep reads again) costs only its
+value stage.  The stages do the arithmetic one eager pass would do, call
+for call, so every kernel keeps its bits.  The four point kernels share
+the stages through a memo on the instance, keyed by (raw x, prec), that
+holds one `_Point` per point.  The memo drops its oldest point past twice
+the representation's root count (n for an algebraic polynomial of degree
+n, 2n for a series of degree n, the distinct roots of a factored form),
+so the points of one trace entry are still there when the next sweep
+reads them.  `solver.solve` runs on its own copy of the polynomial, so a
+memo lives for one solve and spans every rung of its precision ladder.
+The kernels return the same bits either way.
 
 The memo of a series also serves `log_derivative_sum`: given the
 polynomial, it forms each coupling term from the first basis pairs
@@ -439,6 +439,8 @@ class FactoredForm:
         if self.scale == 0:
             raise InvalidConfigurationError("scale must be nonzero")
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_roots",
+                           frozenset(r._mpf_ for r in self.config.roots))
 
     @property
     def noise_ops(self):
@@ -448,22 +450,37 @@ class FactoredForm:
     def _memo_limit(self):
         return 2 * len(self.config.roots)
 
-    def _pass(self, x, prec):
-        # the factor pairs and powers feed the derivative stage
+    def _pairs(self, x, prec):
         pair = FAMILY[self.family].factor_pair
-        v, pairs, powers = _to_raw(self.scale, prec), [], []
-        for r, a in zip(self.config.roots, self.config.multiplicities):
-            pairs.append(pair(mpf_sub(x, r._mpf_, prec, RND), prec))
-            powers.append(mpf_pow_int(pairs[-1][0], a, prec, RND))
-            v = mpf_mul(v, powers[-1], prec, RND)
-        return v, (pairs, powers)
+        return [pair(mpf_sub(x, r._mpf_, prec, RND), prec)
+                for r in self.config.roots]
+
+    def _pass(self, x, prec):
+        # on a stored root the product holds an exact zero factor, and libmp
+        # has one zero
+        if x in self._roots:
+            return fzero, None
+        # the factor pairs feed the derivative stage
+        pairs = self._pairs(x, prec)
+        v = _to_raw(self.scale, prec)
+        for (g, _), a in zip(pairs, self.config.multiplicities):
+            v = mpf_mul(v, mpf_pow_int(g, a, prec, RND), prec, RND)
+        return v, pairs
 
     def _slope(self, point):
-        prec = point.prec
-        pairs, powers = point.state
+        prec, pairs = point.prec, point.state
+        mults = self.config.multiplicities
+        if pairs is not None:
+            # f != 0, so no g_k is 0: f' = f sum_k a_k g'_k / g_k
+            return mpf_mul(point.value, mpf_sum(
+                [mpf_div(mpf_mul_int(dg, a, prec, RND), g, prec, RND)
+                 for (g, dg), a in zip(pairs, mults)], prec, RND), prec, RND)
+        # x on a root: the product rule, which divides by nothing
+        pairs = self._pairs(point.x, prec)
+        powers = [mpf_pow_int(g, a, prec, RND) for (g, _), a in zip(pairs, mults)]
         terms = [mpf_mul(mpf_mul_int(dg, a, prec, RND),
                          mpf_pow_int(g, a - 1, prec, RND), prec, RND)
-                 for (g, dg), a in zip(pairs, self.config.multiplicities)]
+                 for (g, dg), a in zip(pairs, mults)]
         # times the other roots' powers: those before k, then those after
         prefix = fone
         for k, p in enumerate(powers):
@@ -628,9 +645,11 @@ def evaluate(poly, x, bits=None):
 
     A series of degree n costs one basis call per point and precision plus
     O(n) multiplications at a few guard bits (`_series_basis`); a factored
-    form with m roots, m `factor_pair` calls and m powers.  This is the
-    value stage of the point: the derivative and the magnitude are later
-    stages, run from what it keeps only when a kernel reads them.
+    form with m roots, m `factor_pair` calls and m powers, and at a point
+    that is one of its stored roots none: there the product holds an exact
+    zero factor, so the value is 0, found in a set of the roots' raw values.
+    This is the value stage of the point: the derivative and the magnitude
+    are later stages, run from what it keeps only when a kernel reads them.
     """
     point = _raw_point(poly, x, bits)
     return _finite(point.value, poly.family, point.x)
@@ -642,12 +661,15 @@ def evaluate_derivative(poly, x, bits=None):
     Coefficient forms differentiate term by term: extended Horner for the
     algebraic family, and for a series of degree n the value's basis plus
     O(n) multiplications.  A factored form
-    scale * prod_k g_k^a_k, with g_k = g(x - r_k), uses the product rule
-    in O(m) per point for m roots: the value's `factor_pair` call per root
-    gives g_k and g'_k, and term k is a_k g'_k g_k^(a_k - 1) times the
-    prefix product of the powers g_j^a_j with j < k and the suffix product
-    of those with j > k; the value multiplies the same powers.  Nothing is
-    divided by g_k, so x on a root needs no special case (0**0 is 1).
+    f = scale * prod_k g_k^a_k, with g_k = g(x - r_k), has the logarithmic
+    derivative f'/f = sum_k a_k g'_k / g_k, the same kind of sum as the
+    coupling term.  Where f != 0 its f' is f times that sum, in O(m) per
+    point for m roots: the value's `factor_pair` call per root gives g_k
+    and g'_k, and each term is one division, all summed with one rounding.
+    At x on a stored root, where f = 0 and one g_k is 0, f' comes from the
+    product rule instead, which divides by nothing: term k is a_k g'_k
+    g_k^(a_k - 1) times the prefix product of the powers g_j^a_j with j < k
+    and the suffix product of those with j > k (0**0 is 1).
     """
     point = _raw_point(poly, x, bits)
     if point.slope is None:

@@ -1,8 +1,9 @@
 """The accuracy contract: what a solve guarantees beyond its own bits.
 
 Each part runs on seeded `random_configuration` samples of every family,
-in factored and coefficient form, at 128 bits and at 1024 bits, where the
-precision ladder runs the early sweeps below full precision.
+in factored form and, where the part covers it, coefficient form, at 128
+bits and at 1024 bits, where the precision ladder runs the early sweeps
+below full precision.
 """
 
 import random
@@ -22,9 +23,10 @@ from multiroots import (
     max_feasible_c,
     solve,
 )
+from multiroots.polynomials import gaps
 from multiroots.precision import working
 from multiroots.solver import (CONVERGED, MAX_ITERATIONS, SEQUENTIAL,
-                               SIMULTANEOUS)
+                               SIMULTANEOUS, _sweep)
 from conftest import random_configuration
 
 FAMILIES = (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL)
@@ -127,3 +129,40 @@ def test_simultaneous_solve_commutes_with_a_permutation(family, bits):
                             "errors"):
                     assert raw(getattr(b, key)) == raw(
                         permuted(getattr(a, key))), (a.k, key)
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_factored_sweep_is_within_an_ulp_of_the_sweep_at_twice_the_bits(
+        family, bits):
+    # a factored form keeps a small relative error in f and f', so the
+    # sweep from any iterates a solve reaches rounds its new iterates
+    # within 1 ulp of max(|x|, 1) of the same sweep at 2 * bits; its last
+    # bits may move, this far and no further
+    rng = random.Random(f"sweep at twice the bits {family} {bits}")
+    violations, worst = [], 0
+    for sample in range(10):
+        cfg = random_configuration(rng, family, bits)
+        form = FactoredForm(family, cfg, precision_bits=bits)
+        fine = FactoredForm(family, cfg, precision_bits=2 * bits)
+        with working(bits):
+            gap = gaps(cfg.roots)[0]
+            initial = [r + mp.mpf(rng.uniform(-0.3, 0.3)) * gap
+                       for r in cfg.roots]
+        for mode in (SIMULTANEOUS, SEQUENTIAL):
+            report = solve(form, cfg.multiplicities, initial,
+                           SolveSettings(precision_bits=bits, sweep_mode=mode))
+            for entry in report.trace:
+                got, _ = _sweep(form, cfg.multiplicities,
+                                entry.approximations, bits, mode)
+                want, _ = _sweep(fine, cfg.multiplicities,
+                                 entry.approximations, 2 * bits, mode)
+                with working(2 * bits):
+                    for i, (a, b) in enumerate(zip(got, want)):
+                        ulp = mp.mpf(2) ** (mp.mag(max(abs(b), 1)) - bits)
+                        ratio = abs(a - b) / ulp
+                        worst = max(worst, ratio)
+                        if ratio > 1:
+                            violations.append((sample, mode, entry.k, i,
+                                               mp.nstr(ratio, 3)))
+    assert not violations, f"worst {mp.nstr(worst, 3)} ulp"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -257,6 +258,64 @@ class TestEvaluateDerivative:
                 assert abs(evaluate_derivative(poly, x) - oracle) <= \
                     mp.mpf("1e-6") * scale
                 checked += 1
+
+
+FAMILY_CONFIGS = ((ALGEBRAIC, EX1_CONFIG), (TRIGONOMETRIC, EX2_CONFIG),
+                  (EXPONENTIAL, EX3_CONFIG))
+POINT_KERNELS = (evaluate, evaluate_derivative, magnitude_scale,
+                 evaluation_noise)
+
+
+class TestRootLookup:
+    """A factored form's value stage at one of its stored roots is a lookup:
+    the product holds an exact zero factor, so f is 0 without a factor."""
+
+    @pytest.mark.parametrize("family, config", FAMILY_CONFIGS)
+    def test_evaluate_at_a_root_is_zero_without_a_factor_call(
+            self, monkeypatch, family, config):
+        # and so are the magnitude and the noise bound, which read f alone
+        form = ex_factored(family, config, 192)
+        calls = count_family_calls(monkeypatch, family)
+        for r in form.config.roots:
+            for kernel in (evaluate, magnitude_scale, evaluation_noise):
+                assert kernel(form, r)._mpf_ == fzero, kernel.__name__
+        assert not calls
+
+    @pytest.mark.parametrize("family, config", FAMILY_CONFIGS)
+    def test_kernels_at_a_root_give_the_same_bits_in_every_order(
+            self, monkeypatch, family, config):
+        # f' there is the product rule's, whose stage builds the factor
+        # pairs the lookup skipped; the magnitude reads f alone
+        form = ex_factored(family, config, 192)
+        m = len(form.config.roots)
+        calls = count_family_calls(monkeypatch, family)
+        for r in form.config.roots:
+            results = []
+            for order in itertools.permutations(POINT_KERNELS):
+                fresh = replace(form)
+                calls.clear()
+                results.append({kernel: kernel(fresh, r)._mpf_
+                                for kernel in order})
+                assert calls == {"factor_pair": m}
+                assert results[-1] == results[0], (
+                    r, [k.__name__ for k in order])
+
+    @pytest.mark.parametrize("family, config", FAMILY_CONFIGS)
+    def test_a_point_an_ulp_off_a_root_runs_the_full_pass(
+            self, monkeypatch, family, config):
+        bits = 192
+        form = ex_factored(family, config, bits)
+        m = len(form.config.roots)
+        calls = count_family_calls(monkeypatch, family)
+        for r in form.config.roots:
+            with mp.workprec(bits):
+                x = r + mp.ldexp(1, mp.mag(r) - bits)
+            assert x != r and to_mpf(x, bits) == x
+            calls.clear()
+            assert evaluate(form, x) != 0
+            assert calls == {"factor_pair": m}
+            assert evaluate_derivative(form, x) != 0
+            assert calls == {"factor_pair": m}
 
 
 class TestExpandFromRoots:

@@ -16,7 +16,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import mpf_neg
 
@@ -303,20 +303,35 @@ def ref_evaluate_derivative(poly, x, bits):
                     ref_basis(poly.family, x, poly.degree)), start=1):
                 terms += [l * b * e, sign * l * a * o]
             return mp.fsum(terms)
-        terms, powers = [], []
-        for r, a in zip(poly.config.roots, poly.config.multiplicities):
-            g, dg = REF_FACTOR_PAIR[poly.family](x - r)
-            terms.append(a * dg * g ** (a - 1))
-            powers.append(g ** a)
-        prefix = mp.mpf(1)
-        for k, p in enumerate(powers):
-            terms[k] *= prefix
-            prefix *= p
-        suffix = mp.mpf(1)
-        for k in range(len(powers) - 1, -1, -1):
-            terms[k] *= suffix
-            suffix *= powers[k]
-        return poly.scale * mp.fsum(terms)
+        f = ref_factored_value(poly, x)
+        if f != 0:
+            # the logarithmic derivative times f
+            return f * mp.fsum(a * dg / g for (g, dg), a in zip(
+                ref_factor_pairs(poly, x), poly.config.multiplicities))
+        return ref_product_rule(poly, x)
+
+
+def ref_factor_pairs(form, x):
+    return [REF_FACTOR_PAIR[form.family](x - r) for r in form.config.roots]
+
+
+def ref_product_rule(form, x):
+    """f' of a factored form by the product rule at the working precision,
+    as the kernel forms it at a root."""
+    terms, powers = [], []
+    for (g, dg), a in zip(ref_factor_pairs(form, x),
+                          form.config.multiplicities):
+        terms.append(a * dg * g ** (a - 1))
+        powers.append(g ** a)
+    prefix = mp.mpf(1)
+    for k, p in enumerate(powers):
+        terms[k] *= prefix
+        prefix *= p
+    suffix = mp.mpf(1)
+    for k in range(len(powers) - 1, -1, -1):
+        terms[k] *= suffix
+        suffix *= powers[k]
+    return form.scale * mp.fsum(terms)
 
 
 def ref_magnitude_scale(poly, x, bits):
@@ -434,6 +449,53 @@ def test_kernels_ignore_the_ambient_precision(family, data):
                     assert mp.prec == ambient
             assert all(type(v) is mp.mpf for v in values)
             assert values[0] == values[1], kernel.__name__
+
+
+@st.composite
+def factored_points(draw, family):
+    """(factored form with 2-8 roots at 53, 128 or 1024 bits, point rounded
+    to its bits and off its roots): a point 2**-1, 2**-20, 2**-60 or
+    2**-(bits-4) times max(|r|, 1) from a root r, or anywhere in [-3, 3]."""
+    bits = draw(st.sampled_from([53, 128, 1024]))
+    mults = draw(st.lists(st.integers(1, 3), min_size=2, max_size=8))
+    roots = [draw(st.floats(-2.4, -1.0))]
+    for _ in mults[1:]:
+        roots.append(roots[-1] + draw(st.floats(0.3, 0.9)))
+    scale = 1 if family == ALGEBRAIC else draw(st.sampled_from([1, -2.5, 0.75]))
+    form = FactoredForm(family, RootConfiguration(roots, mults, bits),
+                        scale=scale)
+    with mp.workprec(bits):
+        if draw(st.booleans()):
+            x = mp.mpf(draw(st.floats(-3, 3)))
+        else:
+            r = draw(st.sampled_from(form.config.roots))
+            shift = draw(st.sampled_from([1, 20, 60, bits - 4]))
+            x = r + draw(st.sampled_from([1, -1])) * mp.ldexp(
+                max(abs(r), 1), -shift)
+    assume(x not in form.config.roots)
+    return form, x
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_factored_derivative_is_within_its_rounding_bound(family, data):
+    """f' as f sum_k a_k h_k, h_k = g'_k / g_k (the kernel), and by the
+    product rule, both at the form's p bits, against the product rule at
+    3p + 50 bits: each within 3 (sum(a) + 1) 2**-p |f| sum_k a_k |h_k|."""
+    form, x = data.draw(factored_points(family))
+    bits, mults = form.precision_bits, form.config.multiplicities
+    got = evaluate_derivative(form, x)
+    with mp.workprec(bits):
+        product_rule = ref_product_rule(form, x)
+    with mp.workprec(3 * bits + 50):
+        want = ref_product_rule(form, x)
+        size = sum(a * abs(dg / g) for (g, dg), a in zip(
+            ref_factor_pairs(form, x), mults))
+        bound = (3 * (sum(mults) + 1) * mp.mpf(2) ** -bits
+                 * abs(ref_factored_value(form, x)) * size)
+        assert abs(got - want) <= bound, (x, got, want)
+        assert abs(product_rule - want) <= bound, (x, product_rule, want)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
