@@ -49,7 +49,11 @@ and calls the family's half-cotangent only where that cancels
 
 A factored form also has a float twin, `FloatForm` (`float_form`), whose
 residual the solver's 53-bit rung reads; the family's float entries in
-`FAMILY` give it g and g'/g.
+`FAMILY` give it g and g'/g.  The solver's other factored sweeps read no
+kernel here but the value stage of their residuals: they sum g'/g in
+Python ints at one scale per sweep, from each family's fixed-point entry
+`fixed_log_derivative`, built on mpmath's own fixed-point elementary
+functions (`libelefun`).
 """
 
 import math
@@ -84,6 +88,7 @@ from mpmath.libmp import (
     normalize,
     round_nearest,
 )
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed
 
 from .errors import CollisionError, FamilyOverflowError, InvalidConfigurationError
 from .precision import require_bits, to_mpf, working
@@ -123,13 +128,19 @@ class Family:
     nearest at `prec`.  Two more take and return Python floats, for the
     solver's 53-bit rung (`FloatForm`): `float_factor(u)`, the factor g,
     and `float_log_derivative(u)`, h = g'/g, which is 1/u or the halved
-    half-cotangent.
+    half-cotangent.  One more works in fixed point, for the solver's other
+    factored sweeps: `fixed_log_derivative(u, frac)` maps the int u * 2**frac
+    to h(u) * 2**frac, odd by construction, for any nonzero u: within a
+    few units of 2**-frac times |u| where |u| >= 1, and below 1 within a
+    few units and 2**(12 - frac) relative, so that a term near its pole
+    at 0 keeps its relative accuracy, as an mpf term does.
     """
 
     factor_pair: Callable
     roots_per_degree: int
     float_factor: Callable
     float_log_derivative: Callable
+    fixed_log_derivative: Callable
     basis_pair: Callable = None
     derivative_sign: int = None
     half_cotangent: Callable = None
@@ -139,13 +150,55 @@ def _half(u, prec):
     return mpf_div(u, TWO, prec, RND)
 
 
-def _series_family(pair, tangent, sign, float_odd, float_tangent):
+def _odd(h):
+    """The fixed-point entry u -> sign(u) h(|u|) of `h`, defined for u > 0:
+    odd by construction, whatever rounding h does."""
+    def entry(u, frac):
+        return -h(-u, frac) if u < 0 else h(u, frac)
+    return entry
+
+
+def _fixed_inverse(u, frac):
+    # 1/u: 2**(2 frac) / u, floored
+    return (1 << 2 * frac) // u
+
+
+def _finer(u, frac):
+    """The guard bits of a series term at u * 2**frac: none above 2**-8,
+    and below it 4 and the bits u lacks below 1, so that its sine keeps
+    its relative accuracy at a small u, as 1/u does."""
+    short = frac - u.bit_length()
+    return short + 4 if short > 8 else 0
+
+
+def _fixed_half_cot(u, frac):
+    # (1/2) cot(u/2): u read at frac + 1 + k bits is u/2 at that scale,
+    # and the scale of the pair (cos, sin) cancels in their ratio
+    k = _finer(u, frac)
+    c, s = cos_sin_fixed(u << k, frac + 1 + k)
+    return (c << (frac - 1)) // s
+
+
+def _fixed_half_coth(u, frac):
+    # (1/2) coth(u/2) = (e^u + 1) / (2 (e^u - 1)), with e^u at frac + 2 + k
+    # bits so that e^u - 1 keeps its relative accuracy; past (frac + 2) ln 2,
+    # e^-u is below 2**-(frac + 2) and the term is 1/2
+    if u > (frac + 2) * ln2_fixed(frac):
+        return 1 << (frac - 1)
+    k = _finer(u, frac)
+    one = 1 << (frac + k)
+    e = exp_fixed(u << k, frac + k)
+    return ((e + one) << (frac - 1)) // (e - one)
+
+
+def _series_family(pair, tangent, sign, float_odd, float_tangent, fixed):
     """The series family of libmp `pair` (x -> (E, O)), `tangent` (O/E) and
     sign s: g(u) = O(u/2), and the half-cotangent 1/tangent(u/2) is formed
     as mp.cot and mp.coth form it, at prec + 10, then rounded to prec.
     libmp's sin and sinh take their value from the same cos_sin and
     cosh_sinh computation, so g from the pair has their bits.  `float_odd`
-    and `float_tangent` are O and O/E in floats, from `math`."""
+    and `float_tangent` are O and O/E in floats, from `math`, and `fixed`
+    is the halved half-cotangent at a positive int u in fixed point."""
     def factor_pair(u, prec):
         even, o = pair(_half(u, prec), prec, RND)
         return o, _half(even, prec)
@@ -160,6 +213,7 @@ def _series_family(pair, tangent, sign, float_odd, float_tangent):
         factor_pair=factor_pair, roots_per_degree=2,
         float_factor=lambda u: float_odd(0.5 * u),
         float_log_derivative=lambda u: 0.5 / float_tangent(0.5 * u),
+        fixed_log_derivative=_odd(fixed),
         basis_pair=lambda x, prec: pair(x, prec, RND),
         derivative_sign=sign, half_cotangent=half_cotangent)
 
@@ -167,11 +221,12 @@ def _series_family(pair, tangent, sign, float_odd, float_tangent):
 FAMILY = {
     ALGEBRAIC: Family(factor_pair=lambda u, prec: (u, fone),
                       roots_per_degree=1, float_factor=lambda u: u,
-                      float_log_derivative=lambda u: 1.0 / u),
+                      float_log_derivative=lambda u: 1.0 / u,
+                      fixed_log_derivative=_odd(_fixed_inverse)),
     TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_tan, -1,
-                                  math.sin, math.tan),
+                                  math.sin, math.tan, _fixed_half_cot),
     EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_tanh, 1,
-                                math.sinh, math.tanh),
+                                math.sinh, math.tanh, _fixed_half_coth),
 }
 
 
@@ -269,7 +324,6 @@ class AlgebraicPoly:
     precision_bits: int = 53
 
     family = ALGEBRAIC
-    noise_floors = True
 
     def __post_init__(self):
         require_bits(self.precision_bits)
@@ -329,7 +383,6 @@ class SeriesPoly:
     precision_bits: int = 53
 
     family = None
-    noise_floors = True
 
     def __post_init__(self):
         if self.family is None:
@@ -422,10 +475,6 @@ class FactoredForm:
     config: RootConfiguration
     scale: object = 1
     precision_bits: int = None
-
-    # the rounding bound 3(sum(alpha) + 1) 2**-bits |f| is below |f| unless
-    # f == 0, so the solver need not compute it to freeze a coordinate
-    noise_floors = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -698,7 +747,8 @@ def evaluation_noise(poly, x, bits=None):
     Coefficient forms cancel near multiple roots, so their bound is an
     absolute floor below which the computed value carries no signal.
     Factored forms evaluate with small relative error, so their bound is
-    proportional to the value itself and never floors (`noise_floors`).
+    proportional to the value itself and never floors: the solver's
+    factored sweep freezes a coordinate only on a root.
     """
     point = _magnitude_point(poly, x, bits)
     prec = point.prec
@@ -842,6 +892,13 @@ def _product_half_cotangent(sign, own, other, bits, guard):
     return mpf_div(num, den, bits, RND)
 
 
+def collision_threshold(bits):
+    """2**(-bits/2) rounded to `bits`: two approximations closer than this
+    collide at `bits`."""
+    return mp.make_mpf(mpf_pow(TWO, mpf_div(from_int(-bits), TWO, bits, RND),
+                               bits, RND))
+
+
 def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
                        pairs=None, poly=None):
     """Logarithmic derivative of the product of the other roots' factors.
@@ -853,11 +910,11 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
         trigonometric:  sum_j (a_j / 2) * cot((x - x_j) / 2)
         exponential:    sum_j (a_j / 2) * coth((x - x_j) / 2)
 
-    Raises CollisionError when x is within 2**(-bits/2) of any x_j.  Every
-    term past that is finite (x a period from x_j too): mpf exponents are
-    unbounded and tan(u/2) and tanh(u/2) vanish only at u = 0.  The
-    multiplicities must be one integer >= 1 per other root
-    (InvalidConfigurationError).
+    Raises CollisionError when x is within 2**(-bits/2) of any x_j
+    (`collision_threshold`).  Every term past that is finite (x a period
+    from x_j too): mpf exponents are unbounded and tan(u/2) and tanh(u/2)
+    vanish only at u = 0.  The multiplicities must be one integer >= 1 per
+    other root (InvalidConfigurationError).
 
     A series term is (a_j/2) c(u) with c the half-cotangent.  Given `poly`,
     a coefficient-form series of `family`, c is formed from the first
@@ -893,7 +950,7 @@ def log_derivative_sum(family, other_roots, other_multiplicities, x, bits,
     if pairs is None:
         pairs = {}  # nothing shared: what the terms store goes unread
     x = _to_raw(x, bits)
-    threshold = mpf_pow(TWO, mpf_div(from_int(-bits), TWO, bits, RND), bits, RND)
+    threshold = collision_threshold(bits)._mpf_
     own = None
     terms = []
     for j, (r, a) in enumerate(zip(other_roots, multiplicities)):

@@ -12,6 +12,12 @@ The coupling term lifts the quadratic multiplicity-aware Newton baseline to
 cubic convergence.  `simultaneous` sweeps read only the incoming vector
 (Jacobi); `sequential` sweeps reuse already-updated entries (Gauss-Seidel).
 
+A coefficient form's sweep reads f, f', the rounding bound and the coupling
+from the mpf kernels.  A factored form's needs none of them: D_i / f(x_i)
+is one sum of the family's log-derivative terms over the roots and the
+other approximations, which `_fixed_sweep` forms exactly in Python ints at
+one fixed-point scale per sweep.
+
 Above FLOOR bits, `solve` climbs a precision ladder: cubic convergence
 triples the correct bits per sweep, so each sweep runs at the smallest rung
 FLOOR * 2**j that the previous corrections say it needs, or is redone at
@@ -21,7 +27,7 @@ rung of Python floats (`_float_sweep`): a factored form evaluates with small
 relative error, so its first sweeps, whose corrections need only a few
 correct bits, run in floats and are kept on the same terms as a rung's.
 A coefficient form cancels near an alpha-fold root, and its sweeps stay on
-the mpmath rungs.
+the mpmath rungs; a factored form's sweeps there run in fixed point.
 """
 
 import math
@@ -29,6 +35,7 @@ import operator
 from dataclasses import dataclass, replace
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .convergence import estimate_order
 from .errors import (
@@ -40,6 +47,8 @@ from .errors import (
 )
 from .polynomials import (
     FAMILY,
+    FactoredForm,
+    collision_threshold,
     evaluate,
     evaluate_derivative,
     evaluation_noise,
@@ -83,6 +92,11 @@ GUARD = 32
 FLOAT_BITS = 53
 FLOAT_GUARD = 8
 FLOAT_DEGENERATE = 2.0 ** (4 - FLOAT_BITS)
+
+# A factored sweep's fixed-point scale holds FIXED_GUARD bits beyond the
+# `bits` of its largest value (`_fixed_scale`); RND rounds its results.
+FIXED_GUARD = 24
+RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -187,8 +201,9 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     TraceEntry.  `true_roots` takes what `solve` takes.
 
     Raises CollisionError / DegenerateDenominatorError / FamilyOverflowError
-    on the corresponding per-root failures; `solve` maps these to termination
-    reasons (FAILURES).
+    on the corresponding per-root failures, and a factored sweep
+    ZeroDivisionError at a pole (`_fixed_sweep`); `solve` maps these to
+    termination reasons (FAILURES).
     """
     bits = settings.precision_bits
     multiplicities = require_multiplicities(multiplicities,
@@ -200,7 +215,12 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
 
 
 def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
-    """(new approximations, |corrections|) of one sweep at `bits`."""
+    """(new approximations, |corrections|) of one sweep at `bits`: a
+    factored form's in fixed point (`_fixed_sweep`), any other's from the
+    mpf kernels."""
+    if isinstance(poly, FactoredForm):
+        return _fixed_sweep(poly, multiplicities, approximations, bits,
+                            sweep_mode)
     with working(bits):
         current = list(approximations)
         new = list(approximations)
@@ -213,10 +233,8 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             fi = evaluate(poly, xi, bits)
             # freeze the coordinate once |f| is below the evaluation's
             # rounding bound: past that point the residual is cancellation
-            # noise and a correction computed from it walks away from the root.
-            # A representation whose bound never floors skips it.
-            if fi == 0 or (poly.noise_floors
-                           and abs(fi) <= evaluation_noise(poly, xi, bits)):
+            # noise and a correction computed from it walks away from the root
+            if fi == 0 or abs(fi) <= evaluation_noise(poly, xi, bits):
                 continue
             fpi = evaluate_derivative(poly, xi, bits)
             # `new` holds the updated entries before i and the incoming ones
@@ -242,6 +260,97 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             new[i] = xi - correction
             corrections[i] = abs(correction)
         return tuple(new), tuple(corrections)
+
+
+def _fixed_scale(values, bits):
+    """The fraction bits of a fixed-point sweep at `bits` over the raw
+    `values`: bits + FIXED_GUARD + log2 of the largest |value| above 1."""
+    top = max((e + bc for _, man, e, bc in values if man), default=0)
+    return bits + FIXED_GUARD + max(0, top)
+
+
+def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
+    """(new approximations, |corrections|) of one sweep of the FactoredForm
+    `form` at `bits`, summed in Python ints at one scale 2**frac
+    (`_fixed_scale`).  With h = g'/g the family's log-derivative
+    (`fixed_log_derivative`),
+
+        S_i = D_i / f(x_i) = G_i - sum_{j != i} alpha_j h(x_i - x_j),
+        G_i = f'(x_i) / f(x_i) = sum_k a_k h(x_i - r_k),
+
+    is one exact sum of terms each within a few units of 2**-frac, or
+    about 2**-frac relative where |x_i - r_k| is below 1, so no
+    cancellation in it costs bits, and x_i moves by alpha_i / S_i, the
+    quotient floored at the scale, or finer where it would keep fewer
+    than bits + 2 bits; the new iterate and |correction| are each rounded
+    once to `bits`.  The approximations and the roots enter the scale
+    floored, exactly where they have no bits below 2**-frac.
+
+    A coordinate freezes where x_i is a root at this scale (f = 0 there,
+    or x_i within 2**-frac of a root that carries more bits), and the
+    rules of the mpf sweep hold on the ints: a collision where a raw
+    |x_i - x_j| is below `collision_threshold(bits)`, and a degenerate
+    denominator where |S_i| < 2**(4 - bits) |G_i|, which is |D_i| <
+    2**(4 - bits) |f'(x_i)|.  Only that error evaluates f, to report D_i
+    and f'(x_i) as the mpf sweep does.  In `simultaneous` mode each pair's
+    h is computed once, for the partner as -h; `sequential` mode reads the
+    updated entries.  A trigonometric term within 2**-frac of a pole (an
+    iterate a period from a root or from another) raises ZeroDivisionError.
+    """
+    h = FAMILY[form.family].fixed_log_derivative
+    raws = [to_mpf(x, bits)._mpf_ for x in approximations]
+    raw_roots = [r._mpf_ for r in form.config.roots]
+    frac = _fixed_scale(raws + raw_roots, bits)
+    roots = [(to_fixed(r, frac), a)
+             for r, a in zip(raw_roots, form.config.multiplicities)]
+    threshold = collision_threshold(bits)
+    near = to_fixed(threshold._mpf_, frac)
+    current = [to_fixed(x, frac) for x in raws]
+    sequential = sweep_mode == SEQUENTIAL
+    # the updated entries before i and the incoming ones after it
+    source = list(current) if sequential else current
+    new = list(approximations)
+    corrections = [mp.mpf(0)] * len(current)
+    pairs = {}  # h(x_j - x_i) for the pair (j, i), in simultaneous mode
+    for i, xi in enumerate(current):
+        offsets = [xi - r for r, _ in roots]
+        if 0 in offsets:
+            continue
+        own = sum(a * h(u, frac) for u, (_, a) in zip(offsets, roots))
+        coupling = 0
+        for j, xj in enumerate(source):
+            if j == i:
+                continue
+            u = xi - xj
+            if abs(u) < near:
+                raise CollisionError(
+                    j, mp.make_mpf(from_man_exp(u, -frac, bits, RND)),
+                    threshold, i=i)
+            term = pairs.pop((i, j), None)
+            if term is None:
+                term = h(u, frac)
+                if not sequential:
+                    pairs[j, i] = -term
+            coupling += multiplicities[j] * term
+        denom = own - coupling
+        if denom == 0 or abs(denom) << (bits - 4) < abs(own):
+            f = evaluate(form, approximations[i], bits)
+            with working(bits):
+                raise DegenerateDenominatorError(
+                    i, f * mp.make_mpf(from_man_exp(denom, -frac)),
+                    f * mp.make_mpf(from_man_exp(own, -frac)))
+        # the quotient at frac + extra bits keeps bits + 2 of a small one
+        extra = max(0, bits + 2 + abs(denom).bit_length() - 2 * frac
+                    - multiplicities[i].bit_length())
+        correction = (multiplicities[i] << (2 * frac + extra)) // denom
+        moved = from_man_exp((xi << extra) - correction, -(frac + extra),
+                             bits, RND)
+        new[i] = mp.make_mpf(moved)
+        corrections[i] = mp.make_mpf(
+            from_man_exp(abs(correction), -(frac + extra), bits, RND))
+        if sequential:
+            source[i] = to_fixed(moved, frac)
+    return tuple(new), tuple(corrections)
 
 
 def _need(multiplicities, corrections, sweeps):

@@ -65,9 +65,10 @@ def cut_trace_list(report, change):
 
 
 def count_family_calls(monkeypatch, family):
-    """A Counter, by name, of the `basis_pair`, `factor_pair` and
-    `half_cotangent` calls through `family`'s FAMILY entry until monkeypatch
-    undoes it.  A field the family leaves None stays None."""
+    """A Counter, by name, of the `basis_pair`, `factor_pair`,
+    `half_cotangent` and `fixed_log_derivative` calls through `family`'s
+    FAMILY entry until monkeypatch undoes it.  A field the family leaves
+    None stays None."""
     calls = Counter()
     fam = polynomials.FAMILY[family]
 
@@ -82,7 +83,8 @@ def count_family_calls(monkeypatch, family):
 
     monkeypatch.setitem(polynomials.FAMILY, family, replace(fam, **{
         name: counted(name)
-        for name in ("basis_pair", "factor_pair", "half_cotangent")}))
+        for name in ("basis_pair", "factor_pair", "half_cotangent",
+                     "fixed_log_derivative")}))
     return calls
 
 

@@ -7,6 +7,7 @@ below full precision.
 """
 
 import random
+import time
 
 import pytest
 from mpmath import mp
@@ -17,12 +18,14 @@ from multiroots import (
     TRIGONOMETRIC,
     ConvergenceParams,
     FactoredForm,
+    RootConfiguration,
     SolveSettings,
     expand_from_roots,
     feasible_point_trigonometric,
     max_feasible_c,
     solve,
 )
+from multiroots import polynomials
 from multiroots.polynomials import gaps
 from multiroots.precision import working
 from multiroots.solver import (CONVERGED, MAX_ITERATIONS, SEQUENTIAL,
@@ -166,3 +169,83 @@ def test_a_factored_sweep_is_within_an_ulp_of_the_sweep_at_twice_the_bits(
                             violations.append((sample, mode, entry.k, i,
                                                mp.nstr(ratio, 3)))
     assert not violations, f"worst {mp.nstr(worst, 3)} ulp"
+
+
+def ulps_off(got, want, bits):
+    """The largest |a - b| over the pairs, in ulps of max(|b|, 1) at
+    `bits`, with the index where it falls."""
+    with working(2 * bits):
+        ratios = [abs(a - b) / mp.mpf(2) ** (mp.mag(max(abs(b), 1)) - bits)
+                  for a, b in zip(got, want)]
+    worst = max(ratios)
+    return worst, ratios.index(worst)
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_factored_sweep_from_close_iterates_is_within_an_ulp(family, bits):
+    # two iterates 2**-26 to 2**-60 apart couple by a term near 1/d, far
+    # above the others: the fixed-point sweep sums its terms exactly, so
+    # the pair costs no bits, and each new iterate still rounds within 1
+    # ulp of max(|x|, 1) of the same sweep at 2 * bits from the same
+    # inputs.  A sequential coordinate reads the entries updated before
+    # it, rounded to `bits`, and a rounding of 2**-bits in a partner d
+    # away moves its term by 2**-bits / d: so its reference is the 2 * bits
+    # sweep of that coordinate from those entries
+    rng = random.Random(f"close iterates {family} {bits}")
+    violations, worst = [], 0
+    for sample in range(20):
+        cfg = random_configuration(rng, family, bits)
+        form = FactoredForm(family, cfg, precision_bits=bits)
+        fine = FactoredForm(family, cfg, precision_bits=2 * bits)
+        i, j = rng.sample(range(len(cfg.roots)), 2)
+        with working(bits):
+            gap = gaps(cfg.roots)[0]
+            start = [r + mp.mpf(rng.uniform(-0.3, 0.3)) * gap
+                     for r in cfg.roots]
+            apart = mp.mpf(2) ** -rng.randint(26, 60)
+            start[j] = start[i] + rng.choice((-1, 1)) * apart
+        for mode in (SIMULTANEOUS, SEQUENTIAL):
+            got, _ = _sweep(form, cfg.multiplicities, start, bits, mode)
+            if mode == SIMULTANEOUS:
+                want, _ = _sweep(fine, cfg.multiplicities, start, 2 * bits,
+                                 mode)
+            else:
+                want = [_sweep(fine, cfg.multiplicities,
+                               got[:k] + tuple(start[k:]), 2 * bits,
+                               SIMULTANEOUS)[0][k] for k in range(len(got))]
+            ratio, k = ulps_off(got, want, bits)
+            worst = max(worst, ratio)
+            if ratio > 1:
+                violations.append((sample, mode, k, mp.nstr(ratio, 3)))
+    assert not violations, f"worst {mp.nstr(worst, 3)} ulp"
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+def test_an_exponential_sweep_with_a_far_iterate(monkeypatch, bits):
+    # an iterate 10**6 from every root, inside a solve's escape radius,
+    # takes its coupling terms as 1/2 outright rather than from e^u, an
+    # integer of 1.44e6 bits: no exp_fixed call sees an argument past its
+    # scale's bit count, the sweep takes milliseconds, and it rounds within
+    # 1 ulp of the same sweep at 2 * bits
+    largest = []
+    real = polynomials.exp_fixed
+
+    def recorded(x, prec):
+        largest.append((x >> prec) / prec)
+        return real(x, prec)
+
+    monkeypatch.setattr(polynomials, "exp_fixed", recorded)
+    cfg = RootConfiguration(("-1.1", "0.2", "1.4"), (2, 1, 3),
+                            precision_bits=bits)
+    form = FactoredForm(EXPONENTIAL, cfg, precision_bits=bits)
+    fine = FactoredForm(EXPONENTIAL, cfg, precision_bits=2 * bits)
+    with working(bits):
+        start = [mp.mpf("-1.05"), mp.mpf("0.27"), mp.mpf(10) ** 6]
+    for mode in (SIMULTANEOUS, SEQUENTIAL):
+        begun = time.perf_counter()
+        got, _ = _sweep(form, cfg.multiplicities, start, bits, mode)
+        assert time.perf_counter() - begun < 1
+        want, _ = _sweep(fine, cfg.multiplicities, start, 2 * bits, mode)
+        assert ulps_off(got, want, bits)[0] <= 1, mode
+    assert largest and max(largest) < 1

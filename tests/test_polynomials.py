@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_neg
+from mpmath.libmp import (fone, from_man_exp, fzero, mpf_cos_sin, mpf_exp,
+                          mpf_ln2, mpf_neg, mpf_pi, to_fixed)
+from mpmath.libmp.libelefun import (cos_sin_fixed, exp_fixed, ln2_fixed,
+                                    pi_fixed)
 
 from multiroots import polynomials
 from multiroots import (
@@ -554,6 +557,72 @@ class TestInvariants:
             true_value = abs(evaluate(factored, near_root))
         assert evaluation_noise(expanded, near_root) > true_value
         assert evaluation_noise(factored, near_root) < true_value
+
+
+class TestFixedPoint:
+    """The fixed-point terms of the solver's factored sweep, and the mpmath
+    routines they are built on."""
+
+    @pytest.mark.parametrize("bits", [53, 128, 192, 1024])
+    def test_the_libelefun_routines_match_the_public_functions(self, bits):
+        # `libelefun` is not mpmath's public API, and pyproject allows any
+        # mpmath >= 1.3: each routine the sweep reads is pinned to within
+        # 16 units of 2**-bits of the public libmp functions, times the
+        # argument's size for cos and sin (the reduction by pi/2 held to
+        # the scale) and the value's for exp.  mpmath 1.3.0 stays within 11
+        rng = random.Random(f"libelefun {bits}")
+        ref = bits + 40
+
+        def fixed(raw):
+            return to_fixed(raw, bits)
+
+        assert abs(pi_fixed(bits) - fixed(mpf_pi(ref))) <= 2
+        assert abs(ln2_fixed(bits) - fixed(mpf_ln2(ref))) <= 2
+        sizes = (bits // 2, bits - 3, bits, bits + 2, bits + 11)
+        for x in [1, 2, 3] + [rng.getrandbits(n) for n in sizes
+                              for _ in range(8)]:
+            point = from_man_exp(x, -bits)
+            c, s = cos_sin_fixed(x, bits)
+            want_c, want_s = map(fixed, mpf_cos_sin(point, ref))
+            units = 16 * max(1, x >> bits)
+            assert abs(c - want_c) <= units and abs(s - want_s) <= units, x
+            if x >> bits < 8:
+                want = fixed(mpf_exp(point, ref))
+                assert (abs(exp_fixed(x, bits) - want)
+                        <= 16 * max(1, want >> bits)), x
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    @pytest.mark.parametrize("frac", [77, 152, 1048])
+    def test_each_entry_is_odd_and_within_a_few_units(self, family, frac):
+        # h(u) = g'(u)/g(u) at u * 2**frac against h at 3 frac bits, for
+        # offsets u from 2**(2 - frac) to 32: below 1 within 2 units of
+        # 2**-frac and 2**(12 - frac) relative, so a correction of any size
+        # keeps its bits; above it within 2 units times u (the reduction)
+        # and 1 + |h'(u)| (an offset held to a unit, near a trigonometric
+        # pole)
+        entry = polynomials.FAMILY[family].fixed_log_derivative
+        rng = random.Random(f"fixed entry {family} {frac}")
+        with mp.workprec(3 * frac):
+            for _ in range(40):
+                u = rng.getrandbits(frac + rng.randint(2 - frac, 5)) or 1
+                assert entry(-u, frac) == -entry(u, frac)
+                v = mp.ldexp(u, -frac)
+                if family == ALGEBRAIC:
+                    want, slope = 1 / v, 1 / v ** 2
+                elif family == TRIGONOMETRIC:
+                    want, slope = (mp.cot(v / 2) / 2,
+                                   1 / (4 * mp.sin(v / 2) ** 2))
+                else:
+                    want, slope = (mp.coth(v / 2) / 2,
+                                   1 / (4 * mp.sinh(v / 2) ** 2))
+                error = abs(entry(u, frac) - mp.ldexp(want, frac))
+                if v < 1:
+                    assert error <= 2 + 2 ** 12 * abs(want), u
+                else:
+                    assert error <= 2 * v * (1 + slope), u
+        if family == EXPONENTIAL:
+            # past (frac + 2) ln 2 the term is 1/2 outright
+            assert entry(10 ** 6 << frac, frac) == 1 << (frac - 1)
 
 
 class TestRejectedInput:

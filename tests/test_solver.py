@@ -643,16 +643,19 @@ def drawn_case(rng, family, m, bits):
 
 
 class TestPairMemo:
-    """One sweep shares one dict of half-cotangents across its coordinates
-    (`log_derivative_sum`'s `pairs`)."""
+    """One sweep computes each pair's coupling term once: a factored sweep
+    in its own dict of fixed-point terms, a coefficient form's through the
+    dict of half-cotangents its coordinates share (`log_derivative_sum`'s
+    `pairs`)."""
 
     @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
     @pytest.mark.parametrize("m", [2, 5, 8])
     def test_a_first_sweep_computes_each_pair_once(self, monkeypatch, family,
                                                    m):
+        # the factored sweep takes every term from the family's fixed-point
+        # entry: m root terms per coordinate, and the pairs' terms
         poly, mults, initial = drawn_case(random.Random(m), family, m, 128)
         calls = count_family_calls(monkeypatch, family)
-        series = family != ALGEBRAIC
         for mode, want in (("simultaneous", m * (m - 1) // 2),
                            ("sequential", m * (m - 1))):
             settings = SolveSettings(precision_bits=128, sweep_mode=mode)
@@ -660,7 +663,7 @@ class TestPairMemo:
             calls.clear()
             entry = step(poly, mults, state, settings)
             assert all(c > 0 for c in entry.corrections)  # none froze
-            assert calls["half_cotangent"] == (want if series else 0), mode
+            assert calls["fixed_log_derivative"] == m * m + want, mode
 
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
     @pytest.mark.parametrize("bits", [128, 1024])
@@ -673,7 +676,7 @@ class TestPairMemo:
             calls.clear()
             reports.append(solve(poly, mults, initial,
                                  SolveSettings(precision_bits=bits)))
-            counts.append(calls["half_cotangent"])
+            counts.append(calls["fixed_log_derivative"])
         assert reports[0].termination == "converged"
         assert reports[1] == reports[0]
         assert counts[1] == counts[0] > 0
