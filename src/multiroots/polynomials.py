@@ -20,26 +20,26 @@ Asked for fewer bits than a representation holds, a kernel reads its
 stored coefficients and scale rounded to those bits; a factored form's
 roots are read as they are, since x - r rounds once.
 
-A solver asks for f, f' and the noise bound at one point, and the next
-sweep asks again at the points the trace entry took residuals at.  So each
-representation class computes a point in stages.  Its value stage,
-`_pass(x, prec)`, returns f at a raw point together with the state its two
-later stages read: extended Horner's partial values for the algebraic
-form, the series basis (`_series_basis`) for a series, one `factor_pair`
-call per root for a factored form, whose value stage at one of its stored
-roots is a lookup.  `_slope` (f') and `_magnitude` run from that state on
-the first kernel that reads them, so a point whose f alone is read (the
-residuals of a trace entry that no sweep reads again) costs only its
-value stage.  The stages do the arithmetic one eager pass would do, call
-for call, so every kernel keeps its bits.  The four point kernels share
-the stages through a memo on the instance, keyed by (raw x, prec), that
-holds one `_Point` per point.  The memo drops its oldest point past twice
-the representation's root count (n for an algebraic polynomial of degree
-n, 2n for a series of degree n, the distinct roots of a factored form),
-so the points of one trace entry are still there when the next sweep
-reads them.  `solver.solve` runs on its own copy of the polynomial, so a
-memo lives for one solve and spans every rung of its precision ladder.
-The kernels return the same bits either way.
+A coefficient-form sweep asks for f, f' and the noise bound at one point,
+and the next sweep asks again at the points the trace entry took residuals
+at.  So each representation class computes a point in stages.  Its value
+stage, `_pass(x, prec)`, returns f at a raw point together with the state
+its two later stages read: extended Horner's partial values for the
+algebraic form, the series basis (`_series_basis`) for a series, one
+`factor_pair` call per root for a factored form, whose value stage at one
+of its stored roots is a lookup.  `_slope` (f') and `_magnitude` run from
+that state on the first kernel that reads them, so a point whose f alone
+is read (the residuals of a trace entry that no sweep reads again) costs
+only its value stage.  The stages do the arithmetic one eager pass would
+do, call for call, so every kernel keeps its bits.  The four point
+kernels share the stages through a memo on the instance, keyed by (raw x,
+prec), that holds one `_Point` per point.  The memo drops its oldest
+point past twice the representation's root count (n for an algebraic
+polynomial of degree n, 2n for a series of degree n, the distinct roots
+of a factored form), so the points of one trace entry are still there
+when the next sweep reads them.  `solver.solve` runs on its own copy of
+the polynomial, so a memo lives for one solve and spans every rung of
+its precision ladder.  The kernels return the same bits either way.
 
 The memo of a series also serves `log_derivative_sum`: given the
 polynomial, it forms each coupling term from the first basis pairs
@@ -517,15 +517,10 @@ class FactoredForm:
         return v, pairs
 
     def _slope(self, point):
-        prec, pairs = point.prec, point.state
-        mults = self.config.multiplicities
-        if pairs is not None:
-            # f != 0, so no g_k is 0: f' = f sum_k a_k g'_k / g_k
-            return mpf_mul(point.value, mpf_sum(
-                [mpf_div(mpf_mul_int(dg, a, prec, RND), g, prec, RND)
-                 for (g, dg), a in zip(pairs, mults)], prec, RND), prec, RND)
-        # x on a root: the product rule, which divides by nothing
-        pairs = self._pairs(point.x, prec)
+        # the product rule, which divides by nothing: on a stored root, where
+        # the lookup kept no factor pairs, they are formed here
+        prec, mults = point.prec, self.config.multiplicities
+        pairs = point.state or self._pairs(point.x, prec)
         powers = [mpf_pow_int(g, a, prec, RND) for (g, _), a in zip(pairs, mults)]
         terms = [mpf_mul(mpf_mul_int(dg, a, prec, RND),
                          mpf_pow_int(g, a - 1, prec, RND), prec, RND)
@@ -709,16 +704,14 @@ def evaluate_derivative(poly, x, bits=None):
 
     Coefficient forms differentiate term by term: extended Horner for the
     algebraic family, and for a series of degree n the value's basis plus
-    O(n) multiplications.  A factored form
-    f = scale * prod_k g_k^a_k, with g_k = g(x - r_k), has the logarithmic
-    derivative f'/f = sum_k a_k g'_k / g_k, the same kind of sum as the
-    coupling term.  Where f != 0 its f' is f times that sum, in O(m) per
-    point for m roots: the value's `factor_pair` call per root gives g_k
-    and g'_k, and each term is one division, all summed with one rounding.
-    At x on a stored root, where f = 0 and one g_k is 0, f' comes from the
-    product rule instead, which divides by nothing: term k is a_k g'_k
-    g_k^(a_k - 1) times the prefix product of the powers g_j^a_j with j < k
-    and the suffix product of those with j > k (0**0 is 1).
+    O(n) multiplications.  A factored form f = scale * prod_k g_k^a_k,
+    with g_k = g(x - r_k), takes the product rule at every point, in O(m)
+    for m roots: term k is a_k g'_k g_k^(a_k - 1) times the prefix product
+    of the powers g_j^a_j with j < k and the suffix product of those with
+    j > k (0**0 is 1), all summed with one rounding.  It divides by
+    nothing, so it holds on a root too.  The value's `factor_pair` call per
+    root gives g_k and g'_k; at a stored root, whose value is a lookup, the
+    derivative stage makes those calls.
     """
     point = _raw_point(poly, x, bits)
     if point.slope is None:

@@ -116,8 +116,9 @@ class SolveSettings:
             raise InvalidConfigurationError(f"unknown sweep_mode {self.sweep_mode!r}")
         if self.correction_tolerance is not None:
             tol = to_mpf(self.correction_tolerance, self.precision_bits)
-            if tol <= 0:
-                raise InvalidConfigurationError("correction_tolerance must be > 0")
+            if not (mp.isfinite(tol) and tol > 0):
+                raise InvalidConfigurationError(
+                    f"correction_tolerance must be finite and > 0, got {tol}")
             object.__setattr__(self, "correction_tolerance", tol)
 
     @property
@@ -192,6 +193,10 @@ def initial_state(poly, initial, settings, true_roots=None):
     takes what `solve` takes."""
     bits = settings.precision_bits
     x0 = tuple(to_mpf(v, bits) for v in initial)
+    for i, x in enumerate(x0):
+        if not mp.isfinite(x):
+            raise InvalidConfigurationError(
+                f"initial approximation {i} is not finite: {x}")
     require_distinct(x0, "initial approximations")
     return _entry(poly, x0, 0, bits, true_roots=_truths(true_roots, bits))
 

@@ -11,6 +11,7 @@ from multiroots import (
     RootConfiguration,
     SolveSettings,
     TrigPoly,
+    expand_from_roots,
     solve,
 )
 from multiroots.polynomials import gaps
@@ -80,13 +81,30 @@ class TestSolveSettings:
             SolveSettings(max_iterations=0)
         with pytest.raises(InvalidConfigurationError):
             SolveSettings(sweep_mode="chaotic")
-        with pytest.raises(InvalidConfigurationError):
-            SolveSettings(correction_tolerance=0)
+        # an infinite tolerance once ended a solve `converged` after one
+        # sweep, and a nan one ran every sweep to `max_iterations`
+        for tol in (0, "nan", "inf", float("nan"), float("inf")):
+            with pytest.raises(InvalidConfigurationError):
+                SolveSettings(precision_bits=64, correction_tolerance=tol)
 
     @pytest.mark.parametrize("count", [2.5, True, "3"])
     def test_max_iterations_must_be_an_int(self, count):
         with pytest.raises(InvalidConfigurationError):
             SolveSettings(max_iterations=count)
+
+
+class TestInitialApproximations:
+    @pytest.mark.parametrize("start", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("representation", ["roots", "coefficients"])
+    def test_a_start_that_is_not_finite_is_rejected(self, representation,
+                                                    start):
+        # once a FamilyOverflowError out of the k = 0 residuals
+        poly = FactoredForm("algebraic", RootConfiguration(("1", "2"), (1, 1)))
+        if representation == "coefficients":
+            poly = expand_from_roots(poly)
+        with pytest.raises(InvalidConfigurationError,
+                           match="initial approximation 0 is not finite"):
+            solve(poly, (1, 1), (start, "2.1"))
 
 
 class TestTerminationEdges:

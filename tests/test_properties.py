@@ -303,11 +303,6 @@ def ref_evaluate_derivative(poly, x, bits):
                     ref_basis(poly.family, x, poly.degree)), start=1):
                 terms += [l * b * e, sign * l * a * o]
             return mp.fsum(terms)
-        f = ref_factored_value(poly, x)
-        if f != 0:
-            # the logarithmic derivative times f
-            return f * mp.fsum(a * dg / g for (g, dg), a in zip(
-                ref_factor_pairs(poly, x), poly.config.multiplicities))
         return ref_product_rule(poly, x)
 
 
@@ -317,7 +312,7 @@ def ref_factor_pairs(form, x):
 
 def ref_product_rule(form, x):
     """f' of a factored form by the product rule at the working precision,
-    as the kernel forms it at a root."""
+    as the kernel forms it."""
     terms, powers = [], []
     for (g, dg), a in zip(ref_factor_pairs(form, x),
                           form.config.multiplicities):
@@ -480,9 +475,9 @@ def factored_points(draw, family):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_factored_derivative_is_within_its_rounding_bound(family, data):
-    """f' as f sum_k a_k h_k, h_k = g'_k / g_k (the kernel), and by the
-    product rule, both at the form's p bits, against the product rule at
-    3p + 50 bits: each within 3 (sum(a) + 1) 2**-p |f| sum_k a_k |h_k|."""
+    """f' from the kernel and by the product rule, both at the form's p
+    bits, against the product rule at 3p + 50 bits: each within
+    3 (sum(a) + 1) 2**-p |f| sum_k a_k |h_k|, h_k = g'_k / g_k."""
     form, x = data.draw(factored_points(family))
     bits, mults = form.precision_bits, form.config.multiplicities
     got = evaluate_derivative(form, x)

@@ -206,22 +206,36 @@ class TestSolve:
         assert report.termination == "diverged"
 
     def test_factored_solve_skips_the_noise_bound(self, monkeypatch):
-        # a factored bound is a fraction of |f| and can never freeze f != 0
-        calls = []
+        # a factored bound is a fraction of |f| and can never freeze f != 0;
+        # a factored sweep sums D_i / f itself, in floats or fixed point, so
+        # it reads neither f' nor the mpf coupling either
+        names = ("evaluate_derivative", "evaluation_noise",
+                 "log_derivative_sum")
+        calls = set()
 
-        def counted(*args):
-            calls.append(args)
-            return evaluation_noise(*args)
+        def counted(name, kernel):
+            def wrapper(*args, **kwargs):
+                calls.add(name)
+                return kernel(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(solver, "evaluation_noise", counted)
-        bits = 192
-        for poly, want in ((factored(ALGEBRAIC, EX1, bits), False),
-                           (expanded(ALGEBRAIC, EX1, bits), True)):
-            calls.clear()
-            report = solve(poly, EX1["mults"], EX1["initial"],
-                           SolveSettings(precision_bits=bits))
-            assert report.termination == "converged"
-            assert bool(calls) == want
+        for name in names:
+            monkeypatch.setattr(solver, name,
+                                counted(name, getattr(solver, name)))
+        # at 1024 bits the factored sweeps run on the fixed-point rungs
+        for family, case in ((ALGEBRAIC, EX1), (TRIGONOMETRIC, EX2),
+                             (EXPONENTIAL, EX3)):
+            for bits in (192, 1024):
+                for mode in ("simultaneous", "sequential"):
+                    for build, want in ((factored, set()),
+                                        (expanded, set(names))):
+                        calls.clear()
+                        report = solve(build(family, case, bits),
+                                       case["mults"], case["initial"],
+                                       SolveSettings(precision_bits=bits,
+                                                     sweep_mode=mode))
+                        assert report.termination == "converged"
+                        assert calls == want, (family, bits, mode, build)
 
     @pytest.mark.parametrize("family, case", [(TRIGONOMETRIC, EX2),
                                               (EXPONENTIAL, EX3)])
