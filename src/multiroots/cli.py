@@ -246,7 +246,7 @@ def _cmd_verify(args):
     claimed = located(f"{args.report}.final", RootConfiguration,
                       report.final, problem.multiplicities, precision_bits=bits)
     tolerance = checked_real(args.tolerance, bits, "--tolerance")
-    # verify_roots rejects only a tolerance <= 0
+    # verify_roots rejects only a tolerance that is not finite and > 0
     outcome = located("--tolerance", verify_roots, problem.poly, claimed,
                       tolerance, bits=bits)
     print(str(outcome))

@@ -47,13 +47,14 @@ polynomial, it forms each coupling term from the first basis pairs
 and calls the family's half-cotangent only where that cancels
 (`_product_half_cotangent`).
 
-A factored form also has a float twin, `FloatForm` (`float_form`), whose
-residual the solver's 53-bit rung reads; the family's float entries in
-`FAMILY` give it g and g'/g.  The solver's other factored sweeps read no
-kernel here but the value stage of their residuals: they sum g'/g in
-Python ints at one scale per sweep, from each family's fixed-point entry
-`fixed_log_derivative`, built on mpmath's own fixed-point elementary
-functions (`libelefun`).
+A factored form also records its roots and |scale| as floats, once, when
+it is built (`FactoredForm.float_roots`); the solver's 53-bit rung sweeps
+on them and reads their residual (`FactoredForm.float_residual`), with g
+and g'/g from the family's float entries in `FAMILY`.  The solver's other
+factored sweeps read no kernel here but the value stage of their
+residuals: they sum g'/g in Python ints at one scale per sweep, from each
+family's fixed-point entry `fixed_log_derivative`, built on mpmath's own
+fixed-point elementary functions (`libelefun`).
 """
 
 import math
@@ -126,14 +127,15 @@ class Family:
     The callables work on raw libmp values: `factor_pair(u, prec)`,
     `basis_pair(x, prec)` and `half_cotangent(u, prec)`, each rounding to
     nearest at `prec`.  Two more take and return Python floats, for the
-    solver's 53-bit rung (`FloatForm`): `float_factor(u)`, the factor g,
-    and `float_log_derivative(u)`, h = g'/g, which is 1/u or the halved
-    half-cotangent.  One more works in fixed point, for the solver's other
-    factored sweeps: `fixed_log_derivative(u, frac)` maps the int u * 2**frac
-    to h(u) * 2**frac, odd by construction, for any nonzero u: within a
-    few units of 2**-frac times |u| where |u| >= 1, and below 1 within a
-    few units and 2**(12 - frac) relative, so that a term near its pole
-    at 0 keeps its relative accuracy, as an mpf term does.
+    solver's 53-bit rung (`FactoredForm.float_roots`): `float_factor(u)`,
+    the factor g, and `float_log_derivative(u)`, h = g'/g, which is 1/u or
+    the halved half-cotangent.  One more works in fixed point, for the
+    solver's other factored sweeps: `fixed_log_derivative(u, frac)` maps
+    the int u * 2**frac to h(u) * 2**frac, odd by construction, for any
+    nonzero u: within a few units of 2**-frac times |u| where |u| >= 1,
+    and below 1 within a few units and 2**(12 - frac) relative, so that a
+    term near its pole at 0 keeps its relative accuracy, as an mpf term
+    does.
     """
 
     factor_pair: Callable
@@ -468,7 +470,10 @@ class FactoredForm:
     """scale * product of per-root factors raised to their multiplicities.
 
     Factors: (x - r) for algebraic, sin((x - r)/2) for trigonometric,
-    sinh((x - r)/2) for exponential.
+    sinh((x - r)/2) for exponential.  Roots and scale must be finite.  For
+    the solver's 53-bit rung the form records, once, its roots as floats
+    (`float_roots`, from `_float_roots`) and |scale| as math.frexp's
+    (mantissa, exponent) (`float_scale`).
     """
 
     family: str
@@ -485,11 +490,33 @@ class FactoredForm:
         require_bits(bits)
         object.__setattr__(self, "precision_bits", bits)
         object.__setattr__(self, "scale", to_mpf(self.scale, bits))
-        if self.scale == 0:
-            raise InvalidConfigurationError("scale must be nonzero")
+        for i, r in enumerate(self.config.roots):
+            if not mp.isfinite(r):
+                raise InvalidConfigurationError(f"root {i} is not finite: {r}")
+        if self.scale == 0 or not mp.isfinite(self.scale):
+            raise InvalidConfigurationError(
+                f"scale must be finite and nonzero, got {self.scale}")
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_roots",
                            frozenset(r._mpf_ for r in self.config.roots))
+        object.__setattr__(self, "float_roots", _float_roots(self.config))
+        man, exp = mp.frexp(self.scale)
+        object.__setattr__(self, "float_scale", (abs(float(man)), exp))
+
+    def float_residual(self, x):
+        """|f(x)| = |scale| prod_k |g(x - r_k)|^alpha_k at the float x, from
+        `float_roots`, as an exact mpf.  A running exponent keeps the
+        product from over- or underflowing: each factor enters as its
+        math.frexp mantissa in [0.5, 1), whose power stays normal while
+        alpha < 1022 (`_float_roots`).  A factor that overflows raises
+        OverflowError."""
+        g = FAMILY[self.family].float_factor
+        man, exp = self.float_scale
+        for hi, lo, a in self.float_roots:
+            gm, ge = math.frexp(g(x - hi - lo))
+            man, shift = math.frexp(man * gm ** a)
+            exp += ge * a + shift
+        return mp.ldexp(to_mpf(abs(man), 53), exp)
 
     @property
     def noise_ops(self):
@@ -542,53 +569,22 @@ class FactoredForm:
         return mpf_abs(point.value, point.prec, RND)
 
 
-@dataclass(frozen=True)
-class FloatForm:
-    """A factored form in Python floats, for the solver's 53-bit rung.
-
-    Each root r is held as floats (hi, lo, alpha), hi the float nearest r
-    and lo the float nearest r - hi, so the offset (x - hi) - lo from a
-    float x near r keeps its relative accuracy where x - hi would carry
-    r's rounding.  |scale| is held as math.frexp holds it, (mantissa,
-    exponent).  Build it with `float_form`.
-    """
-
-    family: str
-    roots: tuple
-    scale: tuple
-
-    def residual(self, x):
-        """|f(x)| = |scale| prod_k |g(x - r_k)|^alpha_k at the float x, as an
-        exact mpf.  A running exponent keeps the product from over- or
-        underflowing: each factor enters as its math.frexp mantissa in
-        [0.5, 1), whose power stays normal while alpha < 1022
-        (`float_form`).  A factor that overflows raises OverflowError."""
-        g = FAMILY[self.family].float_factor
-        man, exp = self.scale
-        for hi, lo, a in self.roots:
-            gm, ge = math.frexp(g(x - hi - lo))
-            man, shift = math.frexp(man * gm ** a)
-            exp += ge * a + shift
-        return mp.ldexp(to_mpf(abs(man), 53), exp)
-
-
-def float_form(poly):
-    """`poly` as a FloatForm, or None unless it is a FactoredForm whose roots
-    are finite and pairwise distinct as floats, with every multiplicity
-    below 1022.  Two roots that share a float would be one root to the
-    float sweep."""
-    if not isinstance(poly, FactoredForm):
-        return None
+def _float_roots(config):
+    """The roots of `config` as float triples (hi, lo, alpha), hi the float
+    nearest r and lo the float nearest r - hi, so the offset (x - hi) - lo
+    from a float x near r keeps its relative accuracy where x - hi would
+    carry r's rounding.  None unless every root fits a float, no two share
+    one (they would be one root to the float sweep), and every
+    multiplicity is below 1022."""
     roots = []
-    for r, a in zip(poly.config.roots, poly.config.multiplicities):
+    for r, a in zip(config.roots, config.multiplicities):
         hi = float(r)
         roots.append((hi, float(mp.fsub(r, hi, exact=True)), a))
     highs = {hi for hi, _, _ in roots}
     if (len(highs) < len(roots) or not all(map(math.isfinite, highs))
-            or max(poly.config.multiplicities) >= 1022):
+            or max(config.multiplicities) >= 1022):
         return None
-    man, exp = mp.frexp(poly.scale)
-    return FloatForm(poly.family, tuple(roots), (abs(float(man)), exp))
+    return tuple(roots)
 
 
 def _to_raw(value, prec):

@@ -52,7 +52,6 @@ from .polynomials import (
     evaluate,
     evaluate_derivative,
     evaluation_noise,
-    float_form,
     log_derivative_sum,
     require_distinct,
     require_multiplicities,
@@ -406,15 +405,15 @@ def _float_need(approximations, corrections, sweeps):
     return need + 2 * sweeps * max(-mp.mag(c) for c in corrections)
 
 
-def _ladder_step(poly, multiplicities, entry, settings, true_roots,
-                 floats=None):
+def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     """`step` from `entry`, swept at the lowest rung that keeps its accuracy.
 
-    The rungs are tried from the bottom.  With `floats`, the polynomial's
-    FloatForm, the float rung comes first where `_float_need` with
-    sweeps=3 fits FLOAT_BITS.  Next comes the mpmath rung that covers
-    three times the bits of the previous corrections (`_rung`; the first
-    sweep has none and takes FLOOR), where it lies below full precision.
+    The rungs are tried from the bottom.  For a FactoredForm with float
+    roots (`FactoredForm.float_roots`), the float rung comes first where
+    `_float_need` with sweeps=3 fits FLOAT_BITS (below full precision, so
+    never at 53 bits).  Next comes the mpmath rung that covers three times
+    the bits of the previous corrections (`_rung`; the first sweep has none
+    and takes FLOOR), where it lies below full precision.
     A rung's sweep runs on the approximations rounded to it.  It is kept
     only if it raised nothing, moved every approximation (a correction
     below half an ulp leaves its iterate where it was, and the next sweep
@@ -424,14 +423,15 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots,
     redone at full precision by `step`.  So freezes, the converging sweep
     and any failure are decided at full precision.  A kept mpmath sweep's
     entry takes its residuals and errors at the rung, from the same
-    polynomial; a float sweep's takes the FloatForm's residuals and its
+    polynomial; a float sweep's takes the form's float residuals and its
     errors at FLOAT_BITS.
     """
     bits = settings.precision_bits
     # at or below FLOOR the mpmath rung is `bits`: no rung below it
     rungs = [_rung(multiplicities, entry.corrections, 3, bits)]
-    if floats is not None and FLOAT_BITS >= _float_need(
-            entry.approximations, entry.corrections, 3):
+    if (isinstance(poly, FactoredForm) and poly.float_roots is not None
+            and FLOAT_BITS >= _float_need(entry.approximations,
+                                          entry.corrections, 3)):
         rungs.insert(0, FLOAT_BITS)
     for rung in rungs:
         if rung == bits:
@@ -441,7 +441,7 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots,
             if rung == FLOAT_BITS:
                 start = [float(x) for x in entry.approximations]
                 new, corrections, residuals = _float_sweep(
-                    floats, multiplicities, start, settings.sweep_mode)
+                    poly, multiplicities, start, settings.sweep_mode)
                 need = _float_need(new, corrections, 1)
             else:
                 start = [to_mpf(x, rung) for x in entry.approximations]
@@ -459,7 +459,8 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots,
 
 def _float_sweep(form, multiplicities, approximations, sweep_mode):
     """(new approximations, |corrections|, residuals) of one sweep of the
-    FloatForm `form` from the float `approximations`, each an exact mpf.
+    FactoredForm `form` on its float roots (`FactoredForm.float_roots`)
+    from the float `approximations`, each an exact mpf.
     With h = g'/g the family's log-derivative,
     D_i / f(x_i) = sum_k a_k h(x_i - r_k) - sum_{j != i} alpha_j h(x_i - x_j),
     formed by one math.fsum, so the terms' order does not matter, and x_i
@@ -478,7 +479,7 @@ def _float_sweep(form, multiplicities, approximations, sweep_mode):
     corrections = []
     for i, xi in enumerate(current):
         source = new if sweep_mode == SEQUENTIAL else current
-        terms = [a * h(xi - hi - lo) for hi, lo, a in form.roots]
+        terms = [a * h(xi - hi - lo) for hi, lo, a in form.float_roots]
         terms += [-a * h(xi - xj) for j, (xj, a)
                   in enumerate(zip(source, multiplicities)) if j != i]
         denom = math.fsum(terms)
@@ -489,7 +490,7 @@ def _float_sweep(form, multiplicities, approximations, sweep_mode):
         if not math.isfinite(new[i]):
             raise OverflowError("float iterate overflows")
         corrections.append(abs(correction))
-    residuals = tuple(map(form.residual, new))
+    residuals = tuple(map(form.float_residual, new))
     return (tuple(to_mpf(x, FLOAT_BITS) for x in new),
             tuple(to_mpf(c, FLOAT_BITS) for c in corrections), residuals)
 
@@ -571,12 +572,11 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         escape_radius = mp.mpf(10) ** 6 * (
             1 + max(abs(x) for x in trace[0].approximations)
         )
-    floats = float_form(poly) if bits > FLOAT_BITS else None
     termination = MAX_ITERATIONS
     for _ in range(settings.max_iterations):
         try:
             entry = _ladder_step(poly, multiplicities, trace[-1], settings,
-                                 true_roots, floats)
+                                 true_roots)
         except tuple(FAILURES) as exc:
             termination = FAILURES[type(exc)]
             break

@@ -229,13 +229,14 @@ def verify_roots(poly, claimed, tolerance, bits=None):
       so the check separates cleanly from the zero checks at any precision.
 
     All derivative values come from analytic coefficient differentiation.
-    Failures are recorded in the outcome, never raised; a tolerance <= 0,
-    which would fail every zero check, raises InvalidConfigurationError.
+    Failures are recorded in the outcome, never raised; a tolerance that
+    is not finite and > 0 raises InvalidConfigurationError: one <= 0 or nan
+    would fail every zero check, and +inf every exactness check.
     """
     bits = require_bits(bits or getattr(poly, "precision_bits", 53))
     tolerance = to_mpf(tolerance, bits)
-    if tolerance <= 0:
-        raise InvalidConfigurationError("tolerance must be > 0")
+    if not (mp.isfinite(tolerance) and tolerance > 0):
+        raise InvalidConfigurationError("tolerance must be finite and > 0")
     family = poly.family
     with working(bits):
         ladder = _derivative_ladder(poly, max(claimed.multiplicities))

@@ -630,6 +630,22 @@ class TestRejectedInput:
         with pytest.raises(InvalidConfigurationError, match="at least one"):
             RootConfiguration((), ())
 
+    @pytest.mark.parametrize("root", ["inf", "-inf", "nan"])
+    def test_a_factored_form_needs_finite_roots(self, root):
+        # once accepted, and a solve from 1.1 then escaped with a
+        # FamilyOverflowError out of the k = 0 residuals
+        cfg = RootConfiguration(("1.1", root), (1, 2), precision_bits=64)
+        with pytest.raises(InvalidConfigurationError,
+                           match="root 1 is not finite"):
+            FactoredForm(ALGEBRAIC, cfg)
+
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_a_factored_form_needs_a_finite_scale(self, scale):
+        cfg = RootConfiguration(("1", "2"), (1, 2), precision_bits=64)
+        with pytest.raises(InvalidConfigurationError,
+                           match="scale must be finite"):
+            FactoredForm(ALGEBRAIC, cfg, scale=scale)
+
     def test_series_poly_is_abstract(self):
         with pytest.raises(TypeError, match="abstract"):
             SeriesPoly(1, (1,), (0,))

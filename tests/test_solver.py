@@ -27,7 +27,7 @@ from multiroots import (
     solve,
     step,
 )
-from multiroots import solver
+from multiroots import polynomials, solver
 from multiroots.polynomials import gaps, root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from multiroots.report_io import load_problem
@@ -505,7 +505,7 @@ def without_float_rung(monkeypatch, *args, **kwargs):
     """`solve` with the float rung taken out, as the mpmath ladder alone
     solves."""
     with monkeypatch.context() as patched:
-        patched.setattr(solver, "float_form", lambda poly: None)
+        patched.setattr(polynomials, "_float_roots", lambda config: None)
         return solve(*args, **kwargs)
 
 
@@ -625,6 +625,27 @@ class TestFloatRung:
         assert solver.FLOAT_BITS not in {e.precision_bits
                                          for e in report.trace}
         assert report.trace == parent.trace
+
+    def test_float_roots_are_distinct_finite_floats_of_small_power(
+            self, monkeypatch):
+        # roots 2**-60 apart share a float, 1e400 overflows one, and a
+        # 1022nd power of a math.frexp mantissa can leave the normal floats
+        with mp.workprec(128):
+            near = (1, 1 + mp.mpf(2) ** -60)
+        for roots, mults in ((near, (1, 1)), (("1e400", "2"), (1, 1)),
+                             (("2",), (1022,))):
+            cfg = RootConfiguration(roots, mults, precision_bits=128)
+            assert FactoredForm(ALGEBRAIC, cfg).float_roots is None, roots
+        poly = factored(TRIGONOMETRIC, EX2, 192)
+        assert poly.float_roots == ((1.0, 0.0, 3), (2.0, 0.0, 2),
+                                    (2.5, 0.0, 1))
+        # without float roots the solve never enters the float rung
+        calls = count_float_sweeps(monkeypatch)
+        cfg = RootConfiguration(near, (1, 1), precision_bits=128)
+        report = solve(FactoredForm(ALGEBRAIC, cfg), (1, 1), ("0.5", "1.5"),
+                       SolveSettings(precision_bits=128))
+        assert report.termination == "converged"
+        assert not calls
 
     def test_no_float_sweep_at_53_bits_or_in_coefficient_form(self,
                                                              monkeypatch):

@@ -156,6 +156,19 @@ class TestVerifyRoots:
         assert any(rec.root_index == 0 and not rec.passed
                    for rec in outcome.details)
 
+    @pytest.mark.parametrize("tolerance", [
+        "nan", "inf", "-inf", float("nan"), float("inf"), float("-inf")],
+        ids=repr)
+    def test_a_tolerance_that_is_not_finite_is_rejected(self, tolerance):
+        # nan fails every check, +inf every exactness check, and -inf is
+        # below 0, so none of them could pass a correct claim
+        bits = 64
+        cfg = RootConfiguration(("1", "2"), (1, 2), precision_bits=bits)
+        poly = expand_from_roots(FactoredForm(ALGEBRAIC, cfg))
+        assert verify_roots(poly, cfg, "1e-10", bits=bits).passed
+        with pytest.raises(InvalidConfigurationError, match="finite"):
+            verify_roots(poly, cfg, tolerance, bits=bits)
+
 
 class TestClassicalEhrlichStep:
     def test_single_approximation_is_newton(self):
