@@ -51,10 +51,11 @@ A factored form also records its roots and |scale| as floats, once, when
 it is built (`FactoredForm.float_roots`); the solver's 53-bit rung sweeps
 on them and reads their residual (`FactoredForm.float_residual`), with g
 and g'/g from the family's float entries in `FAMILY`.  The solver's other
-factored sweeps read no kernel here but the value stage of their
-residuals: they sum g'/g in Python ints at one scale per sweep, from each
-family's fixed-point entry `fixed_log_derivative`, built on mpmath's own
-fixed-point elementary functions (`libelefun`).
+factored sweeps read no kernel here: they sum g'/g in Python ints at one
+scale per sweep, from each family's fixed-point entry
+`fixed_log_derivative`, built on mpmath's own fixed-point elementary
+functions (`libelefun`).  Their trace entries run the value stage of
+their residuals only when something reads them.
 """
 
 import math

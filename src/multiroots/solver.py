@@ -28,11 +28,19 @@ relative error, so its first sweeps, whose corrections need only a few
 correct bits, run in floats and are kept on the same terms as a rung's.
 A coefficient form cancels near an alpha-fold root, and its sweeps stay on
 the mpmath rungs; a factored form's sweeps there run in fixed point.
+
+Each sweep's TraceEntry records the residuals |f(x_i)| at its precision.
+No factored sweep reads f, so a factored form's entries take theirs on
+first read (`_entry`).  Inside a factored solve only the order estimate
+reads them, and only at an entry where a coordinate stood still
+(`order_error_sequence`); an iterate on a stored root reads f = 0 there
+by lookup.
 """
 
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import partial
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -127,11 +135,35 @@ class SolveSettings:
         return mp.mpf(2) ** (-(self.precision_bits - 8))
 
 
+class _Deferred(partial):
+    """A call of `_residuals` not yet made: `_entry` gives a factored
+    form's entries these."""
+
+
+class _Residuals:
+    """`TraceEntry.residuals`: the value the entry was built with, or, for
+    `_Deferred` residuals, their tuple, taken on the first read and kept.
+    Equality, hashing, `repr` and `dataclasses.replace` read the field,
+    so they take it too.  It has no class-level value, so the dataclass
+    gives the field no default."""
+
+    def __get__(self, entry, owner=None):
+        if entry is None:
+            raise AttributeError("residuals")
+        value = entry.__dict__["residuals"]
+        if type(value) is _Deferred:
+            value = entry.__dict__["residuals"] = value()
+        return value
+
+    def __set__(self, entry, value):
+        entry.__dict__["residuals"] = value
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     k: int
     approximations: tuple
-    residuals: tuple
+    residuals: tuple = _Residuals()
     corrections: tuple  # None for the initial entry
     errors: tuple       # vs. true roots, when known; else None
     precision_bits: int  # bits the sweep, residuals and errors ran at
@@ -161,14 +193,28 @@ class SolveReport:
 def _entry(poly, approximations, k, bits, corrections=None, true_roots=None,
            residuals=None):
     """The TraceEntry of `approximations`, with their residuals and errors
-    at `bits`; `residuals` given are taken as they are."""
+    at `bits`; `residuals` given are taken as they are.
+
+    A factored form's residuals are deferred (`_Deferred`) and taken on
+    the entry's first read of them: no factored sweep reads f, so only a
+    reader of the residuals pays for them.  A coefficient form's are
+    taken now, at the points its sweep evaluated, which the point memo
+    still holds; and a non-finite f there raises here, before any sweep
+    reads it."""
+    approximations = tuple(approximations)
     if residuals is None:
-        with working(bits):
-            residuals = tuple(abs(evaluate(poly, x, bits))
-                              for x in approximations)
-    return TraceEntry(k, tuple(approximations), residuals, corrections,
+        residuals = (_Deferred(_residuals, poly, approximations, bits)
+                     if isinstance(poly, FactoredForm)
+                     else _residuals(poly, approximations, bits))
+    return TraceEntry(k, approximations, residuals, corrections,
                       _errors(poly.family, approximations, true_roots, bits),
                       bits)
+
+
+def _residuals(poly, approximations, bits):
+    """|f(x)| at each of `approximations`, at `bits`."""
+    with working(bits):
+        return tuple(abs(evaluate(poly, x, bits)) for x in approximations)
 
 
 def _errors(family, approximations, true_roots, bits):
@@ -180,24 +226,43 @@ def _errors(family, approximations, true_roots, bits):
                      for x, r in zip(approximations, true_roots))
 
 
-def _truths(true_roots, bits):
-    """The true roots, when known, converted as `solve` converts them."""
+def _reals(values, bits, name):
+    """`values` as finite mpf at `bits`; InvalidConfigurationError names
+    `name`.format(index) of a value that is not a finite real."""
+    reals = []
+    for i, v in enumerate(values):
+        try:
+            x = to_mpf(v, bits)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidConfigurationError(
+                f"{name.format(i)} is not a real: {v!r}") from None
+        if not mp.isfinite(x):
+            raise InvalidConfigurationError(
+                f"{name.format(i)} is not finite: {x}")
+        reals.append(x)
+    return tuple(reals)
+
+
+def _truths(true_roots, bits, count):
+    """The true roots, when known, converted as `solve` converts them: one
+    finite real per approximation, of which there are `count`."""
     if true_roots is None:
         return None
-    return tuple(to_mpf(r, bits) for r in true_roots)
+    truths = _reals(true_roots, bits, "true_roots[{}]")
+    if len(truths) != count:
+        raise InvalidConfigurationError(
+            f"true_roots has {len(truths)} values for {count} approximations")
+    return truths
 
 
 def initial_state(poly, initial, settings, true_roots=None):
     """The k=0 TraceEntry at the initial approximations.  `true_roots`
     takes what `solve` takes."""
     bits = settings.precision_bits
-    x0 = tuple(to_mpf(v, bits) for v in initial)
-    for i, x in enumerate(x0):
-        if not mp.isfinite(x):
-            raise InvalidConfigurationError(
-                f"initial approximation {i} is not finite: {x}")
+    x0 = _reals(initial, bits, "initial approximation {}")
     require_distinct(x0, "initial approximations")
-    return _entry(poly, x0, 0, bits, true_roots=_truths(true_roots, bits))
+    return _entry(poly, x0, 0, bits,
+                  true_roots=_truths(true_roots, bits, len(x0)))
 
 
 def step(poly, multiplicities, entry, settings, true_roots=None):
@@ -210,12 +275,13 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     termination reasons (FAILURES).
     """
     bits = settings.precision_bits
-    multiplicities = require_multiplicities(multiplicities,
-                                            len(entry.approximations))
+    count = len(entry.approximations)
+    multiplicities = require_multiplicities(multiplicities, count)
+    true_roots = _truths(true_roots, bits, count)
     new, corrections = _sweep(poly, multiplicities, entry.approximations,
                               bits, settings.sweep_mode)
     return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
-                  true_roots=_truths(true_roots, bits))
+                  true_roots=true_roots)
 
 
 def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
@@ -501,19 +567,21 @@ def order_error_sequence(trace):
 
     A coordinate that froze on the evaluation noise floor (correction 0 with
     a nonzero residual) no longer converges, and its stale error would
-    pollute the ratios.  Each coordinate leaves at its own freeze, entry k
-    is the max over the coordinates not yet frozen at k, and the sequence
-    ends when every coordinate has frozen.  `cut` counts its entries before
-    the first iteration where any coordinate froze.
+    pollute the ratios.  Only a coordinate whose correction is 0 has its
+    residual read, so a factored entry (`_entry`) where every coordinate
+    moved never takes its residuals.  Each coordinate leaves at its own
+    freeze, entry k is the max over the coordinates not yet frozen at k,
+    and the sequence ends when every coordinate has frozen.  `cut` counts
+    its entries before the first iteration where any coordinate froze.
     Returns (sequence, kind, cut) with kind in {"error", "correction"}.
     """
     kind = "error" if trace and trace[0].errors is not None else "correction"
     live = set(range(len(trace[0].approximations))) if trace else set()
     sequence, cut = [], None
     for entry in trace:
-        if entry.corrections is not None and entry.residuals is not None:
-            frozen = {i for i, (c, r) in enumerate(
-                zip(entry.corrections, entry.residuals)) if c == 0 and r > 0}
+        still = [i for i, c in enumerate(entry.corrections or ()) if c == 0]
+        if still and entry.residuals is not None:
+            frozen = {i for i in still if entry.residuals[i] > 0}
             if frozen and cut is None:
                 cut = len(sequence)
             live -= frozen
@@ -559,6 +627,9 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     collision threshold), `diverged` (degenerate denominator or the
     approximations left a generous bounding radius), `nonfinite` (see
     FAILURES).  Only a converged solve carries an `estimated_order`.
+    Starts or true roots that are not finite reals, or true roots that
+    are not one per start, raise InvalidConfigurationError before any
+    sweep.
     """
     settings = settings or SolveSettings(precision_bits=poly.precision_bits)
     # a copy with an empty point memo, which serves every rung of this
@@ -566,7 +637,7 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     poly = replace(poly)
     bits = settings.precision_bits
     multiplicities = require_multiplicities(multiplicities, len(initial))
-    true_roots = _truths(true_roots, bits)
+    true_roots = _truths(true_roots, bits, len(initial))
     trace = [initial_state(poly, initial, settings, true_roots=true_roots)]
     with working(bits):
         escape_radius = mp.mpf(10) ** 6 * (

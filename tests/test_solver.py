@@ -114,22 +114,88 @@ class TestStep:
         assert {err.value.i, err.value.j} == {1, 2}
 
 
+class TestStartsAndTruths:
+    """`solve`, `initial_state` and `step` take the starts and the true
+    roots as finite reals, one true root per approximation, and raise
+    InvalidConfigurationError naming the value before any sweep runs."""
+
+    BAD_TRUTHS = {
+        "one too few": (("1", "2"), "2 values for 3 approximations"),
+        "one too many": (("1", "2", "3.5", "4"),
+                         "4 values for 3 approximations"),
+        "nan": (("1", "nan", "3.5"), r"true_roots\[1\] is not finite"),
+        "inf": (("1", "inf", "3.5"), r"true_roots\[1\] is not finite"),
+        "not a number": (("1", "2", "x"), r"true_roots\[2\] is not a real"),
+    }
+
+    @staticmethod
+    def case(monkeypatch):
+        """(poly, multiplicities, initial, settings, k = 0 entry) of a solve
+        whose sweeps fail the test if they run."""
+        poly = FactoredForm(ALGEBRAIC, RootConfiguration(
+            ("1", "2", "3.5"), (1, 2, 1), precision_bits=128))
+        settings = SolveSettings(precision_bits=128)
+        initial = ("1.1", "1.9", "3.6")
+        start = initial_state(poly, initial, settings)
+
+        def no_sweep(*args):
+            pytest.fail("a sweep ran")
+        monkeypatch.setattr(solver, "_sweep", no_sweep)
+        monkeypatch.setattr(solver, "_float_sweep", no_sweep)
+        return poly, (1, 2, 1), initial, settings, start
+
+    @pytest.mark.parametrize("call", ["solve", "initial_state", "step"])
+    @pytest.mark.parametrize("bad", BAD_TRUTHS)
+    def test_bad_true_roots_raise_before_any_sweep(self, monkeypatch, bad,
+                                                   call):
+        poly, mults, initial, settings, start = self.case(monkeypatch)
+        truths, message = self.BAD_TRUTHS[bad]
+        with pytest.raises(InvalidConfigurationError, match=message):
+            if call == "solve":
+                solve(poly, mults, initial, settings, true_roots=truths)
+            elif call == "initial_state":
+                initial_state(poly, initial, settings, true_roots=truths)
+            else:
+                step(poly, mults, start, settings, true_roots=truths)
+
+    @pytest.mark.parametrize("call", ["solve", "initial_state"])
+    def test_a_start_that_is_not_a_number_is_named(self, monkeypatch, call):
+        poly, mults, _, settings, _ = self.case(monkeypatch)
+        initial = ("1.1", "x", "3.6")
+        with pytest.raises(InvalidConfigurationError,
+                           match="initial approximation 1 is not a real"):
+            if call == "solve":
+                solve(poly, mults, initial, settings)
+            else:
+                initial_state(poly, initial, settings)
+
+
 class TestSolve:
     @pytest.mark.parametrize("bits", [192, 1024])
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_each_point_pass_runs_once_per_solve(self, monkeypatch, name,
                                                  bits):
         # the solve's copy of the polynomial runs every pass, at every rung
-        # of the ladder, and its memo serves them all
+        # of the ladder, and its memo serves them all.  A factored form
+        # (example2 and example3) takes its residuals on first read: inside
+        # the solve it runs only lookups at its stored roots, which may
+        # repeat, and its other points run once each when they are read
         calls, held = count_passes(monkeypatch)
         problem = load_problem(
             resources.files("multiroots.problems") / f"{name}.json", bits)
-        report = solve(problem.polynomial(), problem.multiplicities,
-                       problem.initial, problem.settings)
+        poly = problem.polynomial()
+        stored = (set() if not isinstance(poly, FactoredForm)
+                  else {r._mpf_ for r in poly.config.roots})
+        report = solve(poly, problem.multiplicities, problem.initial,
+                       problem.settings)
         assert report.termination == "converged"
-        assert calls and max(calls.values()) == 1
+        assert not stored or all(x in stored for _, x, _ in calls)
+        for entry in report.trace:
+            entry.residuals
+        points = {key: n for key, n in calls.items() if key[1] not in stored}
+        assert points and max(points.values()) == 1
         assert len(held) == 1
-        rungs = {prec for _, _, prec in calls}
+        rungs = {prec for _, _, prec in points}
         assert (min(rungs), max(rungs)) == (min(bits, solver.FLOOR), bits)
 
     def test_example2_converges_within_five_sweeps(self):
@@ -665,6 +731,72 @@ class TestFloatRung:
             calls.clear()
 
 
+class TestDeferredResiduals:
+    """A factored form's trace entries take their residuals on first read
+    (`solver._entry`), so a solve runs no value stage but lookups at the
+    stored roots, and each residual read is the one an eager entry took."""
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family, case", LADDER_CASES,
+                             ids=[f for f, _ in LADDER_CASES])
+    def test_a_factored_solve_evaluates_only_its_stored_roots(
+            self, monkeypatch, family, case, mode, bits):
+        fresh = factored(family, case, bits)
+        poly = factored(family, case, bits)
+        stored = {r._mpf_ for r in poly.config.roots}
+        calls, _ = count_passes(monkeypatch)
+        report = solve(poly, case["mults"], case["initial"],
+                       SolveSettings(precision_bits=bits, sweep_mode=mode))
+        assert report.termination == "converged"
+        assert all(x in stored for _, x, _ in calls)
+        # a float entry keeps the float sweep's own residuals (TestFloatRung)
+        for entry in report.trace:
+            p = entry.precision_bits
+            if p == solver.FLOAT_BITS:
+                continue
+            with mp.workprec(p):
+                want = [abs(evaluate(fresh, x, p))._mpf_
+                        for x in entry.approximations]
+            assert [r._mpf_ for r in entry.residuals] == want
+
+    @pytest.mark.parametrize("read", ["==", "repr", "hash", "replace"])
+    def test_reading_the_entry_takes_its_residuals(self, monkeypatch, read):
+        bits = 128
+        poly = factored(TRIGONOMETRIC, EX2, bits)
+        settings = SolveSettings(precision_bits=bits)
+        entry = initial_state(poly, EX2["initial"], settings)
+        with mp.workprec(bits):
+            eager = replace(entry, residuals=tuple(
+                abs(evaluate(factored(TRIGONOMETRIC, EX2, bits), x, bits))
+                for x in entry.approximations))
+        reads = {"==": lambda e: e == eager, "repr": repr, "hash": hash,
+                 "replace": lambda e: replace(e, k=1)}
+        calls, _ = count_passes(monkeypatch)
+        got = reads[read](entry)
+        assert calls == {(id(poly), x._mpf_, bits): 1
+                         for x in entry.approximations}
+        assert got == reads[read](eager)
+
+    @pytest.mark.parametrize("bits", [53, 192])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family, case", LADDER_CASES,
+                             ids=[f for f, _ in LADDER_CASES])
+    def test_a_hand_driven_loop_is_the_solve(self, monkeypatch, family, case,
+                                             mode, bits):
+        # at or below FLOOR, and without float roots, every sweep of the
+        # solve is a `step`: the loop's deferred entries equal the solve's
+        poly = factored(family, case, bits)
+        settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
+        report = without_float_rung(monkeypatch, poly, case["mults"],
+                                    case["initial"], settings,
+                                    true_roots=case["roots"])
+        trace, termination = step_loop(poly, case["mults"], case["initial"],
+                                       settings, true_roots=case["roots"])
+        assert report.termination == termination == "converged"
+        assert report.trace == tuple(trace)
+
+
 def drawn_case(rng, family, m, bits):
     """Factored form of m seeded roots and starting points a tenth of the
     smallest gap off them, alternating sides."""
@@ -917,6 +1049,27 @@ class TestOrderErrorSequence:
         assert kind == "error"
         assert sequence[:cut] == [mp.mpf(e) for e in ("1", "1e-1")]
         assert sequence == [mp.mpf(e) for e in ("1", "1e-1", "1e-3", "1e-9")]
+
+    def test_a_moving_coordinates_residual_is_never_read(self):
+        # a factored form's residuals are taken on first read; only a
+        # coordinate whose correction is 0 needs its own
+        class Guarded:
+            def __init__(self, corrections):
+                self.corrections = corrections
+
+            def __getitem__(self, i):
+                if self.corrections[i] != 0:
+                    pytest.fail(f"residual {i} read at a nonzero correction")
+                return mp.mpf(1)
+
+        trace = [self.entry(0, None, ("1e-1", "1")),
+                 self.entry(1, ("1e-1", "1"), ("1e-3", "1e-1")),
+                 self.entry(2, ("0", "1e-1"), ("1e-3", "1e-3")),
+                 self.entry(3, ("0", "0"), ("1e-3", "1e-9"))]
+        guarded = [trace[0]] + [replace(e, residuals=Guarded(e.corrections))
+                                for e in trace[1:]]
+        assert (solver.order_error_sequence(guarded)
+                == solver.order_error_sequence(trace))
 
     def test_an_exact_zero_is_not_a_freeze(self):
         trace = [self.entry(0, None, ("1", "1")),
