@@ -47,15 +47,14 @@ polynomial, it forms each coupling term from the first basis pairs
 and calls the family's half-cotangent only where that cancels
 (`_product_half_cotangent`).
 
-A factored form also records its roots and |scale| as floats, once, when
-it is built (`FactoredForm.float_roots`); the solver's 53-bit rung sweeps
-on them and reads their residual (`FactoredForm.float_residual`), with g
-and g'/g from the family's float entries in `FAMILY`.  The solver's other
-factored sweeps read no kernel here: they sum g'/g in Python ints at one
-scale per sweep, from each family's fixed-point entry
-`fixed_log_derivative`, built on mpmath's own fixed-point elementary
-functions (`libelefun`).  Their trace entries run the value stage of
-their residuals only when something reads them.
+The solver's factored sweeps read no kernel here: they sum g'/g in
+Python ints at one scale per sweep, on mpmath's own fixed-point
+elementary functions (`libelefun`).  A series term comes from the two
+points' fixed-point bases (`sweep_basis`), by angle subtraction, or from
+the family's direct entry `fixed_log_derivative` where that cancels; a
+factored form keeps its roots' bases per scale (`FactoredForm.fixed_roots`).
+Their trace entries run the value stage of their residuals only when
+something reads them.
 """
 
 import math
@@ -89,6 +88,7 @@ from mpmath.libmp import (
     mpf_tanh,
     normalize,
     round_nearest,
+    to_fixed,
 )
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed
 
@@ -127,26 +127,24 @@ class Family:
 
     The callables work on raw libmp values: `factor_pair(u, prec)`,
     `basis_pair(x, prec)` and `half_cotangent(u, prec)`, each rounding to
-    nearest at `prec`.  Two more take and return Python floats, for the
-    solver's 53-bit rung (`FactoredForm.float_roots`): `float_factor(u)`,
-    the factor g, and `float_log_derivative(u)`, h = g'/g, which is 1/u or
-    the halved half-cotangent.  One more works in fixed point, for the
-    solver's other factored sweeps: `fixed_log_derivative(u, frac)` maps
-    the int u * 2**frac to h(u) * 2**frac, odd by construction, for any
+    nearest at `prec`.  Two more work in fixed point, for the solver's
+    factored sweeps.  `fixed_log_derivative(u, frac)` maps the int u *
+    2**frac to h(u) * 2**frac, h = g'/g, odd by construction, for any
     nonzero u: within a few units of 2**-frac times |u| where |u| >= 1,
     and below 1 within a few units and 2**(12 - frac) relative, so that a
     term near its pole at 0 keeps its relative accuracy, as an mpf term
-    does.
+    does.  A series family's `fixed_basis(v, prec)` maps the int v *
+    2**prec to the ints (E(v), O(v)) * 2**prec, each within a few units
+    times its size (`sweep_basis` takes it at half offsets).
     """
 
     factor_pair: Callable
     roots_per_degree: int
-    float_factor: Callable
-    float_log_derivative: Callable
     fixed_log_derivative: Callable
     basis_pair: Callable = None
     derivative_sign: int = None
     half_cotangent: Callable = None
+    fixed_basis: Callable = None
 
 
 def _half(u, prec):
@@ -194,14 +192,22 @@ def _fixed_half_coth(u, frac):
     return ((e + one) << (frac - 1)) // (e - one)
 
 
-def _series_family(pair, tangent, sign, float_odd, float_tangent, fixed):
+def _fixed_cosh_sinh(u, prec):
+    # from e^|v|, which keeps its relative accuracy, and e^-|v| = 1/e^|v|
+    p = exp_fixed(abs(u), prec)
+    q = (1 << 2 * prec) // p
+    s = (p - q) >> 1
+    return (p + q) >> 1, -s if u < 0 else s
+
+
+def _series_family(pair, tangent, sign, fixed, fixed_pair):
     """The series family of libmp `pair` (x -> (E, O)), `tangent` (O/E) and
     sign s: g(u) = O(u/2), and the half-cotangent 1/tangent(u/2) is formed
     as mp.cot and mp.coth form it, at prec + 10, then rounded to prec.
     libmp's sin and sinh take their value from the same cos_sin and
-    cosh_sinh computation, so g from the pair has their bits.  `float_odd`
-    and `float_tangent` are O and O/E in floats, from `math`, and `fixed`
-    is the halved half-cotangent at a positive int u in fixed point."""
+    cosh_sinh computation, so g from the pair has their bits.  `fixed` is
+    the halved half-cotangent at a positive int u in fixed point, and
+    `fixed_pair` the pair (E, O) in fixed point (`Family.fixed_basis`)."""
     def factor_pair(u, prec):
         even, o = pair(_half(u, prec), prec, RND)
         return o, _half(even, prec)
@@ -214,23 +220,46 @@ def _series_family(pair, tangent, sign, float_odd, float_tangent, fixed):
 
     return Family(
         factor_pair=factor_pair, roots_per_degree=2,
-        float_factor=lambda u: float_odd(0.5 * u),
-        float_log_derivative=lambda u: 0.5 / float_tangent(0.5 * u),
         fixed_log_derivative=_odd(fixed),
         basis_pair=lambda x, prec: pair(x, prec, RND),
-        derivative_sign=sign, half_cotangent=half_cotangent)
+        derivative_sign=sign, half_cotangent=half_cotangent,
+        fixed_basis=fixed_pair)
 
 
 FAMILY = {
     ALGEBRAIC: Family(factor_pair=lambda u, prec: (u, fone),
-                      roots_per_degree=1, float_factor=lambda u: u,
-                      float_log_derivative=lambda u: 1.0 / u,
+                      roots_per_degree=1,
                       fixed_log_derivative=_odd(_fixed_inverse)),
-    TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_tan, -1,
-                                  math.sin, math.tan, _fixed_half_cot),
-    EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_tanh, 1,
-                                math.sinh, math.tanh, _fixed_half_coth),
+    TRIGONOMETRIC: _series_family(mpf_cos_sin, mpf_tan, -1, _fixed_half_cot,
+                                  cos_sin_fixed),
+    EXPONENTIAL: _series_family(mpf_cosh_sinh, mpf_tanh, 1, _fixed_half_coth,
+                                _fixed_cosh_sinh),
 }
+
+# A point's fixed-point basis is taken BASIS_GUARD bits below its sweep's
+# scale, about a centre, and only within 2**BASIS_REACH of it
+# (`sweep_basis`): so no basis exceeds the scale by more than about
+# 2**(BASIS_REACH - 1) / ln 2 bits, and a far point takes direct terms.  A
+# sweep forms a term from two bases only where their angle subtraction
+# loses at most BASIS_LOSS bits: the term's error grows as 2**(2 * loss -
+# BASIS_GUARD) units of the scale, so it stays within about a unit.
+BASIS_GUARD = 20
+BASIS_REACH = 4
+BASIS_LOSS = 8
+
+
+def sweep_basis(family, u, frac):
+    """(E, O, t) of a point whose offset from its sweep's centre is the
+    int u at the scale 2**frac: the family's basis pair (E, O) at half
+    that offset, as ints at the scale 2**(frac + BASIS_GUARD), and t the
+    bit length of the larger of |E| and |O|.  None for the algebraic
+    family, which has no basis, and where the offset reaches
+    2**BASIS_REACH."""
+    pair = FAMILY[family].fixed_basis
+    if pair is None or abs(u) >> (frac + BASIS_REACH):
+        return None
+    e, o = pair(u << (BASIS_GUARD - 1), frac + BASIS_GUARD)
+    return e, o, max(abs(e), abs(o)).bit_length()
 
 
 def degree_of(family, multiplicities):
@@ -471,10 +500,7 @@ class FactoredForm:
     """scale * product of per-root factors raised to their multiplicities.
 
     Factors: (x - r) for algebraic, sin((x - r)/2) for trigonometric,
-    sinh((x - r)/2) for exponential.  Roots and scale must be finite.  For
-    the solver's 53-bit rung the form records, once, its roots as floats
-    (`float_roots`, from `_float_roots`) and |scale| as math.frexp's
-    (mantissa, exponent) (`float_scale`).
+    sinh((x - r)/2) for exponential.  Roots and scale must be finite.
     """
 
     family: str
@@ -498,26 +524,26 @@ class FactoredForm:
             raise InvalidConfigurationError(
                 f"scale must be finite and nonzero, got {self.scale}")
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_fixed", {})
         object.__setattr__(self, "_roots",
                            frozenset(r._mpf_ for r in self.config.roots))
-        object.__setattr__(self, "float_roots", _float_roots(self.config))
-        man, exp = mp.frexp(self.scale)
-        object.__setattr__(self, "float_scale", (abs(float(man)), exp))
 
-    def float_residual(self, x):
-        """|f(x)| = |scale| prod_k |g(x - r_k)|^alpha_k at the float x, from
-        `float_roots`, as an exact mpf.  A running exponent keeps the
-        product from over- or underflowing: each factor enters as its
-        math.frexp mantissa in [0.5, 1), whose power stays normal while
-        alpha < 1022 (`_float_roots`).  A factor that overflows raises
-        OverflowError."""
-        g = FAMILY[self.family].float_factor
-        man, exp = self.float_scale
-        for hi, lo, a in self.float_roots:
-            gm, ge = math.frexp(g(x - hi - lo))
-            man, shift = math.frexp(man * gm ** a)
-            exp += ge * a + shift
-        return mp.ldexp(to_mpf(abs(man), 53), exp)
+    def fixed_roots(self, frac):
+        """(centre, roots) at the fixed-point scale 2**frac: each root as
+        (r, alpha, basis), with r floored to the scale and basis its
+        `sweep_basis` about the centre, the middle of the smallest and
+        largest root.  Kept per scale, and dropped as the point memo drops
+        its points, so the sweeps of a solve take each scale's once."""
+        kept = self._fixed.get(frac)
+        if kept is None:
+            fixed = [to_fixed(r._mpf_, frac) for r in self.config.roots]
+            centre = (min(fixed) + max(fixed)) >> 1
+            kept = self._fixed[frac] = centre, [
+                (r, a, sweep_basis(self.family, r - centre, frac))
+                for r, a in zip(fixed, self.config.multiplicities)]
+            if len(self._fixed) > self._memo_limit:
+                del self._fixed[next(iter(self._fixed))]
+        return kept
 
     @property
     def noise_ops(self):
@@ -568,24 +594,6 @@ class FactoredForm:
     def _magnitude(self, point):
         # a product rounds alike for either sign: no cancellation
         return mpf_abs(point.value, point.prec, RND)
-
-
-def _float_roots(config):
-    """The roots of `config` as float triples (hi, lo, alpha), hi the float
-    nearest r and lo the float nearest r - hi, so the offset (x - hi) - lo
-    from a float x near r keeps its relative accuracy where x - hi would
-    carry r's rounding.  None unless every root fits a float, no two share
-    one (they would be one root to the float sweep), and every
-    multiplicity is below 1022."""
-    roots = []
-    for r, a in zip(config.roots, config.multiplicities):
-        hi = float(r)
-        roots.append((hi, float(mp.fsub(r, hi, exact=True)), a))
-    highs = {hi for hi, _, _ in roots}
-    if (len(highs) < len(roots) or not all(map(math.isfinite, highs))
-            or max(config.multiplicities) >= 1022):
-        return None
-    return tuple(roots)
 
 
 def _to_raw(value, prec):

@@ -23,11 +23,12 @@ triples the correct bits per sweep, so each sweep runs at the smallest rung
 FLOOR * 2**j that the previous corrections say it needs, or is redone at
 full precision when its own corrections show too few bits (`_ladder_step`).
 For a factored form solved above 53 bits the ladder starts lower, at a
-rung of Python floats (`_float_sweep`): a factored form evaluates with small
-relative error, so its first sweeps, whose corrections need only a few
-correct bits, run in floats and are kept on the same terms as a rung's.
+53-bit rung: a factored form evaluates with small relative error, so its
+first sweeps, whose corrections need only a few correct bits, run at 53
+bits and are kept on the same terms as a rung's (`_factored_need`).
 A coefficient form cancels near an alpha-fold root, and its sweeps stay on
-the mpmath rungs; a factored form's sweeps there run in fixed point.
+the rungs from FLOOR; a factored form's sweeps run in fixed point on every
+rung.
 
 Each sweep's TraceEntry records the residuals |f(x_i)| at its precision.
 No factored sweep reads f, so a factored form's entries take theirs on
@@ -37,7 +38,6 @@ reads them, and only at an entry where a coordinate stood still
 by lookup.
 """
 
-import math
 import operator
 from dataclasses import dataclass, replace
 from functools import partial
@@ -54,6 +54,7 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .polynomials import (
+    BASIS_LOSS,
     FAMILY,
     FactoredForm,
     collision_threshold,
@@ -64,6 +65,7 @@ from .polynomials import (
     require_distinct,
     require_multiplicities,
     root_offset,
+    sweep_basis,
 )
 from .precision import eps, require_bits, to_mpf, working
 
@@ -91,14 +93,11 @@ FAILURES = {
 FLOOR = 256
 GUARD = 32
 
-# The float rung: Python floats carry FLOAT_BITS, and a factored sweep is
-# kept in floats while FLOAT_GUARD, the bits of its iterates' size and
-# twice the bits its corrections call for fit (`_float_need`).  A float
-# denominator within FLOAT_DEGENERATE of its terms' magnitude is rounding
-# noise, as `_sweep`'s degenerate floor is 2**(4 - bits) of |f'|.
-FLOAT_BITS = 53
-FLOAT_GUARD = 8
-FLOAT_DEGENERATE = 2.0 ** (4 - FLOAT_BITS)
+# A factored form's lowest rung: a sweep is kept at FACTORED_BITS while
+# FACTORED_GUARD, the bits of its iterates' size and twice the bits its
+# corrections call for fit (`_factored_need`).
+FACTORED_BITS = 53
+FACTORED_GUARD = 8
 
 # A factored sweep's fixed-point scale holds FIXED_GUARD bits beyond the
 # `bits` of its largest value (`_fixed_scale`); RND rounds its results.
@@ -190,10 +189,9 @@ class SolveReport:
         return self.trace[0].precision_bits
 
 
-def _entry(poly, approximations, k, bits, corrections=None, true_roots=None,
-           residuals=None):
+def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
     """The TraceEntry of `approximations`, with their residuals and errors
-    at `bits`; `residuals` given are taken as they are.
+    at `bits`.
 
     A factored form's residuals are deferred (`_Deferred`) and taken on
     the entry's first read of them: no factored sweep reads f, so only a
@@ -202,10 +200,9 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None,
     still holds; and a non-finite f there raises here, before any sweep
     reads it."""
     approximations = tuple(approximations)
-    if residuals is None:
-        residuals = (_Deferred(_residuals, poly, approximations, bits)
-                     if isinstance(poly, FactoredForm)
-                     else _residuals(poly, approximations, bits))
+    residuals = (_Deferred(_residuals, poly, approximations, bits)
+                 if isinstance(poly, FactoredForm)
+                 else _residuals(poly, approximations, bits))
     return TraceEntry(k, approximations, residuals, corrections,
                       _errors(poly.family, approximations, true_roots, bits),
                       bits)
@@ -342,8 +339,7 @@ def _fixed_scale(values, bits):
 def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
     """(new approximations, |corrections|) of one sweep of the FactoredForm
     `form` at `bits`, summed in Python ints at one scale 2**frac
-    (`_fixed_scale`).  With h = g'/g the family's log-derivative
-    (`fixed_log_derivative`),
+    (`_fixed_scale`).  With h = g'/g the family's log-derivative,
 
         S_i = D_i / f(x_i) = G_i - sum_{j != i} alpha_j h(x_i - x_j),
         G_i = f'(x_i) / f(x_i) = sum_k a_k h(x_i - r_k),
@@ -356,6 +352,18 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
     once to `bits`.  The approximations and the roots enter the scale
     floored, exactly where they have no bits below 2**-frac.
 
+    A series term comes from the two points' bases (E, O) about the
+    sweep's centre (`sweep_basis`; the roots' from `form.fixed_roots`):
+    with s the family's sign, h(x - y) = (1/2) (E_x E_y - s O_x O_y) /
+    (O_x E_y - E_x O_y), floored at the scale with the denominator's sign,
+    so that it is odd.  It is kept where the denominator lies at most
+    BASIS_LOSS bits below the larger products, which keeps it within about
+    a unit of 2**-frac; elsewhere, and where a point has no basis, the
+    term is the family's direct `fixed_log_derivative`: close pairs,
+    trigonometric pairs near a multiple of 2 pi, exponential pairs far to
+    one side of the centre, and far points.  The algebraic family has no
+    basis: its terms are one division each.
+
     A coordinate freezes where x_i is a root at this scale (f = 0 there,
     or x_i within 2**-frac of a root that carries more bits), and the
     rules of the mpf sweep hold on the ints: a collision where a raw
@@ -364,29 +372,53 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
     2**(4 - bits) |f'(x_i)|.  Only that error evaluates f, to report D_i
     and f'(x_i) as the mpf sweep does.  In `simultaneous` mode each pair's
     h is computed once, for the partner as -h; `sequential` mode reads the
-    updated entries.  A trigonometric term within 2**-frac of a pole (an
-    iterate a period from a root or from another) raises ZeroDivisionError.
+    updated entries, each with a basis of its own.  A trigonometric term
+    within 2**-frac of a pole (an iterate a period from a root or from
+    another) raises ZeroDivisionError.
     """
-    h = FAMILY[form.family].fixed_log_derivative
+    fam = FAMILY[form.family]
+    h, sign = fam.fixed_log_derivative, fam.derivative_sign
     raws = [to_mpf(x, bits)._mpf_ for x in approximations]
-    raw_roots = [r._mpf_ for r in form.config.roots]
-    frac = _fixed_scale(raws + raw_roots, bits)
-    roots = [(to_fixed(r, frac), a)
-             for r, a in zip(raw_roots, form.config.multiplicities)]
+    frac = _fixed_scale(raws + [r._mpf_ for r in form.config.roots], bits)
+    centre, roots = form.fixed_roots(frac)
+
+    def basis(x):
+        return sweep_basis(form.family, x - centre, frac)
+
+    def term(u, bx, by):
+        # h(u) at u = x - y, from the bases bx of x and by of y where they
+        # carry it
+        if bx and by:
+            ex, ox, tx = bx
+            ey, oy, ty = by
+            d = ox * ey - ex * oy
+            if tx + ty - d.bit_length() <= BASIS_LOSS:
+                q = ((ex * ey - sign * ox * oy) << (frac - 1)) // abs(d)
+                return q if d > 0 else -q
+        return h(u, frac)
+
     threshold = collision_threshold(bits)
     near = to_fixed(threshold._mpf_, frac)
     current = [to_fixed(x, frac) for x in raws]
+    bases = [basis(x) for x in current]
     sequential = sweep_mode == SEQUENTIAL
     # the updated entries before i and the incoming ones after it
     source = list(current) if sequential else current
+    source_bases = list(bases) if sequential else bases
     new = list(approximations)
     corrections = [mp.mpf(0)] * len(current)
     pairs = {}  # h(x_j - x_i) for the pair (j, i), in simultaneous mode
     for i, xi in enumerate(current):
-        offsets = [xi - r for r, _ in roots]
+        offsets = [xi - r for r, _, _ in roots]
         if 0 in offsets:
             continue
-        own = sum(a * h(u, frac) for u, (_, a) in zip(offsets, roots))
+        bx = bases[i]
+        # without a basis at x_i, every term is direct
+        if bx:
+            own = sum(a * term(u, bx, rb)
+                      for u, (_, a, rb) in zip(offsets, roots))
+        else:
+            own = sum(a * h(u, frac) for u, (_, a, _) in zip(offsets, roots))
         coupling = 0
         for j, xj in enumerate(source):
             if j == i:
@@ -396,12 +428,12 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
                 raise CollisionError(
                     j, mp.make_mpf(from_man_exp(u, -frac, bits, RND)),
                     threshold, i=i)
-            term = pairs.pop((i, j), None)
-            if term is None:
-                term = h(u, frac)
+            t = pairs.pop((i, j), None)
+            if t is None:
+                t = term(u, bx, source_bases[j]) if bx else h(u, frac)
                 if not sequential:
-                    pairs[j, i] = -term
-            coupling += multiplicities[j] * term
+                    pairs[j, i] = -t
+            coupling += multiplicities[j] * t
         denom = own - coupling
         if denom == 0 or abs(denom) << (bits - 4) < abs(own):
             f = evaluate(form, approximations[i], bits)
@@ -420,6 +452,7 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
             from_man_exp(abs(correction), -(frac + extra), bits, RND))
         if sequential:
             source[i] = to_fixed(moved, frac)
+            source_bases[i] = basis(source[i])
     return tuple(new), tuple(corrections)
 
 
@@ -451,21 +484,21 @@ def _rung(multiplicities, corrections, sweeps, bits):
     return min(rung, bits)
 
 
-def _float_need(approximations, corrections, sweeps):
-    """The bits a factored sweep needs on the float rung: FLOAT_GUARD +
-    log2 max_i(|x_i|, 1) + max_i 2 * sweeps * log2(1/c_i), the last term
-    left out without corrections.  Logarithms are taken by mp.mag, at most
-    one bit high.
+def _factored_need(approximations, corrections, sweeps):
+    """The bits a factored sweep needs on the FACTORED_BITS rung:
+    FACTORED_GUARD + log2 max_i(|x_i|, 1) + max_i 2 * sweeps * log2(1/c_i),
+    the last term left out without corrections.  Logarithms are taken by
+    mp.mag, at most one bit high.
 
     A factored form's f keeps its relative accuracy near a root, so a
     sweep whose incoming errors are about e needs only the correction's
-    2 log2(1/e), not the alpha + 2 of `_need`; `sweeps` reads as there.  A
-    float holds x only to 2**-53 |x|, so the iterates' size comes on top.
-    A correction below half an ulp of its iterate needs more than
-    FLOAT_BITS by this rule, so no kept float sweep leaves an iterate
+    2 log2(1/e), not the alpha + 2 of `_need`; `sweeps` reads as there.
+    The rung holds x only to 2**-53 |x|, so the iterates' size comes on
+    top.  A correction below half an ulp of its iterate needs more than
+    FACTORED_BITS by this rule, so no kept sweep there leaves an iterate
     where it was.
     """
-    need = FLOAT_GUARD + max(0, max(mp.mag(x) for x in approximations))
+    need = FACTORED_GUARD + max(0, max(mp.mag(x) for x in approximations))
     if corrections is None:
         return need
     return need + 2 * sweeps * max(-mp.mag(c) for c in corrections)
@@ -474,91 +507,45 @@ def _float_need(approximations, corrections, sweeps):
 def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     """`step` from `entry`, swept at the lowest rung that keeps its accuracy.
 
-    The rungs are tried from the bottom.  For a FactoredForm with float
-    roots (`FactoredForm.float_roots`), the float rung comes first where
-    `_float_need` with sweeps=3 fits FLOAT_BITS (below full precision, so
-    never at 53 bits).  Next comes the mpmath rung that covers three times
-    the bits of the previous corrections (`_rung`; the first sweep has none
-    and takes FLOOR), where it lies below full precision.
-    A rung's sweep runs on the approximations rounded to it.  It is kept
-    only if it raised nothing, moved every approximation (a correction
-    below half an ulp leaves its iterate where it was, and the next sweep
-    would repeat this one), the largest of its corrections is above the
-    tolerance, and all are within the rung (the rung's need with
-    sweeps=1).  Otherwise the next rung is tried, and last the sweep is
-    redone at full precision by `step`.  So freezes, the converging sweep
-    and any failure are decided at full precision.  A kept mpmath sweep's
-    entry takes its residuals and errors at the rung, from the same
-    polynomial; a float sweep's takes the form's float residuals and its
-    errors at FLOAT_BITS.
+    The rungs are tried from the bottom.  For a FactoredForm the
+    FACTORED_BITS rung comes first where `_factored_need` with sweeps=3
+    fits it (below full precision, so never at 53 bits).  Next comes the
+    rung that covers three times the bits of the previous corrections
+    (`_rung`; the first sweep has none and takes FLOOR), where it lies
+    below full precision.  A rung's sweep runs on the approximations
+    rounded to it.  It is kept only if it raised nothing in FAILURES,
+    moved every approximation (a correction below half an ulp leaves its
+    iterate where it was, and the next sweep would repeat this one), the
+    largest of its corrections is above the tolerance, and all are within
+    the rung (the rung's need with sweeps=1).  Otherwise the next rung is
+    tried, and last the sweep is redone at full precision by `step`.  So
+    freezes, the converging sweep and any failure are decided at full
+    precision.  A kept sweep's entry takes its residuals and errors at the
+    rung, from the same polynomial.
     """
     bits = settings.precision_bits
-    # at or below FLOOR the mpmath rung is `bits`: no rung below it
+    # at or below FLOOR the rung from `_rung` is `bits`: no rung below it
     rungs = [_rung(multiplicities, entry.corrections, 3, bits)]
-    if (isinstance(poly, FactoredForm) and poly.float_roots is not None
-            and FLOAT_BITS >= _float_need(entry.approximations,
-                                          entry.corrections, 3)):
-        rungs.insert(0, FLOAT_BITS)
+    if (isinstance(poly, FactoredForm)
+            and FACTORED_BITS >= _factored_need(entry.approximations,
+                                                entry.corrections, 3)):
+        rungs.insert(0, FACTORED_BITS)
     for rung in rungs:
         if rung == bits:
             break
-        residuals = None
+        start = [to_mpf(x, rung) for x in entry.approximations]
         try:
-            if rung == FLOAT_BITS:
-                start = [float(x) for x in entry.approximations]
-                new, corrections, residuals = _float_sweep(
-                    poly, multiplicities, start, settings.sweep_mode)
-                need = _float_need(new, corrections, 1)
-            else:
-                start = [to_mpf(x, rung) for x in entry.approximations]
-                new, corrections = _sweep(poly, multiplicities, start, rung,
-                                          settings.sweep_mode)
-                need = _need(multiplicities, corrections, 1)
-        except (ArithmeticError, ValueError):
+            new, corrections = _sweep(poly, multiplicities, start, rung,
+                                      settings.sweep_mode)
+        except tuple(FAILURES):
             continue  # a rung too coarse to carry what full precision can
+        need = (_factored_need(new, corrections, 1) if rung == FACTORED_BITS
+                else _need(multiplicities, corrections, 1))
         if (need <= rung and max(corrections) > settings.tolerance
                 and all(map(operator.ne, new, start))):
             return _entry(poly, new, entry.k + 1, rung, corrections,
-                          true_roots, residuals)
+                          true_roots)
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
-
-
-def _float_sweep(form, multiplicities, approximations, sweep_mode):
-    """(new approximations, |corrections|, residuals) of one sweep of the
-    FactoredForm `form` on its float roots (`FactoredForm.float_roots`)
-    from the float `approximations`, each an exact mpf.
-    With h = g'/g the family's log-derivative,
-    D_i / f(x_i) = sum_k a_k h(x_i - r_k) - sum_{j != i} alpha_j h(x_i - x_j),
-    formed by one math.fsum, so the terms' order does not matter, and x_i
-    moves by alpha_i / (D_i / f(x_i)).  The sequential mode reads the
-    updated entries, as `_sweep` does.
-
-    Raises ArithmeticError or ValueError where floats cannot carry the
-    sweep: an iterate on a root or on another iterate (h(0) divides by
-    zero), a sum or an iterate that overflows, a denominator within
-    FLOAT_DEGENERATE of its terms' magnitude (ZeroDivisionError), or a
-    residual that overflows.
-    """
-    h = FAMILY[form.family].float_log_derivative
-    current = list(approximations)
-    new = list(current)
-    corrections = []
-    for i, xi in enumerate(current):
-        source = new if sweep_mode == SEQUENTIAL else current
-        terms = [a * h(xi - hi - lo) for hi, lo, a in form.float_roots]
-        terms += [-a * h(xi - xj) for j, (xj, a)
-                  in enumerate(zip(source, multiplicities)) if j != i]
-        denom = math.fsum(terms)
-        if not abs(denom) > FLOAT_DEGENERATE * math.fsum(map(abs, terms)):
-            raise ZeroDivisionError("float denominator within rounding")
-        correction = multiplicities[i] / denom
-        new[i] = xi - correction
-        if not math.isfinite(new[i]):
-            raise OverflowError("float iterate overflows")
-        corrections.append(abs(correction))
-    residuals = tuple(map(form.float_residual, new))
-    return (tuple(to_mpf(x, FLOAT_BITS) for x in new),
-            tuple(to_mpf(c, FLOAT_BITS) for c in corrections), residuals)
 
 
 def order_error_sequence(trace):

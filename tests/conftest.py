@@ -66,8 +66,8 @@ def cut_trace_list(report, change):
 
 def count_family_calls(monkeypatch, family):
     """A Counter, by name, of the `basis_pair`, `factor_pair`,
-    `half_cotangent` and `fixed_log_derivative` calls through `family`'s
-    FAMILY entry until monkeypatch undoes it.  A field the family leaves
+    `half_cotangent`, `fixed_log_derivative` and `fixed_basis` calls
+    through `family`'s FAMILY entry until monkeypatch undoes it.  A field the family leaves
     None stays None."""
     calls = Counter()
     fam = polynomials.FAMILY[family]
@@ -84,7 +84,7 @@ def count_family_calls(monkeypatch, family):
     monkeypatch.setitem(polynomials.FAMILY, family, replace(fam, **{
         name: counted(name)
         for name in ("basis_pair", "factor_pair", "half_cotangent",
-                     "fixed_log_derivative")}))
+                     "fixed_log_derivative", "fixed_basis")}))
     return calls
 
 

@@ -624,6 +624,60 @@ class TestFixedPoint:
             # past (frac + 2) ln 2 the term is 1/2 outright
             assert entry(10 ** 6 << frac, frac) == 1 << (frac - 1)
 
+    @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+    @pytest.mark.parametrize("frac", [77, 152, 1048])
+    def test_each_basis_is_the_half_offset_pair_within_a_few_units(
+            self, family, frac):
+        # sweep_basis(family, u, frac) holds (E, O)(v/2), v = u * 2**-frac,
+        # at the scale 2**(frac + BASIS_GUARD), each within 16 units times
+        # |v/2| (the reduction) and E (the value), as the libelefun pins
+        # allow, and the bit length of the larger.  It has none from
+        # 2**BASIS_REACH on, where a sweep takes direct terms, and none for
+        # the algebraic family
+        scale = frac + polynomials.BASIS_GUARD
+        reach = 1 << (frac + polynomials.BASIS_REACH)
+        rng = random.Random(f"fixed basis {family} {frac}")
+        with mp.workprec(3 * frac):
+            for _ in range(40):
+                u = rng.choice((-1, 1)) * rng.randrange(
+                    1 << rng.randint(frac // 2, frac + polynomials.BASIS_REACH))
+                e, o, top = polynomials.sweep_basis(family, u, frac)
+                half = mp.ldexp(u, -frac - 1)
+                want = ((mp.cos(half), mp.sin(half)) if family == TRIGONOMETRIC
+                        else (mp.cosh(half), mp.sinh(half)))
+                for got, value in zip((e, o), want):
+                    assert (abs(got - mp.ldexp(value, scale))
+                            <= 16 * max(1, abs(half)) * max(1, want[0])), u
+                assert top == max(abs(e), abs(o)).bit_length()
+        for u in (reach, -reach, 10 ** 6 << frac):
+            assert polynomials.sweep_basis(family, u, frac) is None
+        assert polynomials.sweep_basis(ALGEBRAIC, 1 << frac, frac) is None
+
+    def test_a_form_keeps_its_roots_bases_per_scale_first_in_first_out(
+            self, monkeypatch):
+        # each root floored to the scale with its basis about the middle of
+        # the roots, one basis call per root and scale while the scale is
+        # kept; the form keeps as many scales as its point memo keeps points
+        calls = count_family_calls(monkeypatch, EXPONENTIAL)
+        form = FactoredForm(EXPONENTIAL, RootConfiguration(
+            ["-1", "0.5", "2"], [1, 2, 3], precision_bits=128))
+        limit = 6
+        fracs = range(150, 150 + 3 * limit)
+        for frac in fracs:
+            centre, roots = form.fixed_roots(frac)
+            fixed = [to_fixed(r._mpf_, frac) for r in form.config.roots]
+            assert centre == (fixed[0] + fixed[-1]) >> 1
+            assert roots == [
+                (r, a, polynomials.sweep_basis(EXPONENTIAL, r - centre, frac))
+                for r, a in zip(fixed, form.config.multiplicities)]
+        assert len(form._fixed) == limit
+        calls.clear()
+        for frac in fracs[-limit:]:
+            form.fixed_roots(frac)
+        assert not calls
+        form.fixed_roots(fracs[-limit - 1])
+        assert calls["fixed_basis"] == 3
+
 
 class TestRejectedInput:
     def test_a_configuration_needs_a_root(self):

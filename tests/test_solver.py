@@ -1,4 +1,7 @@
+import json
+import math
 import random
+import sys
 from dataclasses import replace
 from importlib import resources
 
@@ -27,7 +30,7 @@ from multiroots import (
     solve,
     step,
 )
-from multiroots import polynomials, solver
+from multiroots import cli, polynomials, solver
 from multiroots.polynomials import gaps, root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from multiroots.report_io import load_problem
@@ -141,7 +144,6 @@ class TestStartsAndTruths:
         def no_sweep(*args):
             pytest.fail("a sweep ran")
         monkeypatch.setattr(solver, "_sweep", no_sweep)
-        monkeypatch.setattr(solver, "_float_sweep", no_sweep)
         return poly, (1, 2, 1), initial, settings, start
 
     @pytest.mark.parametrize("call", ["solve", "initial_state", "step"])
@@ -179,7 +181,8 @@ class TestSolve:
         # of the ladder, and its memo serves them all.  A factored form
         # (example2 and example3) takes its residuals on first read: inside
         # the solve it runs only lookups at its stored roots, which may
-        # repeat, and its other points run once each when they are read
+        # repeat, and its other points run once each when they are read,
+        # from its first sweeps' on the FACTORED_BITS rung
         calls, held = count_passes(monkeypatch)
         problem = load_problem(
             resources.files("multiroots.problems") / f"{name}.json", bits)
@@ -196,7 +199,8 @@ class TestSolve:
         assert points and max(points.values()) == 1
         assert len(held) == 1
         rungs = {prec for _, _, prec in points}
-        assert (min(rungs), max(rungs)) == (min(bits, solver.FLOOR), bits)
+        lowest = solver.FACTORED_BITS if stored else min(bits, solver.FLOOR)
+        assert (min(rungs), max(rungs)) == (lowest, bits)
 
     def test_example2_converges_within_five_sweeps(self):
         bits = 192
@@ -273,8 +277,8 @@ class TestSolve:
 
     def test_factored_solve_skips_the_noise_bound(self, monkeypatch):
         # a factored bound is a fraction of |f| and can never freeze f != 0;
-        # a factored sweep sums D_i / f itself, in floats or fixed point, so
-        # it reads neither f' nor the mpf coupling either
+        # a factored sweep sums D_i / f itself, in fixed point, so it reads
+        # neither f' nor the mpf coupling either
         names = ("evaluate_derivative", "evaluation_noise",
                  "log_derivative_sum")
         calls = set()
@@ -432,7 +436,7 @@ class TestPrecisionLadder:
     def test_a_coefficient_form_at_or_below_the_floor_is_the_step_loop(
             self, family, case, mode, bits):
         # coefficient forms only: a factored form above 53 bits starts on
-        # the float rung (TestFloatRung)
+        # the FACTORED_BITS rung (TestFactoredRung)
         poly = expanded(family, case, bits)
         settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
         report = solve(poly, case["mults"], case["initial"], settings,
@@ -535,24 +539,25 @@ class TestPrecisionLadder:
         assert rounded.config == poly.config
 
     def test_roots_that_coincide_once_rounded_keep_the_floor(self):
-        # roots 2**-300 apart coincide at 256 bits, but a factored rung copy
-        # keeps them apart, so the first sweep stays at the floor
+        # roots 2**-300 apart coincide at 53 bits, but a factored sweep
+        # reads the roots as they are, so the first sweep stays on the
+        # lowest rung, FACTORED_BITS
         bits = 1024
         with mp.workprec(bits):
             roots = (1, 1 + mp.mpf(2) ** -300)
         poly = factored(ALGEBRAIC, dict(roots=roots, mults=(1, 1)), bits)
         report = solve(poly, (1, 1), ("0.5", "1.5"),
                        SolveSettings(precision_bits=bits, max_iterations=1))
-        assert report.trace[1].precision_bits == solver.FLOOR
+        assert report.trace[1].precision_bits == solver.FACTORED_BITS
 
 
-def float_rung_case(family, m, bits):
+def factored_rung_case(family, m, bits):
     """A seeded factored form of m roots 0.3-0.45 apart, within one period,
     with multiplicities 1-3, and starts a tenth of the smallest gap off the
     roots, alternating sides.  The roots are 6-decimal strings, none of
-    them a float: a float sweep can land exactly on a float root, and the
-    solve then ends sooner than the mpmath ladder alone."""
-    rng = random.Random(f"float rung {family} {m} {bits}")
+    them a 53-bit value: a 53-bit sweep can land exactly on such a root,
+    and the solve then ends sooner than the ladder without that rung."""
+    rng = random.Random(f"float rung {family} {m} {bits}")  # its first label
     mults = [rng.randint(1, 3) for _ in range(m)]
     if family != ALGEBRAIC and sum(mults) % 2:
         mults[-1] += 1 if mults[-1] < 3 else -1
@@ -567,91 +572,93 @@ def float_rung_case(family, m, bits):
     return FactoredForm(family, cfg), cfg.multiplicities, initial
 
 
-def without_float_rung(monkeypatch, *args, **kwargs):
-    """`solve` with the float rung taken out, as the mpmath ladder alone
-    solves."""
+def without_factored_rung(monkeypatch, *args, **kwargs):
+    """`solve` with the FACTORED_BITS rung taken out, as the rungs from
+    FLOOR alone solve."""
     with monkeypatch.context() as patched:
-        patched.setattr(polynomials, "_float_roots", lambda config: None)
+        patched.setattr(solver, "_factored_need", lambda *args: math.inf)
         return solve(*args, **kwargs)
 
 
-def count_float_sweeps(monkeypatch):
-    """A list that gains an item per `solver._float_sweep` call until
-    monkeypatch undoes it."""
-    calls, real = [], solver._float_sweep
+def count_rung_sweeps(monkeypatch):
+    """A list that gains an item per `solver._sweep` call at FACTORED_BITS
+    until monkeypatch undoes it."""
+    calls, real = [], solver._sweep
 
     def counted(*args):
-        calls.append(args)
+        if args[3] == solver.FACTORED_BITS:
+            calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(solver, "_float_sweep", counted)
+    monkeypatch.setattr(solver, "_sweep", counted)
     return calls
 
 
-# (family, roots, multiplicities, starts, bits) of solves whose float
-# sweeps all go to the mpmath ladder
+# (family, roots, multiplicities, starts, bits) of solves whose sweeps at
+# FACTORED_BITS all go to the ladder
 with mp.workprec(128):
-    FLOAT_FALLBACKS = {
-        # sinh((x - r)/2) overflows a float 3000 apart
-        "sinh overflows": (EXPONENTIAL, ("-1500", "1500.5"), (2, 2),
-                           ("-1499.9", "1500.4"), 192),
-        # x - hi - lo is -lo: the correction is below 2**-53
-        "start on a root's float": (ALGEBRAIC, (mp.mpf(1) / 3, 2), (2, 1),
-                                    (float(mp.mpf(1) / 3), "2.1"), 128),
-        # x - r is 0: h divides by zero
-        "start on a float root": (TRIGONOMETRIC, ("0.5", 2), (2, 2),
-                                  ("0.5", "2.1"), 128),
-        # the starts are 2**-58 apart, one float: h(x_0 - x_1) divides
-        # by zero
-        "starts on one float": (
+    RUNG_FALLBACKS = {
+        # x - r is about 2**-55: the correction is below half an ulp, and
+        # the iterate does not move
+        "start on a root's 53-bit value": (
+            ALGEBRAIC, (mp.mpf(1) / 3, 2), (2, 1),
+            (to_mpf(mp.mpf(1) / 3, 53), "2.1"), 128),
+        # x - r is 0: the coordinate freezes, and the iterate does not move
+        "start on a root": (TRIGONOMETRIC, ("0.5", 2), (2, 2),
+                            ("0.5", "2.1"), 128),
+        # the starts are 2**-58 apart, one 53-bit value: they collide
+        "starts on one 53-bit value": (
             EXPONENTIAL, (1, 1 + mp.mpf(2) ** -50, 3), (1, 1, 2),
             (1 + mp.mpf(2) ** -51 - mp.mpf(2) ** -59,
              1 + mp.mpf(2) ** -51 + mp.mpf(2) ** -59, "3.1"), 128),
     }
 
+LIBM = ("sin", "tan", "sinh", "tanh")
 
-class TestFloatRung:
-    """A factored solve above 53 bits runs its first sweeps in Python floats,
+
+class TestFactoredRung:
+    """A factored solve above 53 bits runs its first sweeps at FACTORED_BITS,
     the lowest rung of `solver._ladder_step`, kept on the ladder's terms."""
 
     @pytest.mark.parametrize("bits", [128, 1024])
     @pytest.mark.parametrize("m", [2, 5, 12])
     @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
-    def test_a_float_entry_is_the_full_precision_step_to_53_bits(
+    def test_a_53_bit_entry_is_the_full_precision_step_to_53_bits(
             self, monkeypatch, family, m, bits):
         # each 53-bit entry lies within 4 ulps of max(|x|, 1) of `step` at
-        # full precision from the same entry, and its residuals agree with
-        # the 53-bit `evaluate` to 2**-40; the solve ends as the mpmath
-        # ladder alone ends it, after as many sweeps
-        poly, mults, initial = float_rung_case(family, m, bits)
+        # full precision from the same entry, and its residuals are the
+        # 53-bit `evaluate`; the solve ends as the ladder without the rung
+        # ends it, after as many sweeps
+        poly, mults, initial = factored_rung_case(family, m, bits)
         for mode in ("simultaneous", "sequential"):
             settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
             report = solve(poly, mults, initial, settings)
             kept = [e for e in report.trace
-                    if e.precision_bits == solver.FLOAT_BITS]
+                    if e.precision_bits == solver.FACTORED_BITS]
             assert kept, mode
             for entry in kept:
                 exact = step(poly, mults, report.trace[entry.k - 1], settings)
                 for x, y in zip(entry.approximations, exact.approximations):
                     assert abs(x - y) <= 4 * mp.mpf(2) ** -53 * max(abs(y), 1)
-                for x, residual in zip(entry.approximations, entry.residuals):
-                    want = abs(evaluate(poly, x, 53))
-                    assert abs(residual - want) <= mp.mpf(2) ** -40 * want
-            parent = without_float_rung(monkeypatch, poly, mults, initial,
-                                        settings)
+                with mp.workprec(53):
+                    assert entry.residuals == tuple(
+                        abs(evaluate(poly, x, 53))
+                        for x in entry.approximations)
+            parent = without_factored_rung(monkeypatch, poly, mults, initial,
+                                           settings)
             assert ((report.termination, report.iterations_used)
                     == (parent.termination, parent.iterations_used)), mode
 
     @pytest.mark.parametrize("bits", [128, 192])
     @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
-    def test_roots_far_from_zero_end_as_the_mpmath_ladder_ends(
+    def test_roots_far_from_zero_end_as_the_ladder_without_the_rung_ends(
             self, monkeypatch, family, bits):
-        # floats 1e15 apart from zero are 1/8 apart: a correction below
-        # 1/16 leaves its iterate where it was, and a float sweep kept there
-        # repeats until max_iterations.  The iterates' size keeps the float
-        # rung out near 1e15 and narrows it near 2**20, and every sweep it
-        # keeps moves every iterate
-        for centre, floated in (("1e15", False), ("1048576", True)):
+        # 53-bit values 1e15 apart from zero are 1/8 apart: a correction
+        # below 1/16 leaves its iterate where it was, and a 53-bit sweep
+        # kept there repeats until max_iterations.  The iterates' size keeps
+        # the rung out near 1e15 and narrows it near 2**20, and every sweep
+        # it keeps moves every iterate
+        for centre, low in (("1e15", False), ("1048576", True)):
             with mp.workprec(bits):
                 roots = [mp.mpf(centre) + mp.mpf(d) for d in ("0.3", "1.3")]
                 initial = [roots[0] - mp.mpf("0.1"), roots[1] + mp.mpf("0.1")]
@@ -660,65 +667,58 @@ class TestFloatRung:
             for mode in ("simultaneous", "sequential"):
                 settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
                 report = solve(poly, (2, 2), initial, settings)
-                parent = without_float_rung(monkeypatch, poly, (2, 2),
-                                            initial, settings)
+                parent = without_factored_rung(monkeypatch, poly, (2, 2),
+                                               initial, settings)
                 assert report.termination == "converged", (centre, mode)
                 assert (report.iterations_used
                         == parent.iterations_used), (centre, mode)
                 kept = [e for e in report.trace
-                        if e.precision_bits == solver.FLOAT_BITS]
-                assert bool(kept) == floated, (centre, mode)
+                        if e.precision_bits == solver.FACTORED_BITS]
+                assert bool(kept) == low, (centre, mode)
                 for entry in kept:
                     before = report.trace[entry.k - 1].approximations
-                    assert all(float(x) != float(y) for x, y
+                    assert all(x != y for x, y
                                in zip(entry.approximations, before))
 
-    @pytest.mark.parametrize("case", list(FLOAT_FALLBACKS))
-    def test_a_sweep_floats_cannot_carry_goes_to_the_ladder(self, monkeypatch,
-                                                            case):
-        # each solve tries the float sweep, and hands every one it tries
+    @pytest.mark.parametrize("case", list(RUNG_FALLBACKS))
+    def test_a_rung_sweep_refused_goes_to_the_ladder(self, monkeypatch, case):
+        # each solve tries the 53-bit sweep, and hands every one it tries
         # to the ladder unchanged
-        family, roots, mults, initial, bits = FLOAT_FALLBACKS[case]
+        family, roots, mults, initial, bits = RUNG_FALLBACKS[case]
         cfg = RootConfiguration(roots, mults, precision_bits=bits)
         poly = FactoredForm(family, cfg)
         settings = SolveSettings(precision_bits=bits)
-        calls = count_float_sweeps(monkeypatch)
+        calls = count_rung_sweeps(monkeypatch)
         report = solve(poly, mults, initial, settings)
         assert calls
-        parent = without_float_rung(monkeypatch, poly, mults, initial,
-                                    settings)
+        parent = without_factored_rung(monkeypatch, poly, mults, initial,
+                                       settings)
         assert report.termination == parent.termination == "converged"
-        assert solver.FLOAT_BITS not in {e.precision_bits
-                                         for e in report.trace}
+        assert solver.FACTORED_BITS not in {e.precision_bits
+                                            for e in report.trace}
         assert report.trace == parent.trace
 
-    def test_float_roots_are_distinct_finite_floats_of_small_power(
-            self, monkeypatch):
-        # roots 2**-60 apart share a float, 1e400 overflows one, and a
-        # 1022nd power of a math.frexp mantissa can leave the normal floats
-        with mp.workprec(128):
-            near = (1, 1 + mp.mpf(2) ** -60)
-        for roots, mults in ((near, (1, 1)), (("1e400", "2"), (1, 1)),
-                             (("2",), (1022,))):
-            cfg = RootConfiguration(roots, mults, precision_bits=128)
-            assert FactoredForm(ALGEBRAIC, cfg).float_roots is None, roots
-        poly = factored(TRIGONOMETRIC, EX2, 192)
-        assert poly.float_roots == ((1.0, 0.0, 3), (2.0, 0.0, 2),
-                                    (2.5, 0.0, 1))
-        # without float roots the solve never enters the float rung
-        calls = count_float_sweeps(monkeypatch)
-        cfg = RootConfiguration(near, (1, 1), precision_bits=128)
-        report = solve(FactoredForm(ALGEBRAIC, cfg), (1, 1), ("0.5", "1.5"),
-                       SolveSettings(precision_bits=128))
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_roots_that_share_a_53_bit_value_take_the_rung(self, family):
+        # a fixed-point sweep reads the roots as they are, so roots 1e-18
+        # apart take the rung, and the solve still converges and
+        # separates them
+        bits = 192
+        poly = factored(family, dict(roots=("1", "1.000000000000000001"),
+                                     mults=(1, 1)), bits)
+        report = solve(poly, (1, 1), ("0.9", "1.1"),
+                       SolveSettings(precision_bits=bits),
+                       true_roots=poly.config.roots)
         assert report.termination == "converged"
-        assert not calls
+        assert solver.FACTORED_BITS in {e.precision_bits
+                                        for e in report.trace}
+        assert max(report.trace[-1].errors) <= mp.mpf(2) ** (32 - bits)
 
-    def test_no_float_sweep_at_53_bits_or_in_coefficient_form(self,
+    def test_no_53_bit_rung_at_53_bits_or_in_coefficient_form(self,
                                                              monkeypatch):
-        calls = count_float_sweeps(monkeypatch)
+        calls = count_rung_sweeps(monkeypatch)
         for family, case in LADDER_CASES:
-            for poly, bits in ((factored(family, case, 53), 53),
-                               (expanded(family, case, 128), 128),
+            for poly, bits in ((expanded(family, case, 128), 128),
                                (expanded(family, case, 1024), 1024)):
                 report = solve(poly, case["mults"], case["initial"],
                                SolveSettings(precision_bits=bits))
@@ -726,9 +726,57 @@ class TestFloatRung:
             assert not calls, family
             report = solve(factored(family, case, 128), case["mults"],
                            case["initial"], SolveSettings(precision_bits=128))
-            assert report.trace[1].precision_bits == solver.FLOAT_BITS
+            assert report.trace[1].precision_bits == solver.FACTORED_BITS
             assert calls
             calls.clear()
+            # at 53 bits every sweep is a `step`
+            settings = SolveSettings(precision_bits=53)
+            poly = factored(family, case, 53)
+            report = solve(poly, case["mults"], case["initial"], settings)
+            trace, termination = step_loop(poly, case["mults"],
+                                           case["initial"], settings)
+            assert report.termination == termination == "converged"
+            assert report.trace == tuple(trace)
+            calls.clear()
+
+    def test_a_factored_report_reads_no_libm_trigonometry(
+            self, monkeypatch, tmp_path):
+        # Python's sin, tan, sinh and tanh come from the platform's libm,
+        # which is not correctly rounded.  A factored solve of each family
+        # writes the same report with them patched to raise, and makes no
+        # call to them through a reference taken before the patch
+        originals = {getattr(math, name) for name in LIBM}
+        seen = []
+
+        def watch(frame, event, arg):
+            if event == "c_call" and arg in originals:
+                seen.append(arg.__name__)
+
+        def raising(name):
+            def call(*args):
+                raise AssertionError(f"math.{name} called")
+            return call
+
+        problem = tmp_path / "algebraic.json"
+        problem.write_text(json.dumps(
+            {"family": "algebraic", "representation": "roots",
+             "roots": ["-1.5", "0.25", "2"], "multiplicities": [2, 3, 1],
+             "initial": ["-1.2", "0.6", "2.5"], "precision_bits": 192}))
+        for name in (str(problem), "example2", "example3"):
+            plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+            assert cli.main(["solve", name, "-o", str(plain)]) == 0
+            with monkeypatch.context() as libm:
+                for function in LIBM:
+                    libm.setattr(math, function, raising(function))
+                sys.setprofile(watch)
+                try:
+                    assert cli.main(["solve", name, "-o", str(patched)]) == 0
+                finally:
+                    sys.setprofile(None)
+            assert not seen, name
+            assert patched.read_bytes() == plain.read_bytes(), name
+            report = json.loads(plain.read_text())
+            assert 53 in [e["precision_bits"] for e in report["trace"]], name
 
 
 class TestDeferredResiduals:
@@ -750,11 +798,8 @@ class TestDeferredResiduals:
                        SolveSettings(precision_bits=bits, sweep_mode=mode))
         assert report.termination == "converged"
         assert all(x in stored for _, x, _ in calls)
-        # a float entry keeps the float sweep's own residuals (TestFloatRung)
         for entry in report.trace:
             p = entry.precision_bits
-            if p == solver.FLOAT_BITS:
-                continue
             with mp.workprec(p):
                 want = [abs(evaluate(fresh, x, p))._mpf_
                         for x in entry.approximations]
@@ -784,13 +829,14 @@ class TestDeferredResiduals:
                              ids=[f for f, _ in LADDER_CASES])
     def test_a_hand_driven_loop_is_the_solve(self, monkeypatch, family, case,
                                              mode, bits):
-        # at or below FLOOR, and without float roots, every sweep of the
-        # solve is a `step`: the loop's deferred entries equal the solve's
+        # at or below FLOOR, and without the FACTORED_BITS rung, every
+        # sweep of the solve is a `step`: the loop's deferred entries equal
+        # the solve's
         poly = factored(family, case, bits)
         settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
-        report = without_float_rung(monkeypatch, poly, case["mults"],
-                                    case["initial"], settings,
-                                    true_roots=case["roots"])
+        report = without_factored_rung(monkeypatch, poly, case["mults"],
+                                       case["initial"], settings,
+                                       true_roots=case["roots"])
         trace, termination = step_loop(poly, case["mults"], case["initial"],
                                        settings, true_roots=case["roots"])
         assert report.termination == termination == "converged"
@@ -819,18 +865,40 @@ class TestPairMemo:
     @pytest.mark.parametrize("m", [2, 5, 8])
     def test_a_first_sweep_computes_each_pair_once(self, monkeypatch, family,
                                                    m):
-        # the factored sweep takes every term from the family's fixed-point
-        # entry: m root terms per coordinate, and the pairs' terms
+        # the factored sweep needs m root terms per coordinate, and the
+        # pairs' terms.  The algebraic family takes each from its
+        # fixed-point entry.  A series family takes one basis per point:
+        # each iterate's, each root's, and in sequential mode each moved
+        # iterate's; the direct entry serves only the terms the bases do
+        # not carry, and in simultaneous mode no pair's twice
         poly, mults, initial = drawn_case(random.Random(m), family, m, 128)
         calls = count_family_calls(monkeypatch, family)
-        for mode, want in (("simultaneous", m * (m - 1) // 2),
-                           ("sequential", m * (m - 1))):
+        offsets = []
+        real = polynomials.FAMILY[family].fixed_log_derivative  # counted
+
+        def recorded(u, frac):
+            offsets.append(u)
+            return real(u, frac)
+
+        monkeypatch.setitem(polynomials.FAMILY, family, replace(
+            polynomials.FAMILY[family], fixed_log_derivative=recorded))
+        for mode, pairs, moved in (("simultaneous", m * (m - 1) // 2, 0),
+                                   ("sequential", m * (m - 1), m)):
             settings = SolveSettings(precision_bits=128, sweep_mode=mode)
-            state = initial_state(poly, initial, settings)
+            fresh = replace(poly)  # no root basis kept from the other mode
+            state = initial_state(fresh, initial, settings)
             calls.clear()
-            entry = step(poly, mults, state, settings)
+            offsets.clear()
+            entry = step(fresh, mults, state, settings)
             assert all(c > 0 for c in entry.corrections)  # none froze
-            assert calls["fixed_log_derivative"] == m * m + want, mode
+            if family == ALGEBRAIC:
+                assert "fixed_basis" not in calls
+                assert calls["fixed_log_derivative"] == m * m + pairs, mode
+                continue
+            assert calls["fixed_basis"] == 2 * m + moved, mode
+            assert calls["fixed_log_derivative"] < m * m + pairs, mode
+            if mode == "simultaneous":
+                assert not {-u for u in offsets} & set(offsets)
 
     @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
     @pytest.mark.parametrize("bits", [128, 1024])
@@ -866,8 +934,8 @@ class TestPairMemo:
 
         monkeypatch.setattr(solver, "_sweep", counted_sweep)
         monkeypatch.setattr(solver, "log_derivative_sum", recorded_sum)
-        # the coefficient form: the factored form's first sweeps run on the
-        # float rung, which holds no dict, and leave the 256-bit rung out
+        # the coefficient form: the factored form's sweeps hold no dict of
+        # mpf terms, and its first sweeps run on the FACTORED_BITS rung
         poly, mults, initial = drawn_case(random.Random(3), TRIGONOMETRIC, 4,
                                           1024)
         report = solve(expand_from_roots(poly), mults, initial,
