@@ -22,13 +22,8 @@ Above FLOOR bits, `solve` climbs a precision ladder: cubic convergence
 triples the correct bits per sweep, so each sweep runs at the smallest rung
 FLOOR * 2**j that the previous corrections say it needs, or is redone at
 full precision when its own corrections show too few bits (`_ladder_step`).
-For a factored form solved above 53 bits the ladder starts lower, at a
-53-bit rung: a factored form evaluates with small relative error, so its
-first sweeps, whose corrections need only a few correct bits, run at 53
-bits and are kept on the same terms as a rung's (`_factored_need`).
-A coefficient form cancels near an alpha-fold root, and its sweeps stay on
-the rungs from FLOOR; a factored form's sweeps run in fixed point on every
-rung.
+Coefficient and factored forms climb the same rungs; a factored form's
+sweeps run in fixed point on each.
 
 Each sweep's TraceEntry records the residuals |f(x_i)| at its precision.
 No factored sweep reads f, so a factored form's entries take theirs on
@@ -92,12 +87,6 @@ FAILURES = {
 # climbs one.  GUARD bits are kept beyond what the error estimate asks for.
 FLOOR = 256
 GUARD = 32
-
-# A factored form's lowest rung: a sweep is kept at FACTORED_BITS while
-# FACTORED_GUARD, the bits of its iterates' size and twice the bits its
-# corrections call for fit (`_factored_need`).
-FACTORED_BITS = 53
-FACTORED_GUARD = 8
 
 # A factored sweep's fixed-point scale holds FIXED_GUARD bits beyond the
 # `bits` of its largest value (`_fixed_scale`); RND rounds its results.
@@ -484,67 +473,37 @@ def _rung(multiplicities, corrections, sweeps, bits):
     return min(rung, bits)
 
 
-def _factored_need(approximations, corrections, sweeps):
-    """The bits a factored sweep needs on the FACTORED_BITS rung:
-    FACTORED_GUARD + log2 max_i(|x_i|, 1) + max_i 2 * sweeps * log2(1/c_i),
-    the last term left out without corrections.  Logarithms are taken by
-    mp.mag, at most one bit high.
-
-    A factored form's f keeps its relative accuracy near a root, so a
-    sweep whose incoming errors are about e needs only the correction's
-    2 log2(1/e), not the alpha + 2 of `_need`; `sweeps` reads as there.
-    The rung holds x only to 2**-53 |x|, so the iterates' size comes on
-    top.  A correction below half an ulp of its iterate needs more than
-    FACTORED_BITS by this rule, so no kept sweep there leaves an iterate
-    where it was.
-    """
-    need = FACTORED_GUARD + max(0, max(mp.mag(x) for x in approximations))
-    if corrections is None:
-        return need
-    return need + 2 * sweeps * max(-mp.mag(c) for c in corrections)
-
-
 def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     """`step` from `entry`, swept at the lowest rung that keeps its accuracy.
 
-    The rungs are tried from the bottom.  For a FactoredForm the
-    FACTORED_BITS rung comes first where `_factored_need` with sweeps=3
-    fits it (below full precision, so never at 53 bits).  Next comes the
-    rung that covers three times the bits of the previous corrections
-    (`_rung`; the first sweep has none and takes FLOOR), where it lies
-    below full precision.  A rung's sweep runs on the approximations
-    rounded to it.  It is kept only if it raised nothing in FAILURES,
-    moved every approximation (a correction below half an ulp leaves its
-    iterate where it was, and the next sweep would repeat this one), the
-    largest of its corrections is above the tolerance, and all are within
-    the rung (the rung's need with sweeps=1).  Otherwise the next rung is
-    tried, and last the sweep is redone at full precision by `step`.  So
-    freezes, the converging sweep and any failure are decided at full
-    precision.  A kept sweep's entry takes its residuals and errors at the
-    rung, from the same polynomial.
+    The rung is the one that covers three times the bits of the previous
+    corrections (`_rung`; the first sweep has none and takes FLOOR), tried
+    where it lies below full precision.  Its sweep runs on the
+    approximations rounded to it.  It is kept only if it raised nothing in
+    FAILURES, moved every approximation (a correction below half an ulp
+    leaves its iterate where it was, and the next sweep would repeat this
+    one), the largest of its corrections is above the tolerance, and all
+    are within the rung (`_need` with sweeps=1).  Otherwise the sweep is
+    redone at full precision by `step`.  So freezes, the converging sweep
+    and any failure are decided at full precision.  A kept sweep's entry
+    takes its residuals and errors at the rung, from the same polynomial.
     """
     bits = settings.precision_bits
     # at or below FLOOR the rung from `_rung` is `bits`: no rung below it
-    rungs = [_rung(multiplicities, entry.corrections, 3, bits)]
-    if (isinstance(poly, FactoredForm)
-            and FACTORED_BITS >= _factored_need(entry.approximations,
-                                                entry.corrections, 3)):
-        rungs.insert(0, FACTORED_BITS)
-    for rung in rungs:
-        if rung == bits:
-            break
+    rung = _rung(multiplicities, entry.corrections, 3, bits)
+    if rung < bits:
         start = [to_mpf(x, rung) for x in entry.approximations]
         try:
             new, corrections = _sweep(poly, multiplicities, start, rung,
                                       settings.sweep_mode)
         except tuple(FAILURES):
-            continue  # a rung too coarse to carry what full precision can
-        need = (_factored_need(new, corrections, 1) if rung == FACTORED_BITS
-                else _need(multiplicities, corrections, 1))
-        if (need <= rung and max(corrections) > settings.tolerance
-                and all(map(operator.ne, new, start))):
-            return _entry(poly, new, entry.k + 1, rung, corrections,
-                          true_roots)
+            pass  # a rung too coarse to carry what full precision can
+        else:
+            if (_need(multiplicities, corrections, 1) <= rung
+                    and max(corrections) > settings.tolerance
+                    and all(map(operator.ne, new, start))):
+                return _entry(poly, new, entry.k + 1, rung, corrections,
+                              true_roots)
     return step(poly, multiplicities, entry, settings, true_roots=true_roots)
 
 
@@ -604,10 +563,9 @@ def trace_order(trace):
 
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
-    """Iterate `step` until every correction is within tolerance, each sweep
-    above FLOOR bits, and a factored form's above 53 bits, on the precision
-    ladder (`_ladder_step`).  Without `settings` the solve runs at the
-    polynomial's precision.
+    """Iterate `step` until every correction is within tolerance, above
+    FLOOR bits on the precision ladder (`_ladder_step`).  Without
+    `settings` the solve runs at the polynomial's precision.
 
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the

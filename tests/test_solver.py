@@ -181,8 +181,7 @@ class TestSolve:
         # of the ladder, and its memo serves them all.  A factored form
         # (example2 and example3) takes its residuals on first read: inside
         # the solve it runs only lookups at its stored roots, which may
-        # repeat, and its other points run once each when they are read,
-        # from its first sweeps' on the FACTORED_BITS rung
+        # repeat, and its other points run once each when they are read
         calls, held = count_passes(monkeypatch)
         problem = load_problem(
             resources.files("multiroots.problems") / f"{name}.json", bits)
@@ -199,8 +198,7 @@ class TestSolve:
         assert points and max(points.values()) == 1
         assert len(held) == 1
         rungs = {prec for _, _, prec in points}
-        lowest = solver.FACTORED_BITS if stored else min(bits, solver.FLOOR)
-        assert (min(rungs), max(rungs)) == (lowest, bits)
+        assert (min(rungs), max(rungs)) == (min(bits, solver.FLOOR), bits)
 
     def test_example2_converges_within_five_sweeps(self):
         bits = 192
@@ -435,8 +433,7 @@ class TestPrecisionLadder:
                              ids=[f for f, _ in LADDER_CASES])
     def test_a_coefficient_form_at_or_below_the_floor_is_the_step_loop(
             self, family, case, mode, bits):
-        # coefficient forms only: a factored form above 53 bits starts on
-        # the FACTORED_BITS rung (TestFactoredRung)
+        # a factored form's loop is TestDeferredResiduals'
         poly = expanded(family, case, bits)
         settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
         report = solve(poly, case["mults"], case["initial"], settings,
@@ -472,6 +469,25 @@ class TestPrecisionLadder:
                 assert entry.errors == tuple(
                     abs(root_offset(family, x, to_mpf(r, bits)))
                     for x, r in zip(entry.approximations, case["roots"]))
+
+    @pytest.mark.parametrize("bits", [128, 192, 1024])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    @pytest.mark.parametrize("family, case", LADDER_CASES,
+                             ids=[f for f, _ in LADDER_CASES])
+    @pytest.mark.parametrize("representation", [expanded, factored])
+    def test_every_entry_is_at_full_precision_or_on_a_rung(
+            self, representation, family, case, mode, bits):
+        # the only precisions below the solve's are FLOOR * 2**j, whatever
+        # the representation
+        rungs = {solver.FLOOR * 2 ** j for j in range(3)}
+        poly = representation(family, case, bits)
+        report = solve(poly, case["mults"], case["initial"],
+                       SolveSettings(precision_bits=bits, sweep_mode=mode))
+        assert report.termination == "converged"
+        for entry in report.trace:
+            assert (entry.precision_bits == bits
+                    or entry.precision_bits in rungs
+                    and entry.precision_bits < bits), entry.k
 
     @pytest.mark.parametrize("representation", [expanded, factored])
     def test_restart_from_converged_roots_redoes_at_full_precision(
@@ -539,74 +555,30 @@ class TestPrecisionLadder:
         assert rounded.config == poly.config
 
     def test_roots_that_coincide_once_rounded_keep_the_floor(self):
-        # roots 2**-300 apart coincide at 53 bits, but a factored sweep
+        # roots 2**-300 apart coincide at FLOOR bits, but a factored sweep
         # reads the roots as they are, so the first sweep stays on the
-        # lowest rung, FACTORED_BITS
+        # lowest rung
         bits = 1024
         with mp.workprec(bits):
             roots = (1, 1 + mp.mpf(2) ** -300)
         poly = factored(ALGEBRAIC, dict(roots=roots, mults=(1, 1)), bits)
         report = solve(poly, (1, 1), ("0.5", "1.5"),
                        SolveSettings(precision_bits=bits, max_iterations=1))
-        assert report.trace[1].precision_bits == solver.FACTORED_BITS
+        assert report.trace[1].precision_bits == solver.FLOOR
 
 
-def factored_rung_case(family, m, bits):
-    """A seeded factored form of m roots 0.3-0.45 apart, within one period,
-    with multiplicities 1-3, and starts a tenth of the smallest gap off the
-    roots, alternating sides.  The roots are 6-decimal strings, none of
-    them a 53-bit value: a 53-bit sweep can land exactly on such a root,
-    and the solve then ends sooner than the ladder without that rung."""
-    rng = random.Random(f"float rung {family} {m} {bits}")  # its first label
-    mults = [rng.randint(1, 3) for _ in range(m)]
-    if family != ALGEBRAIC and sum(mults) % 2:
-        mults[-1] += 1 if mults[-1] < 3 else -1
-    roots = [rng.uniform(-2.0, -1.5)]
-    for _ in range(m - 1):
-        roots.append(roots[-1] + rng.uniform(0.3, 0.45))
-    cfg = RootConfiguration([f"{r:.6f}" for r in roots], mults,
-                            precision_bits=bits)
-    with mp.workprec(bits):
-        nudge = gaps(cfg.roots)[0] / 10
-        initial = [r + (-1) ** i * nudge for i, r in enumerate(cfg.roots)]
-    return FactoredForm(family, cfg), cfg.multiplicities, initial
-
-
-def without_factored_rung(monkeypatch, *args, **kwargs):
-    """`solve` with the FACTORED_BITS rung taken out, as the rungs from
-    FLOOR alone solve."""
-    with monkeypatch.context() as patched:
-        patched.setattr(solver, "_factored_need", lambda *args: math.inf)
-        return solve(*args, **kwargs)
-
-
-def count_rung_sweeps(monkeypatch):
-    """A list that gains an item per `solver._sweep` call at FACTORED_BITS
-    until monkeypatch undoes it."""
-    calls, real = [], solver._sweep
-
-    def counted(*args):
-        if args[3] == solver.FACTORED_BITS:
-            calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_sweep", counted)
-    return calls
-
-
-# (family, roots, multiplicities, starts, bits) of solves whose sweeps at
-# FACTORED_BITS all go to the ladder
+# (family, roots, multiplicities, starts, bits) of factored solves that
+# start on a root or within 2**-50 of one
 with mp.workprec(128):
-    RUNG_FALLBACKS = {
-        # x - r is about 2**-55: the correction is below half an ulp, and
-        # the iterate does not move
+    CLOSE_STARTS = {
+        # x - r is about 2**-55
         "start on a root's 53-bit value": (
             ALGEBRAIC, (mp.mpf(1) / 3, 2), (2, 1),
             (to_mpf(mp.mpf(1) / 3, 53), "2.1"), 128),
-        # x - r is 0: the coordinate freezes, and the iterate does not move
+        # x - r is 0: the coordinate freezes
         "start on a root": (TRIGONOMETRIC, ("0.5", 2), (2, 2),
                             ("0.5", "2.1"), 128),
-        # the starts are 2**-58 apart, one 53-bit value: they collide
+        # the starts are 2**-58 apart, one 53-bit value
         "starts on one 53-bit value": (
             EXPONENTIAL, (1, 1 + mp.mpf(2) ** -50, 3), (1, 1, 2),
             (1 + mp.mpf(2) ** -51 - mp.mpf(2) ** -59,
@@ -616,49 +588,16 @@ with mp.workprec(128):
 LIBM = ("sin", "tan", "sinh", "tanh")
 
 
-class TestFactoredRung:
-    """A factored solve above 53 bits runs its first sweeps at FACTORED_BITS,
-    the lowest rung of `solver._ladder_step`, kept on the ladder's terms."""
-
-    @pytest.mark.parametrize("bits", [128, 1024])
-    @pytest.mark.parametrize("m", [2, 5, 12])
-    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
-    def test_a_53_bit_entry_is_the_full_precision_step_to_53_bits(
-            self, monkeypatch, family, m, bits):
-        # each 53-bit entry lies within 4 ulps of max(|x|, 1) of `step` at
-        # full precision from the same entry, and its residuals are the
-        # 53-bit `evaluate`; the solve ends as the ladder without the rung
-        # ends it, after as many sweeps
-        poly, mults, initial = factored_rung_case(family, m, bits)
-        for mode in ("simultaneous", "sequential"):
-            settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
-            report = solve(poly, mults, initial, settings)
-            kept = [e for e in report.trace
-                    if e.precision_bits == solver.FACTORED_BITS]
-            assert kept, mode
-            for entry in kept:
-                exact = step(poly, mults, report.trace[entry.k - 1], settings)
-                for x, y in zip(entry.approximations, exact.approximations):
-                    assert abs(x - y) <= 4 * mp.mpf(2) ** -53 * max(abs(y), 1)
-                with mp.workprec(53):
-                    assert entry.residuals == tuple(
-                        abs(evaluate(poly, x, 53))
-                        for x in entry.approximations)
-            parent = without_factored_rung(monkeypatch, poly, mults, initial,
-                                           settings)
-            assert ((report.termination, report.iterations_used)
-                    == (parent.termination, parent.iterations_used)), mode
+class TestFactoredLadder:
+    """A factored solve climbs the ladder from FLOOR, as a coefficient
+    form's does."""
 
     @pytest.mark.parametrize("bits", [128, 192])
     @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
-    def test_roots_far_from_zero_end_as_the_ladder_without_the_rung_ends(
-            self, monkeypatch, family, bits):
-        # 53-bit values 1e15 apart from zero are 1/8 apart: a correction
-        # below 1/16 leaves its iterate where it was, and a 53-bit sweep
-        # kept there repeats until max_iterations.  The iterates' size keeps
-        # the rung out near 1e15 and narrows it near 2**20, and every sweep
-        # it keeps moves every iterate
-        for centre, low in (("1e15", False), ("1048576", True)):
+    def test_roots_far_from_zero_converge(self, family, bits):
+        # the fixed-point scale grows with the iterates (`_fixed_scale`), so
+        # roots near 1e15 and 2**20 converge as roots near 0 do
+        for centre in ("1e15", "1048576"):
             with mp.workprec(bits):
                 roots = [mp.mpf(centre) + mp.mpf(d) for d in ("0.3", "1.3")]
                 initial = [roots[0] - mp.mpf("0.1"), roots[1] + mp.mpf("0.1")]
@@ -667,42 +606,23 @@ class TestFactoredRung:
             for mode in ("simultaneous", "sequential"):
                 settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
                 report = solve(poly, (2, 2), initial, settings)
-                parent = without_factored_rung(monkeypatch, poly, (2, 2),
-                                               initial, settings)
                 assert report.termination == "converged", (centre, mode)
-                assert (report.iterations_used
-                        == parent.iterations_used), (centre, mode)
-                kept = [e for e in report.trace
-                        if e.precision_bits == solver.FACTORED_BITS]
-                assert bool(kept) == low, (centre, mode)
-                for entry in kept:
-                    before = report.trace[entry.k - 1].approximations
-                    assert all(x != y for x, y
-                               in zip(entry.approximations, before))
 
-    @pytest.mark.parametrize("case", list(RUNG_FALLBACKS))
-    def test_a_rung_sweep_refused_goes_to_the_ladder(self, monkeypatch, case):
-        # each solve tries the 53-bit sweep, and hands every one it tries
-        # to the ladder unchanged
-        family, roots, mults, initial, bits = RUNG_FALLBACKS[case]
+    @pytest.mark.parametrize("case", list(CLOSE_STARTS))
+    def test_close_starts_are_the_step_loop(self, case):
+        family, roots, mults, initial, bits = CLOSE_STARTS[case]
         cfg = RootConfiguration(roots, mults, precision_bits=bits)
         poly = FactoredForm(family, cfg)
         settings = SolveSettings(precision_bits=bits)
-        calls = count_rung_sweeps(monkeypatch)
         report = solve(poly, mults, initial, settings)
-        assert calls
-        parent = without_factored_rung(monkeypatch, poly, mults, initial,
-                                       settings)
-        assert report.termination == parent.termination == "converged"
-        assert solver.FACTORED_BITS not in {e.precision_bits
-                                            for e in report.trace}
-        assert report.trace == parent.trace
+        trace, termination = step_loop(poly, mults, initial, settings)
+        assert report.termination == termination == "converged"
+        assert report.trace == tuple(trace)
 
     @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
-    def test_roots_that_share_a_53_bit_value_take_the_rung(self, family):
+    def test_roots_that_share_a_53_bit_value_converge_apart(self, family):
         # a fixed-point sweep reads the roots as they are, so roots 1e-18
-        # apart take the rung, and the solve still converges and
-        # separates them
+        # apart converge and are separated
         bits = 192
         poly = factored(family, dict(roots=("1", "1.000000000000000001"),
                                      mults=(1, 1)), bits)
@@ -710,34 +630,7 @@ class TestFactoredRung:
                        SolveSettings(precision_bits=bits),
                        true_roots=poly.config.roots)
         assert report.termination == "converged"
-        assert solver.FACTORED_BITS in {e.precision_bits
-                                        for e in report.trace}
         assert max(report.trace[-1].errors) <= mp.mpf(2) ** (32 - bits)
-
-    def test_no_53_bit_rung_at_53_bits_or_in_coefficient_form(self,
-                                                             monkeypatch):
-        calls = count_rung_sweeps(monkeypatch)
-        for family, case in LADDER_CASES:
-            for poly, bits in ((expanded(family, case, 128), 128),
-                               (expanded(family, case, 1024), 1024)):
-                report = solve(poly, case["mults"], case["initial"],
-                               SolveSettings(precision_bits=bits))
-                assert report.termination == "converged"
-            assert not calls, family
-            report = solve(factored(family, case, 128), case["mults"],
-                           case["initial"], SolveSettings(precision_bits=128))
-            assert report.trace[1].precision_bits == solver.FACTORED_BITS
-            assert calls
-            calls.clear()
-            # at 53 bits every sweep is a `step`
-            settings = SolveSettings(precision_bits=53)
-            poly = factored(family, case, 53)
-            report = solve(poly, case["mults"], case["initial"], settings)
-            trace, termination = step_loop(poly, case["mults"],
-                                           case["initial"], settings)
-            assert report.termination == termination == "converged"
-            assert report.trace == tuple(trace)
-            calls.clear()
 
     def test_a_factored_report_reads_no_libm_trigonometry(
             self, monkeypatch, tmp_path):
@@ -775,8 +668,6 @@ class TestFactoredRung:
                     sys.setprofile(None)
             assert not seen, name
             assert patched.read_bytes() == plain.read_bytes(), name
-            report = json.loads(plain.read_text())
-            assert 53 in [e["precision_bits"] for e in report["trace"]], name
 
 
 class TestDeferredResiduals:
@@ -827,16 +718,13 @@ class TestDeferredResiduals:
     @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
     @pytest.mark.parametrize("family, case", LADDER_CASES,
                              ids=[f for f, _ in LADDER_CASES])
-    def test_a_hand_driven_loop_is_the_solve(self, monkeypatch, family, case,
-                                             mode, bits):
-        # at or below FLOOR, and without the FACTORED_BITS rung, every
-        # sweep of the solve is a `step`: the loop's deferred entries equal
-        # the solve's
+    def test_a_hand_driven_loop_is_the_solve(self, family, case, mode, bits):
+        # at or below FLOOR every sweep of the solve is a `step`: the loop's
+        # deferred entries equal the solve's
         poly = factored(family, case, bits)
         settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
-        report = without_factored_rung(monkeypatch, poly, case["mults"],
-                                       case["initial"], settings,
-                                       true_roots=case["roots"])
+        report = solve(poly, case["mults"], case["initial"], settings,
+                       true_roots=case["roots"])
         trace, termination = step_loop(poly, case["mults"], case["initial"],
                                        settings, true_roots=case["roots"])
         assert report.termination == termination == "converged"
@@ -935,7 +823,7 @@ class TestPairMemo:
         monkeypatch.setattr(solver, "_sweep", counted_sweep)
         monkeypatch.setattr(solver, "log_derivative_sum", recorded_sum)
         # the coefficient form: the factored form's sweeps hold no dict of
-        # mpf terms, and its first sweeps run on the FACTORED_BITS rung
+        # mpf terms
         poly, mults, initial = drawn_case(random.Random(3), TRIGONOMETRIC, 4,
                                           1024)
         report = solve(expand_from_roots(poly), mults, initial,
