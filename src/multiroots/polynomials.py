@@ -51,8 +51,10 @@ The solver's factored sweeps read no kernel here: they sum g'/g in
 Python ints at one scale per sweep, on mpmath's own fixed-point
 elementary functions (`libelefun`).  A series term comes from the two
 points' fixed-point bases (`sweep_basis`), by angle subtraction, or from
-the family's direct entry `fixed_log_derivative` where that cancels; a
-factored form keeps its roots' bases per scale (`FactoredForm.fixed_roots`).
+the family's direct entry `fixed_log_derivative` where that cancels
+(`fixed_term`); a factored form hands each sweep its roots with their
+bases, its points' basis rule and that term, kept per scale
+(`FactoredForm.fixed_roots`).
 Their trace entries run the value stage of their residuals only when
 something reads them.
 """
@@ -260,6 +262,38 @@ def sweep_basis(family, u, frac):
         return None
     e, o = pair(u << (BASIS_GUARD - 1), frac + BASIS_GUARD)
     return e, o, max(abs(e), abs(o)).bit_length()
+
+
+def fixed_term(family, frac):
+    """The map (u, bx, by) -> h(u) * 2**frac of a fixed-point sweep at the
+    scale 2**frac, with h = g'/g the family's log-derivative, u the int
+    offset x - y of two points and bx, by their `sweep_basis` about the
+    sweep's centre, or None.
+
+    A series term comes from the two bases (E, O): with s the family's
+    sign, h(x - y) = (1/2) (E_x E_y - s O_x O_y) / (O_x E_y - E_x O_y),
+    floored at the scale with the denominator's sign, so that it is odd.
+    It is kept where the denominator lies at most BASIS_LOSS bits below
+    the larger products, which keeps it within about a unit of 2**-frac;
+    elsewhere, and where a point has no basis, the term is the family's
+    direct `fixed_log_derivative`: close pairs, trigonometric pairs near a
+    multiple of 2 pi, exponential pairs far to one side of the centre, and
+    far points.  The algebraic family has no basis: its terms are one
+    division each."""
+    fam = FAMILY[family]
+    h, sign = fam.fixed_log_derivative, fam.derivative_sign
+
+    def term(u, bx, by):
+        if bx and by:
+            ex, ox, tx = bx
+            ey, oy, ty = by
+            d = ox * ey - ex * oy
+            if tx + ty - d.bit_length() <= BASIS_LOSS:
+                q = ((ex * ey - sign * ox * oy) << (frac - 1)) // abs(d)
+                return q if d > 0 else -q
+        return h(u, frac)
+
+    return term
 
 
 def degree_of(family, multiplicities):
@@ -529,18 +563,24 @@ class FactoredForm:
                            frozenset(r._mpf_ for r in self.config.roots))
 
     def fixed_roots(self, frac):
-        """(centre, roots) at the fixed-point scale 2**frac: each root as
-        (r, alpha, basis), with r floored to the scale and basis its
-        `sweep_basis` about the centre, the middle of the smallest and
-        largest root.  Kept per scale, and dropped as the point memo drops
+        """(roots, basis, term) of a sweep at the fixed-point scale
+        2**frac: each root as (r, alpha, basis(r)), with r floored to the
+        scale; basis(x) the `sweep_basis` of the int point x about the
+        middle of the smallest and largest root; and the family's
+        `fixed_term`.  Kept per scale, and dropped as the point memo drops
         its points, so the sweeps of a solve take each scale's once."""
         kept = self._fixed.get(frac)
         if kept is None:
             fixed = [to_fixed(r._mpf_, frac) for r in self.config.roots]
             centre = (min(fixed) + max(fixed)) >> 1
-            kept = self._fixed[frac] = centre, [
-                (r, a, sweep_basis(self.family, r - centre, frac))
-                for r, a in zip(fixed, self.config.multiplicities)]
+
+            def basis(x):
+                return sweep_basis(self.family, x - centre, frac)
+
+            kept = self._fixed[frac] = (
+                [(r, a, basis(r))
+                 for r, a in zip(fixed, self.config.multiplicities)],
+                basis, fixed_term(self.family, frac))
             if len(self._fixed) > self._memo_limit:
                 del self._fixed[next(iter(self._fixed))]
         return kept

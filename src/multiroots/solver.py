@@ -49,9 +49,8 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .polynomials import (
-    BASIS_LOSS,
-    FAMILY,
     FactoredForm,
+    _top,
     collision_threshold,
     evaluate,
     evaluate_derivative,
@@ -60,7 +59,6 @@ from .polynomials import (
     require_distinct,
     require_multiplicities,
     root_offset,
-    sweep_basis,
 )
 from .precision import eps, require_bits, to_mpf, working
 
@@ -321,8 +319,7 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
 def _fixed_scale(values, bits):
     """The fraction bits of a fixed-point sweep at `bits` over the raw
     `values`: bits + FIXED_GUARD + log2 of the largest |value| above 1."""
-    top = max((e + bc for _, man, e, bc in values if man), default=0)
-    return bits + FIXED_GUARD + max(0, top)
+    return bits + FIXED_GUARD + max(0, _top(*values))
 
 
 def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
@@ -339,19 +336,10 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
     quotient floored at the scale, or finer where it would keep fewer
     than bits + 2 bits; the new iterate and |correction| are each rounded
     once to `bits`.  The approximations and the roots enter the scale
-    floored, exactly where they have no bits below 2**-frac.
-
-    A series term comes from the two points' bases (E, O) about the
-    sweep's centre (`sweep_basis`; the roots' from `form.fixed_roots`):
-    with s the family's sign, h(x - y) = (1/2) (E_x E_y - s O_x O_y) /
-    (O_x E_y - E_x O_y), floored at the scale with the denominator's sign,
-    so that it is odd.  It is kept where the denominator lies at most
-    BASIS_LOSS bits below the larger products, which keeps it within about
-    a unit of 2**-frac; elsewhere, and where a point has no basis, the
-    term is the family's direct `fixed_log_derivative`: close pairs,
-    trigonometric pairs near a multiple of 2 pi, exponential pairs far to
-    one side of the centre, and far points.  The algebraic family has no
-    basis: its terms are one division each.
+    floored, exactly where they have no bits below 2**-frac.  Every term
+    h(x - y) is the family's `fixed_term` of the offset and the two
+    points' bases, which `form.fixed_roots` hands the sweep with the
+    roots and theirs.
 
     A coordinate freezes where x_i is a root at this scale (f = 0 there,
     or x_i within 2**-frac of a root that carries more bits), and the
@@ -365,27 +353,9 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
     within 2**-frac of a pole (an iterate a period from a root or from
     another) raises ZeroDivisionError.
     """
-    fam = FAMILY[form.family]
-    h, sign = fam.fixed_log_derivative, fam.derivative_sign
     raws = [to_mpf(x, bits)._mpf_ for x in approximations]
     frac = _fixed_scale(raws + [r._mpf_ for r in form.config.roots], bits)
-    centre, roots = form.fixed_roots(frac)
-
-    def basis(x):
-        return sweep_basis(form.family, x - centre, frac)
-
-    def term(u, bx, by):
-        # h(u) at u = x - y, from the bases bx of x and by of y where they
-        # carry it
-        if bx and by:
-            ex, ox, tx = bx
-            ey, oy, ty = by
-            d = ox * ey - ex * oy
-            if tx + ty - d.bit_length() <= BASIS_LOSS:
-                q = ((ex * ey - sign * ox * oy) << (frac - 1)) // abs(d)
-                return q if d > 0 else -q
-        return h(u, frac)
-
+    roots, basis, term = form.fixed_roots(frac)
     threshold = collision_threshold(bits)
     near = to_fixed(threshold._mpf_, frac)
     current = [to_fixed(x, frac) for x in raws]
@@ -402,12 +372,7 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
         if 0 in offsets:
             continue
         bx = bases[i]
-        # without a basis at x_i, every term is direct
-        if bx:
-            own = sum(a * term(u, bx, rb)
-                      for u, (_, a, rb) in zip(offsets, roots))
-        else:
-            own = sum(a * h(u, frac) for u, (_, a, _) in zip(offsets, roots))
+        own = sum(a * term(u, bx, rb) for u, (_, a, rb) in zip(offsets, roots))
         coupling = 0
         for j, xj in enumerate(source):
             if j == i:
@@ -419,7 +384,7 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
                     threshold, i=i)
             t = pairs.pop((i, j), None)
             if t is None:
-                t = term(u, bx, source_bases[j]) if bx else h(u, frac)
+                t = term(u, bx, source_bases[j])
                 if not sequential:
                     pairs[j, i] = -t
             coupling += multiplicities[j] * t
@@ -446,7 +411,7 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
 
 
 def _need(multiplicities, corrections, sweeps):
-    """The bits an mpmath sweep needs: max_i (alpha_i + 2) * sweeps *
+    """The bits a sweep needs: max_i (alpha_i + 2) * sweeps *
     log2(1/c_i) + GUARD, infinite once a correction is 0 (mp.mag(0) is
     -inf).  log2(1/c) is taken as -mp.mag(c), at most one bit low, which
     GUARD covers.

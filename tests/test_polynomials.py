@@ -653,20 +653,65 @@ class TestFixedPoint:
             assert polynomials.sweep_basis(family, u, frac) is None
         assert polynomials.sweep_basis(ALGEBRAIC, 1 << frac, frac) is None
 
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    @pytest.mark.parametrize("frac", [77, 152, 1048])
+    def test_each_term_is_odd_and_from_bases_within_two_units(
+            self, family, frac):
+        # fixed_term(family, frac) at seeded pairs x, y within the reach of
+        # a centre 0, each with or without its basis: h(y - x) from the
+        # swapped bases is -h(x - y) bit for bit.  Without both bases, or
+        # where their denominator O_x E_y - E_x O_y lies more than
+        # BASIS_LOSS bits below the products, the term is the direct
+        # entry; elsewhere it is within 2 units of h at 3 frac bits.  That
+        # is tighter than the direct entry, which its own test lets stray
+        # 2 |u| (1 + |h'(u)|) units above |u| = 1
+        term = polynomials.fixed_term(family, frac)
+        entry = polynomials.FAMILY[family].fixed_log_derivative
+        rng = random.Random(f"fixed term {family} {frac}")
+        reach = frac + polynomials.BASIS_REACH
+        from_bases = 0
+        with mp.workprec(3 * frac):
+            for _ in range(60):
+                x, y = (rng.choice((-1, 1)) * rng.randrange(1 << reach)
+                        for _ in range(2))
+                if x == y:
+                    continue
+                u = x - y
+                bx, by = (polynomials.sweep_basis(family, v, frac)
+                          if rng.random() < 0.8 else None for v in (x, y))
+                t = term(u, bx, by)
+                assert term(-u, by, bx) == -t, (x, y)
+                if bx and by:
+                    (ex, ox, tx), (ey, oy, ty) = bx, by
+                    loss = tx + ty - (ox * ey - ex * oy).bit_length()
+                if not (bx and by) or loss > polynomials.BASIS_LOSS:
+                    assert t == entry(u, frac), (x, y)
+                    continue
+                half = mp.ldexp(u, -frac - 1)
+                h = (mp.cot(half) if family == TRIGONOMETRIC
+                     else mp.coth(half)) / 2
+                assert abs(t - mp.ldexp(h, frac)) <= 2, (x, y)
+                from_bases += 1
+        assert (from_bases > 0) == (family != ALGEBRAIC)
+
     def test_a_form_keeps_its_roots_bases_per_scale_first_in_first_out(
             self, monkeypatch):
         # each root floored to the scale with its basis about the middle of
-        # the roots, one basis call per root and scale while the scale is
-        # kept; the form keeps as many scales as its point memo keeps points
+        # the roots, which `basis` takes any point's about, one basis call
+        # per root and scale while the scale is kept; the form keeps as
+        # many scales as its point memo keeps points
         calls = count_family_calls(monkeypatch, EXPONENTIAL)
         form = FactoredForm(EXPONENTIAL, RootConfiguration(
             ["-1", "0.5", "2"], [1, 2, 3], precision_bits=128))
         limit = 6
         fracs = range(150, 150 + 3 * limit)
         for frac in fracs:
-            centre, roots = form.fixed_roots(frac)
+            roots, basis, _ = form.fixed_roots(frac)
             fixed = [to_fixed(r._mpf_, frac) for r in form.config.roots]
-            assert centre == (fixed[0] + fixed[-1]) >> 1
+            centre = (fixed[0] + fixed[-1]) >> 1
+            for x in fixed + [centre, centre - (3 << frac), 7 << frac]:
+                assert basis(x) == polynomials.sweep_basis(
+                    EXPONENTIAL, x - centre, frac)
             assert roots == [
                 (r, a, polynomials.sweep_basis(EXPONENTIAL, r - centre, frac))
                 for r, a in zip(fixed, form.config.multiplicities)]
