@@ -87,6 +87,19 @@ class ConvergenceParams:
                                 precision_bits=self.precision_bits)
         if len(cfg.roots) < 2:
             raise InvalidConfigurationError("need >= 2 roots")
+        reals = {name: to_mpf(getattr(self, name), self.precision_bits)
+                 for name in ("c", "q", "kappa")
+                 if getattr(self, name) is not None}
+        # a nan or inf would fail clauses, or the feasibility searches,
+        # and blame the configuration
+        for name, value in (*reals.items(),
+                            *((f"roots[{i}]", r)
+                              for i, r in enumerate(cfg.roots))):
+            if not mp.isfinite(value):
+                raise InvalidConfigurationError(
+                    f"{name} must be finite, got {value}")
+        for name, value in reals.items():
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "n", degree_of(self.family, cfg.multiplicities))
         with working(self.precision_bits):
             d, max_gap = gaps(cfg.roots)
@@ -94,10 +107,6 @@ class ConvergenceParams:
         object.__setattr__(self, "max_gap", max_gap)
         object.__setattr__(self, "roots", cfg.roots)
         object.__setattr__(self, "multiplicities", cfg.multiplicities)
-        object.__setattr__(self, "c", to_mpf(self.c, self.precision_bits))
-        object.__setattr__(self, "q", to_mpf(self.q, self.precision_bits))
-        if self.kappa is not None:
-            object.__setattr__(self, "kappa", to_mpf(self.kappa, self.precision_bits))
 
 
 def _algebraic(p):

@@ -337,7 +337,9 @@ def load_report(path):
     of the solver's TERMINATIONS, entry i's `k` is i, and `iterations_used`
     is the last entry's `k`; a missing `k` or `iterations_used` takes that
     value.  `final` and `residuals`, when present, are the last entry's,
-    and only a converged report carries an `estimated_order`.
+    and `estimated_order` is a real or null, and null unless `termination`
+    is converged.  The report it returns reads its order off the trace
+    (`SolveReport.estimated_order`), not off the file.
     A report that breaks a rule no longer describes one solve and is a
     SchemaError naming the key."""
     data = _read_json(path)
@@ -409,5 +411,5 @@ def load_report(path):
     _require(order is None or data["termination"] == CONVERGED,
              "only a converged solve carries an order", loc)
     if order is not None:
-        order = checked_real(order, bits, loc, finite=False)
-    return SolveReport(data["termination"], tuple(trace), order)
+        checked_real(order, bits, loc, finite=False)
+    return SolveReport(data["termination"], tuple(trace))

@@ -27,15 +27,15 @@ sweeps run in fixed point on each.
 
 Each sweep's TraceEntry records the residuals |f(x_i)| at its precision.
 No factored sweep reads f, so a factored form's entries take theirs on
-first read (`_entry`).  Inside a factored solve only the order estimate
-reads them, and only at an entry where a coordinate stood still
-(`order_error_sequence`); an iterate on a stored root reads f = 0 there
-by lookup.
+first read (`_entry`).  No step of a solve reads them: the report's order
+(`SolveReport.estimated_order`) does, on its first read, and only at an
+entry where a coordinate stood still (`order_error_sequence`); an iterate
+on a stored root reads f = 0 there by lookup.
 """
 
 import operator
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -157,11 +157,22 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A solve's record: its trace, which holds the roots it ended on, the
-    sweeps it ran and its precision, how it ended, and the order it saw."""
+    """A solve's record: how it ended, and its trace, which holds the roots
+    it ended on, the sweeps it ran, its precision and the order it saw."""
     termination: str
     trace: tuple
-    estimated_order: object = None
+
+    @cached_property
+    def estimated_order(self):
+        """The trace's order (`trace_order`), taken on the first read and
+        kept.  Only a converged solve carries one, and only where a window
+        of its trace qualifies; otherwise None."""
+        if self.termination != CONVERGED:
+            return None
+        try:
+            return trace_order(self.trace)[0].order
+        except InsufficientDataError:
+            return None
 
     @property
     def final(self):
@@ -529,17 +540,17 @@ def trace_order(trace):
 
 def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     """Iterate `step` until every correction is within tolerance, above
-    FLOOR bits on the precision ladder (`_ladder_step`).  Without
-    `settings` the solve runs at the polynomial's precision.
+    FLOOR bits on the precision ladder (`_ladder_step`), and return the
+    SolveReport of the termination and the trace.  Without `settings` the
+    solve runs at the polynomial's precision.
 
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the
     collision threshold), `diverged` (degenerate denominator or the
     approximations left a generous bounding radius), `nonfinite` (see
-    FAILURES).  Only a converged solve carries an `estimated_order`.
-    Starts or true roots that are not finite reals, or true roots that
-    are not one per start, raise InvalidConfigurationError before any
-    sweep.
+    FAILURES).  Starts or true roots that are not finite reals, or true
+    roots that are not one per start, raise InvalidConfigurationError
+    before any sweep.
     """
     settings = settings or SolveSettings(precision_bits=poly.precision_bits)
     # a copy with an empty point memo, which serves every rung of this
@@ -568,10 +579,4 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         if max(entry.corrections) <= settings.tolerance:
             termination = CONVERGED
             break
-    order = None
-    if termination == CONVERGED:
-        try:
-            order = trace_order(trace)[0].order
-        except InsufficientDataError:
-            pass
-    return SolveReport(termination, tuple(trace), order)
+    return SolveReport(termination, tuple(trace))

@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 from mpmath import mp
 
-from multiroots import ALGEBRAIC, EXPONENTIAL, RootConfiguration, polynomials
+from multiroots import (ALGEBRAIC, EXPONENTIAL, RootConfiguration,
+                        polynomials, solver)
 
 
 def random_configuration(rng, family, bits=53, m_range=(2, 5), alpha_max=4,
@@ -85,6 +86,18 @@ def count_family_calls(monkeypatch, family):
         name: counted(name)
         for name in ("basis_pair", "factor_pair", "half_cotangent",
                      "fixed_log_derivative", "fixed_basis")}))
+    return calls
+
+
+def count_trace_orders(monkeypatch):
+    """A list of the traces `solver.trace_order` is called on, the order
+    estimate of `SolveReport.estimated_order`, until monkeypatch undoes it."""
+    calls, run = [], solver.trace_order
+
+    def counted(trace):
+        calls.append(trace)
+        return run(trace)
+    monkeypatch.setattr(solver, "trace_order", counted)
     return calls
 
 

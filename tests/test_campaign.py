@@ -1,28 +1,37 @@
-"""The honest-termination campaign's random class, asserted.
+"""The honest-termination campaign: the random class, asserted, and the
+period-shift class, counted.
 
-Each draw is a `random_configuration` (families in turn, m = 2-5, alpha
-<= 4) at 128 or 256 bits, solved in factored or coefficient form in
-either sweep mode from starts r + U(-s, s) * (smallest gap), s in {0.2,
-0.35, 0.5}.  A draw is right when its solve ends `converged` with every
-root within 2**(32 - bits) relative to max(|r|, 1), or within its alpha-th
-root of that for an alpha-fold root of a coefficient form, whose rounded
-coefficients split the root into a cluster of about that radius.
-Trigonometric roots are compared modulo 2 pi.
+Each draw of the random class is a `random_configuration` (families in
+turn, m = 2-5, alpha <= 4) at 128 or 256 bits, solved in factored or
+coefficient form in either sweep mode from starts r + U(-s, s) *
+(smallest gap), s in {0.2, 0.35, 0.5}.  A draw is right when its solve
+ends `converged` with every root within 2**(32 - bits) relative to
+max(|r|, 1), or within its alpha-th root of that for an alpha-fold root of
+a coefficient form, whose rounded coefficients split the root into a
+cluster of about that radius.  Trigonometric roots are compared modulo
+2 pi.
 
-Tier-1 runs the first TIER1_DRAWS draws and asserts that every one is
-right.  A larger sample runs as a script, with the number of draws as its
-argument:
+Draw n of the period-shift class is the n-th trigonometric draw of the
+random class with start j set to start i + 2 pi k, at the solve's bits;
+i != j and k = +-1 come from a seeded RNG of the class's own.  The two
+starts are one point modulo the period, where the coupling term has a
+pole, and no collision test sees it.  The class is counted, not
+asserted, until the solver treats such starts as the one point they are.
 
-    python tests/test_campaign.py 3000
+Tier-1 runs the first TIER1_DRAWS draws of the random class and asserts
+that every one is right.  Larger samples run as a script, with the number
+of random draws and, optionally, of period-shift draws as its arguments:
 
-It prints the count of each outcome and the draws that are not right, and
-exits 1 unless every solve converged.  A wrong draw is counted, not
-failed, while the larger sample holds one: draw 890, a simple root of an
-exponential coefficient form beside a 4-fold one, where |f'(r)| is about
-3e-6 and the root ends 5.0e-29 from the truth, 4 times its tolerance but
-within the 8.4e-29 that the evaluation noise over |f'(r)| allows.
+    python tests/test_campaign.py 3000 300
+
+It prints the count of each outcome per class and the random draws that
+are not right, and exits 1 unless every solve of the random class
+converged.  A wrong draw is counted, not failed, while the larger sample
+holds one: draw 890, a simple root of an exponential coefficient form
+beside a 4-fold one, where |f'(r)| is about 3e-6 and the root ends
+5.0e-29 from the truth, 4 times its tolerance but within the 8.4e-29 that
+the evaluation noise over |f'(r)| allows.
 """
-
 import random
 import sys
 from collections import Counter
@@ -68,10 +77,26 @@ def draw(index):
     return family, poly, cfg, starts, settings
 
 
-def outcome(index):
+def period_draw(index):
+    """The seeded problem of period-shift draw `index`, as `draw` gives
+    it: the index-th trigonometric draw with one start moved to another
+    start plus or minus 2 pi."""
+    family, poly, cfg, starts, settings = draw(
+        len(FAMILIES) * index + FAMILIES.index(TRIGONOMETRIC))
+    rng = random.Random(f"campaign period shift {index}")
+    i, j = rng.sample(range(len(starts)), 2)
+    k = rng.choice((-1, 1))
+    with working(settings.precision_bits):
+        starts[j] = starts[i] + 2 * k * mp.pi
+    return family, poly, cfg, starts, settings
+
+
+CLASSES = {"random": draw, "period shift": period_draw}
+
+
+def outcome(family, poly, cfg, starts, settings):
     """RIGHT, WRONG (converged with a root outside its tolerance) or the
     termination of a solve that did not converge."""
-    family, poly, cfg, starts, settings = draw(index)
     report = solve(poly, cfg.multiplicities, starts, settings)
     if report.termination != CONVERGED:
         return report.termination
@@ -85,11 +110,12 @@ def outcome(index):
     return RIGHT
 
 
-def campaign(draws):
-    """(Counter of outcomes, {index: outcome} of the draws not right)."""
+def campaign(draws, problem=draw):
+    """(Counter of outcomes, {index: outcome} of the draws not right) of the
+    first `draws` problems of a class."""
     counts, misses = Counter(), {}
     for index in range(draws):
-        result = outcome(index)
+        result = outcome(*problem(index))
         counts[result] += 1
         if result != RIGHT:
             misses[index] = result
@@ -101,9 +127,26 @@ def test_every_random_draw_converges_to_its_roots():
     assert not misses, (counts, misses)
 
 
+def test_a_period_shift_draw_moves_one_start_by_a_period():
+    for index in range(30):
+        family, _, _, starts, settings = period_draw(index)
+        unshifted = draw(3 * index + 1)[3]
+        moved = [n for n, (x, y) in enumerate(zip(starts, unshifted))
+                 if x != y]
+        assert family == TRIGONOMETRIC and len(moved) == 1
+        j = moved[0]
+        with working(settings.precision_bits):
+            assert any(starts[j] in (x + 2 * mp.pi, x - 2 * mp.pi)
+                       for n, x in enumerate(starts) if n != j)
+
+
 if __name__ == "__main__":
-    counts, misses = campaign(int(sys.argv[1]))
-    print(f"random class: {dict(counts)}")
-    if misses:
-        print(f"not right: {misses}")
-    sys.exit(1 if counts[RIGHT] + counts[WRONG] < sum(counts.values()) else 0)
+    failed = False
+    for (name, problem), draws in zip(CLASSES.items(), sys.argv[1:]):
+        counts, misses = campaign(int(draws), problem)
+        print(f"{name} class: {dict(counts)}")
+        if problem is draw:  # the asserted class
+            if misses:
+                print(f"not right: {misses}")
+            failed = counts[RIGHT] + counts[WRONG] < sum(counts.values())
+    sys.exit(1 if failed else 0)

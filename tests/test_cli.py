@@ -522,6 +522,22 @@ class TestOrderCommand:
             assert run(*argv) == 2
             assert f"{out}.estimated_order: " in capsys.readouterr().err
 
+    def test_the_order_is_the_traces_whatever_the_file_says(self, tmp_path,
+                                                            capsys):
+        # the file's order is checked, then read off the trace like `final`
+        out = tmp_path / "r.json"
+        assert run("solve", "example1", "-o", out) == 0
+        want = load_report(out).estimated_order
+        data = json.loads(out.read_text())
+        assert parse_real(data["estimated_order"], 192) == want
+        data["estimated_order"] = "9"
+        out.write_text(json.dumps(data))
+        assert load_report(out).estimated_order == want
+        capsys.readouterr()
+        assert run("order", out) == 0
+        printed = capsys.readouterr().out
+        assert f"estimated order: {mp.nstr(want, 6)}\n" in printed
+
     def test_a_trace_too_short_exits_1(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run("solve", "example1", "--max-iterations", 2, "-o", out) == 1

@@ -314,3 +314,26 @@ class TestInfeasibleAndInvalidParams:
     def test_single_root_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="need >= 2 roots"):
             params(ALGEBRAIC, dict(roots=("2",), mults=(1,)), "0.1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["c", "q"])
+    def test_a_non_finite_c_or_q_is_named(self, name, value):
+        fields = dict(c="0.1", q="0.5")
+        fields[name] = value
+        with pytest.raises(InvalidConfigurationError,
+                           match=rf"^{name} must be finite, got \+?{value}$"):
+            params(ALGEBRAIC, EX1, **fields)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_kappa_is_named(self, value):
+        case = dict(roots=("1", "3"), mults=(1, 1))
+        with pytest.raises(InvalidConfigurationError,
+                           match=rf"^kappa must be finite, got \+?{value}$"):
+            params(TRIGONOMETRIC, case, "0.1", kappa=value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_root_is_named(self, value):
+        case = dict(roots=(value, "3"), mults=(1, 1))
+        with pytest.raises(InvalidConfigurationError,
+                           match=rf"^roots\[0\] must be finite, got \+?{value}$"):
+            params(ALGEBRAIC, case, "0.1")

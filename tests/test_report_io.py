@@ -17,7 +17,8 @@ from multiroots.report_io import (
     save_report,
 )
 from multiroots.solver import NONFINITE, SolveReport, TraceEntry
-from conftest import REPORT_KEY_EDITS, cut_trace_list, edit_report_key
+from conftest import (REPORT_KEY_EDITS, count_trace_orders, cut_trace_list,
+                      edit_report_key)
 
 GOOD_PROBLEM = {
     "label": "t",
@@ -433,6 +434,20 @@ class TestReports:
         data["estimated_order"] = None
         path.write_text(json.dumps(data))
         assert load_report(path).termination == termination
+
+    def test_a_loaded_report_reads_its_order_off_the_trace(self, tmp_path,
+                                                           monkeypatch):
+        problem = problem_from_dict(GOOD_PROBLEM)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, problem.settings,
+                       true_roots=problem.truth())
+        path = tmp_path / "r.json"
+        save_report(report, problem, path)
+        calls = count_trace_orders(monkeypatch)
+        loaded = load_report(path)
+        assert calls == []
+        assert loaded.estimated_order == report.estimated_order
+        assert calls == [loaded.trace]
 
     def test_report_without_residuals_loads(self, tmp_path):
         # the top-level residuals repeat the last entry's and may be left out

@@ -34,8 +34,8 @@ from multiroots import cli, polynomials, solver
 from multiroots.polynomials import gaps, root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from multiroots.report_io import load_problem
-from conftest import (count_family_calls, count_passes, random_configuration,
-                      random_simple_roots)
+from conftest import (count_family_calls, count_passes, count_trace_orders,
+                      random_configuration, random_simple_roots)
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1), initial=("0.4", "3.5", "8"))
 EX2 = dict(roots=("1", "2", "2.5"), mults=(3, 2, 1), initial=("0.2", "1.7", "3"))
@@ -115,6 +115,43 @@ class TestStep:
         with pytest.raises(CollisionError) as err:
             step(poly, (1, 1, 1), state, settings)
         assert {err.value.i, err.value.j} == {1, 2}
+
+
+class TestFactoredSweepFailures:
+    """`_fixed_sweep`'s own failures, on the roots -1 and 1 at 128 bits."""
+
+    bits = 128
+
+    def case(self, family):
+        cfg = RootConfiguration((-1, 1), (1, 1), precision_bits=self.bits)
+        return (FactoredForm(family, cfg, precision_bits=self.bits),
+                SolveSettings(precision_bits=self.bits))
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_two_close_starts_collide(self, family):
+        poly, settings = self.case(family)
+        with mp.workprec(self.bits):
+            starts = (mp.mpf("0.5"), mp.mpf("0.5") + mp.mpf(2) ** -70)
+        state = initial_state(poly, starts, settings)
+        with pytest.raises(CollisionError) as err:
+            step(poly, (1, 1), state, settings)
+        assert {err.value.i, err.value.j} == {0, 1}
+        assert abs(err.value.distance) < polynomials.collision_threshold(
+            self.bits)
+        report = solve(poly, (1, 1), starts, settings)
+        assert report.termination == "collision"
+        assert report.trace == (state,)
+
+    @pytest.mark.parametrize("family", [ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL])
+    def test_a_start_where_the_root_terms_cancel_is_degenerate(self, family):
+        # S = h(0 + 1) + h(0 - 1) = 0: the only path where the sweep reads f
+        poly, settings = self.case(family)
+        state = initial_state(poly, (0,), settings)
+        with pytest.raises(DegenerateDenominatorError) as err:
+            step(poly, (1,), state, settings)
+        assert err.value.index == 0
+        assert err.value.denominator == 0
+        assert solve(poly, (1,), (0,), settings).termination == "diverged"
 
 
 class TestStartsAndTruths:
@@ -1095,11 +1132,69 @@ class TestOrderPrecision:
         report = solve(*args, true_roots=problem.truth())
         with mp.workprec(400):
             again = solve(*args, true_roots=problem.truth())
+            # the report takes its order on this first read
+            order = again.estimated_order
             estimate, kind = solver.trace_order(report.trace)
         assert again.trace == report.trace
-        assert again.estimated_order == report.estimated_order
+        assert order == report.estimated_order
         assert estimate.order == report.estimated_order
         assert (estimate, kind) == solver.trace_order(report.trace)
+
+
+class TestDerivedOrder:
+    """A report's order is its trace's (`trace_order`), taken on its first
+    read and kept: `solve` never estimates one."""
+
+    @staticmethod
+    def solves():
+        """(label, solve arguments, true roots): the bundled examples and a
+        factored form of 8 roots at 128 bits."""
+        for name in ("example1", "example2", "example3"):
+            problem = load_problem(
+                resources.files("multiroots.problems") / f"{name}.json")
+            yield name, (problem.poly, problem.multiplicities, problem.initial,
+                         problem.settings), problem.truth()
+        poly, mults, initial = drawn_case(random.Random(8), ALGEBRAIC, 8, 128)
+        yield "factored m=8", (poly, mults, initial,
+                               SolveSettings(precision_bits=128)), None
+
+    def test_the_first_read_estimates_and_the_next_reuses(self, monkeypatch):
+        calls = count_trace_orders(monkeypatch)
+        for label, args, truth in self.solves():
+            report = solve(*args, true_roots=truth)
+            assert report.termination == "converged", label
+            assert calls == [], label
+            order = report.estimated_order
+            assert calls == [report.trace], label
+            assert report.estimated_order is order
+            assert mp.mpf("2.6") <= order <= mp.mpf("3.4"), label
+            calls.clear()
+
+    def test_a_failed_solve_reads_none_without_an_estimate(self, monkeypatch):
+        calls = count_trace_orders(monkeypatch)
+        bits = 192
+        report = solve(expanded(ALGEBRAIC, EX1, bits), EX1["mults"],
+                       EX1["initial"],
+                       SolveSettings(precision_bits=bits, max_iterations=2))
+        assert report.termination == "max_iterations"
+        assert report.estimated_order is None
+        assert calls == []
+
+    def test_a_solve_too_short_for_a_window_reads_none(self):
+        poly = factored(ALGEBRAIC, EX1, 128)
+        report = solve(poly, EX1["mults"], EX1["roots"])
+        assert report.termination == "converged"
+        assert report.iterations_used == 1
+        assert report.estimated_order is None
+
+    def test_equality_reads_only_the_two_fields(self):
+        poly = factored(TRIGONOMETRIC, EX2, 128)
+        report = solve(poly, EX2["mults"], EX2["initial"])
+        again = replace(report)
+        assert report.estimated_order is not None
+        assert report == again and hash(report) == hash(again)
+        assert "estimated_order" not in repr(report)
+        assert again.estimated_order == report.estimated_order
 
 
 class TestSimpleRootReductionResidual:
