@@ -3,10 +3,13 @@
 Real values are serialized as decimal strings carrying
 ceil(precision_bits * 0.302) + 3 significant digits, which round-trip
 exactly at the file's stated precision; plain JSON numbers are accepted on
-input for convenience.  The layout is documented in the README.
+input for convenience.  A report's trace lists in the form `format_real`
+writes are parsed on first read (`load_report`).  The layout is documented
+in the README.
 """
 
 import json
+import re
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -28,11 +31,13 @@ from .polynomials import (
 )
 from .precision import MIN_PRECISION_BITS, format_real, parse_real, require_bits
 from .solver import (CONVERGED, TERMINATIONS, SolveReport, SolveSettings,
-                     TraceEntry)
+                     TraceEntry, _Deferred)
 
 REPRESENTATIONS = ("coefficients", "roots")
 # the TraceEntry fields a report stores as lists of reals, in file order
 _TRACE_LISTS = ("approximations", "residuals", "corrections", "errors")
+# the strings `format_real` writes, each of which `parse_real` takes
+_CANONICAL = re.compile(r"-?[0-9]+\.[0-9]+(e[+-][0-9]+)?|nan|\+inf|-inf")
 # a series family's class and its problem-file keys for the even and odd
 # coefficients
 _SERIES = {TRIGONOMETRIC: (TrigPoly, "cos", "sin"),
@@ -84,6 +89,23 @@ def _parse_reals(values, bits, location, finite=True):
              location)
     return tuple(checked_real(v, bits, f"{location}[{idx}]", finite)
                  for idx, v in enumerate(values))
+
+
+def _canonical(value):
+    """Whether `value` is a string in the form `format_real` writes."""
+    return type(value) is str and _CANONICAL.fullmatch(value) is not None
+
+
+def _reals_on_read(values, bits, location):
+    """A report's list `values` as reals at `bits`: a `_Deferred` parse
+    where every value is a string in the form `format_real` writes, which
+    parses, and otherwise parsed now.  Either way a list that would not
+    parse raises its SchemaError naming `location` here."""
+    _require(isinstance(values, list) and values, "expected a nonempty list",
+             location)
+    if all(map(_canonical, values)):
+        return _Deferred(_parse_reals, values, bits, location, finite=False)
+    return _parse_reals(values, bits, location, finite=False)
 
 
 def _read_json(path):
@@ -341,7 +363,14 @@ def load_report(path):
     is converged.  The report it returns reads its order off the trace
     (`SolveReport.estimated_order`), not off the file.
     A report that breaks a rule no longer describes one solve and is a
-    SchemaError naming the key."""
+    SchemaError naming the key, raised here, whatever its reader then reads.
+
+    A trace list in the form `format_real` writes is converted on its
+    entry's first read of it (`_reals_on_read`), so `verify` parses only
+    the last entry's approximations; any other list is parsed here.
+    `final` and `residuals` are compared with the last entry's as text
+    first, and converted only where the text differs, and an order in
+    that form is not parsed at all."""
     data = _read_json(path)
     location = str(path)
     _require(isinstance(data, dict), "report must be a JSON object", location)
@@ -353,16 +382,18 @@ def load_report(path):
              f"got {data['termination']!r}", f"{location}.termination")
     _require(isinstance(data["trace"], list) and data["trace"],
              "trace must be a nonempty list", f"{location}.trace")
-    final = _parse_reals(data["final"], bits, f"{location}.final", finite=False)
+    final = _reals_on_read(data["final"], bits, f"{location}.final")
+    count = len(data["final"])
 
     def optional(record, key, loc):
-        if record.get(key) is None:
+        values = record.get(key)
+        if values is None:
             return None
-        values = _parse_reals(record[key], bits, f"{loc}.{key}", finite=False)
-        _require(len(values) == len(final),
-                 f"expected {len(final)} values, one per entry of final, "
+        reals = _reals_on_read(values, bits, f"{loc}.{key}")
+        _require(len(values) == count,
+                 f"expected {count} values, one per entry of final, "
                  f"got {len(values)}", f"{loc}.{key}")
-        return values
+        return reals
 
     trace = []
     for idx, entry in enumerate(data["trace"]):
@@ -390,19 +421,29 @@ def load_report(path):
         trace.append(TraceEntry(k, **{
             key: optional(entry, key, loc) for key in _TRACE_LISTS},
             precision_bits=swept_at))
-        _require((trace[-1].errors is None) == (trace[0].errors is None),
+        _require((entry.get("errors") is None)
+                 == (data["trace"][0].get("errors") is None),
                  "errors must be in every trace entry or in none",
                  f"{loc}.errors")
     used = data.get("iterations_used", trace[-1].k)
     _require(type(used) is int and used == trace[-1].k,
              f"iterations_used must be the last entry's k {trace[-1].k}, "
              f"got {used!r}", f"{location}.iterations_used")
-    # raw values: a `nonfinite` report holds nan, and nan != nan
-    raw = lambda values: values and [v._mpf_ for v in values]
-    _require(raw(final) == raw(trace[-1].approximations),
+    last = data["trace"][-1]
+
+    def raw(reals):
+        # raw values: a `nonfinite` report holds nan, and nan != nan
+        if type(reals) is _Deferred:
+            reals = reals()
+        return reals and [v._mpf_ for v in reals]
+
+    # files this program writes repeat the last entry's text
+    _require(data["final"] == last["approximations"]
+             or raw(final) == raw(trace[-1].approximations),
              "final must be the last entry's approximations",
              f"{location}.final")
     _require("residuals" not in data
+             or data["residuals"] == last.get("residuals")
              or raw(optional(data, "residuals", location))
              == raw(trace[-1].residuals),
              "residuals must be the last entry's", f"{location}.residuals")
@@ -410,6 +451,7 @@ def load_report(path):
     loc = f"{location}.estimated_order"
     _require(order is None or data["termination"] == CONVERGED,
              "only a converged solve carries an order", loc)
-    if order is not None:
+    # the order is checked, not kept: a canonical one parses
+    if order is not None and not _canonical(order):
         checked_real(order, bits, loc, finite=False)
     return SolveReport(data["termination"], tuple(trace))

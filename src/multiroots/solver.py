@@ -25,12 +25,16 @@ full precision when its own corrections show too few bits (`_ladder_step`).
 Coefficient and factored forms climb the same rungs; a factored form's
 sweeps run in fixed point on each.
 
-Each sweep's TraceEntry records the residuals |f(x_i)| at its precision.
-No factored sweep reads f, so a factored form's entries take theirs on
-first read (`_entry`).  No step of a solve reads them: the report's order
-(`SolveReport.estimated_order`) does, on its first read, and only at an
-entry where a coordinate stood still (`order_error_sequence`); an iterate
-on a stored root reads f = 0 there by lookup.
+Each sweep's TraceEntry records the residuals |f(x_i)| at its precision,
+and the errors |x_i - r_i| when the true roots are known.  Any list of an
+entry may be taken on its first read (`_OnRead`).  No step of a solve
+reads the errors, so every entry takes them on first read; no factored
+sweep reads f, so a factored form's entries take their residuals so too
+(`_entry`).  The report's order (`SolveReport.estimated_order`) reads the
+errors, on its first read, and the residuals only at an entry where a
+coordinate stood still (`order_error_sequence`); an iterate on a stored
+root reads f = 0 there by lookup.  A loaded report's entries take their
+lists on first read as well (`load_report`).
 """
 
 import operator
@@ -122,36 +126,45 @@ class SolveSettings:
 
 
 class _Deferred(partial):
-    """A call of `_residuals` not yet made: `_entry` gives a factored
-    form's entries these."""
+    """A conversion not yet made: a `TraceEntry` list field holding one is
+    taken on its first read (`_OnRead`).  `_entry` defers a factored
+    form's residuals and a solve's errors; `load_report` defers the parse
+    of a report's trace lists."""
 
 
-class _Residuals:
-    """`TraceEntry.residuals`: the value the entry was built with, or, for
-    `_Deferred` residuals, their tuple, taken on the first read and kept.
-    Equality, hashing, `repr` and `dataclasses.replace` read the field,
-    so they take it too.  It has no class-level value, so the dataclass
-    gives the field no default."""
+class _OnRead:
+    """A list field of `TraceEntry`: the value the entry was built with,
+    or, for a `_Deferred` one, its tuple, taken on the first read and
+    kept.  Equality, hashing, `repr` and `dataclasses.replace` read the
+    field, so they take it too.  It has no class-level value, so the
+    dataclass gives the field no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, entry, owner=None):
         if entry is None:
-            raise AttributeError("residuals")
-        value = entry.__dict__["residuals"]
+            raise AttributeError(self.name)
+        value = entry.__dict__[self.name]
         if type(value) is _Deferred:
-            value = entry.__dict__["residuals"] = value()
+            value = entry.__dict__[self.name] = value()
         return value
 
     def __set__(self, entry, value):
-        entry.__dict__["residuals"] = value
+        entry.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One entry of a solve's trace.  Its lists may be `_Deferred` and
+    taken on first read (`_OnRead`): a solve's errors and a factored
+    form's residuals (`_entry`), and a loaded report's lists in the form
+    `format_real` writes (`load_report`)."""
     k: int
-    approximations: tuple
-    residuals: tuple = _Residuals()
-    corrections: tuple  # None for the initial entry
-    errors: tuple       # vs. true roots, when known; else None
+    approximations: tuple = _OnRead()
+    residuals: tuple = _OnRead()
+    corrections: tuple = _OnRead()  # None for the initial entry
+    errors: tuple = _OnRead()       # vs. true roots, when known; else None
     precision_bits: int  # bits the sweep, residuals and errors ran at
 
 
@@ -191,19 +204,21 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
     """The TraceEntry of `approximations`, with their residuals and errors
     at `bits`.
 
-    A factored form's residuals are deferred (`_Deferred`) and taken on
-    the entry's first read of them: no factored sweep reads f, so only a
-    reader of the residuals pays for them.  A coefficient form's are
-    taken now, at the points its sweep evaluated, which the point memo
-    still holds; and a non-finite f there raises here, before any sweep
-    reads it."""
+    The errors, when the true roots are known, are deferred (`_Deferred`)
+    and taken on the entry's first read of them: no sweep reads them, so
+    only a reader of them (the order, `save_report`) pays for them.  So
+    are a factored form's residuals: no factored sweep reads f.  A
+    coefficient form's are taken now, at the points its sweep evaluated,
+    which the point memo still holds; and a non-finite f there raises
+    here, before any sweep reads it."""
     approximations = tuple(approximations)
     residuals = (_Deferred(_residuals, poly, approximations, bits)
                  if isinstance(poly, FactoredForm)
                  else _residuals(poly, approximations, bits))
-    return TraceEntry(k, approximations, residuals, corrections,
-                      _errors(poly.family, approximations, true_roots, bits),
-                      bits)
+    errors = (None if true_roots is None
+              else _Deferred(_errors, poly.family, approximations, true_roots,
+                             bits))
+    return TraceEntry(k, approximations, residuals, corrections, errors, bits)
 
 
 def _residuals(poly, approximations, bits):
@@ -213,9 +228,7 @@ def _residuals(poly, approximations, bits):
 
 
 def _errors(family, approximations, true_roots, bits):
-    """|x_i - r_i| at `bits`, modulo the period, when the truth is known."""
-    if true_roots is None:
-        return None
+    """|x_i - r_i| at `bits`, modulo the period."""
     with working(bits):
         return tuple(abs(root_offset(family, x, r))
                      for x, r in zip(approximations, true_roots))
@@ -250,12 +263,19 @@ def _truths(true_roots, bits, count):
     return truths
 
 
+def _starts(initial, bits):
+    """The initial approximations as `solve` converts them: distinct
+    finite reals at `bits`."""
+    x0 = _reals(initial, bits, "initial approximation {}")
+    require_distinct(x0, "initial approximations")
+    return x0
+
+
 def initial_state(poly, initial, settings, true_roots=None):
     """The k=0 TraceEntry at the initial approximations.  `true_roots`
     takes what `solve` takes."""
     bits = settings.precision_bits
-    x0 = _reals(initial, bits, "initial approximation {}")
-    require_distinct(x0, "initial approximations")
+    x0 = _starts(initial, bits)
     return _entry(poly, x0, 0, bits,
                   true_roots=_truths(true_roots, bits, len(x0)))
 
@@ -271,8 +291,14 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     """
     bits = settings.precision_bits
     count = len(entry.approximations)
-    multiplicities = require_multiplicities(multiplicities, count)
-    true_roots = _truths(true_roots, bits, count)
+    return _step(poly, require_multiplicities(multiplicities, count), entry,
+                 settings, _truths(true_roots, bits, count))
+
+
+def _step(poly, multiplicities, entry, settings, true_roots):
+    """`step` on multiplicities already checked and true roots already
+    converted (`_truths`): `solve` converts them once, not once a sweep."""
+    bits = settings.precision_bits
     new, corrections = _sweep(poly, multiplicities, entry.approximations,
                               bits, settings.sweep_mode)
     return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
@@ -450,7 +476,7 @@ def _rung(multiplicities, corrections, sweeps, bits):
 
 
 def _ladder_step(poly, multiplicities, entry, settings, true_roots):
-    """`step` from `entry`, swept at the lowest rung that keeps its accuracy.
+    """`_step` from `entry`, swept at the lowest rung that keeps its accuracy.
 
     The rung is the one that covers three times the bits of the previous
     corrections (`_rung`; the first sweep has none and takes FLOOR), tried
@@ -460,7 +486,7 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     leaves its iterate where it was, and the next sweep would repeat this
     one), the largest of its corrections is above the tolerance, and all
     are within the rung (`_need` with sweeps=1).  Otherwise the sweep is
-    redone at full precision by `step`.  So freezes, the converging sweep
+    redone at full precision by `_step`.  So freezes, the converging sweep
     and any failure are decided at full precision.  A kept sweep's entry
     takes its residuals and errors at the rung, from the same polynomial.
     """
@@ -480,7 +506,7 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
                     and all(map(operator.ne, new, start))):
                 return _entry(poly, new, entry.k + 1, rung, corrections,
                               true_roots)
-    return step(poly, multiplicities, entry, settings, true_roots=true_roots)
+    return _step(poly, multiplicities, entry, settings, true_roots)
 
 
 def order_error_sequence(trace):
@@ -491,14 +517,15 @@ def order_error_sequence(trace):
     a nonzero residual) no longer converges, and its stale error would
     pollute the ratios.  Only a coordinate whose correction is 0 has its
     residual read, so a factored entry (`_entry`) where every coordinate
-    moved never takes its residuals.  Each coordinate leaves at its own
+    moved never takes its residuals; of the approximations only the last
+    entry's are read, for their count.  Each coordinate leaves at its own
     freeze, entry k is the max over the coordinates not yet frozen at k,
     and the sequence ends when every coordinate has frozen.  `cut` counts
     its entries before the first iteration where any coordinate froze.
     Returns (sequence, kind, cut) with kind in {"error", "correction"}.
     """
     kind = "error" if trace and trace[0].errors is not None else "correction"
-    live = set(range(len(trace[0].approximations))) if trace else set()
+    live = set(range(len(trace[-1].approximations))) if trace else set()
     sequence, cut = [], None
     for entry in trace:
         still = [i for i, c in enumerate(entry.corrections or ()) if c == 0]
@@ -559,7 +586,8 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     bits = settings.precision_bits
     multiplicities = require_multiplicities(multiplicities, len(initial))
     true_roots = _truths(true_roots, bits, len(initial))
-    trace = [initial_state(poly, initial, settings, true_roots=true_roots)]
+    trace = [_entry(poly, _starts(initial, bits), 0, bits,
+                    true_roots=true_roots)]
     with working(bits):
         escape_radius = mp.mpf(10) ** 6 * (
             1 + max(abs(x) for x in trace[0].approximations)

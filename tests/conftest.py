@@ -177,6 +177,51 @@ def edit_report_key(report, change):
     return named
 
 
+# the lists of a report that `load_report` checks, each in entry 2 of the
+# trace or at the top level, and the edits that put a value there that no
+# solve writes: three values `parse_real` cannot take, and a list one
+# value short
+REPORT_LISTS = ("trace[2].approximations", "trace[2].residuals",
+                "trace[2].corrections", "trace[2].errors", "residuals")
+BAD_LIST_EDITS = {"zz": "zz", "0/0": "0/0", "true": True,
+                  "wrong length": None}
+
+
+def break_report_list(report, named, bad):
+    """Make the BAD_LIST_EDITS edit `bad` to the list `named`, one of
+    REPORT_LISTS, of a report's JSON data; returns the key the SchemaError
+    must name."""
+    if named.startswith("trace["):
+        entry, key = named.split(".")
+        record = report["trace"][int(entry[6:-1])]
+    else:
+        record, key = report, named
+    if bad == "wrong length":
+        record[key] = record[key][:-1]
+        return named
+    record[key][0] = BAD_LIST_EDITS[bad]
+    return f"{named}[0]"
+
+
+def padded(text):
+    """The text of a real in the form `format_real` writes, with one more
+    zero after its mantissa: the same value in other text."""
+    mantissa, e, exponent = text.partition("e")
+    return mantissa + "0" + e + exponent
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list of the argument tuples of the calls of `owner.name` until
+    monkeypatch undoes it."""
+    calls, run = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -8,7 +8,9 @@ from multiroots import FamilyOverflowError, cli, solver
 from multiroots.cli import main
 from multiroots.precision import parse_real
 from multiroots.report_io import load_problem, load_report
-from conftest import REPORT_KEY_EDITS, cut_trace_list, edit_report_key
+from conftest import (BAD_LIST_EDITS, REPORT_KEY_EDITS, REPORT_LISTS,
+                      break_report_list, cut_trace_list, edit_report_key,
+                      padded)
 
 
 def run(*argv):
@@ -627,3 +629,53 @@ class TestOrderCommand:
         assert "window entries 2..7" in printed
         value = mp.mpf(printed.rsplit(":", 1)[1])
         assert mp.mpf("2.6") <= value <= mp.mpf("3.4")
+
+
+class TestReportsCheckedAtLoad:
+    """Every rule of a report holds at load, whatever the command then
+    reads: `verify` reads only `final`, yet a bad trace list exits 2."""
+
+    @pytest.fixture(scope="class")
+    def example1_report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("solved") / "r.json"
+        assert run("solve", "example1", "-o", out) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LIST_EDITS))
+    @pytest.mark.parametrize("named", REPORT_LISTS)
+    def test_a_bad_list_exits_2_naming_it(self, tmp_path, capsys,
+                                          example1_report, named, bad):
+        out = tmp_path / "r.json"
+        data = json.loads(example1_report)
+        key = break_report_list(data, named, bad)
+        out.write_text(json.dumps(data))
+        for argv in (["order", out], ["verify", "example1", out]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert f"{out}.{key}: " in err
+            assert "Traceback" not in err
+
+    def test_final_in_other_text_for_the_same_values_runs(
+            self, tmp_path, capsys, example1_report):
+        plain, out = tmp_path / "plain.json", tmp_path / "r.json"
+        plain.write_text(example1_report)
+        data = json.loads(example1_report)
+        data["final"] = [padded(v) for v in data["final"]]
+        out.write_text(json.dumps(data))
+        for argv in (["order", "REPORT"], ["verify", "example1", "REPORT"]):
+            capsys.readouterr()
+            assert run(*[plain if a == "REPORT" else a for a in argv]) == 0
+            want = capsys.readouterr().out
+            assert run(*[out if a == "REPORT" else a for a in argv]) == 0
+            assert capsys.readouterr().out == want
+
+    def test_plain_json_numbers_in_a_trace_list_run(self, tmp_path,
+                                                    example1_report):
+        out = tmp_path / "r.json"
+        data = json.loads(example1_report)
+        data["trace"][1]["errors"] = [float(v)
+                                      for v in data["trace"][1]["errors"]]
+        out.write_text(json.dumps(data))
+        assert run("order", out) == 0
+        assert run("verify", "example1", out) == 0

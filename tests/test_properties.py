@@ -9,7 +9,9 @@ quotient F'/F of a factored form, and the problem-file layout the README
 documents.
 The kernels compute on raw libmp values; two tests hold them to the mpf
 arithmetic they replace, bit for bit and at any ambient precision, and one
-holds the per-point memo to the bits a fresh instance gives.
+holds the per-point memo to the bits a fresh instance gives.  Two more pin
+the form of the reals a report holds, which `load_report` parses on first
+read.
 """
 
 import random
@@ -18,7 +20,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import from_man_exp, mpf_neg
 
 from multiroots import (
     ALGEBRAIC,
@@ -42,7 +44,8 @@ from multiroots import (
 )
 from multiroots.polynomials import _series_basis
 from multiroots.precision import format_real, ulps_apart
-from multiroots.report_io import problem_from_dict, problem_to_dict
+from multiroots.report_io import (_CANONICAL, checked_real, problem_from_dict,
+                                  problem_to_dict)
 from multiroots.verification import _derivative_ladder
 from conftest import count_family_calls
 
@@ -634,3 +637,39 @@ def test_the_product_coupling_is_within_an_ulp_of_the_half_cotangent(family,
         half = mp.fsub(x, other, exact=True) / 2
         want = mp.cot(half) if family == TRIGONOMETRIC else mp.coth(half)
     assert ulps_apart(got, want, bits) <= 1, (x, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(53, 4096), x=st.one_of(
+    st.sampled_from([mp.nan, mp.inf, -mp.inf]),
+    st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+              st.integers(-2**300, 2**300), st.integers(-4000, 4000))))
+@example(bits=53, x=mp.mpf(0))
+@example(bits=4096, x=mp.nan)
+@example(bits=4096, x=mp.inf)
+@example(bits=53, x=-mp.inf)
+@example(bits=4096, x=mp.ldexp(1, -1400))  # a decimal exponent below -400
+@example(bits=4096, x=mp.ldexp(-3, 1400))  # and one above 400
+def test_format_real_writes_the_canonical_form(bits, x):
+    """Every real `format_real` writes, at any precision, is a string in
+    the form `load_report` parses on first read (`_CANONICAL`), and parses
+    back to the value."""
+    text = format_real(x, bits)
+    assert _CANONICAL.fullmatch(text), text
+    assert (checked_real(text, bits, "x", finite=False)._mpf_
+            == mp.mpf(x, prec=bits)._mpf_)
+
+
+# the canonical form with an exponent of up to six digits
+BOUNDED = _CANONICAL.pattern.replace("[0-9]+)?", "[0-9]{1,6})?")
+assert BOUNDED != _CANONICAL.pattern
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.from_regex(BOUNDED, fullmatch=True),
+       bits=st.sampled_from([53, 192, 1024, 4096]))
+def test_every_canonical_string_parses(text, bits):
+    """A report's list in the canonical form is parsed on first read, so
+    no string of that form may fail: each parses under finite=False."""
+    assert _CANONICAL.fullmatch(text)
+    checked_real(text, bits, "x", finite=False)

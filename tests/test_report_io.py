@@ -7,6 +7,7 @@ from mpmath import mp
 
 from multiroots import SchemaError, solve
 from multiroots.precision import decimal_digits, format_real, parse_real
+from multiroots import report_io
 from multiroots.report_io import (
     load_problem,
     load_report,
@@ -17,8 +18,9 @@ from multiroots.report_io import (
     save_report,
 )
 from multiroots.solver import NONFINITE, SolveReport, TraceEntry
-from conftest import (REPORT_KEY_EDITS, count_trace_orders, cut_trace_list,
-                      edit_report_key)
+from conftest import (BAD_LIST_EDITS, REPORT_KEY_EDITS, REPORT_LISTS,
+                      break_report_list, count_calls, count_trace_orders,
+                      cut_trace_list, edit_report_key, padded)
 
 GOOD_PROBLEM = {
     "label": "t",
@@ -489,3 +491,91 @@ class TestReports:
         path = tmp_path / "r.json"
         save_report(report, problem, path)
         assert load_report(path) == report
+
+
+def saved_example(path, name="example1", bits=None):
+    """(the SolveReport of bundled `name` at `bits`, or at its own
+    precision, and its report's JSON data, saved at `path`)."""
+    problem = load_problem(
+        resources.files("multiroots.problems") / f"{name}.json", bits)
+    report = solve(problem.polynomial(), problem.multiplicities,
+                   problem.initial, problem.settings,
+                   true_roots=problem.truth())
+    save_report(report, problem, path)
+    return report, json.loads(path.read_text())
+
+
+class TestLoadOnRead:
+    """`load_report` checks every rule at load, and a trace list in the
+    form `format_real` writes is parsed on its first read."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LIST_EDITS))
+    @pytest.mark.parametrize("named", REPORT_LISTS)
+    def test_a_bad_list_is_rejected_at_load(self, tmp_path, named, bad):
+        path = tmp_path / "r.json"
+        report, data = saved_example(path)
+        assert report.iterations_used >= 3
+        key = break_report_list(data, named, bad)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert f"{path}.{key}: " in str(err.value)
+
+    def test_loading_parses_nothing_until_a_list_is_read(self, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "r.json"
+        report, _ = saved_example(path)
+        calls = count_calls(monkeypatch, report_io, "parse_real")
+        loaded = load_report(path)
+        assert calls == []
+        # `verify` reads only `final`: the last entry's approximations
+        assert loaded.final == report.final
+        assert len(calls) == len(report.final)
+        assert loaded.trace[-1].approximations == report.final
+        assert len(calls) == len(report.final)
+        assert loaded == report
+
+    def test_the_order_parses_no_approximations_but_the_last(self, tmp_path,
+                                                             monkeypatch):
+        path = tmp_path / "r.json"
+        report, _ = saved_example(path)
+        calls = count_calls(monkeypatch, report_io, "_parse_reals")
+        loaded = load_report(path)
+        assert loaded.estimated_order == report.estimated_order
+        parsed = [location for _, _, location in calls
+                  if location.endswith(".approximations")]
+        last = len(report.trace) - 1
+        assert parsed == [f"{path}.trace[{last}].approximations"]
+
+    @pytest.mark.parametrize("bits", [None, 1024])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    def test_a_loaded_report_equals_its_solve(self, tmp_path, name, bits):
+        # `==` reads every field of every entry, the rungs' included
+        path = tmp_path / "r.json"
+        report, _ = saved_example(path, name, bits)
+        assert load_report(path) == report
+
+    def test_final_in_other_text_for_the_same_values_loads(self, tmp_path):
+        path = tmp_path / "r.json"
+        report, data = saved_example(path)
+        data["final"] = [padded(v) for v in data["final"]]
+        data["residuals"] = [padded(v) for v in data["residuals"]]
+        path.write_text(json.dumps(data))
+        assert load_report(path) == report
+        data["trace"][-1]["approximations"][0] = "0.5"
+        data["final"][0] = "0.50"
+        path.write_text(json.dumps(data))
+        assert load_report(path).final[0] == mp.mpf("0.5")
+
+    def test_plain_json_numbers_in_a_trace_list_load(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "r.json"
+        report, data = saved_example(path)
+        data["trace"][1]["errors"] = [0.5, 1, 2.5]
+        path.write_text(json.dumps(data))
+        calls = count_calls(monkeypatch, report_io, "parse_real")
+        loaded = load_report(path)
+        # parsed at load, as any list in another form
+        assert len(calls) == 3
+        assert loaded.trace[1].errors == (0.5, 1, 2.5)
+        assert loaded.trace[2] == report.trace[2]

@@ -34,8 +34,9 @@ from multiroots import cli, polynomials, solver
 from multiroots.polynomials import gaps, root_offset
 from multiroots.precision import to_mpf, ulps_apart
 from multiroots.report_io import load_problem
-from conftest import (count_family_calls, count_passes, count_trace_orders,
-                      random_configuration, random_simple_roots)
+from conftest import (count_calls, count_family_calls, count_passes,
+                      count_trace_orders, random_configuration,
+                      random_simple_roots)
 
 EX1 = dict(roots=("2", "3", "5"), mults=(2, 3, 1), initial=("0.4", "3.5", "8"))
 EX2 = dict(roots=("1", "2", "2.5"), mults=(3, 2, 1), initial=("0.2", "1.7", "3"))
@@ -766,6 +767,68 @@ class TestDeferredResiduals:
                                        settings, true_roots=case["roots"])
         assert report.termination == termination == "converged"
         assert report.trace == tuple(trace)
+
+
+def truth_case(source, bits=None):
+    """(poly, multiplicities, initial, settings, true roots) of a bundled
+    example at `bits`, or at its own precision, or for "wide", a wide
+    factored form: eight drawn trigonometric roots at 128 bits, the size
+    of the benchmark's smallest wide op."""
+    if source == "wide":
+        poly, mults, initial = drawn_case(random.Random(201), TRIGONOMETRIC,
+                                          8, 128)
+        return (poly, mults, initial, SolveSettings(precision_bits=128),
+                poly.config.roots)
+    problem = load_problem(
+        resources.files("multiroots.problems") / f"{source}.json", bits)
+    return (problem.polynomial(), problem.multiplicities, problem.initial,
+            problem.settings, problem.truth())
+
+
+TRUTH_SOURCES = ["example1", "example2", "example3", "wide"]
+
+
+class TestTruthsOnce:
+    """`solve` converts its true roots once; its entries take their errors
+    on first read (`solver._entry`)."""
+
+    @pytest.mark.parametrize("source", TRUTH_SOURCES)
+    def test_a_solve_converts_its_true_roots_once(self, monkeypatch, source):
+        poly, mults, initial, settings, truth = truth_case(source)
+        calls = count_calls(monkeypatch, solver, "_truths")
+        report = solve(poly, mults, initial, settings, true_roots=truth)
+        assert len(calls) == 1
+        assert report.termination == "converged"
+        # at or below FLOOR every sweep of the solve is a `step`, which
+        # converts them on each call
+        trace, _ = step_loop(poly, mults, initial, settings, true_roots=truth)
+        assert report.trace == tuple(trace)
+
+    @pytest.mark.parametrize("source", TRUTH_SOURCES)
+    def test_a_solve_takes_no_errors(self, monkeypatch, source):
+        poly, mults, initial, settings, truth = truth_case(source)
+        calls = count_calls(monkeypatch, solver, "_errors")
+        report = solve(poly, mults, initial, settings, true_roots=truth)
+        assert calls == []
+        entry = report.trace[1]
+        first = entry.errors
+        assert len(calls) == 1
+        assert entry.errors is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("prec", [53, 400])
+    @pytest.mark.parametrize("source", ["example1", "example2", "example3"])
+    def test_deferred_errors_are_the_eager_bits(self, source, prec):
+        # on the ladder: each entry's errors at its own rung
+        poly, mults, initial, settings, truth = truth_case(source, 1024)
+        report = solve(poly, mults, initial, settings, true_roots=truth)
+        truths = [to_mpf(r, 1024) for r in truth]
+        eager = [[e._mpf_ for e in solver._errors(
+            poly.family, entry.approximations, truths, entry.precision_bits)]
+            for entry in report.trace]
+        with mp.workprec(prec):
+            lazy = [[e._mpf_ for e in entry.errors] for entry in report.trace]
+        assert lazy == eager
 
 
 def drawn_case(rng, family, m, bits):
