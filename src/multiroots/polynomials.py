@@ -21,25 +21,27 @@ stored coefficients and scale rounded to those bits; a factored form's
 roots are read as they are, since x - r rounds once.
 
 A coefficient-form sweep asks for f, f' and the noise bound at one point,
-and the next sweep asks again at the points the trace entry took residuals
-at.  So each representation class computes a point in stages.  Its value
-stage, `_pass(x, prec)`, returns f at a raw point together with the state
-its two later stages read: extended Horner's partial values for the
-algebraic form, the series basis (`_series_basis`) for a series, one
-`factor_pair` call per root for a factored form, whose value stage at one
-of its stored roots is a lookup.  `_slope` (f') and `_magnitude` run from
-that state on the first kernel that reads them, so a point whose f alone
-is read (the residuals of a trace entry that no sweep reads again) costs
-only its value stage.  The stages do the arithmetic one eager pass would
-do, call for call, so every kernel keeps its bits.  The four point
-kernels share the stages through a memo on the instance, keyed by (raw x,
-prec), that holds one `_Point` per point.  The memo drops its oldest
-point past twice the representation's root count (n for an algebraic
-polynomial of degree n, 2n for a series of degree n, the distinct roots
-of a factored form), so the points of one trace entry are still there
-when the next sweep reads them.  `solver.solve` runs on its own copy of
-the polynomial, so a memo lives for one solve and spans every rung of
-its precision ladder.  The kernels return the same bits either way.
+and the incoming trace entry then takes its residuals, f again, at the
+points the sweep read.  So each representation class computes a point in
+stages.  Its value stage, `_pass(x, prec)`, returns f at a raw point
+together with the state its two later stages read: extended Horner's
+partial values for the algebraic form, the series basis
+(`_series_basis`) for a series, one `factor_pair` call per root for a
+factored form, whose value stage at one of its stored roots is a lookup.
+`_slope` (f') and `_magnitude` run from that state on the first kernel
+that reads them, so a point whose f alone is read (the residuals of a
+trace entry that no sweep reads at its precision) costs only its value
+stage.  The stages do the arithmetic one eager pass would do, call for
+call, so every kernel keeps its bits.  The four point kernels share the
+stages through a memo on the instance, keyed by (raw x, prec), that
+holds one `_Point` per point.  The memo drops its oldest point past
+twice the representation's root count (n for an algebraic polynomial of
+degree n, 2n for a series of degree n, the distinct roots of a factored
+form), so the points one sweep reads, the incoming and, in sequential
+mode, the updated ones, are still there when the incoming entry takes
+its residuals.  `solver.solve` runs on its own copy of the polynomial,
+so a memo lives for one solve and spans every rung of its precision
+ladder.  The kernels return the same bits either way.
 
 The memo of a series also serves `log_derivative_sum`: given the
 polynomial, it forms each coupling term from the first basis pairs
@@ -54,9 +56,8 @@ points' fixed-point bases (`sweep_basis`), by angle subtraction, or from
 the family's direct entry `fixed_log_derivative` where that cancels
 (`fixed_term`); a factored form hands each sweep its roots with their
 bases, its points' basis rule and that term, kept per scale
-(`FactoredForm.fixed_roots`).
-Their trace entries run the value stage of their residuals only when
-something reads them.
+(`FactoredForm.fixed_roots`).  Their trace entries run the value stage
+of their residuals only when something reads them.
 """
 
 import math
@@ -359,6 +360,17 @@ def _as_mpf_tuple(values, bits):
     return tuple(to_mpf(v, bits) for v in values)
 
 
+def _require_finite(named):
+    """InvalidConfigurationError naming the first coefficient of the
+    (name, mpf) pairs `named` that is not finite.  With every coefficient
+    finite, and the point too, no kernel's value is nan or infinite:
+    libmp exponents do not overflow."""
+    for name, value in named:
+        if not mp.isfinite(value):
+            raise InvalidConfigurationError(
+                f"coefficient {name} is not finite: {value}")
+
+
 @dataclass(frozen=True)
 class RootConfiguration:
     """Distinct roots paired with positive integer multiplicities."""
@@ -384,7 +396,8 @@ class RootConfiguration:
 
 @dataclass(frozen=True)
 class AlgebraicPoly:
-    """Monic polynomial x^n + c_1 x^(n-1) + ... + c_n; stores (c_1 ... c_n)."""
+    """Monic polynomial x^n + c_1 x^(n-1) + ... + c_n; stores (c_1 ... c_n),
+    which must be finite."""
 
     coeffs: tuple
     precision_bits: int = 53
@@ -396,6 +409,7 @@ class AlgebraicPoly:
         coeffs = _as_mpf_tuple(self.coeffs, self.precision_bits)
         if not coeffs:
             raise InvalidConfigurationError("degree must be >= 1")
+        _require_finite((f"coeffs[{i}]", c) for i, c in enumerate(coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_memo", {})
 
@@ -441,7 +455,8 @@ class AlgebraicPoly:
 class SeriesPoly:
     """a0/2 + sum_{l=1..n} (even_l * E(lx) + odd_l * O(lx)), where (E, O) is
     the family's basis pair: (cos, sin) for TrigPoly, (cosh, sinh) for
-    ExpPoly.  Subclasses only set `family`."""
+    ExpPoly.  Every coefficient must be finite.  Subclasses only set
+    `family`."""
 
     a0: object
     even: tuple
@@ -457,6 +472,9 @@ class SeriesPoly:
         a0 = to_mpf(self.a0, self.precision_bits)
         even = _as_mpf_tuple(self.even, self.precision_bits)
         odd = _as_mpf_tuple(self.odd, self.precision_bits)
+        _require_finite([("a0", a0)]
+                        + [(f"even[{i}]", c) for i, c in enumerate(even)]
+                        + [(f"odd[{i}]", c) for i, c in enumerate(odd)])
         if len(even) != len(odd) or not even:
             raise InvalidConfigurationError(
                 "even and odd coefficient sequences must have equal nonzero length"

@@ -27,14 +27,22 @@ sweeps run in fixed point on each.
 
 Each sweep's TraceEntry records the residuals |f(x_i)| at its precision,
 and the errors |x_i - r_i| when the true roots are known.  Any list of an
-entry may be taken on its first read (`_OnRead`).  No step of a solve
-reads the errors, so every entry takes them on first read; no factored
-sweep reads f, so a factored form's entries take their residuals so too
-(`_entry`).  The report's order (`SolveReport.estimated_order`) reads the
-errors, on its first read, and the residuals only at an entry where a
-coordinate stood still (`order_error_sequence`); an iterate on a stored
-root reads f = 0 there by lookup.  A loaded report's entries take their
-lists on first read as well (`load_report`).
+entry may be taken on its first read (`_OnRead`), and a solve's entries
+take both so (`_entry`): no sweep decides anything on them.  But a
+coefficient-form sweep at the incoming entry's precision evaluates f at
+its points, so that entry takes its residuals right after the sweep,
+from the point memo (`_sweep`); a sequential series sweep evaluates f
+at its own updated points, so its entry takes them at once
+(`_next_entry`); and `solve` takes the last entry's before it returns.
+So only the entries whose points no sweep evaluates at their precision
+wait for a reader, who runs each point once: the k = 0 entry above
+FLOOR bits, whose first sweep runs on a rung, a rung entry before a
+climb, and every entry of a factored form, whose sweeps read no f.  The
+report's order (`SolveReport.estimated_order`) reads the errors, on its
+first read, and the residuals only at an entry where a coordinate stood
+still (`order_error_sequence`); an iterate on a stored root reads f = 0
+there by lookup.  A loaded report's entries take their lists on first
+read as well (`load_report`).
 """
 
 import operator
@@ -54,6 +62,7 @@ from .errors import (
 )
 from .polynomials import (
     FactoredForm,
+    SeriesPoly,
     _top,
     collision_threshold,
     evaluate,
@@ -127,9 +136,9 @@ class SolveSettings:
 
 class _Deferred(partial):
     """A conversion not yet made: a `TraceEntry` list field holding one is
-    taken on its first read (`_OnRead`).  `_entry` defers a factored
-    form's residuals and a solve's errors; `load_report` defers the parse
-    of a report's trace lists."""
+    taken on its first read (`_OnRead`).  `_entry` defers a solve's
+    residuals and errors; `load_report` defers the parse of a report's
+    trace lists."""
 
 
 class _OnRead:
@@ -157,8 +166,9 @@ class _OnRead:
 @dataclass(frozen=True)
 class TraceEntry:
     """One entry of a solve's trace.  Its lists may be `_Deferred` and
-    taken on first read (`_OnRead`): a solve's errors and a factored
-    form's residuals (`_entry`), and a loaded report's lists in the form
+    taken on first read (`_OnRead`): a solve's residuals and errors
+    (`_entry`; a coefficient form's residuals are mostly taken inside the
+    solve, see `_sweep`), and a loaded report's lists in the form
     `format_real` writes (`load_report`)."""
     k: int
     approximations: tuple = _OnRead()
@@ -204,17 +214,15 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
     """The TraceEntry of `approximations`, with their residuals and errors
     at `bits`.
 
-    The errors, when the true roots are known, are deferred (`_Deferred`)
-    and taken on the entry's first read of them: no sweep reads them, so
-    only a reader of them (the order, `save_report`) pays for them.  So
-    are a factored form's residuals: no factored sweep reads f.  A
-    coefficient form's are taken now, at the points its sweep evaluated,
-    which the point memo still holds; and a non-finite f there raises
-    here, before any sweep reads it."""
+    Both are deferred (`_Deferred`) and taken on the entry's first read of
+    them: no sweep decides anything on them, so only a reader (the order,
+    `save_report`) pays for them.  Where a coefficient form's sweep
+    evaluated f at the points at `bits`, the solver reads the residuals
+    right after it, from the point memo (`_sweep`, `_next_entry`).  With
+    finite coefficients and points f is finite, so a late read raises
+    nothing."""
     approximations = tuple(approximations)
-    residuals = (_Deferred(_residuals, poly, approximations, bits)
-                 if isinstance(poly, FactoredForm)
-                 else _residuals(poly, approximations, bits))
+    residuals = _Deferred(_residuals, poly, approximations, bits)
     errors = (None if true_roots is None
               else _Deferred(_errors, poly.family, approximations, true_roots,
                              bits))
@@ -287,7 +295,9 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     Raises CollisionError / DegenerateDenominatorError / FamilyOverflowError
     on the corresponding per-root failures, and a factored sweep
     ZeroDivisionError at a pole (`_fixed_sweep`); `solve` maps these to
-    termination reasons (FAILURES).
+    termination reasons (FAILURES).  A coefficient form's `entry` takes
+    its residuals after the sweep, where it ran at the entry's precision
+    (`_sweep`).
     """
     bits = settings.precision_bits
     count = len(entry.approximations)
@@ -300,15 +310,34 @@ def _step(poly, multiplicities, entry, settings, true_roots):
     converted (`_truths`): `solve` converts them once, not once a sweep."""
     bits = settings.precision_bits
     new, corrections = _sweep(poly, multiplicities, entry.approximations,
-                              bits, settings.sweep_mode)
-    return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
-                  true_roots=true_roots)
+                              bits, settings.sweep_mode, entry)
+    return _next_entry(poly, entry, new, corrections, bits, settings,
+                       true_roots)
 
 
-def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
+def _next_entry(poly, entry, new, corrections, bits, settings, true_roots):
+    """The TraceEntry after `entry`, of a sweep at `bits` to `new`.  A
+    series coefficient form's sequential sweep read f at every updated
+    point but the last, whose bases the coupling of the later coordinates
+    reads (`log_derivative_sum`), so the entry takes its residuals now,
+    from the point memo, not after a climb has dropped them from it."""
+    following = _entry(poly, new, entry.k + 1, bits, corrections, true_roots)
+    if settings.sweep_mode == SEQUENTIAL and isinstance(poly, SeriesPoly):
+        following.residuals  # the read takes them (`_OnRead`)
+    return following
+
+
+def _sweep(poly, multiplicities, approximations, bits, sweep_mode,
+           entry=None):
     """(new approximations, |corrections|) of one sweep at `bits`: a
     factored form's in fixed point (`_fixed_sweep`), any other's from the
-    mpf kernels."""
+    mpf kernels.
+
+    `entry` is the TraceEntry the sweep starts from.  An mpf sweep at the
+    entry's precision evaluated f at each of its points, so the entry
+    takes its residuals after it, from the point memo, which holds every
+    point the sweep read; an entry that no sweep evaluates at its
+    precision waits for a reader (`_entry`)."""
     if isinstance(poly, FactoredForm):
         return _fixed_sweep(poly, multiplicities, approximations, bits,
                             sweep_mode)
@@ -350,7 +379,9 @@ def _sweep(poly, multiplicities, approximations, bits, sweep_mode):
             correction = multiplicities[i] * fi / denom
             new[i] = xi - correction
             corrections[i] = abs(correction)
-        return tuple(new), tuple(corrections)
+    if entry is not None and bits == entry.precision_bits:
+        entry.residuals  # the read takes them (`_OnRead`)
+    return tuple(new), tuple(corrections)
 
 
 def _fixed_scale(values, bits):
@@ -497,15 +528,15 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
         start = [to_mpf(x, rung) for x in entry.approximations]
         try:
             new, corrections = _sweep(poly, multiplicities, start, rung,
-                                      settings.sweep_mode)
+                                      settings.sweep_mode, entry)
         except tuple(FAILURES):
             pass  # a rung too coarse to carry what full precision can
         else:
             if (_need(multiplicities, corrections, 1) <= rung
                     and max(corrections) > settings.tolerance
                     and all(map(operator.ne, new, start))):
-                return _entry(poly, new, entry.k + 1, rung, corrections,
-                              true_roots)
+                return _next_entry(poly, entry, new, corrections, rung,
+                                   settings, true_roots)
     return _step(poly, multiplicities, entry, settings, true_roots)
 
 
@@ -516,7 +547,7 @@ def order_error_sequence(trace):
     A coordinate that froze on the evaluation noise floor (correction 0 with
     a nonzero residual) no longer converges, and its stale error would
     pollute the ratios.  Only a coordinate whose correction is 0 has its
-    residual read, so a factored entry (`_entry`) where every coordinate
+    residual read, so a deferred entry (`_entry`) where every coordinate
     moved never takes its residuals; of the approximations only the last
     entry's are read, for their count.  Each coordinate leaves at its own
     freeze, entry k is the max over the coordinates not yet frozen at k,
@@ -578,6 +609,11 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     FAILURES).  Starts or true roots that are not finite reals, or true
     roots that are not one per start, raise InvalidConfigurationError
     before any sweep.
+
+    A coefficient form's last entry takes its residuals before the solve
+    returns: its points are the last sweep's, where that sweep moved
+    nothing, and a reader that takes the earlier deferred entries first
+    would find them dropped from the point memo.
     """
     settings = settings or SolveSettings(precision_bits=poly.precision_bits)
     # a copy with an empty point memo, which serves every rung of this
@@ -607,4 +643,6 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         if max(entry.corrections) <= settings.tolerance:
             termination = CONVERGED
             break
+    if not isinstance(poly, FactoredForm):
+        trace[-1].residuals  # the read takes them (`_OnRead`)
     return SolveReport(termination, tuple(trace))

@@ -1,5 +1,7 @@
 """Constructor and settings contracts that the numeric tests lean on."""
 
+import re
+
 import pytest
 from mpmath import mp
 
@@ -55,6 +57,25 @@ class TestTypeValidation:
         with pytest.raises(InvalidConfigurationError):
             RootConfiguration((1, 2), (1, alpha))
 
+    @pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf, "nan", "-inf"])
+    def test_a_non_finite_algebraic_coefficient_is_named(self, bad):
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"coefficient coeffs\[1\] is not finite"):
+            AlgebraicPoly((1, bad, 3))
+
+    @pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf, "nan"])
+    @pytest.mark.parametrize("series", [TrigPoly, ExpPoly])
+    @pytest.mark.parametrize("name", ["a0", "even[1]", "odd[0]"])
+    def test_a_non_finite_series_coefficient_is_named(self, series, name,
+                                                      bad):
+        values = {"a0": 1, "even[0]": 2, "even[1]": 3, "odd[0]": 4,
+                  "odd[1]": 5}
+        values[name] = bad
+        message = re.escape(f"coefficient {name} is not finite")
+        with pytest.raises(InvalidConfigurationError, match=message):
+            series(values["a0"], (values["even[0]"], values["even[1]"]),
+                   (values["odd[0]"], values["odd[1]"]))
+
     def test_factored_form_zero_scale_rejected(self):
         cfg = RootConfiguration((1, 2), (1, 1))
         with pytest.raises(InvalidConfigurationError):
@@ -109,13 +130,11 @@ class TestInitialApproximations:
 
 class TestTerminationEdges:
     def test_error_before_any_step_is_raised(self):
-        # with an empty trace there is nothing to report, so the evaluation
-        # failure propagates instead of becoming a termination reason
-        from multiroots import FamilyOverflowError
-
-        poly = AlgebraicPoly((mp.nan, 1))
-        with pytest.raises(FamilyOverflowError):
-            solve(poly, (1, 1), (0.5, 2.5))
+        # a non-finite coefficient fails where the polynomial is built, so
+        # no solve starts on it, and with finite coefficients f is finite
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"coefficient coeffs\[0\] is not finite"):
+            AlgebraicPoly((mp.nan, 1))
 
     def test_nonfinite_during_iteration_becomes_termination(self, monkeypatch):
         import multiroots.solver as solver_mod
@@ -127,7 +146,7 @@ class TestTerminationEdges:
 
         def flaky(p, x, bits=None):
             calls["n"] += 1
-            if calls["n"] > 2:  # past the initial entry's residuals
+            if calls["n"] == 2:  # the first sweep's second evaluation
                 raise FamilyOverflowError(p.family, x)
             return real_eval(p, x, bits)
 

@@ -11,7 +11,9 @@ The kernels compute on raw libmp values; two tests hold them to the mpf
 arithmetic they replace, bit for bit and at any ambient precision, and one
 holds the per-point memo to the bits a fresh instance gives.  Two more pin
 the form of the reals a report holds, which `load_report` parses on first
-read.
+read.  One draws coefficient forms whose coefficients lie between 1e-300
+and 1e300 in size, and holds their kernels finite at points as far out
+as 1e6.
 """
 
 import random
@@ -400,6 +402,47 @@ KERNELS = ((evaluate, ref_evaluate),
            (evaluate_derivative, ref_evaluate_derivative),
            (magnitude_scale, ref_magnitude_scale),
            (evaluation_noise, ref_evaluation_noise))
+
+
+def coefficient_forms(family, n, bits, signs, mantissas, exponents):
+    """The coefficient form of `family` and degree n at `bits` whose
+    coefficients are +-mantissa * 10**exponent, in order: the algebraic
+    c_1..c_n, a series' a0, even and odd."""
+    with mp.workprec(bits):
+        values = [sign * mp.mpf(m) * mp.mpf(10) ** e
+                  for sign, m, e in zip(signs, mantissas, exponents)]
+    if family == ALGEBRAIC:
+        return AlgebraicPoly(values[:n], precision_bits=bits)
+    series = TrigPoly if family == TRIGONOMETRIC else ExpPoly
+    return series(values[0], values[1:n + 1], values[n + 1:2 * n + 1],
+                  precision_bits=bits)
+
+
+COEFFICIENTS = st.lists(st.tuples(st.sampled_from([-1, 1]),
+                                  st.floats(1, 9.99),
+                                  st.integers(-300, 300)),
+                        min_size=13, max_size=13)
+
+
+@FEW
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 6),
+       bits=st.sampled_from([53, 192, 1024]), coefficients=COEFFICIENTS,
+       x=st.floats(-1e6, 1e6))
+@example(family=EXPONENTIAL, n=6, bits=1024,
+         coefficients=[(1, 9.99, 300)] * 13, x=1e6)
+@example(family=EXPONENTIAL, n=6, bits=53,
+         coefficients=[(-1, 1, -300)] * 13, x=-1e6)
+@example(family=ALGEBRAIC, n=6, bits=53,
+         coefficients=[(1, 9.99, 300)] * 13, x=-1e6)
+def test_finite_coefficients_give_a_finite_value(family, n, bits,
+                                                 coefficients, x):
+    # libmp exponents do not overflow, so a coefficient form with finite
+    # coefficients is finite at every finite point, however large the
+    # terms: a solve's residuals can wait for a reader without a raise
+    poly = coefficient_forms(family, n, bits, *zip(*coefficients))
+    assert mp.isfinite(evaluate(poly, x))
+    assert mp.isfinite(evaluate_derivative(poly, x))
+    assert mp.isfinite(evaluation_noise(poly, x))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -33,7 +33,7 @@ from multiroots import (
 from multiroots import cli, polynomials, solver
 from multiroots.polynomials import gaps, root_offset
 from multiroots.precision import to_mpf, ulps_apart
-from multiroots.report_io import load_problem
+from multiroots.report_io import load_problem, save_report
 from conftest import (count_calls, count_family_calls, count_passes,
                       count_trace_orders, random_configuration,
                       random_simple_roots)
@@ -769,6 +769,51 @@ class TestDeferredResiduals:
         assert report.trace == tuple(trace)
 
 
+class TestCoefficientResiduals:
+    """A coefficient form's entry takes its residuals right after a sweep
+    at its precision evaluated f at its points, and the solve takes the
+    last entry's before it returns (`solver._sweep`).  The k = 0 entry
+    above FLOOR bits, whose first sweep runs on a rung, and a rung entry
+    before a climb wait for a reader, who runs each of their points'
+    value stages once."""
+
+    @pytest.mark.parametrize("read", ["residuals", "save_report"])
+    @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+    def test_the_starts_wait_and_no_point_runs_twice(self, monkeypatch,
+                                                     tmp_path, mode, read):
+        bits = 1024
+        path = tmp_path / "deep.json"
+        assert cli.main(["generate", "--family", TRIGONOMETRIC,
+                         "--roots=-1.2:2,0.3:1,1.5:1",
+                         "--precision-bits", str(bits), "-o", str(path)]) == 0
+        problem = load_problem(path)
+        settings = replace(problem.settings, sweep_mode=mode)
+        calls, held = count_passes(monkeypatch)
+        report = solve(problem.polynomial(), problem.multiplicities,
+                       problem.initial, settings)
+        assert report.termination == "converged"
+        starts = {x._mpf_ for x in report.trace[0].approximations}
+        assert report.trace[0].precision_bits == bits
+        assert report.trace[1].precision_bits == solver.FLOOR
+        assert calls and not [key for key in calls
+                              if key[1] in starts and key[2] == bits]
+        if read == "save_report":
+            save_report(report, problem, tmp_path / "report.json")
+        else:
+            for entry in report.trace:
+                entry.residuals
+        assert len(held) == 1
+        assert max(calls.values()) == 1
+        assert {key for key in calls if key[1] in starts and key[2] == bits}
+        fresh = problem.polynomial()
+        for entry in report.trace:
+            p = entry.precision_bits
+            with mp.workprec(p):
+                want = [abs(evaluate(fresh, x, p))._mpf_
+                        for x in entry.approximations]
+            assert [r._mpf_ for r in entry.residuals] == want
+
+
 def truth_case(source, bits=None):
     """(poly, multiplicities, initial, settings, true roots) of a bundled
     example at `bits`, or at its own precision, or for "wide", a wide
@@ -976,6 +1021,9 @@ class TestSeriesCoupling:
         settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
         state = initial_state(poly, initial, settings)
         entry = step(poly, mults, state, settings)
+        # the step took the incoming residuals; a simultaneous one leaves
+        # the new entry's to this read
+        entry.residuals
         assert all(c > 0 for c in entry.corrections)  # none froze
         points = set(state.approximations) | set(entry.approximations)
         assert len(points) == 2 * len(initial)
@@ -997,8 +1045,10 @@ class TestSeriesCoupling:
         calls = count_family_calls(monkeypatch, TRIGONOMETRIC)
         settings = SolveSettings(precision_bits=bits, sweep_mode=mode)
         state = initial_state(poly, initial, settings)
+        state.residuals  # the starts' basis calls, before the count
         calls.clear()
         entry = step(poly, cfg.multiplicities, state, settings)
+        entry.residuals
         assert all(c > 0 for c in entry.corrections)
         assert calls == {"basis_pair": 3, "half_cotangent": 1}
         report = solve(poly, cfg.multiplicities, initial, settings,
