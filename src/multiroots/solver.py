@@ -31,13 +31,12 @@ entry may be taken on its first read (`_OnRead`), and a solve's entries
 take both so (`_entry`): no sweep decides anything on them.  But a
 coefficient-form sweep at the incoming entry's precision evaluates f at
 its points, so that entry takes its residuals right after the sweep,
-from the point memo (`_sweep`); a sequential series sweep evaluates f
-at its own updated points, so its entry takes them at once
-(`_next_entry`); and `solve` takes the last entry's before it returns.
-So only the entries whose points no sweep evaluates at their precision
-wait for a reader, who runs each point once: the k = 0 entry above
-FLOOR bits, whose first sweep runs on a rung, a rung entry before a
-climb, and every entry of a factored form, whose sweeps read no f.  The
+from the point memo (`_sweep`), and a solve that converged or ran out
+of iterations takes its last entry's before it returns (`solve`).  So
+only the entries whose points no sweep evaluates at their precision
+wait for a reader: the k = 0 entry above FLOOR bits, whose first sweep
+runs on a rung, a rung entry before a climb, the last entry of a failed
+solve, and every entry of a factored form, whose sweeps read no f.  The
 report's order (`SolveReport.estimated_order`) reads the errors, on its
 first read, and the residuals only at an entry where a coordinate stood
 still (`order_error_sequence`); an iterate on a stored root reads f = 0
@@ -62,7 +61,6 @@ from .errors import (
 )
 from .polynomials import (
     FactoredForm,
-    SeriesPoly,
     _top,
     collision_threshold,
     evaluate,
@@ -218,9 +216,9 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
     them: no sweep decides anything on them, so only a reader (the order,
     `save_report`) pays for them.  Where a coefficient form's sweep
     evaluated f at the points at `bits`, the solver reads the residuals
-    right after it, from the point memo (`_sweep`, `_next_entry`).  With
-    finite coefficients and points f is finite, so a late read raises
-    nothing."""
+    right after it, from the point memo (`_sweep`).  With finite
+    coefficients and points f is finite, so a late read raises nothing;
+    where `evaluate` does raise, the read raises it."""
     approximations = tuple(approximations)
     residuals = _Deferred(_residuals, poly, approximations, bits)
     errors = (None if true_roots is None
@@ -311,20 +309,8 @@ def _step(poly, multiplicities, entry, settings, true_roots):
     bits = settings.precision_bits
     new, corrections = _sweep(poly, multiplicities, entry.approximations,
                               bits, settings.sweep_mode, entry)
-    return _next_entry(poly, entry, new, corrections, bits, settings,
-                       true_roots)
-
-
-def _next_entry(poly, entry, new, corrections, bits, settings, true_roots):
-    """The TraceEntry after `entry`, of a sweep at `bits` to `new`.  A
-    series coefficient form's sequential sweep read f at every updated
-    point but the last, whose bases the coupling of the later coordinates
-    reads (`log_derivative_sum`), so the entry takes its residuals now,
-    from the point memo, not after a climb has dropped them from it."""
-    following = _entry(poly, new, entry.k + 1, bits, corrections, true_roots)
-    if settings.sweep_mode == SEQUENTIAL and isinstance(poly, SeriesPoly):
-        following.residuals  # the read takes them (`_OnRead`)
-    return following
+    return _entry(poly, new, entry.k + 1, bits, corrections=corrections,
+                  true_roots=true_roots)
 
 
 def _sweep(poly, multiplicities, approximations, bits, sweep_mode,
@@ -535,8 +521,8 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
             if (_need(multiplicities, corrections, 1) <= rung
                     and max(corrections) > settings.tolerance
                     and all(map(operator.ne, new, start))):
-                return _next_entry(poly, entry, new, corrections, rung,
-                                   settings, true_roots)
+                return _entry(poly, new, entry.k + 1, rung, corrections,
+                              true_roots)
     return _step(poly, multiplicities, entry, settings, true_roots)
 
 
@@ -610,10 +596,13 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     roots that are not one per start, raise InvalidConfigurationError
     before any sweep.
 
-    A coefficient form's last entry takes its residuals before the solve
-    returns: its points are the last sweep's, where that sweep moved
-    nothing, and a reader that takes the earlier deferred entries first
-    would find them dropped from the point memo.
+    A coefficient form's last entry takes its residuals before a solve
+    that converged or ran out of iterations returns: its points are the
+    last sweep's, where that sweep moved nothing, and a reader that takes
+    the earlier deferred entries first would find them dropped from the
+    point memo.  A failed solve's last entry waits for a reader: its
+    termination is already decided, and a read inside the solve would
+    only let a second failure at the same points escape it.
     """
     settings = settings or SolveSettings(precision_bits=poly.precision_bits)
     # a copy with an empty point memo, which serves every rung of this
@@ -643,6 +632,7 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
         if max(entry.corrections) <= settings.tolerance:
             termination = CONVERGED
             break
-    if not isinstance(poly, FactoredForm):
+    if (termination in (CONVERGED, MAX_ITERATIONS)
+            and not isinstance(poly, FactoredForm)):
         trace[-1].residuals  # the read takes them (`_OnRead`)
     return SolveReport(termination, tuple(trace))
