@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 non-convergence (max_iterations / diverged or a
 failed verification), 2 input or schema error, 3 internal numeric error
-(collision / non-finite values).
+(a collision, or an expansion that fails its round trip).
 """
 
 import argparse
@@ -45,7 +45,6 @@ from .solver import (
     CONVERGED,
     DIVERGED,
     MAX_ITERATIONS,
-    NONFINITE,
     SolveSettings,
     solve,
     trace_order,
@@ -62,7 +61,6 @@ _TERMINATION_EXIT = {
     MAX_ITERATIONS: EXIT_NOT_CONVERGED,
     DIVERGED: EXIT_NOT_CONVERGED,
     COLLISION: EXIT_NUMERIC,
-    NONFINITE: EXIT_NUMERIC,
 }
 
 

@@ -10,15 +10,15 @@ class InvalidConfigurationError(MultirootsError, ValueError):
 
 
 class FamilyOverflowError(MultirootsError, ArithmeticError):
-    """Evaluation produced a non-finite value."""
+    """A family's evaluation at x failed: x is nan or infinite, or, with a
+    `detail` saying by how much, an expansion does not reproduce its
+    factored form at x."""
 
     def __init__(self, family, x, detail=""):
         self.family = family
         self.x = x
-        msg = f"non-finite {family} evaluation at x={x}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"{family} {detail} at x={x}" if detail else
+                         f"{family} evaluation at a non-finite point x={x}")
 
 
 class CollisionError(MultirootsError, ArithmeticError):

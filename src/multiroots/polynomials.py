@@ -41,7 +41,10 @@ form), so the points one sweep reads, the incoming and, in sequential
 mode, the updated ones, are still there when the incoming entry takes
 its residuals.  `solver.solve` runs on its own copy of the polynomial,
 so a memo lives for one solve and spans every rung of its precision
-ladder.  The kernels return the same bits either way.
+ladder.  The kernels return the same bits either way.  A nan or
+infinite point is a FamilyOverflowError where its value stage would
+run; every stored value is finite, so at a finite point every kernel's
+value is finite.
 
 The memo of a series also serves `log_derivative_sum`: given the
 polynomial, it forms each coupling term from the first basis pairs
@@ -663,14 +666,6 @@ def _to_raw(value, prec):
     return mp.mpf(value, prec=prec)._mpf_
 
 
-def _finite(value, family, x):
-    """`value` as an mpf; FamilyOverflowError at the raw point x if it is
-    not finite."""
-    if value in NONFINITE:
-        raise FamilyOverflowError(family, mp.make_mpf(x))
-    return mp.make_mpf(value)
-
-
 def _basis_guard(n):
     """The guard bits of a degree-n series basis above the kernel's
     precision."""
@@ -729,10 +724,13 @@ def _raw_point(poly, x, bits):
 
 def _memo_point(poly, x, prec):
     """The `_Point` of the poly at the raw x and `prec`, kept in its memo:
-    its value stage runs on the first read."""
+    its value stage runs on the first read.  A nan or infinite x is a
+    FamilyOverflowError there, and enters no memo."""
     memo = poly._memo
     point = memo.get((x, prec))
     if point is None:
+        if x in NONFINITE:
+            raise FamilyOverflowError(poly.family, mp.make_mpf(x))
         point = memo[x, prec] = _Point(x, prec, *poly._pass(x, prec))
         if len(memo) > poly._memo_limit:
             del memo[next(iter(memo))]
@@ -758,8 +756,7 @@ def evaluate(poly, x, bits=None):
     This is the value stage of the point: the derivative and the magnitude
     are later stages, run from what it keeps only when a kernel reads them.
     """
-    point = _raw_point(poly, x, bits)
-    return _finite(point.value, poly.family, point.x)
+    return mp.make_mpf(_raw_point(poly, x, bits).value)
 
 
 def evaluate_derivative(poly, x, bits=None):
@@ -779,7 +776,7 @@ def evaluate_derivative(poly, x, bits=None):
     point = _raw_point(poly, x, bits)
     if point.slope is None:
         point.slope = poly._slope(point)
-    return _finite(point.slope, poly.family, point.x)
+    return mp.make_mpf(point.slope)
 
 
 def magnitude_scale(poly, x, bits=None):
@@ -922,10 +919,11 @@ def _product_half_cotangent(sign, own, other, bits, guard):
     c is within 0.4 ulp at `bits` before its one rounding, so within 1 ulp
     after it.  Close pairs exceed that, and so do trigonometric pairs near
     u = +-pi or +-2pi (unless the products are as small as S, as near a
-    zero of cos or sin at both points), exponential pairs far from 0, a
-    zero S and a nonfinite one.  The rule reads magnitudes that do not
-    depend on the order of the pair, and S changes sign exactly with it,
-    so c(x_j - x_i) is -c(x_i - x_j) bit for bit.
+    zero of cos or sin at both points), exponential pairs far from 0, and
+    a zero S; 1 + C and 1 - C are at least 1 where they are formed.  The
+    rule reads magnitudes that do not depend on the order of the pair, and
+    S changes sign exactly with it, so c(x_j - x_i) is -c(x_i - x_j) bit
+    for bit.
     """
     prec = bits + guard
     (ei, oi), (ej, oj) = own, other
@@ -939,7 +937,7 @@ def _product_half_cotangent(sign, own, other, bits, guard):
     else:
         shifted = num = mpf_add(fone, cosine, prec, RND)
         den = sine
-    if not (sine[1] and shifted[1]):  # zero or not finite
+    if not sine[1]:  # S = 0
         return None
     limit = guard - 6
     if (_top(p, q) - _top(sine) > limit

@@ -63,10 +63,7 @@ def format_real(x, bits):
     The value is rounded to `bits` once and written by the libmp call
     ``mp.nstr`` makes, so no ``workprec`` context is entered."""
     digits = decimal_digits(bits)
-    x = mp.mpf(x, prec=bits)
-    if not mp.isfinite(x):
-        return str(x)
-    return libmp.to_str(x._mpf_, digits, strip_zeros=True)
+    return libmp.to_str(mp.mpf(x, prec=bits)._mpf_, digits, strip_zeros=True)
 
 
 def parse_real(text, bits):

@@ -37,7 +37,7 @@ REPRESENTATIONS = ("coefficients", "roots")
 # the TraceEntry fields a report stores as lists of reals, in file order
 _TRACE_LISTS = ("approximations", "residuals", "corrections", "errors")
 # the strings `format_real` writes, each of which `parse_real` takes
-_CANONICAL = re.compile(r"-?[0-9]+\.[0-9]+(e[+-][0-9]+)?|nan|\+inf|-inf")
+_CANONICAL = re.compile(r"-?[0-9]+\.[0-9]+(e[+-][0-9]+)?")
 # a series family's class and its problem-file keys for the even and odd
 # coefficients
 _SERIES = {TRIGONOMETRIC: (TrigPoly, "cos", "sin"),
@@ -65,11 +65,10 @@ def located(location, build, *args, **kwargs):
         raise SchemaError(str(exc), location)
 
 
-def checked_real(value, bits, location, finite=True):
+def checked_real(value, bits, location):
     """Parse one real from outside the program (a JSON value or a CLI flag);
-    a value that is not a real, or is nan or infinite while `finite` holds,
-    raises a SchemaError naming `location`.  Reports pass finite=False: a
-    `nonfinite` solve writes nan and inf into them."""
+    a value that is not a real, or is nan or infinite, raises a SchemaError
+    naming `location`."""
     # bool is an int subclass, and true would silently mean 1
     _require(type(value) is not bool and isinstance(value, (str, int, float)),
              f"expected number or decimal string, got {type(value).__name__}",
@@ -79,15 +78,14 @@ def checked_real(value, bits, location, finite=True):
     # "p/0" parses as a division by zero
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"unparseable real {value!r}", location)
-    _require(not finite or mp.isfinite(real), f"non-finite real {value!r}",
-             location)
+    _require(mp.isfinite(real), f"non-finite real {value!r}", location)
     return real
 
 
-def _parse_reals(values, bits, location, finite=True):
+def _parse_reals(values, bits, location):
     _require(isinstance(values, list) and values, "expected a nonempty list",
              location)
-    return tuple(checked_real(v, bits, f"{location}[{idx}]", finite)
+    return tuple(checked_real(v, bits, f"{location}[{idx}]")
                  for idx, v in enumerate(values))
 
 
@@ -104,8 +102,8 @@ def _reals_on_read(values, bits, location):
     _require(isinstance(values, list) and values, "expected a nonempty list",
              location)
     if all(map(_canonical, values)):
-        return _Deferred(_parse_reals, values, bits, location, finite=False)
-    return _parse_reals(values, bits, location, finite=False)
+        return _Deferred(_parse_reals, values, bits, location)
+    return _parse_reals(values, bits, location)
 
 
 def _read_json(path):
@@ -358,10 +356,11 @@ def load_report(path):
     entry's lies between MIN_PRECISION_BITS and it.  `termination` is one
     of the solver's TERMINATIONS, entry i's `k` is i, and `iterations_used`
     is the last entry's `k`; a missing `k` or `iterations_used` takes that
-    value.  `final` and `residuals`, when present, are the last entry's,
-    and `estimated_order` is a real or null, and null unless `termination`
-    is converged.  The report it returns reads its order off the trace
-    (`SolveReport.estimated_order`), not off the file.
+    value.  Every real is finite.  `final` and `residuals`, when present,
+    are the last entry's, and `estimated_order` is a real or null, and
+    null unless `termination` is converged.  The report it returns reads
+    its order off the trace (`SolveReport.estimated_order`), not off the
+    file.
     A report that breaks a rule no longer describes one solve and is a
     SchemaError naming the key, raised here, whatever its reader then reads.
 
@@ -431,21 +430,18 @@ def load_report(path):
              f"got {used!r}", f"{location}.iterations_used")
     last = data["trace"][-1]
 
-    def raw(reals):
-        # raw values: a `nonfinite` report holds nan, and nan != nan
-        if type(reals) is _Deferred:
-            reals = reals()
-        return reals and [v._mpf_ for v in reals]
+    def taken(reals):
+        return reals() if type(reals) is _Deferred else reals
 
     # files this program writes repeat the last entry's text
     _require(data["final"] == last["approximations"]
-             or raw(final) == raw(trace[-1].approximations),
+             or taken(final) == trace[-1].approximations,
              "final must be the last entry's approximations",
              f"{location}.final")
     _require("residuals" not in data
              or data["residuals"] == last.get("residuals")
-             or raw(optional(data, "residuals", location))
-             == raw(trace[-1].residuals),
+             or taken(optional(data, "residuals", location))
+             == trace[-1].residuals,
              "residuals must be the last entry's", f"{location}.residuals")
     order = data.get("estimated_order")
     loc = f"{location}.estimated_order"
@@ -453,5 +449,5 @@ def load_report(path):
              "only a converged solve carries an order", loc)
     # the order is checked, not kept: a canonical one parses
     if order is not None and not _canonical(order):
-        checked_real(order, bits, loc, finite=False)
+        checked_real(order, bits, loc)
     return SolveReport(data["termination"], tuple(trace))

@@ -42,6 +42,12 @@ first read, and the residuals only at an entry where a coordinate stood
 still (`order_error_sequence`); an iterate on a stored root reads f = 0
 there by lookup.  A loaded report's entries take their lists on first
 read as well (`load_report`).
+
+A sweep fails in three ways of its own (`FAILURES`): two approximations
+collide, a correction's denominator degenerates, or a factored sweep
+meets a pole of its fixed-point terms.  Every container refuses a
+non-finite coefficient, root or scale, and `solve` a non-finite start,
+so every point a sweep reads is finite, and so is f there.
 """
 
 import operator
@@ -55,7 +61,6 @@ from .convergence import estimate_order
 from .errors import (
     CollisionError,
     DegenerateDenominatorError,
-    FamilyOverflowError,
     InsufficientDataError,
     InvalidConfigurationError,
 )
@@ -80,8 +85,7 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 COLLISION = "collision"
 DIVERGED = "diverged"
-NONFINITE = "nonfinite"
-TERMINATIONS = (CONVERGED, MAX_ITERATIONS, COLLISION, DIVERGED, NONFINITE)
+TERMINATIONS = (CONVERGED, MAX_ITERATIONS, COLLISION, DIVERGED)
 
 # What `solve` reports when a sweep raises one of these; `_ladder_step`
 # retries a rung's sweep at full precision on the same ones.
@@ -89,7 +93,6 @@ FAILURES = {
     CollisionError: COLLISION,
     DegenerateDenominatorError: DIVERGED,
     ZeroDivisionError: DIVERGED,
-    FamilyOverflowError: NONFINITE,
 }
 
 # The lowest rung of the precision ladder; a solve at or below it never
@@ -216,9 +219,9 @@ def _entry(poly, approximations, k, bits, corrections=None, true_roots=None):
     them: no sweep decides anything on them, so only a reader (the order,
     `save_report`) pays for them.  Where a coefficient form's sweep
     evaluated f at the points at `bits`, the solver reads the residuals
-    right after it, from the point memo (`_sweep`).  With finite
-    coefficients and points f is finite, so a late read raises nothing;
-    where `evaluate` does raise, the read raises it."""
+    right after it, from the point memo (`_sweep`).  The coefficients and
+    the points are finite, and so is f at them: a late read raises
+    nothing."""
     approximations = tuple(approximations)
     residuals = _Deferred(_residuals, poly, approximations, bits)
     errors = (None if true_roots is None
@@ -290,8 +293,8 @@ def step(poly, multiplicities, entry, settings, true_roots=None):
     """One sweep over the approximations of `entry`; returns the next
     TraceEntry.  `true_roots` takes what `solve` takes.
 
-    Raises CollisionError / DegenerateDenominatorError / FamilyOverflowError
-    on the corresponding per-root failures, and a factored sweep
+    Raises CollisionError / DegenerateDenominatorError on the
+    corresponding per-root failures, and a factored sweep
     ZeroDivisionError at a pole (`_fixed_sweep`); `solve` maps these to
     termination reasons (FAILURES).  A coefficient form's `entry` takes
     its residuals after the sweep, where it ran at the entry's precision
@@ -590,9 +593,9 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
 
     Termination reasons: `converged` (all corrections <= tolerance),
     `max_iterations`, `collision` (two approximations closer than the
-    collision threshold), `diverged` (degenerate denominator or the
-    approximations left a generous bounding radius), `nonfinite` (see
-    FAILURES).  Starts or true roots that are not finite reals, or true
+    collision threshold), `diverged` (degenerate denominator, a pole of a
+    factored sweep, or the approximations left a generous bounding
+    radius).  Starts or true roots that are not finite reals, or true
     roots that are not one per start, raise InvalidConfigurationError
     before any sweep.
 
@@ -600,9 +603,8 @@ def solve(poly, multiplicities, initial, settings=None, true_roots=None):
     that converged or ran out of iterations returns: its points are the
     last sweep's, where that sweep moved nothing, and a reader that takes
     the earlier deferred entries first would find them dropped from the
-    point memo.  A failed solve's last entry waits for a reader: its
-    termination is already decided, and a read inside the solve would
-    only let a second failure at the same points escape it.
+    point memo.  A failed solve's last entry waits for a reader, as a
+    rung entry does: its termination is already decided.
     """
     settings = settings or SolveSettings(precision_bits=poly.precision_bits)
     # a copy with an empty point memo, which serves every rung of this

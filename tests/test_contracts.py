@@ -136,7 +136,11 @@ class TestTerminationEdges:
                            match=r"coefficient coeffs\[0\] is not finite"):
             AlgebraicPoly((mp.nan, 1))
 
-    def test_nonfinite_during_iteration_becomes_termination(self, monkeypatch):
+    def test_a_kernel_error_during_iteration_escapes_the_solve(self,
+                                                               monkeypatch):
+        # no sweep on finite points meets a non-finite value, so a
+        # FamilyOverflowError out of a sweep is no termination of the
+        # solve's: it propagates
         import multiroots.solver as solver_mod
         from multiroots import FamilyOverflowError
 
@@ -151,9 +155,9 @@ class TestTerminationEdges:
             return real_eval(p, x, bits)
 
         monkeypatch.setattr(solver_mod, "evaluate", flaky)
-        report = solve(poly, (1, 1), ("0.9", "-1.2"))
-        assert report.termination == "nonfinite"
-        assert len(report.trace) == 1
+        with pytest.raises(FamilyOverflowError):
+            solve(poly, (1, 1), ("0.9", "-1.2"))
+        assert calls["n"] == 2
 
     def test_escaping_the_bounding_radius_becomes_diverged(self, monkeypatch):
         import multiroots.solver as solver_mod

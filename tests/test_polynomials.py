@@ -83,6 +83,22 @@ class TestEvaluate:
             evaluate(poly, mp.inf)
         assert err.value.family == EXPONENTIAL
 
+    @pytest.mark.parametrize("x", [mp.nan, mp.inf, -mp.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("poly", [
+        AlgebraicPoly((-3, 2)), TrigPoly(1, (1,), (2,)),
+        ExpPoly(1, (1,), (2,)), ex_factored(EXPONENTIAL, EX3_CONFIG, 53)],
+        ids=lambda poly: type(poly).__name__)
+    @pytest.mark.parametrize("kernel", [
+        evaluate, evaluate_derivative, magnitude_scale, evaluation_noise],
+        ids=lambda kernel: kernel.__name__)
+    def test_every_kernel_refuses_a_non_finite_point(self, kernel, poly, x):
+        # magnitude_scale and evaluation_noise once gave +inf at +inf
+        with pytest.raises(FamilyOverflowError) as err:
+            kernel(poly, x)
+        assert err.value.family == poly.family
+        assert not poly._memo
+
 
 @pytest.mark.parametrize("not_a_poly", [
     RootConfiguration(("1", "2"), (1, 1)), ("1", "2"), None])
@@ -779,5 +795,7 @@ class TestRejectedInput:
         form = FactoredForm(ALGEBRAIC, RootConfiguration((1, 2), (1, 1)))
         wrong = AlgebraicPoly((-3, "2.5"))
         with pytest.raises(FamilyOverflowError,
-                           match="expansion failed round-trip"):
+                           match="expansion failed round-trip") as err:
             polynomials._certify_roundtrip(form, wrong, 64)
+        # every value it names is finite
+        assert "non-finite" not in str(err.value)

@@ -35,6 +35,7 @@ from multiroots import (
     FactoredForm,
     FamilyOverflowError,
     RootConfiguration,
+    SchemaError,
     SeriesPoly,
     TrigPoly,
     evaluate,
@@ -404,13 +405,18 @@ KERNELS = ((evaluate, ref_evaluate),
            (evaluation_noise, ref_evaluation_noise))
 
 
-def coefficient_forms(family, n, bits, signs, mantissas, exponents):
-    """The coefficient form of `family` and degree n at `bits` whose
-    coefficients are +-mantissa * 10**exponent, in order: the algebraic
-    c_1..c_n, a series' a0, even and odd."""
+def signed_values(bits, signs, mantissas, exponents):
+    """+-mantissa * 10**exponent for each triple, at `bits`."""
     with mp.workprec(bits):
-        values = [sign * mp.mpf(m) * mp.mpf(10) ** e
-                  for sign, m, e in zip(signs, mantissas, exponents)]
+        return [sign * mp.mpf(m) * mp.mpf(10) ** e
+                for sign, m, e in zip(signs, mantissas, exponents)]
+
+
+def coefficient_forms(family, n, bits, coefficients):
+    """The coefficient form of `family` and degree n at `bits` whose
+    coefficients are the (sign, mantissa, exponent) triples' values, in
+    order: the algebraic c_1..c_n, a series' a0, even and odd."""
+    values = signed_values(bits, *zip(*coefficients))
     if family == ALGEBRAIC:
         return AlgebraicPoly(values[:n], precision_bits=bits)
     series = TrigPoly if family == TRIGONOMETRIC else ExpPoly
@@ -418,28 +424,62 @@ def coefficient_forms(family, n, bits, signs, mantissas, exponents):
                   precision_bits=bits)
 
 
+def factored_forms(family, n, bits, coefficients):
+    """The factored form of `family` at `bits` whose roots are the
+    distinct values among the first n triples', with multiplicities 1, 2,
+    3 in turn, and whose scale is the last triple's value."""
+    values = signed_values(bits, *zip(*coefficients))
+    roots = list(dict.fromkeys(values[:n]))
+    config = RootConfiguration(roots, [1 + i % 3 for i in range(len(roots))],
+                               precision_bits=bits)
+    return FactoredForm(family, config, scale=values[-1])
+
+
 COEFFICIENTS = st.lists(st.tuples(st.sampled_from([-1, 1]),
                                   st.floats(1, 9.99),
                                   st.integers(-300, 300)),
                         min_size=13, max_size=13)
+# triples whose values spread from 1e-300 to 1e300 in both signs
+SPREAD = [(1, 9.99, 300), (-1, 1, -300), (1, 2.5, 0), (-1, 7, 150),
+          (1, 3, -150), (-1, 9.99, 300)] * 2 + [(1, 9.99, 300)]
 
 
 @FEW
 @given(family=st.sampled_from(FAMILIES), n=st.integers(1, 6),
        bits=st.sampled_from([53, 192, 1024]), coefficients=COEFFICIENTS,
-       x=st.floats(-1e6, 1e6))
+       x=st.floats(-1e6, 1e6), form=st.sampled_from([coefficient_forms,
+                                                      factored_forms]))
 @example(family=EXPONENTIAL, n=6, bits=1024,
-         coefficients=[(1, 9.99, 300)] * 13, x=1e6)
+         coefficients=[(1, 9.99, 300)] * 13, x=1e6, form=coefficient_forms)
 @example(family=EXPONENTIAL, n=6, bits=53,
-         coefficients=[(-1, 1, -300)] * 13, x=-1e6)
+         coefficients=[(-1, 1, -300)] * 13, x=-1e6, form=coefficient_forms)
 @example(family=ALGEBRAIC, n=6, bits=53,
-         coefficients=[(1, 9.99, 300)] * 13, x=-1e6)
+         coefficients=[(1, 9.99, 300)] * 13, x=-1e6, form=coefficient_forms)
+# a diverged entry's iterate has no bound: |x| = 1e300 at either end of
+# the precisions, in every family and representation
+@example(family=ALGEBRAIC, n=6, bits=53, coefficients=SPREAD, x=1e300,
+         form=coefficient_forms)
+@example(family=TRIGONOMETRIC, n=6, bits=1024, coefficients=SPREAD,
+         x=-1e300, form=coefficient_forms)
+@example(family=EXPONENTIAL, n=6, bits=1024, coefficients=SPREAD, x=1e300,
+         form=coefficient_forms)
+@example(family=EXPONENTIAL, n=6, bits=53, coefficients=SPREAD, x=-1e300,
+         form=coefficient_forms)
+@example(family=ALGEBRAIC, n=6, bits=1024, coefficients=SPREAD, x=-1e300,
+         form=factored_forms)
+@example(family=TRIGONOMETRIC, n=6, bits=53, coefficients=SPREAD, x=1e300,
+         form=factored_forms)
+@example(family=EXPONENTIAL, n=3, bits=1024, coefficients=SPREAD, x=-1e300,
+         form=factored_forms)
+@example(family=EXPONENTIAL, n=6, bits=53, coefficients=SPREAD, x=1e300,
+         form=factored_forms)
 def test_finite_coefficients_give_a_finite_value(family, n, bits,
-                                                 coefficients, x):
-    # libmp exponents do not overflow, so a coefficient form with finite
-    # coefficients is finite at every finite point, however large the
-    # terms: a solve's residuals can wait for a reader without a raise
-    poly = coefficient_forms(family, n, bits, *zip(*coefficients))
+                                                 coefficients, x, form):
+    # libmp exponents do not overflow, so a form with finite coefficients,
+    # or finite roots and scale, is finite at every finite point, however
+    # large the terms: a solve's residuals can wait for a reader without
+    # a raise
+    poly = form(family, n, bits, coefficients)
     assert mp.isfinite(evaluate(poly, x))
     assert mp.isfinite(evaluate_derivative(poly, x))
     assert mp.isfinite(evaluation_noise(poly, x))
@@ -694,12 +734,18 @@ def test_the_product_coupling_is_within_an_ulp_of_the_half_cotangent(family,
 @example(bits=4096, x=mp.ldexp(1, -1400))  # a decimal exponent below -400
 @example(bits=4096, x=mp.ldexp(-3, 1400))  # and one above 400
 def test_format_real_writes_the_canonical_form(bits, x):
-    """Every real `format_real` writes, at any precision, is a string in
-    the form `load_report` parses on first read (`_CANONICAL`), and parses
-    back to the value."""
+    """Every finite real `format_real` writes, at any precision, is a
+    string in the form `load_report` parses on first read (`_CANONICAL`),
+    and parses back to the value.  A nan or infinite one is not in that
+    form, and `checked_real` refuses it."""
     text = format_real(x, bits)
+    if not mp.isfinite(x):
+        assert not _CANONICAL.fullmatch(text), text
+        with pytest.raises(SchemaError, match="x: non-finite real"):
+            checked_real(text, bits, "x")
+        return
     assert _CANONICAL.fullmatch(text), text
-    assert (checked_real(text, bits, "x", finite=False)._mpf_
+    assert (checked_real(text, bits, "x")._mpf_
             == mp.mpf(x, prec=bits)._mpf_)
 
 
@@ -713,6 +759,6 @@ assert BOUNDED != _CANONICAL.pattern
        bits=st.sampled_from([53, 192, 1024, 4096]))
 def test_every_canonical_string_parses(text, bits):
     """A report's list in the canonical form is parsed on first read, so
-    no string of that form may fail: each parses under finite=False."""
+    no string of that form may fail: each parses to a finite real."""
     assert _CANONICAL.fullmatch(text)
-    checked_real(text, bits, "x", finite=False)
+    checked_real(text, bits, "x")

@@ -17,7 +17,7 @@ from multiroots.report_io import (
     save_problem,
     save_report,
 )
-from multiroots.solver import NONFINITE, SolveReport, TraceEntry
+from multiroots.solver import SolveReport, TraceEntry
 from conftest import (BAD_LIST_EDITS, REPORT_KEY_EDITS, REPORT_LISTS,
                       break_report_list, count_calls, count_trace_orders,
                       cut_trace_list, edit_report_key, padded)
@@ -299,24 +299,28 @@ class TestReports:
                            (report_path, report_to_dict(report, problem))):
             assert path.read_text() == json.dumps(data, indent=2) + "\n"
 
-    def test_nonfinite_report_loads(self, tmp_path):
-        # a `nonfinite` solve writes nan and inf into its report
+    @pytest.mark.parametrize("value", [mp.nan, mp.inf, -mp.inf])
+    def test_a_nonfinite_report_is_rejected(self, tmp_path, value):
+        # no solve writes nan or inf, and none ends `nonfinite`
         problem = problem_from_dict(GOOD_PROBLEM)
         bits = problem.precision_bits
         start = TraceEntry(0, problem.initial, (mp.mpf(1),) * 3, None, None,
                            bits)
-        last = TraceEntry(1, (mp.nan, mp.mpf(3), mp.inf),
-                          (mp.nan, mp.mpf(0), mp.inf),
-                          (mp.nan, mp.mpf("0.5"), mp.inf), None, bits)
-        report = SolveReport(NONFINITE, (start, last))
+        last = TraceEntry(1, (value, mp.mpf(3), mp.mpf(4)),
+                          (value, mp.mpf(0), mp.mpf(1)),
+                          (value, mp.mpf("0.5"), mp.mpf(1)), None, bits)
         path = tmp_path / "r.json"
-        save_report(report, problem, path)
-        loaded = load_report(path)
-        assert loaded.termination == NONFINITE
-        for values in (loaded.final, loaded.trace[1].residuals,
-                       loaded.trace[1].corrections):
-            assert mp.isnan(values[0]) and values[2] == mp.inf
-        assert loaded.trace[1].approximations[1] == 3
+        save_report(SolveReport("max_iterations", (start, last)), problem,
+                    path)
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert f"{path}.final[0]: non-finite real" in str(err.value)
+        data = json.loads(path.read_text())
+        data["termination"] = "nonfinite"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert f"{path}.termination: " in str(err.value)
 
     def test_truncated_report_rejected(self, tmp_path):
         path = tmp_path / "r.json"
@@ -430,12 +434,19 @@ class TestReports:
         data = json.loads(path.read_text())
         data["termination"] = termination
         path.write_text(json.dumps(data))
+        # no solve ends `nonfinite`: its termination fails before its order
+        named = ("termination" if termination == "nonfinite"
+                 else "estimated_order")
         with pytest.raises(SchemaError) as err:
             load_report(path)
-        assert f"{path}.estimated_order: " in str(err.value)
+        assert f"{path}.{named}: " in str(err.value)
         data["estimated_order"] = None
         path.write_text(json.dumps(data))
-        assert load_report(path).termination == termination
+        if termination == "nonfinite":
+            with pytest.raises(SchemaError, match="termination must be one"):
+                load_report(path)
+        else:
+            assert load_report(path).termination == termination
 
     def test_a_loaded_report_reads_its_order_off_the_trace(self, tmp_path,
                                                            monkeypatch):
