@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 non-convergence (max_iterations / diverged or a
 failed verification), 2 input or schema error, 3 internal numeric error
-(a collision, or an expansion that fails its round trip).
+(a collision, or an expansion that fails its round trip: `generate`
+expands its roots, and `verify` of a factored problem expands the form
+its oracle differentiates).
 """
 
 import argparse

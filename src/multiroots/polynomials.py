@@ -95,6 +95,7 @@ from mpmath.libmp import (
     normalize,
     round_nearest,
     to_fixed,
+    to_float,
 )
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed
 
@@ -828,9 +829,28 @@ def expand_from_roots(form):
     cosh/sinh): g(x - r) = e^{wr/2} z^{-1/2} (-1 + e^{-wr} z) / (2w), so
     the product is s^n e^{w sigma/2} / 2^total z^-n sum_k c_k z^k, with
     sigma = sum(alpha r), regrouped into E/O coefficients of degree n.
+
     The result is accepted only if it reproduces the factored values at a
-    fixed set of probe points.
+    fixed set of probe points, within 2^(12 - bits) times its magnitude
+    there, floored at 1 (`_certify_roundtrip`).  An a-priori rounding bound
+    proves that first where it can, from floats alone
+    (`_bound_proves_roundtrip`): the bound on each stored coefficient's
+    error (`_coefficient_bounds`), weighted by the basis at each probe,
+    plus both forms' evaluation error there.  Only where it cannot, at
+    roots far apart for their multiplicities, say, are both forms
+    evaluated at the probes; an expansion they refuse is a
+    FamilyOverflowError.
     """
+    expanded = _expand(form)
+    if not _bound_proves_roundtrip(form, expanded):
+        with working(form.precision_bits):
+            _certify_roundtrip(form, expanded, form.precision_bits)
+    return expanded
+
+
+def _expand(form):
+    """The coefficient form of `expand_from_roots`, before its round trip
+    is certified."""
     if not isinstance(form, FactoredForm):
         raise TypeError("expand_from_roots expects a FactoredForm")
     bits = form.precision_bits
@@ -857,35 +877,268 @@ def expand_from_roots(form):
                 coeffs = _times_linear(coeffs, a, b)
 
         if algebraic:
-            expanded = AlgebraicPoly(tuple(coeffs[1:]), precision_bits=bits)
+            return AlgebraicPoly(tuple(coeffs[1:]), precision_bits=bits)
+        sigma = mp.fsum(r * a for r, a in zip(cfg.roots, cfg.multiplicities))
+        lead = form.scale * s ** n * mp.exp(w * sigma / 2) / mp.mpf(2) ** total
+        d = [lead * c for c in coeffs]  # d[m + n] multiplies e^{mwx}
+        # the regroupings round differently, so each family keeps its
+        # own; l = 0 gives a0
+        if form.family == TRIGONOMETRIC:
+            series = TrigPoly
+            even = [2 * d[n + l].real for l in range(n + 1)]
+            odd = [-2 * d[n + l].imag for l in range(1, n + 1)]
         else:
-            sigma = mp.fsum(r * a for r, a in zip(cfg.roots, cfg.multiplicities))
-            lead = form.scale * s ** n * mp.exp(w * sigma / 2) / mp.mpf(2) ** total
-            d = [lead * c for c in coeffs]  # d[m + n] multiplies e^{mwx}
-            # the regroupings round differently, so each family keeps its
-            # own; l = 0 gives a0
-            if form.family == TRIGONOMETRIC:
-                series = TrigPoly
-                even = [2 * d[n + l].real for l in range(n + 1)]
-                odd = [-2 * d[n + l].imag for l in range(1, n + 1)]
-            else:
-                series = ExpPoly
-                even = [d[n + l] + d[n - l] for l in range(n + 1)]
-                odd = [d[n + l] - d[n - l] for l in range(1, n + 1)]
-            expanded = series(even[0], even[1:], odd, precision_bits=bits)
+            series = ExpPoly
+            even = [d[n + l] + d[n - l] for l in range(n + 1)]
+            odd = [d[n + l] - d[n - l] for l in range(1, n + 1)]
+        return series(even[0], even[1:], odd, precision_bits=bits)
 
-        _certify_roundtrip(form, expanded, bits)
-        return expanded
+
+# The rounding bound of an expansion is carried in floats, with every
+# error in units of u = 2**-bits, so that no float need be as small as u.
+# A run of roundings whose relative sizes add up to R u (a count R) moves
+# a product by at most gamma(R) = R u / (1 - R u) (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 3.1).  Each float of the
+# bound is a sum of products of nonnegative terms, at most a few thousand
+# operations deep, each within 2**-52 relative (libm's exp, cosh and sin
+# within an ulp or two), so none lies more than 2**-40 below the value it
+# stands for; _SAFETY covers that, and the probe check's own roundings.
+# A bound is taken only while every nonzero product it forms lies within
+# 2**+-_RANGE_BITS, where floats neither overflow nor underflow.
+_SAFETY = 1 + 2.0 ** -24
+_RANGE_BITS = 1000
+# 1 / (2 ln 2): e^(|r|/2) = 2**(|r| * _HALF_LOG2E)
+_HALF_LOG2E = 0.5 / math.log(2)
+# the probe check's tolerance is 2**(_ROUNDTRIP_BITS - bits)
+_ROUNDTRIP_BITS = 12
+
+
+def _unit(bits):
+    """u = 2**-bits as a float, or 2**-_RANGE_BITS where that is larger:
+    never below u."""
+    return math.ldexp(1.0, -min(bits, _RANGE_BITS))
+
+
+def _gamma(count, u):
+    """gamma(count) in units of u, or inf from count u = 1/2 on."""
+    return count / (1 - count * u) if count * u < 0.5 else math.inf
+
+
+def _log2_span(raw):
+    """An upper bound on |log2 |v|| for the raw mpf v, 0 for zero."""
+    return abs(raw[2] + raw[3]) + 1 if raw[1] else 0
+
+
+def _stored(poly):
+    """The stored coefficients of a coefficient form: c_1 .. c_n of an
+    algebraic polynomial, a0, even and odd of a series."""
+    if isinstance(poly, AlgebraicPoly):
+        return poly.coeffs
+    return (poly.a0,) + poly.even + poly.odd
+
+
+def _coefficient_bounds(form, expanded):
+    """(bounds, sizes, span) for `expanded = _expand(form)`, or None where
+    the bound's floats could leave their range.
+
+    bounds[i] * 2**-bits bounds the distance of the i-th `_stored`
+    coefficient from its value in the exact expansion of the form, and
+    sizes[i] is that coefficient's absolute value as a float.  Every
+    product behind the bounds lies within 2**+-span, and so does every
+    size that does not underflow.
+
+    Let c^ be the coefficients of prod_j (|a_j| + |b_j| z)^alpha_j, the
+    expansion's factors taken in absolute value: binomials for the
+    trigonometric family, prod (1 + |r| z) for the algebraic one and
+    prod (1 + e^-r z) for the exponential one.  Each c_k is a sum of
+    products, one per choice of a_j or b_j at each step, and each product
+    carries the roundings of its own path: a step of `_times_linear`
+    rounds the product b c_(k-1) and the sum once each (a = +-1 is
+    exact; a complex part rounds once, so the pair lies within u of the
+    complex value), and b_j = e^(-w r_j) is within an ulp of each part,
+    2u, and |r_j| u more where r_j is rounded to the form's bits.  So
+    |c~_k - c_k| <= gamma(kappa N) c^_k, with kappa N the count over all
+    N steps.  A series multiplies by the lead, whose relative error
+    counts sigma's (each alpha r and the sum round once: sum(alpha |r|)
+    after the halving), its exp (2) and the product with the scale (1),
+    plus the multiplication by it (1); its error weighs the computed d~_k
+    themselves, which the stored coefficients give.  The exponential
+    regrouping rounds once more.
+    """
+    cfg, bits, family = form.config, form.precision_bits, form.family
+    mults, total = cfg.multiplicities, cfg.total_multiplicity
+    raws = [r._mpf_ for r in cfg.roots]
+    roots = [abs(to_float(r)) for r in raws]
+    u = _unit(bits)
+    # |log2| of each factor's nonzero entries below, in bits: |r| as a
+    # float is within 2**-52 of it, so _HALF_LOG2E |r| + 2 bounds that of
+    # e^(+-r/2) / 2 wherever it is below _RANGE_BITS
+    if family == ALGEBRAIC:
+        spans = [_log2_span(r) for r in raws]
+    elif family == TRIGONOMETRIC:
+        spans = [1] * len(raws)
+    else:
+        spans = [_HALF_LOG2E * r + 2 for r in roots]
+    span = (sum(a * h for a, h in zip(mults, spans))
+            + _log2_span(form.scale._mpf_) + total + 48)
+    if not span <= _RANGE_BITS:
+        return None
+    sizes = [abs(to_float(c._mpf_)) for c in _stored(expanded)]
+
+    if family == ALGEBRAIC:
+        entries = [(1.0, r) for r in roots]
+        steps = [2] * len(raws)
+    else:
+        # halved, so that the products carry |lead| / |scale| = |e^(w
+        # sigma/2)| / 2**total; the trigonometric ones have |e^(-w r)| = 1
+        if family == TRIGONOMETRIC:
+            entries = [(0.5, 0.5)] * len(raws)
+        else:
+            entries = [(math.exp(to_float(r) / 2) / 2,
+                        math.exp(-to_float(r) / 2) / 2) for r in raws]
+        steps = [4 + (r if raw[3] > bits else 0)
+                 for r, raw in zip(roots, raws)]
+    c_hat = [1.0]
+    for (a, b), alpha in zip(entries, mults):
+        for _ in range(alpha):
+            c_hat = _times_linear(c_hat, a, b)
+    gc = _gamma(sum(a * k for a, k in zip(mults, steps)), u)
+    if gc == math.inf:
+        return None
+
+    if family == ALGEBRAIC:
+        bounds = [gc * c for c in c_hat[1:]]
+    else:
+        n = expanded.degree
+        scale = abs(to_float(form.scale._mpf_))
+        lc = [scale * c for c in c_hat]
+        gl = _gamma(sum(a * r for a, r in zip(mults, roots)) + 4, u)
+        if gl == math.inf:
+            return None
+        a0, even, odd = sizes[0], sizes[1:n + 1], sizes[n + 1:]
+        if family == TRIGONOMETRIC:
+            # a0 = 2 Re d_n, even_l = 2 Re d_(n+l) and odd_l = -2 Im
+            # d_(n+l), each exact, so |d_(n+l)| <= (even_l + odd_l) / 2;
+            # Im d_n, which is not stored, is at most d_n's own error
+            pairs = [2 * gc * lc[n + l] + gl * (e + o)
+                     for l, (e, o) in enumerate(zip(even, odd), 1)]
+            bounds = ([(2 * gc * lc[n] + gl * a0) / (1 - gl * u)]
+                      + pairs + pairs)
+        else:
+            # a0 = 2 d_n exactly; even_l and odd_l round d_(n+l) +- d_(n-l)
+            # once, and the larger of the two sums is |d_(n+l)| + |d_(n-l)|
+            g1 = _gamma(1, u)
+            shared = [gc * (lc[n + l] + lc[n - l]) + gl * g1 * max(e, o)
+                      for l, (e, o) in enumerate(zip(even, odd), 1)]
+            bounds = ([2 * gc * lc[n] + gl * a0]
+                      + [s + g1 * e for s, e in zip(shared, even)]
+                      + [s + g1 * o for s, o in zip(shared, odd)])
+    return [b * _SAFETY for b in bounds], sizes, span
 
 
 _PROBE_OFFSETS = ("0.1043", "-0.4321", "0.8765", "-1.2345", "1.7321", "-2.4142", "2.7183")
+_PROBE_FLOATS = tuple(float(off) for off in _PROBE_OFFSETS)
+
+
+def _bound_proves_roundtrip(form, expanded):
+    """True where `_coefficient_bounds` proves that `expanded = _expand(form)`
+    passes `_certify_roundtrip` at every probe, without evaluating either
+    form.
+
+    At a probe x the check compares the two forms' computed values within
+    2^(12 - bits) max(mag(x), 1).  Their distance is at most the stored
+    coefficients' errors weighted by the basis (|x|^k, 1 or cosh lx), plus
+    each form's evaluation error: Horner's gamma(2n) (Higham, 5.1) or a
+    series' 3 roundings (the basis, at `_basis_guard` bits more, is within
+    u/32), each times the magnitude; and the factored value's relative
+    error, a count per root of alpha times that of its factor (1 for x -
+    r; t/sin t + 2 and 1 + |t| + 2 for sin t and sinh t, t = (x - r)/2,
+    which amplify the rounding of x - r) and 3 more for its power and
+    product.  Points, roots and magnitudes are floats, so each is taken
+    at the end of its interval that does not favour the bound.
+    """
+    found = _coefficient_bounds(form, expanded)
+    if found is None:
+        return False
+    bounds, sizes, span = found
+    family, bits, n = form.family, form.precision_bits, expanded.degree
+    u = _unit(bits)
+    # level j of the basis weighs |x|**j, E(jx) (1/2 for a0) or 1
+    if family == ALGEBRAIC:
+        errors, magnitudes = bounds[::-1] + [0.0], sizes[::-1] + [1.0]
+        evaluation = _gamma(2 * n, u)
+    else:
+        errors = [bounds[0] / 2] + [e + o for e, o in
+                                    zip(bounds[1:n + 1], bounds[n + 1:])]
+        magnitudes = [sizes[0] / 2] + [e + o for e, o in
+                                       zip(sizes[1:n + 1], sizes[n + 1:])]
+        evaluation = _gamma(3, u)
+    roots = [to_float(r._mpf_) for r in form.config.roots]
+    mults = form.config.multiplicities
+    lo, hi = min(roots), max(roots)
+    centre = (lo + hi) / 2
+    # past every float's distance from the point or root it stands for
+    slack = math.ldexp(abs(lo) + abs(hi) + 3, -46)
+    for off in _PROBE_FLOATS:
+        x = centre + off
+        near, far = max(abs(x) - slack, 0.0), abs(x) + slack
+        if family == ALGEBRAIC:
+            reach = n * abs(math.log2(far))
+        elif family == EXPONENTIAL:
+            reach = 2 * n * far + 1
+        else:
+            reach = 0
+        if not span + reach <= _RANGE_BITS:
+            return False
+        upper, lower = _basis_weights(family, far, n), _basis_weights(
+            family, near, n)
+        count = 0
+        for r, a in zip(roots, mults):
+            t = abs(x - r) / 2 + slack
+            if family == ALGEBRAIC:
+                factor = 1
+            elif family == EXPONENTIAL:
+                factor = 3 + t
+            elif t < 3:  # t / sin t grows without bound towards pi
+                factor = 2 + t / math.sin(t)
+            else:
+                return False
+            count += a * factor + 3
+        coefficient = sum(e * w for e, w in zip(errors, upper))
+        magnitude = sum(m * w for m, w in zip(magnitudes, upper))
+        bound = (coefficient + evaluation * magnitude
+                 + _gamma(count, u) * (magnitude + u * coefficient))
+        floor = sum(m * w for m, w in zip(magnitudes, lower)) / _SAFETY
+        tolerance = 2.0 ** _ROUNDTRIP_BITS * max(floor, 1.0)
+        # 1 more covers the sizes that underflow, each below 2**-1022
+        if not bound * _SAFETY + 1 <= tolerance:
+            return False
+    return True
+
+
+def _basis_weights(family, x, n):
+    """The basis weights |x|**j, cosh(jx) or 1 of levels j = 0..n at x >= 0,
+    each increasing in x."""
+    if family == ALGEBRAIC:
+        weights = [1.0]
+        for _ in range(n):
+            weights.append(weights[-1] * x)
+        return weights
+    if family == EXPONENTIAL:
+        return [1.0] + [math.cosh(j * x) for j in range(1, n + 1)]
+    return [1.0] * (n + 1)
 
 
 def _certify_roundtrip(form, expanded, bits):
+    """Evaluate the factored form and its expansion at 7 probe points about
+    the middle of the roots; FamilyOverflowError unless they agree within
+    2^(12 - bits) times the expansion's magnitude there, floored at 1.
+    `expand_from_roots` runs it only where its rounding bound cannot prove
+    the same."""
     lo = min(form.config.roots)
     hi = max(form.config.roots)
     center = (lo + hi) / 2
-    tol = mp.mpf(2) ** (-(bits - 12))
+    tol = mp.mpf(2) ** (_ROUNDTRIP_BITS - bits)
     for off in _PROBE_OFFSETS:
         x = center + mp.mpf(off)
         want = evaluate(form, x, bits)

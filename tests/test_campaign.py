@@ -30,7 +30,10 @@ converged.  A wrong draw is counted, not failed, while the larger sample
 holds one: draw 890, a simple root of an exponential coefficient form
 beside a 4-fold one, where |f'(r)| is about 3e-6 and the root ends
 5.0e-29 from the truth, 4 times its tolerance but within the 8.4e-29 that
-the evaluation noise over |f'(r)| allows.
+the evaluation noise over |f'(r)| allows.  It also prints how many of the
+coefficient-form expansions `expand_from_roots` certified by its rounding
+bound alone and how many it evaluated at the probes: a count, not an
+assertion.
 """
 import random
 import sys
@@ -47,6 +50,7 @@ from multiroots import (
     expand_from_roots,
     solve,
 )
+from multiroots import polynomials
 from multiroots.polynomials import gaps, root_offset
 from multiroots.precision import working
 from multiroots.solver import CONVERGED, SEQUENTIAL, SIMULTANEOUS
@@ -140,8 +144,22 @@ def test_a_period_shift_draw_moves_one_start_by_a_period():
                        for n, x in enumerate(starts) if n != j)
 
 
+def count_certificates():
+    """A Counter of the expansions `expand_from_roots` certifies from here
+    on, by "bound" or by "probes"."""
+    counts, prove = Counter(), polynomials._bound_proves_roundtrip
+
+    def counted(form, expanded):
+        proved = prove(form, expanded)
+        counts["bound" if proved else "probes"] += 1
+        return proved
+    polynomials._bound_proves_roundtrip = counted
+    return counts
+
+
 if __name__ == "__main__":
     failed = False
+    certificates = count_certificates()
     for (name, problem), draws in zip(CLASSES.items(), sys.argv[1:]):
         counts, misses = campaign(int(draws), problem)
         print(f"{name} class: {dict(counts)}")
@@ -149,4 +167,6 @@ if __name__ == "__main__":
             if misses:
                 print(f"not right: {misses}")
             failed = counts[RIGHT] + counts[WRONG] < sum(counts.values())
+    print(f"coefficient-form expansions: {certificates['bound']} certified by "
+          f"the rounding bound, {certificates['probes']} at the probes")
     sys.exit(1 if failed else 0)

@@ -355,6 +355,26 @@ def test_a_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("numeric error: ")
 
 
+def test_verify_exits_3_where_its_oracle_cannot_expand_the_form(tmp_path,
+                                                                capsys):
+    # the factored form solves, but the oracle's derivative ladder expands
+    # it, and at 53 bits its 13 roots far apart fail the round trip
+    roots = (-930, -619, -611, -513, -477, -444, -228, -45, 116, 151, 279,
+             354, 620)
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "family": "algebraic", "representation": "roots",
+        "roots": [str(r) for r in roots],
+        "multiplicities": [1, 2, 1, 6, 1, 1, 5, 5, 5, 2, 3, 6, 3],
+        "initial": [str(r + 0.5) for r in roots], "precision_bits": 53}))
+    report = tmp_path / "r.json"
+    assert run("solve", problem, "-o", report) == 0
+    capsys.readouterr()
+    assert run("verify", problem, report) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric error: algebraic expansion failed round-trip")
+
+
 def _assert_exits_2_naming(tmp_path, capsys, change, argv, named):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(EXAMPLE1, **change)))

@@ -33,8 +33,9 @@ from multiroots import (
 )
 from multiroots.precision import to_mpf
 from multiroots.polynomials import root_offset
-from conftest import (assert_close, count_family_calls, count_passes,
-                      count_stages, random_configuration)
+from conftest import (assert_close, count_calls, count_family_calls,
+                      count_passes, count_stages, random_configuration)
+from test_campaign import TIER1_DRAWS, draw as campaign_draw
 
 # independently computed with the factored product at 256 bits
 T3_AT_0P2 = "0.03307453734398724732237873591725980805875002968812298335351705923076569"
@@ -423,6 +424,80 @@ class TestExpandFromRoots:
                     diff = abs(evaluate(form, x, bits) - evaluate(poly, x, bits))
                     scale = max(magnitude_scale(poly, x, bits), mp.mpf(1))
                     assert diff <= tol * scale
+
+
+def session_configuration(rng, index):
+    """A configuration like those a CLI session generates: the family in
+    turn, 2-4 roots with four decimals spread over 6, 5 or 4 at gaps within
+    a factor 2, and multiplicities 1, 2, 3, ... in a drawn order, evened
+    for a series, at 192 bits."""
+    family = (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL)[index % 3]
+    m = 2 + index // 3 % 3
+    span = {ALGEBRAIC: 6.0, TRIGONOMETRIC: 5.0, EXPONENTIAL: 4.0}[family]
+    steps = [rng.uniform(1.0, 2.0) for _ in range(m - 1)]
+    roots = [rng.uniform(-0.5, 0.5) - span / 2]
+    for step in steps:
+        roots.append(roots[-1] + step * span / sum(steps))
+    mults = [1 + i % 3 for i in range(m)]
+    if family != ALGEBRAIC and sum(mults) % 2:
+        mults[-1] += 1 if mults[-1] < 3 else -1
+    rng.shuffle(mults)
+    cfg = RootConfiguration([f"{r:.4f}" for r in roots], mults,
+                            precision_bits=192)
+    return FactoredForm(family, cfg)
+
+
+def campaign_forms():
+    """The factored forms that the first TIER1_DRAWS draws of the
+    honest-termination campaign's random class expand."""
+    forms = []
+    for index in range(TIER1_DRAWS):
+        family, poly, cfg, _, _ = campaign_draw(index)
+        if not isinstance(poly, FactoredForm):
+            forms.append(FactoredForm(family, cfg))
+    return forms
+
+
+class TestExpansionBound:
+    """`expand_from_roots` certifies an expansion by its rounding bound
+    where it can, and evaluates both forms at the probes only where it
+    cannot; either way an expansion's outcome and bits stay those of the
+    probe check."""
+
+    @pytest.mark.parametrize("draws", ["campaign", "session"])
+    def test_common_expansions_evaluate_nothing(self, monkeypatch, draws):
+        evaluations = count_calls(monkeypatch, polynomials, "evaluate")
+        magnitudes = count_calls(monkeypatch, polynomials, "magnitude_scale")
+        if draws == "campaign":
+            forms = campaign_forms()  # expanded inside the draws
+        else:
+            rng = random.Random(20261021)
+            forms = [session_configuration(rng, i) for i in range(60)]
+        expanded = [expand_from_roots(form) for form in forms]
+        assert len(forms) >= 60
+        assert not evaluations and not magnitudes
+        monkeypatch.undo()
+        # the probe check passes too: it keeps the regroupings checked
+        for form, poly in zip(forms, expanded):
+            polynomials._certify_roundtrip(form, poly, form.precision_bits)
+
+    def test_a_fringe_form_the_probes_accept_keeps_its_coefficients(self):
+        roots, mults = (-37, -5, 5, 11, 29), (3, 4, 4, 3, 4)
+        form = FactoredForm(ALGEBRAIC, RootConfiguration(roots, mults, 128))
+        # the integer coefficients, all below 2**65, are exact at 128 bits
+        exact = [1]
+        for r, a in zip(roots, mults):
+            for _ in range(a):
+                exact = [c - r * p for c, p in zip(exact + [0], [0] + exact)]
+        assert expand_from_roots(form).coeffs == tuple(exact[1:])
+
+    def test_thirteen_roots_far_apart_still_fail_the_round_trip(self):
+        cfg = RootConfiguration(
+            (-930, -619, -611, -513, -477, -444, -228, -45, 116, 151, 279,
+             354, 620), (1, 2, 1, 6, 1, 1, 5, 5, 5, 2, 3, 6, 3), 53)
+        with pytest.raises(FamilyOverflowError,
+                           match="expansion failed round-trip"):
+            expand_from_roots(FactoredForm(ALGEBRAIC, cfg))
 
 
 class TestLogDerivativeSum:

@@ -45,7 +45,8 @@ from multiroots import (
     log_derivative_sum,
     magnitude_scale,
 )
-from multiroots.polynomials import _series_basis
+from multiroots.polynomials import (_coefficient_bounds, _expand,
+                                    _series_basis, _stored)
 from multiroots.precision import format_real, ulps_apart
 from multiroots.report_io import (_CANONICAL, checked_real, problem_from_dict,
                                   problem_to_dict)
@@ -577,6 +578,68 @@ def test_factored_derivative_is_within_its_rounding_bound(family, data):
                  * abs(ref_factored_value(form, x)) * size)
         assert abs(got - want) <= bound, (x, got, want)
         assert abs(product_rule - want) <= bound, (x, product_rule, want)
+
+
+# how far out the stress forms' roots lie, and how far apart: mixed signs,
+# and exponential roots about a centre far enough out that sigma = sum(a r)
+# reaches hundreds and e^(-r) spans 2**170
+STRESS_CENTRE = {ALGEBRAIC: 0, TRIGONOMETRIC: 0, EXPONENTIAL: 56}
+STRESS_SPREAD = {ALGEBRAIC: 40, TRIGONOMETRIC: 3, EXPONENTIAL: 4}
+
+
+@st.composite
+def expansion_forms(draw, family):
+    """A factored form at 53 to 1024 bits: one of `configurations`, or
+    up to 4 distinct roots within STRESS_SPREAD of a centre within
+    STRESS_CENTRE of 0, multiplicities 1-3 and, for a series, a scale of
+    either sign from 1e-30 to 1e30.  Each has a rounding bound: its
+    floats stay in range."""
+    if draw(st.booleans()):
+        return draw(configurations(family, (53, 96, 256, 1024)))[0]
+    bits = draw(st.sampled_from([53, 64, 128, 256, 1024]))
+    reach, spread = STRESS_CENTRE[family], STRESS_SPREAD[family]
+    centre = draw(st.floats(-reach, reach))
+    # no root within 1e-3 of 0 but 0 itself, whose factor's bound, e.g.
+    # prod (1 + |r| z), would need floats below 2**-1000
+    roots = draw(st.lists(st.floats(-spread, spread).map(
+        lambda r: centre + r).filter(lambda r: r == 0 or abs(r) > 1e-3),
+        min_size=1, max_size=4, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots),
+                          max_size=len(roots)))
+    if family != ALGEBRAIC and sum(mults) % 2:
+        mults[-1] += 1
+    scale = 1
+    if family != ALGEBRAIC:
+        scale = draw(st.sampled_from([1, -1])) * 10 ** draw(
+            st.floats(-30, 30))
+    return FactoredForm(family, RootConfiguration(roots, mults, bits),
+                        scale=scale)
+
+
+@settings(max_examples=120, deadline=None)
+# far exponential roots of one sign at 53 bits, where sigma = sum(a r)
+# rounds and the lead's error outweighs the products' own
+@example(form=FactoredForm(EXPONENTIAL, RootConfiguration(
+    (30.2, 56.1), (3, 3), 53)))
+@example(form=FactoredForm(EXPONENTIAL, RootConfiguration(
+    (51.3, 55.9), (3, 3), 53)))
+@given(form=st.sampled_from(FAMILIES).flatmap(expansion_forms))
+def test_expanded_coefficients_lie_within_their_rounding_bound(form):
+    """Each coefficient the expansion stores lies within its bound of the
+    same expansion at 2 bits + 64 bits, which in turn lies within its own
+    bound of the exact one.  The expansion is taken before its round
+    trip is certified, so that forms whose round trip fails count too."""
+    bits = form.precision_bits
+    deep = replace(form, precision_bits=2 * bits + 64)
+    expanded, reference = _expand(form), _expand(deep)
+    bounds = _coefficient_bounds(form, expanded)[0]
+    deep_bounds = _coefficient_bounds(deep, reference)[0]
+    with mp.workprec(4 * bits + 200):
+        for i, (got, want, bound, deep_bound) in enumerate(zip(
+                _stored(expanded), _stored(reference), bounds, deep_bounds)):
+            allowed = (mp.ldexp(bound, -bits)
+                       + mp.ldexp(deep_bound, -deep.precision_bits))
+            assert abs(got - want) <= allowed, (i, got, want, bound)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
