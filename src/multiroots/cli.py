@@ -32,7 +32,7 @@ from .polynomials import (
     gaps,
     require_distinct,
 )
-from .precision import format_real, require_bits, working
+from .precision import format_digits, format_real, require_bits, working
 from .report_io import (
     Problem,
     checked_real,
@@ -149,16 +149,17 @@ def _cmd_solve(args):
     for entry in report.trace:
         parts = [f"k={entry.k}", f"bits={entry.precision_bits}"]
         if entry.corrections is not None:
-            parts.append(f"max correction={mp.nstr(max(entry.corrections), 6)}")
+            parts.append("max correction="
+                         + format_digits(max(entry.corrections), 6))
         if entry.errors is not None:
-            parts.append(f"max error={mp.nstr(max(entry.errors), 6)}")
+            parts.append(f"max error={format_digits(max(entry.errors), 6)}")
         print("  " + "  ".join(parts))
     print(f"termination: {report.termination} "
           f"after {report.iterations_used} iterations")
     for i, v in enumerate(report.final):
         print(f"  x_{i} = {format_real(v, bits)}")
     if report.estimated_order is not None:
-        print(f"estimated order: {mp.nstr(report.estimated_order, 6)}")
+        print(f"estimated order: {format_digits(report.estimated_order, 6)}")
     if verdict is not None:
         print(str(verdict))
 
@@ -266,8 +267,8 @@ def _cmd_order(args):
     print(f"sequence: {kind}, window entries "
           f"{estimate.window[0]}..{estimate.window[1]}")
     print("per-step orders: "
-          + ", ".join(mp.nstr(p, 6) for p in estimate.per_step_orders))
-    print(f"estimated order: {mp.nstr(estimate.order, 6)}")
+          + ", ".join(format_digits(p, 6) for p in estimate.per_step_orders))
+    print(f"estimated order: {format_digits(estimate.order, 6)}")
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ in the README.
 """
 
 import json
-import re
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -29,15 +28,14 @@ from .polynomials import (
     require_distinct,
     require_multiplicities,
 )
-from .precision import MIN_PRECISION_BITS, format_real, parse_real, require_bits
+from .precision import (MIN_PRECISION_BITS, _CANONICAL, format_real,
+                        parse_real, require_bits)
 from .solver import (CONVERGED, TERMINATIONS, SolveReport, SolveSettings,
                      TraceEntry, _Deferred)
 
 REPRESENTATIONS = ("coefficients", "roots")
 # the TraceEntry fields a report stores as lists of reals, in file order
 _TRACE_LISTS = ("approximations", "residuals", "corrections", "errors")
-# the strings `format_real` writes, each of which `parse_real` takes
-_CANONICAL = re.compile(r"-?[0-9]+\.[0-9]+(e[+-][0-9]+)?")
 # a series family's class and its problem-file keys for the even and odd
 # coefficients
 _SERIES = {TRIGONOMETRIC: (TrigPoly, "cos", "sin"),

@@ -9,6 +9,7 @@ from mpmath import mp
 
 from multiroots import (ALGEBRAIC, EXPONENTIAL, RootConfiguration,
                         polynomials, solver)
+from multiroots.precision import decimal_digits
 
 
 def random_configuration(rng, family, bits=53, m_range=(2, 5), alpha_max=4,
@@ -208,6 +209,18 @@ def padded(text):
     zero after its mantissa: the same value in other text."""
     mantissa, e, exponent = text.partition("e")
     return mantissa + "0" + e + exponent
+
+
+def reference_format(x, bits):
+    """The text `format_real` writes: mpmath's nstr under workprec(bits)."""
+    with mp.workprec(bits):
+        return mp.nstr(mp.mpf(x), decimal_digits(bits), strip_zeros=True)
+
+
+def reference_parse(text, bits):
+    """The value `parse_real` reads: mpmath's mpf under workprec(bits)."""
+    with mp.workprec(bits):
+        return mp.mpf(text)
 
 
 def count_calls(monkeypatch, owner, name):

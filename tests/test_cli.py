@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -10,7 +11,7 @@ from multiroots.precision import parse_real
 from multiroots.report_io import load_problem, load_report
 from conftest import (BAD_LIST_EDITS, REPORT_KEY_EDITS, REPORT_LISTS,
                       break_report_list, cut_trace_list, edit_report_key,
-                      padded)
+                      padded, reference_format, reference_parse)
 
 
 def run(*argv):
@@ -699,3 +700,68 @@ class TestReportsCheckedAtLoad:
         out.write_text(json.dumps(data))
         assert run("order", out) == 0
         assert run("verify", "example1", out) == 0
+
+
+# generate and solve --theorems arguments for one problem of each family
+SESSION_FAMILIES = {
+    "algebraic": ("--roots=-1.1:2,0.4:1,1.7:3", ()),
+    "trigonometric": ("--roots=-1.2:2,0.3:1,1.5:1", ("--kappa", "1.0")),
+    "exponential": ("--roots=-1.1:2,0.2:1,1.4:3", ()),
+}
+
+
+def _reference_conversions(monkeypatch):
+    """Give every multiroots module that holds `format_real`, `parse_real`
+    or `format_digits` the conversion mpmath makes under `workprec`."""
+    reference = {"format_real": reference_format,
+                 "parse_real": reference_parse, "format_digits": mp.nstr}
+    for name, module in list(sys.modules.items()):
+        if name == "multiroots" or name.startswith("multiroots."):
+            for attr, conversion in reference.items():
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, conversion)
+
+
+def _session(workdir, capsys):
+    """generate, solve --theorems, verify and order for each family at 192
+    bits, and solve of example1-3 at 192 and 1024 bits, run in `workdir`:
+    each command's exit code and output, then every file it left."""
+    commands = []
+    for family, (roots, kappa) in SESSION_FAMILIES.items():
+        problem, report = f"{family}.json", f"{family}.report.json"
+        commands += [
+            ["generate", "--family", family, roots, "--precision-bits", "192",
+             "-o", problem],
+            ["solve", problem, "--theorems", "--c", "0.1", "--q", "0.5",
+             *kappa, "-o", report],
+            ["verify", problem, report],
+            ["order", report]]
+    for example in ("example1", "example2", "example3"):
+        for bits in ("192", "1024"):
+            commands.append(["solve", example, "--precision-bits", bits,
+                             "-o", f"{example}.{bits}.json"])
+    seen = []
+    for argv in commands:
+        capsys.readouterr()
+        code = main(argv)
+        seen.append((argv, code, capsys.readouterr()))
+    return seen, {path.name: path.read_bytes()
+                  for path in sorted(workdir.iterdir())}
+
+
+def test_a_session_writes_the_bytes_of_the_reference_conversions(
+        tmp_path, capsys, monkeypatch):
+    """Every file and every line a session writes is what it writes with
+    mpmath's own conversions in place of `format_real`, `parse_real` and
+    `format_digits`, at 192 and 1024 bits."""
+    for side in ("ref", "int"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "int")
+    shipped = _session(tmp_path / "int", capsys)
+    with monkeypatch.context() as patch:
+        _reference_conversions(patch)
+        patch.chdir(tmp_path / "ref")
+        reference = _session(tmp_path / "ref", capsys)
+    assert len(shipped[1]) == 3 * 2 + 6
+    assert [code for _, code, _ in shipped[0]] == [0] * 18
+    assert shipped == reference

@@ -47,11 +47,12 @@ from multiroots import (
 )
 from multiroots.polynomials import (_coefficient_bounds, _expand,
                                     _series_basis, _stored)
-from multiroots.precision import format_real, ulps_apart
+from multiroots.precision import (decimal_digits, format_digits, format_real,
+                                  parse_real, ulps_apart)
 from multiroots.report_io import (_CANONICAL, checked_real, problem_from_dict,
                                   problem_to_dict)
 from multiroots.verification import _derivative_ladder
-from conftest import count_family_calls
+from conftest import count_family_calls, reference_format, reference_parse
 
 # the coefficient keys of a series problem file, as the README states them
 FILE_KEYS = {TRIGONOMETRIC: ("cos", "sin"), EXPONENTIAL: ("ch", "sh")}
@@ -825,3 +826,104 @@ def test_every_canonical_string_parses(text, bits):
     no string of that form may fail: each parses to a finite real."""
     assert _CANONICAL.fullmatch(text)
     checked_real(text, bits, "x")
+
+
+def read_as_reference(text, bits):
+    """`parse_real(text, bits)`, which must give the bits mpmath's own
+    reader gives."""
+    value = parse_real(text, bits)
+    assert value._mpf_ == reference_parse(text, bits)._mpf_, (text, bits)
+    return value
+
+
+def assert_reference_conversions(x, bits):
+    """`x` written and read back as mpmath's own conversions do, and its
+    six-digit text as mp.nstr gives it."""
+    text = format_real(x, bits)
+    assert text == reference_format(x, bits), (x, bits)
+    read_as_reference(text, bits)
+    if isinstance(x, mp.mpf):
+        assert format_digits(x, 6) == mp.nstr(x, 6), x
+
+
+@st.composite
+def digit_edge_reals(draw):
+    """A real whose |exp + bc| is 3499, 3500 or 3501: either side of where
+    libmp stops taking its digits in exact integer arithmetic."""
+    man = draw(st.integers(1, 2 ** 4200))
+    lead = draw(st.sampled_from((-1, 1))) * draw(st.integers(3499, 3501))
+    sign = draw(st.sampled_from((-1, 1)))
+    return mp.make_mpf(from_man_exp(sign * man, lead - man.bit_length()))
+
+
+@st.composite
+def nines(draw, bits):
+    """9.99...9d * 10**e, with about as many nines as one of the digit
+    counts holds: rounding carries to a new leading digit, near both ends
+    of the fixed-point layout."""
+    dps = draw(st.sampled_from((decimal_digits(bits), 6)))
+    run = max(dps + draw(st.integers(-3, 2)), 0)
+    last = draw(st.sampled_from("0123456789"))
+    # zero, and the ends of the fixed-point layout
+    base = draw(st.sampled_from((0, min(-(dps // 3), -5), dps)))
+    power = base + draw(st.integers(-3, 2))
+    return f"9.{'9' * run}{last}e{power:+d}"
+
+
+@st.composite
+def decimal_edge_texts(draw):
+    """Canonical strings whose decimal exponent, after the fraction digits
+    are counted, is 0, -1 or lies on either side of +-400, where libmp's
+    reader stops rounding in exact integer arithmetic; with leading zeros,
+    trailing zeros and a sign."""
+    sign = draw(st.sampled_from(("", "-")))
+    whole = "0" * draw(st.integers(0, 3)) + draw(st.from_regex(
+        r"[0-9]{1,40}", fullmatch=True))
+    fraction = draw(st.from_regex(r"[0-9]{1,40}", fullmatch=True))
+    fraction += "0" * draw(st.integers(0, 3))
+    power = draw(st.sampled_from((-401, -400, -399, 399, 400, 401, 0, -1)))
+    exponent = power + len(fraction.rstrip("0"))
+    return f"{sign}{whole}.{fraction}" + (f"e{exponent:+d}" if exponent
+                                          else "")
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(53, 4096), x=digit_edge_reals())
+def test_format_real_at_the_digit_edge(bits, x):
+    assert_reference_conversions(x, bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(53, 4096), data=st.data())
+@example(bits=53, data=None)
+def test_format_real_carries_through_nines(bits, data):
+    texts = (["9.99999996", "99.999996", "9.9999996e-6", "9.999996e+5"]
+             if data is None else [data.draw(nines(bits))])
+    for text in texts:
+        assert_reference_conversions(read_as_reference(text, bits), bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(53, 4096), text=decimal_edge_texts())
+@example(bits=53, text="2.500")
+@example(bits=192, text="007.5")
+@example(bits=192, text="-0.0")
+@example(bits=4096, text="-000.000e-400")
+# decimal exponents 401 and -401, where libmp's reader rounds twice and
+# misses the nearest value; with a trailing zero, 401 still
+@example(bits=53, text="2.798767490390833221e+419")
+@example(bits=53, text="2.7987674903908332210e+419")
+@example(bits=53, text="1.5469648559226313571e-382")
+def test_parse_real_at_the_exponent_edge(bits, text):
+    assert_reference_conversions(read_as_reference(text, bits), bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bits=st.integers(53, 4096), x=st.one_of(
+    st.integers(-2 ** 4200, 2 ** 4200),
+    st.floats(allow_nan=False, allow_infinity=False)))
+def test_json_numbers_take_the_reference_conversions(bits, x):
+    """An int or float is written, and read as a JSON number, as mpmath's
+    own conversions do."""
+    assert format_real(x, bits) == reference_format(x, bits)
+    assert_reference_conversions(read_as_reference(x, bits), bits)
