@@ -1,5 +1,5 @@
-"""The honest-termination campaign: the random class, asserted, and the
-period-shift class, counted.
+"""The honest-termination campaign: the random and deep classes, asserted,
+and the period-shift class, counted.
 
 Each draw of the random class is a `random_configuration` (families in
 turn, m = 2-5, alpha <= 4) at 128 or 256 bits, solved in factored or
@@ -11,6 +11,12 @@ a coefficient form, whose rounded coefficients split the root into a
 cluster of about that radius.  Trigonometric roots are compared modulo
 2 pi.
 
+Each draw of the deep class is a `random_configuration` expanded to
+coefficient form (families in turn) at 512, 1024 or 2048 bits, solved in
+either sweep mode from the random class's start spreads: its solves climb
+the precision ladder, and every root must lie within the alpha-th-root
+tolerance above.
+
 Draw n of the period-shift class is the n-th trigonometric draw of the
 random class with start j set to start i + 2 pi k, at the solve's bits;
 i != j and k = +-1 come from a seeded RNG of the class's own.  The two
@@ -18,15 +24,16 @@ starts are one point modulo the period, where the coupling term has a
 pole, and no collision test sees it.  The class is counted, not
 asserted, until the solver treats such starts as the one point they are.
 
-Tier-1 runs the first TIER1_DRAWS draws of the random class and asserts
-that every one is right.  Larger samples run as a script, with the number
-of random draws and, optionally, of period-shift draws as its arguments:
+Tier-1 runs the first TIER1_DRAWS draws of the random class and the first
+TIER1_DEEP_DRAWS of the deep class, and asserts that every one is right.
+Larger samples run as a script, with the number of random draws and,
+optionally, of period-shift and of deep draws as its arguments:
 
-    python tests/test_campaign.py 3000 300
+    python tests/test_campaign.py 3000 300 2000
 
-It prints the count of each outcome per class and the random draws that
+It prints the count of each outcome per class and the asserted draws that
 are not right, and exits 1 unless every solve of the random class
-converged.  A wrong draw is counted, not failed, while the larger sample
+converged and every deep draw is right.  A wrong draw is counted, not failed, while the larger sample
 holds one: draw 890, a simple root of an exponential coefficient form
 beside a 4-fold one, where |f'(r)| is about 3e-6 and the root ends
 5.0e-29 from the truth, 4 times its tolerance but within the 8.4e-29 that
@@ -58,6 +65,7 @@ from conftest import random_configuration
 
 FAMILIES = (ALGEBRAIC, TRIGONOMETRIC, EXPONENTIAL)
 TIER1_DRAWS = 150
+TIER1_DEEP_DRAWS = 100
 SLACK_BITS = 32
 RIGHT, WRONG = "right", "wrong"
 
@@ -65,12 +73,26 @@ RIGHT, WRONG = "right", "wrong"
 def draw(index):
     """The seeded problem of draw `index`: (family, polynomial,
     configuration, starts, settings)."""
-    family = FAMILIES[index % len(FAMILIES)]
     rng = random.Random(f"campaign random {index}")
-    bits = rng.choice((128, 256))
+    return _problem(rng, index, (128, 256), 0.5)
+
+
+def deep_draw(index):
+    """The seeded problem of deep draw `index`, as `draw` gives it: a
+    coefficient form at 512, 1024 or 2048 bits."""
+    rng = random.Random(f"campaign deep {index}")
+    return _problem(rng, index, (512, 1024, 2048), 1)
+
+
+def _problem(rng, index, precisions, expanded):
+    """(family, polynomial, configuration, starts, settings) from `rng`:
+    the family by `index`, the bits from `precisions`, and the coefficient
+    form with probability `expanded`."""
+    family = FAMILIES[index % len(FAMILIES)]
+    bits = rng.choice(precisions)
     cfg = random_configuration(rng, family, bits=bits)
     poly = FactoredForm(family, cfg)
-    if rng.random() < 0.5:
+    if rng.random() < expanded:
         poly = expand_from_roots(poly)
     settings = SolveSettings(precision_bits=bits,
                              sweep_mode=rng.choice((SIMULTANEOUS, SEQUENTIAL)))
@@ -95,7 +117,7 @@ def period_draw(index):
     return family, poly, cfg, starts, settings
 
 
-CLASSES = {"random": draw, "period shift": period_draw}
+CLASSES = {"random": draw, "period shift": period_draw, "deep": deep_draw}
 
 
 def outcome(family, poly, cfg, starts, settings):
@@ -131,6 +153,11 @@ def test_every_random_draw_converges_to_its_roots():
     assert not misses, (counts, misses)
 
 
+def test_every_deep_draw_converges_to_its_roots():
+    counts, misses = campaign(TIER1_DEEP_DRAWS, deep_draw)
+    assert not misses, (counts, misses)
+
+
 def test_a_period_shift_draw_moves_one_start_by_a_period():
     for index in range(30):
         family, _, _, starts, settings = period_draw(index)
@@ -163,10 +190,14 @@ if __name__ == "__main__":
     for (name, problem), draws in zip(CLASSES.items(), sys.argv[1:]):
         counts, misses = campaign(int(draws), problem)
         print(f"{name} class: {dict(counts)}")
-        if problem is draw:  # the asserted class
+        if problem is draw:  # asserted: every solve converged
             if misses:
                 print(f"not right: {misses}")
-            failed = counts[RIGHT] + counts[WRONG] < sum(counts.values())
+            failed |= counts[RIGHT] + counts[WRONG] < sum(counts.values())
+        elif problem is deep_draw:  # asserted: every draw is right
+            if misses:
+                print(f"not right: {misses}")
+            failed |= bool(misses)
     print(f"coefficient-form expansions: {certificates['bound']} certified by "
           f"the rounding bound, {certificates['probes']} at the probes")
     sys.exit(1 if failed else 0)
