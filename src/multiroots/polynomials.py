@@ -52,15 +52,24 @@ polynomial, it forms each coupling term from the first basis pairs
 and calls the family's half-cotangent only where that cancels
 (`_product_half_cotangent`).
 
-The solver's factored sweeps read no kernel here: they sum g'/g in
-Python ints at one scale per sweep, on mpmath's own fixed-point
+The solver's fixed-point sweeps, every sweep of a factored form and a
+coefficient form's low rungs, read no kernel here: they sum g'/g in
+Python ints at one scale 2**frac per sweep, on mpmath's own fixed-point
 elementary functions (`libelefun`).  A series term comes from the two
 points' fixed-point bases (`sweep_basis`), by angle subtraction, or from
 the family's direct entry `fixed_log_derivative` where that cancels
-(`fixed_term`); a factored form hands each sweep its roots with their
-bases, its points' basis rule and that term, kept per scale
-(`FactoredForm.fixed_roots`).  Their trace entries run the value stage
-of their residuals only when something reads them.
+(`fixed_term`).  Each representation's `fixed_stage(frac)` hands a sweep
+(basis, term, ratio): its points' basis rule, that term, and ratio(x,
+bx, bits), G = f'(x)/f(x) * 2**frac at the int point x with basis bx,
+or None where the coordinate freezes.  A factored form's G sums the
+terms to its roots, which it keeps floored with their bases per scale
+(`FactoredForm.fixed_roots`), and is None only on a root.  A coefficient
+form's G runs its stages in ints on its coefficients floored to the
+scale, kept per scale, and is None where f = 0 or |f| <= noise_ops *
+2**-bits * magnitude, the rule of `evaluation_noise`, widened by the
+stage's own floors, or where a series point has no basis.  Their trace
+entries run the value stage of their residuals only when something
+reads them.
 """
 
 import math
@@ -407,6 +416,7 @@ class AlgebraicPoly:
     precision_bits: int = 53
 
     family = ALGEBRAIC
+    _roots = frozenset()  # a coefficient form stores no roots
 
     def __post_init__(self):
         require_bits(self.precision_bits)
@@ -416,6 +426,7 @@ class AlgebraicPoly:
         _require_finite((f"coeffs[{i}]", c) for i, c in enumerate(coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_fixed", {})
 
     @property
     def degree(self):
@@ -454,6 +465,30 @@ class AlgebraicPoly:
                           mpf_abs(_to_raw(c, prec), prec, RND), prec, RND)
         return mag
 
+    def fixed_stage(self, frac):
+        """The `fixed_stage` of a sweep at the scale 2**frac: f, f' and the
+        magnitude by extended Horner in ints, on the coefficients floored
+        to the scale, kept per scale (`_kept`).  f starts exact and each
+        step floors twice, so it lies within 2 sum_{j<n} |x|**j units of
+        2**-frac: below 2n units where |x| < 1, which the bound's added
+        unit per operation covers, and far below the bound elsewhere,
+        where the magnitude is at least |x|**n."""
+        def make():
+            coeffs = [to_fixed(c._mpf_, frac) for c in self.coeffs]
+            one, ops = 1 << frac, self.noise_ops
+
+            def ratio(x, bx, bits):
+                v, dv, mag, ax = one, 0, one, abs(x)
+                for c in coeffs:
+                    dv = (dv * x >> frac) + v
+                    v = (v * x >> frac) + c
+                    mag = (mag * ax >> frac) + abs(c)
+                if abs(v) <= ops * ((mag >> bits) + 1):
+                    return None
+                return (dv << frac) // v
+            return _coefficient_stage(self.family, frac, ratio)
+        return _kept(self, frac, make)
+
 
 @dataclass(frozen=True)
 class SeriesPoly:
@@ -468,6 +503,7 @@ class SeriesPoly:
     precision_bits: int = 53
 
     family = None
+    _roots = frozenset()  # a coefficient form stores no roots
 
     def __post_init__(self):
         if self.family is None:
@@ -491,6 +527,7 @@ class SeriesPoly:
         object.__setattr__(self, "even", even)
         object.__setattr__(self, "odd", odd)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_fixed", {})
 
     @property
     def degree(self):
@@ -537,6 +574,52 @@ class SeriesPoly:
         return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
                                     for w, (e, _) in zip(weights, basis)],
                        prec, RND)
+
+    def fixed_stage(self, frac):
+        """The `fixed_stage` of a sweep at the scale 2**frac, on the
+        coefficients floored to the scale, kept per scale (`_kept`).  The
+        point's `sweep_basis` about 0, the pair at x/2, gives (E(x), O(x))
+        by the double angle, and the recurrence of `_series_basis` the
+        rest, `_basis_guard(n)` bits finer than the scale; f, f' and the
+        magnitude then sum as the mpf stages do.  Each floored coefficient
+        moves f by at most its basis entry, a unit of 2**-frac times the
+        envelope max(E(nx), 1), which the bound adds per operation.  A
+        point without a basis, beyond its reach, gives None."""
+        def make():
+            sign, ops = FAMILY[self.family].derivative_sign, self.noise_ops
+            # the recurrence's scale, and the shift of a product of two
+            # basis entries to it
+            q = frac + _basis_guard(self.degree)
+            shift = 2 * (frac + BASIS_GUARD) - q
+            half_a0 = to_fixed(self.a0._mpf_, frac) << (q - 1)
+            even = [to_fixed(c._mpf_, frac) for c in self.even]
+            odd = [to_fixed(c._mpf_, frac) for c in self.odd]
+            weights = [abs(a) + abs(b) for a, b in zip(even, odd)]
+            # a trigonometric basis is bounded by 1, so its weights are 1
+            weighed = sign > 0
+            flat = abs(half_a0) + (0 if weighed else sum(weights) << q)
+
+            def ratio(x, bx, bits):
+                if bx is None:
+                    return None
+                eh, oh, _ = bx
+                e1 = (eh * eh + sign * oh * oh) >> shift
+                o1 = (eh * oh) >> (shift - 1)
+                e, o = e1, o1
+                value, slope, mag = half_a0, 0, flat
+                for l, (a, b, w) in enumerate(zip(even, odd, weights), 1):
+                    if l > 1:
+                        e, o = ((e * e1 + sign * o * o1) >> q,
+                                (o * e1 + e * o1) >> q)
+                    value += a * e + b * o
+                    slope += l * (b * e + sign * a * o)
+                    if weighed:  # term l weighs by its envelope E(lx)
+                        mag += w * e
+                if abs(value) <= ops * ((mag >> bits) + max(e, 1 << q)):
+                    return None
+                return (slope << frac) // value
+            return _coefficient_stage(self.family, frac, ratio)
+        return _kept(self, frac, make)
 
 
 class TrigPoly(SeriesPoly):
@@ -589,23 +672,33 @@ class FactoredForm:
         2**frac: each root as (r, alpha, basis(r)), with r floored to the
         scale; basis(x) the `sweep_basis` of the int point x about the
         middle of the smallest and largest root; and the family's
-        `fixed_term`.  Kept per scale, and dropped as the point memo drops
-        its points, so the sweeps of a solve take each scale's once."""
-        kept = self._fixed.get(frac)
-        if kept is None:
+        `fixed_term`.  Kept per scale (`_kept`), so the sweeps of a solve
+        take each scale's once."""
+        def make():
             fixed = [to_fixed(r._mpf_, frac) for r in self.config.roots]
             centre = (min(fixed) + max(fixed)) >> 1
 
             def basis(x):
                 return sweep_basis(self.family, x - centre, frac)
 
-            kept = self._fixed[frac] = (
-                [(r, a, basis(r))
-                 for r, a in zip(fixed, self.config.multiplicities)],
-                basis, fixed_term(self.family, frac))
-            if len(self._fixed) > self._memo_limit:
-                del self._fixed[next(iter(self._fixed))]
-        return kept
+            return ([(r, a, basis(r))
+                     for r, a in zip(fixed, self.config.multiplicities)],
+                    basis, fixed_term(self.family, frac))
+        return _kept(self, frac, make)
+
+    def fixed_stage(self, frac):
+        """The `fixed_stage` of a sweep at the scale 2**frac, from
+        `fixed_roots`: G = sum_k a_k h(x - r_k), each term the family's
+        `fixed_term`, or None where x is a root at this scale."""
+        roots, basis, term = self.fixed_roots(frac)
+
+        def ratio(x, bx, bits):
+            offsets = [x - r for r, _, _ in roots]
+            if 0 in offsets:
+                return None
+            return sum(a * term(u, bx, rb)
+                       for u, (_, a, rb) in zip(offsets, roots))
+        return basis, term, ratio
 
     @property
     def noise_ops(self):
@@ -656,6 +749,26 @@ class FactoredForm:
     def _magnitude(self, point):
         # a product rounds alike for either sign: no cancellation
         return mpf_abs(point.value, point.prec, RND)
+
+
+def _kept(poly, frac, make):
+    """make(), kept in the representation's dict of fixed-point scales
+    under `frac`, which drops its oldest scale as the point memo drops its
+    points."""
+    kept = poly._fixed.get(frac)
+    if kept is None:
+        kept = poly._fixed[frac] = make()
+        if len(poly._fixed) > poly._memo_limit:
+            del poly._fixed[next(iter(poly._fixed))]
+    return kept
+
+
+def _coefficient_stage(family, frac, ratio):
+    """The `fixed_stage` triple of a coefficient form of `family` with the
+    map `ratio`: its points' bases are taken about 0."""
+    def basis(x):
+        return sweep_basis(family, x, frac)
+    return basis, fixed_term(family, frac), ratio
 
 
 def _to_raw(value, prec):

@@ -12,31 +12,37 @@ The coupling term lifts the quadratic multiplicity-aware Newton baseline to
 cubic convergence.  `simultaneous` sweeps read only the incoming vector
 (Jacobi); `sequential` sweeps reuse already-updated entries (Gauss-Seidel).
 
-A coefficient form's sweep reads f, f', the rounding bound and the coupling
-from the mpf kernels.  A factored form's needs none of them: D_i / f(x_i)
-is one sum of the family's log-derivative terms over the roots and the
-other approximations, which `_fixed_sweep` forms exactly in Python ints at
-one fixed-point scale per sweep.
+A factored form's sweep needs neither f nor f': D_i / f(x_i) is one sum
+of the family's log-derivative terms over the roots and the other
+approximations, which `_fixed_sweep` forms exactly in Python ints at one
+fixed-point scale per sweep.  A coefficient form's rung sweeps up to
+FIXED_RUNGS bits run in the same loop, with f'/f from the form's integer
+stage (extended Horner, or the series recurrence) in place of the root
+sum; its other sweeps read f, f', the rounding bound and the coupling
+from the mpf kernels (`_sweep`).
 
 Above FLOOR bits, `solve` climbs a precision ladder: cubic convergence
 triples the correct bits per sweep, so each sweep runs at the smallest rung
 FLOOR * 2**j that the previous corrections say it needs, or is redone at
 full precision when its own corrections show too few bits (`_ladder_step`).
 Coefficient and factored forms climb the same rungs; a factored form's
-sweeps run in fixed point on each.
+sweeps run in fixed point on each, and a coefficient form's up to
+FIXED_RUNGS bits.
 
 Each sweep's TraceEntry records the residuals |f(x_i)| at its precision,
 and the errors |x_i - r_i| when the true roots are known.  Any list of an
 entry may be taken on its first read (`_OnRead`), and a solve's entries
 take both so (`_entry`): no sweep decides anything on them.  But a
-coefficient-form sweep at the incoming entry's precision evaluates f at
-its points, so that entry takes its residuals right after the sweep,
-from the point memo (`_sweep`), and a solve that converged or ran out
-of iterations takes its last entry's before it returns (`solve`).  So
-only the entries whose points no sweep evaluates at their precision
-wait for a reader: the k = 0 entry above FLOOR bits, whose first sweep
-runs on a rung, a rung entry before a climb, the last entry of a failed
-solve, and every entry of a factored form, whose sweeps read no f.  The
+coefficient form's mpf sweep at the incoming entry's precision evaluates
+f at its points, so that entry takes its residuals right after the
+sweep, from the point memo (`_sweep`), and a solve that converged or ran
+out of iterations takes its last entry's before it returns (`solve`).
+So only the entries whose points no mpf sweep evaluates at their
+precision wait for a reader: the k = 0 entry above FLOOR bits, whose
+first sweep runs on a rung, every entry of a rung up to FIXED_RUNGS
+bits, whose sweeps run in fixed point and leave no point memo, a higher
+rung's entry before a climb, the last entry of a failed solve, and
+every entry of a factored form, whose sweeps read no f.  The
 report's order (`SolveReport.estimated_order`) reads the errors, on its
 first read, and the residuals only at an entry where a coordinate stood
 still (`order_error_sequence`); an iterate on a stored root reads f = 0
@@ -99,6 +105,13 @@ FAILURES = {
 # climbs one.  GUARD bits are kept beyond what the error estimate asks for.
 FLOOR = 256
 GUARD = 32
+
+# A coefficient form's rung sweeps run in fixed point up to FIXED_RUNGS
+# bits (`_fixed_sweep`), and above it on the mpf kernels.  At 256 and 512
+# bits the interpreter, not the arithmetic, sets the cost of a libmp call
+# per operation.  On `deep_coeffs` (seeds 201-203, in-process, best of
+# 3) a cap of 2048 bits gave no further gain over this one.
+FIXED_RUNGS = 2 * FLOOR
 
 # A factored sweep's fixed-point scale holds FIXED_GUARD bits beyond the
 # `bits` of its largest value (`_fixed_scale`); RND rounds its results.
@@ -319,8 +332,8 @@ def _step(poly, multiplicities, entry, settings, true_roots):
 def _sweep(poly, multiplicities, approximations, bits, sweep_mode,
            entry=None):
     """(new approximations, |corrections|) of one sweep at `bits`: a
-    factored form's in fixed point (`_fixed_sweep`), any other's from the
-    mpf kernels.
+    factored form's in fixed point (`_fixed_sweep`), a coefficient form's
+    from the mpf kernels.
 
     `entry` is the TraceEntry the sweep starts from.  An mpf sweep at the
     entry's precision evaluated f at each of its points, so the entry
@@ -379,40 +392,45 @@ def _fixed_scale(values, bits):
     return bits + FIXED_GUARD + max(0, _top(*values))
 
 
-def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
-    """(new approximations, |corrections|) of one sweep of the FactoredForm
-    `form` at `bits`, summed in Python ints at one scale 2**frac
-    (`_fixed_scale`).  With h = g'/g the family's log-derivative,
+def _fixed_sweep(poly, multiplicities, approximations, bits, sweep_mode):
+    """(new approximations, |corrections|) of one sweep of `poly` at
+    `bits`, summed in Python ints at one scale 2**frac (`_fixed_scale`).
+    With h = g'/g the family's log-derivative,
 
         S_i = D_i / f(x_i) = G_i - sum_{j != i} alpha_j h(x_i - x_j),
-        G_i = f'(x_i) / f(x_i) = sum_k a_k h(x_i - r_k),
+        G_i = f'(x_i) / f(x_i),
 
-    is one exact sum of terms each within a few units of 2**-frac, or
-    about 2**-frac relative where |x_i - r_k| is below 1, so no
-    cancellation in it costs bits, and x_i moves by alpha_i / S_i, the
-    quotient floored at the scale, or finer where it would keep fewer
-    than bits + 2 bits; the new iterate and |correction| are each rounded
-    once to `bits`.  The approximations and the roots enter the scale
-    floored, exactly where they have no bits below 2**-frac.  Every term
-    h(x - y) is the family's `fixed_term` of the offset and the two
-    points' bases, which `form.fixed_roots` hands the sweep with the
-    roots and theirs.
+    and x_i moves by alpha_i / S_i, the quotient floored at the scale, or
+    finer where it would keep fewer than bits + 2 bits; the new iterate
+    and |correction| are each rounded once to `bits`.  The approximations,
+    and a factored form's roots, enter the scale floored, exactly where
+    they have no bits below 2**-frac.  Every coupling term h(x - y) is the
+    family's `fixed_term` of the offset and the two points' bases, and
+    G_i comes from the representation's `fixed_stage`, which hands the
+    sweep both: for a factored form the sum of a_k h(x_i - r_k) over its
+    roots, terms each within a few units of 2**-frac, or about 2**-frac
+    relative where |x_i - r_k| is below 1, so no cancellation in S_i
+    costs bits; for a coefficient form f' / f from extended Horner or the
+    series recurrence on its coefficients floored to the scale.
 
-    A coordinate freezes where x_i is a root at this scale (f = 0 there,
-    or x_i within 2**-frac of a root that carries more bits), and the
-    rules of the mpf sweep hold on the ints: a collision where a raw
-    |x_i - x_j| is below `collision_threshold(bits)`, and a degenerate
-    denominator where |S_i| < 2**(4 - bits) |G_i|, which is |D_i| <
-    2**(4 - bits) |f'(x_i)|.  Only that error evaluates f, to report D_i
-    and f'(x_i) as the mpf sweep does.  In `simultaneous` mode each pair's
-    h is computed once, for the partner as -h; `sequential` mode reads the
-    updated entries, each with a basis of its own.  A trigonometric term
-    within 2**-frac of a pole (an iterate a period from a root or from
-    another) raises ZeroDivisionError.
+    A coordinate freezes where the stage gives no G_i: where x_i is a root
+    of a factored form at this scale (f = 0 there, or x_i within 2**-frac
+    of a root that carries more bits), and where a coefficient form's f is
+    0 or within its rounding bound, the mpf sweep's rule, or its point lies
+    beyond the basis reach.  The other rules of the mpf sweep hold on the
+    ints: a collision where a raw |x_i - x_j| is below
+    `collision_threshold(bits)`, and a degenerate denominator where |S_i|
+    < 2**(4 - bits) |G_i|, which is |D_i| < 2**(4 - bits) |f'(x_i)|.  Only
+    that error evaluates f, to report D_i and f'(x_i) as the mpf sweep
+    does.  In `simultaneous` mode each pair's h is computed once, for the
+    partner as -h; `sequential` mode reads the updated entries, each with
+    a basis of its own.  A trigonometric term within 2**-frac of a pole
+    (an iterate a period from a root or from another) raises
+    ZeroDivisionError.
     """
     raws = [to_mpf(x, bits)._mpf_ for x in approximations]
-    frac = _fixed_scale(raws + [r._mpf_ for r in form.config.roots], bits)
-    roots, basis, term = form.fixed_roots(frac)
+    frac = _fixed_scale(raws + list(poly._roots), bits)
+    basis, term, ratio = poly.fixed_stage(frac)
     threshold = collision_threshold(bits)
     near = to_fixed(threshold._mpf_, frac)
     current = [to_fixed(x, frac) for x in raws]
@@ -425,11 +443,10 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
     corrections = [mp.mpf(0)] * len(current)
     pairs = {}  # h(x_j - x_i) for the pair (j, i), in simultaneous mode
     for i, xi in enumerate(current):
-        offsets = [xi - r for r, _, _ in roots]
-        if 0 in offsets:
-            continue
         bx = bases[i]
-        own = sum(a * term(u, bx, rb) for u, (_, a, rb) in zip(offsets, roots))
+        own = ratio(xi, bx, bits)
+        if own is None:
+            continue
         coupling = 0
         for j, xj in enumerate(source):
             if j == i:
@@ -447,7 +464,7 @@ def _fixed_sweep(form, multiplicities, approximations, bits, sweep_mode):
             coupling += multiplicities[j] * t
         denom = own - coupling
         if denom == 0 or abs(denom) << (bits - 4) < abs(own):
-            f = evaluate(form, approximations[i], bits)
+            f = evaluate(poly, approximations[i], bits)
             with working(bits):
                 raise DegenerateDenominatorError(
                     i, f * mp.make_mpf(from_man_exp(denom, -frac)),
@@ -509,6 +526,12 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     redone at full precision by `_step`.  So freezes, the converging sweep
     and any failure are decided at full precision.  A kept sweep's entry
     takes its residuals and errors at the rung, from the same polynomial.
+
+    Every representation's rung sweep runs in fixed point (`_fixed_sweep`)
+    up to FIXED_RUNGS bits, and a coefficient form's above it on the mpf
+    kernels (`_sweep`).  A coordinate the fixed-point sweep freezes keeps
+    correction 0, so the rung is refused, as it is where a point lies
+    beyond the reach of the sweep's bases.
     """
     bits = settings.precision_bits
     # at or below FLOOR the rung from `_rung` is `bits`: no rung below it
@@ -516,8 +539,12 @@ def _ladder_step(poly, multiplicities, entry, settings, true_roots):
     if rung < bits:
         start = [to_mpf(x, rung) for x in entry.approximations]
         try:
-            new, corrections = _sweep(poly, multiplicities, start, rung,
-                                      settings.sweep_mode, entry)
+            if rung <= FIXED_RUNGS:
+                new, corrections = _fixed_sweep(poly, multiplicities, start,
+                                                rung, settings.sweep_mode)
+            else:
+                new, corrections = _sweep(poly, multiplicities, start, rung,
+                                          settings.sweep_mode, entry)
         except tuple(FAILURES):
             pass  # a rung too coarse to carry what full precision can
         else:

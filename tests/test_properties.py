@@ -22,8 +22,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_neg
+from mpmath.libmp import from_man_exp, mpf_neg, to_fixed
 
+from multiroots import solver
 from multiroots import (
     ALGEBRAIC,
     EXPONENTIAL,
@@ -784,6 +785,43 @@ def test_the_product_coupling_is_within_an_ulp_of_the_half_cotangent(family,
         half = mp.fsub(x, other, exact=True) / 2
         want = mp.cot(half) if family == TRIGONOMETRIC else mp.coth(half)
     assert ulps_apart(got, want, bits) <= 1, (x, other)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_fixed_point_stage_is_the_mpf_ratio(family, data):
+    """A coefficient form's `fixed_stage` at a sweep's scale 2**frac, at
+    256 and 512 bits: at a point away from the roots, G = f'/f * 2**frac
+    within 4 units and 2**(16 - bits) |G| of the mpf kernels' ratio at 2
+    bits; and at a point near a root, where |f| crosses its rounding
+    bound, None exactly where |f| <= `evaluation_noise` at bits, wherever
+    |f| lies outside a factor of 4 of that bound."""
+    form, away = data.draw(configurations(family, precisions=(256, 512)))
+    bits = form.precision_bits
+    poly = expand_from_roots(form)
+    k = data.draw(st.integers(0, len(form.config.roots) - 1))
+    alpha = form.config.multiplicities[k]
+    e = data.draw(st.integers(bits // alpha - 24, bits // alpha + 24))
+    with mp.workprec(bits):
+        near = form.config.roots[k] + data.draw(st.sampled_from([-1, 1])) \
+            * mp.ldexp(1, -e)
+    for x in (away, near):
+        frac = solver._fixed_scale([x._mpf_], bits)
+        basis, _, ratio = poly.fixed_stage(frac)
+        point = to_fixed(x._mpf_, frac)
+        got = ratio(point, basis(point), bits)
+        with mp.workprec(bits):
+            f, bound = evaluate(poly, x, bits), evaluation_noise(poly, x, bits)
+            if abs(f) > 4 * bound:
+                assert got is not None, (x, f, bound)
+            elif 4 * abs(f) < bound:
+                assert got is None, (x, f, bound)
+        if x is away:
+            with mp.workprec(2 * bits):
+                want = mp.ldexp(evaluate_derivative(poly, x, 2 * bits)
+                                / evaluate(poly, x, 2 * bits), frac)
+                assert abs(got - want) <= 4 + mp.ldexp(abs(want), 16 - bits)
 
 
 @settings(max_examples=60, deadline=None)

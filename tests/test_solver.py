@@ -774,15 +774,13 @@ class TestCoefficientResiduals:
     last entry's before it returns (`solver._sweep`).  The k = 0 entry
     above FLOOR bits, whose first sweep runs on a rung, and a rung entry
     before a climb wait for a reader, who runs each of their points'
-    value stages once, unless a sequential sweep already ran them at the
-    rung: each updated point but the last, which the coupling of the
-    later coordinates read, and which the climb's sweeps push out of the
-    point memo before the reader comes."""
+    value stages once: a rung sweep up to FIXED_RUNGS bits runs in fixed
+    point (`solver._fixed_sweep`) and runs none."""
 
     @pytest.mark.parametrize("read", ["residuals", "save_report"])
     @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
-    def test_the_starts_wait_and_only_a_sequential_climb_reruns_points(
-            self, monkeypatch, tmp_path, mode, read):
+    def test_the_starts_wait_and_no_point_reruns(self, monkeypatch, tmp_path,
+                                                 mode, read):
         bits = 1024
         path = tmp_path / "deep.json"
         assert cli.main(["generate", "--family", TRIGONOMETRIC,
@@ -797,24 +795,24 @@ class TestCoefficientResiduals:
         starts = {x._mpf_ for x in report.trace[0].approximations}
         assert report.trace[0].precision_bits == bits
         assert report.trace[1].precision_bits == solver.FLOOR
-        assert calls and not [key for key in calls
-                              if key[1] in starts and key[2] == bits]
+        # the rung sweeps ran no value stage: every point the solve
+        # evaluated is at full precision, and the starts are not among them
+        assert calls and {key[2] for key in calls} == {bits}
+        assert not [key for key in calls if key[1] in starts]
+        rungs = [entry for entry in report.trace
+                 if entry.precision_bits <= solver.FIXED_RUNGS]
+        assert len(rungs) > 1
         if read == "save_report":
             save_report(report, problem, tmp_path / "report.json")
         else:
             for entry in report.trace:
                 entry.residuals
         assert len(held) == 1
+        assert max(calls.values()) == 1
         (poly_id,) = held
-        rerun = set() if mode == "simultaneous" else {
-            (poly_id, x._mpf_, entry.precision_bits)
-            for entry, after in zip(report.trace[1:], report.trace[2:])
-            if after.precision_bits > entry.precision_bits
-            for x in entry.approximations[:-1]}
-        assert bool(rerun) == (mode == "sequential")
-        assert {key: n for key, n in calls.items() if n > 1} == dict.fromkeys(
-            rerun, 2)
-        assert {key for key in calls if key[1] in starts and key[2] == bits}
+        waited = {(poly_id, x._mpf_, entry.precision_bits)
+                for entry in rungs for x in entry.approximations}
+        assert waited | {(poly_id, x, bits) for x in starts} <= set(calls)
         fresh = problem.polynomial()
         for entry in report.trace:
             p = entry.precision_bits
