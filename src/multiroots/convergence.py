@@ -259,9 +259,8 @@ def estimate_order(errors, floor=None):
         raise InsufficientDataError(
             f"no strictly decreasing positive window of length >= {MIN_WINDOW}"
         )
-    per_step = []
-    for k in range(a + 1, b):
-        num = mp.log(values[k + 1] / values[k])
-        den = mp.log(values[k] / values[k - 1])
-        per_step.append(num / den)
+    # log(e_k / e_{k-1}) for k = a+1 .. b: step k's denominator is step
+    # k-1's numerator
+    logs = [mp.log(values[k] / values[k - 1]) for k in range(a + 1, b + 1)]
+    per_step = [num / den for den, num in zip(logs, logs[1:])]
     return OrderEstimate(per_step[-1], (a, b), tuple(per_step))

@@ -31,15 +31,20 @@ factored form, whose value stage at one of its stored roots is a lookup.
 `_slope` (f') and `_magnitude` run from that state on the first kernel
 that reads them, so a point whose f alone is read (the residuals of a
 trace entry that no sweep reads at its precision) costs only its value
-stage.  The stages do the arithmetic one eager pass would do, call for
-call, so every kernel keeps its bits.  The four point kernels share the
-stages through a memo on the instance, keyed by (raw x, prec), that
-holds one `_Point` per point.  The memo drops its oldest point past
-twice the representation's root count (n for an algebraic polynomial of
-degree n, 2n for a series of degree n, the distinct roots of a factored
-form), so the points one sweep reads, the incoming and, in sequential
-mode, the updated ones, are still there when the incoming entry takes
-its residuals.  `solver.solve` runs on its own copy of the polynomial,
+stage.  What does not depend on the point a coefficient form keeps once
+per precision (`_constants`), beside the fixed-point stages it keeps per
+scale (`_kept`): the coefficients rounded to the precision, a series'
+slope coefficients and magnitude weights, the |c_k| of the algebraic
+form and the whole magnitude of a trigonometric series.  So a stage makes
+only its per-point calls.  The stages do the arithmetic one eager pass
+would do, call for call, so every kernel keeps its bits.  The four point
+kernels share the stages through a memo on the instance, keyed by (raw
+x, prec), that holds one `_Point` per point.  The memo drops its oldest
+point past twice the representation's root count (n for an algebraic
+polynomial of degree n, 2n for a series of degree n, the distinct roots
+of a factored form), so the points one sweep reads, the incoming and,
+in sequential mode, the updated ones, are still there when the incoming
+entry takes its residuals.  `solver.solve` runs on its own copy of the polynomial,
 so a memo lives for one solve and spans every rung of its precision
 ladder.  The kernels return the same bits either way.  A nan or
 infinite point is a FamilyOverflowError where its value stage would
@@ -440,12 +445,20 @@ class AlgebraicPoly:
     def _memo_limit(self):
         return 2 * self.degree
 
+    def _constants(self, prec):
+        """The coefficients rounded to `prec` and their absolute values,
+        kept per precision (`_kept`)."""
+        def make():
+            coeffs = [_to_raw(c, prec) for c in self.coeffs]
+            return coeffs, [mpf_abs(c, prec, RND) for c in coeffs]
+        return _kept(self, (prec,), make)
+
     def _pass(self, x, prec):
         # extended Horner: the partial values v feed the derivative stage
         v, partials = fone, []
-        for c in self.coeffs:
+        for c in self._constants(prec)[0]:
             partials.append(v)
-            v = mpf_add(mpf_mul(v, x, prec, RND), _to_raw(c, prec), prec, RND)
+            v = mpf_add(mpf_mul(v, x, prec, RND), c, prec, RND)
         return v, partials
 
     def _slope(self, point):
@@ -460,9 +473,8 @@ class AlgebraicPoly:
         prec = point.prec
         ax = mpf_abs(point.x, prec, RND)
         mag = fone
-        for c in self.coeffs:
-            mag = mpf_add(mpf_mul(mag, ax, prec, RND),
-                          mpf_abs(_to_raw(c, prec), prec, RND), prec, RND)
+        for c in self._constants(prec)[1]:
+            mag = mpf_add(mpf_mul(mag, ax, prec, RND), c, prec, RND)
         return mag
 
     def fixed_stage(self, frac):
@@ -541,38 +553,59 @@ class SeriesPoly:
     def _memo_limit(self):
         return 4 * self.degree  # a series of degree n has 2n roots
 
+    def _constants(self, prec):
+        """The mpf stages' constants at `prec`, kept per precision
+        (`_kept`): a0/2 and the pairs (a_l, b_l) rounded to `prec`, the
+        slope pairs (l b_l, s l a_l), and the magnitude: |a0|/2 + sum_l
+        (|a_l| + |b_l|) for the trigonometric family, whose basis is
+        bounded by 1, and otherwise the pair (|a0|/2, [|a_l| + |b_l|]) that
+        a point's envelopes weigh."""
+        def make():
+            sign = FAMILY[self.family].derivative_sign
+            a0 = _to_raw(self.a0, prec)
+            pairs = [(_to_raw(a, prec), _to_raw(b, prec))
+                     for a, b in zip(self.even, self.odd)]
+            slopes = [(mpf_mul_int(b, l, prec, RND),
+                       mpf_mul_int(a, sign * l, prec, RND))
+                      for l, (a, b) in enumerate(pairs, start=1)]
+            weights = [mpf_add(mpf_abs(a, prec, RND), mpf_abs(b, prec, RND),
+                               prec, RND) for a, b in pairs]
+            half_abs = _half(mpf_abs(a0, prec, RND), prec)
+            if sign < 0:
+                magnitude = mpf_add(half_abs, mpf_sum(weights, prec, RND),
+                                    prec, RND)
+            else:
+                magnitude = half_abs, weights
+            return _half(a0, prec), pairs, slopes, magnitude
+        return _kept(self, (prec,), make)
+
     def _pass(self, x, prec):
         # the basis feeds the later stages and `log_derivative_sum`
         basis = _series_basis(self.family, x, self.degree, prec)
-        values = [_half(_to_raw(self.a0, prec), prec)]
-        for a, b, (e, o) in zip(self.even, self.odd, basis):
-            values.append(mpf_mul(_to_raw(a, prec), e, prec, RND))
-            values.append(mpf_mul(_to_raw(b, prec), o, prec, RND))
+        half_a0, pairs, _, _ = self._constants(prec)
+        values = [half_a0]
+        for (a, b), (e, o) in zip(pairs, basis):
+            values.append(mpf_mul(a, e, prec, RND))
+            values.append(mpf_mul(b, o, prec, RND))
         return mpf_sum(values, prec, RND), basis
 
     def _slope(self, point):
         prec = point.prec
-        sign = FAMILY[self.family].derivative_sign
         slopes = []
-        for l, (a, b, (e, o)) in enumerate(
-                zip(self.even, self.odd, point.state), start=1):
-            a, b = _to_raw(a, prec), _to_raw(b, prec)
-            slopes.append(mpf_mul(mpf_mul_int(b, l, prec, RND), e, prec, RND))
-            slopes.append(mpf_mul(mpf_mul_int(a, sign * l, prec, RND), o,
-                                  prec, RND))
+        for (lb, sla), (e, o) in zip(self._constants(prec)[2], point.state):
+            slopes.append(mpf_mul(lb, e, prec, RND))
+            slopes.append(mpf_mul(sla, o, prec, RND))
         return mpf_sum(slopes, prec, RND)
 
     def _magnitude(self, point):
-        prec, basis = point.prec, point.state
-        weights = [mpf_add(mpf_abs(_to_raw(a, prec), prec, RND),
-                           mpf_abs(_to_raw(b, prec), prec, RND), prec, RND)
-                   for a, b in zip(self.even, self.odd)]
-        half_a0 = _half(mpf_abs(_to_raw(self.a0, prec), prec, RND), prec)
-        if FAMILY[self.family].derivative_sign < 0:  # bounded by 1
-            return mpf_add(half_a0, mpf_sum(weights, prec, RND), prec, RND)
+        prec = point.prec
+        magnitude = self._constants(prec)[3]
+        if FAMILY[self.family].derivative_sign < 0:  # one per precision
+            return magnitude
         # term l weighs by its envelope E(lx)
-        return mpf_sum([half_a0] + [mpf_mul(w, e, prec, RND)
-                                    for w, (e, _) in zip(weights, basis)],
+        half_abs, weights = magnitude
+        return mpf_sum([half_abs] + [mpf_mul(w, e, prec, RND) for w, (e, _)
+                                     in zip(weights, point.state)],
                        prec, RND)
 
     def fixed_stage(self, frac):
@@ -751,13 +784,15 @@ class FactoredForm:
         return mpf_abs(point.value, point.prec, RND)
 
 
-def _kept(poly, frac, make):
-    """make(), kept in the representation's dict of fixed-point scales
-    under `frac`, which drops its oldest scale as the point memo drops its
-    points."""
-    kept = poly._fixed.get(frac)
+def _kept(poly, key, make):
+    """make(), kept in the representation's dict of kept stages under
+    `key`, which drops its oldest entry as the point memo drops its points.
+    A fixed-point stage's key is its scale's int frac, and the mpf stages'
+    constants at a precision prec are kept under the 1-tuple (prec,), which
+    no int equals."""
+    kept = poly._fixed.get(key)
     if kept is None:
-        kept = poly._fixed[frac] = make()
+        kept = poly._fixed[key] = make()
         if len(poly._fixed) > poly._memo_limit:
             del poly._fixed[next(iter(poly._fixed))]
     return kept
@@ -899,10 +934,12 @@ def magnitude_scale(poly, x, bits=None):
     the point.  Used to turn absolute evaluation discrepancies into
     scale-free ones.
 
-    An exponential series weighs term l by its envelope E(lx), from the
-    value's basis plus O(n) multiplications; the trigonometric basis is
-    bounded by 1, so its weights are 1.  A factored form's magnitude is
-    |f|.
+    The weights |a0|/2 and |a_l| + |b_l| of a series, and the |c_k| of an
+    algebraic polynomial, are kept once per precision.  An exponential
+    series weighs term l by its envelope E(lx), from the value's basis
+    plus O(n) multiplications; the trigonometric basis is bounded by 1, so
+    its weights are 1 and its magnitude is one value per precision, the
+    same at every x.  A factored form's magnitude is |f|.
     """
     return mp.make_mpf(_magnitude_point(poly, x, bits).magnitude)
 
@@ -912,7 +949,9 @@ def evaluation_noise(poly, x, bits=None):
     attainable magnitude times the representation's `noise_ops`.
 
     Coefficient forms cancel near multiple roots, so their bound is an
-    absolute floor below which the computed value carries no signal.
+    absolute floor below which the computed value carries no signal; it
+    reads the point's `magnitude_scale`, whose weights, and for a
+    trigonometric series whose whole value, are kept once per precision.
     Factored forms evaluate with small relative error, so their bound is
     proportional to the value itself and never floors: the solver's
     factored sweep freezes a coordinate only on a root.

@@ -8,6 +8,11 @@ own local routines and evaluates the algebraic ones with mpmath's
 `polyval`.  Its only knowledge of the series families is `_BASIS`,
 its own table of each family's basis pair and derivative sign; the input
 rules (multiplicities, distinct knots, precision) are the package's.
+Root verification takes one basis per point: a series root's (E(lx),
+O(lx)) for l = 1..n, from mpmath's `cos_sin` or `cosh` and `sinh`, is
+shared by every derivative order checked there and by its magnitude
+scale, and the scale of a trigonometric order, whose basis is bounded by
+1, is one value per order.
 """
 
 from dataclasses import dataclass, replace
@@ -33,9 +38,10 @@ from .polynomials import (
 )
 from .precision import require_bits, to_mpf, working
 
-# a series family's basis pair (E, O) and the sign s in d/dx E(lx) = s l O(lx)
-_BASIS = {TRIGONOMETRIC: (mp.cos, mp.sin, -1),
-          EXPONENTIAL: (mp.cosh, mp.sinh, 1)}
+# a series family's basis pair y -> (E(y), O(y)), its odd part O alone, and
+# the sign s in d/dx E(lx) = s l O(lx)
+_BASIS = {TRIGONOMETRIC: (mp.cos_sin, mp.sin, -1),
+          EXPONENTIAL: (lambda y: (mp.cosh(y), mp.sinh(y)), mp.sinh, 1)}
 
 
 @dataclass(frozen=True)
@@ -90,61 +96,73 @@ def _alg_derive(coeffs):
     return [c * (n - k) for k, c in enumerate(coeffs[:-1])]
 
 
-def _series_eval(a0, a, b, family, x):
-    even, odd, _ = _BASIS[family]
+def _series_eval(a0, a, b, basis):
     terms = [a0 / 2]
-    for l in range(1, len(a) + 1):
-        terms.append(a[l - 1] * even(l * x))
-        terms.append(b[l - 1] * odd(l * x))
+    for al, bl, (e, o) in zip(a, b, basis):
+        terms.append(al * e)
+        terms.append(bl * o)
     return mp.fsum(terms)
 
 
-def _series_abs_eval(a0, a, b, family, x):
-    # |E| <= 1 bounds a periodic (s < 0) term; cosh(lx) weighs the others
-    even, _, sign = _BASIS[family]
-    terms = [abs(a0) / 2]
-    for l in range(1, len(a) + 1):
-        term = abs(a[l - 1]) + abs(b[l - 1])
-        terms.append(term * even(l * x) if sign > 0 else term)
-    return mp.fsum(terms)
+def _series_abs_eval(half, weights, basis):
+    # E(lx) weighs term l of a series whose basis grows
+    return mp.fsum([half] + [w * e for w, (e, _) in zip(weights, basis)])
 
 
-def _derivative_ladder(poly, up_to):
-    """Evaluators for f, f', ..., f^(up_to) from coefficient recurrences; a
-    factored form is expanded, its monic algebraic expansion times its scale."""
+def _ladder(poly, up_to):
+    """(point, levels) for f, f', ..., f^(up_to) from coefficient
+    recurrences: point(x) is what every level reads at x, x itself for an
+    algebraic polynomial and a series' basis [(E(lx), O(lx)) for l = 1..n],
+    from one pair call per l; levels[j] is the pair (value, scale) of
+    functions of point(x), f^(j) and its absolute-coefficient evaluation.
+    A factored form is expanded, its monic algebraic expansion times its
+    scale."""
     lead = 1
     if isinstance(poly, FactoredForm):
         if poly.family not in _BASIS:
             lead, poly = poly.scale, replace(poly, scale=1)
         poly = expand_from_roots(poly)
-    evals = []
+    levels = []
     if isinstance(poly, AlgebraicPoly):
         # descending coefficients including the implicit leading 1
         coeffs = [mp.mpf(1)] + list(poly.coeffs)
         if lead != 1:
             coeffs = [lead * c for c in coeffs]
         for _ in range(up_to + 1):
-            evals.append((
+            levels.append((
                 lambda x, cs=coeffs: mp.polyval(cs, x),
-                lambda x, cs=coeffs: mp.polyval([abs(c) for c in cs], abs(x)),
+                lambda x, cs=[abs(c) for c in coeffs]: mp.polyval(cs, abs(x)),
             ))
             coeffs = _alg_derive(coeffs)
-    elif isinstance(poly, SeriesPoly):
-        family = poly.family
-        sign = _BASIS[family][2]
-        a0, a, b = poly.a0, list(poly.even), list(poly.odd)
-        for _ in range(up_to + 1):
-            evals.append((
-                lambda x, t=(a0, a, b): _series_eval(*t, family, x),
-                lambda x, t=(a0, a, b): _series_abs_eval(*t, family, x),
-            ))
-            # one analytic derivative in coefficient space: l b_l onto E(lx),
-            # s l a_l onto O(lx)
-            a0, a, b = (mp.mpf(0), [l * v for l, v in enumerate(b, 1)],
-                        [sign * l * v for l, v in enumerate(a, 1)])
-    else:
+        return (lambda x: x), levels
+    if not isinstance(poly, SeriesPoly):
         raise TypeError(f"not a polynomial representation: {poly!r}")
-    return evals
+    pair, _, sign = _BASIS[poly.family]
+    n = poly.degree
+    a0, a, b = poly.a0, list(poly.even), list(poly.odd)
+    for _ in range(up_to + 1):
+        half = abs(a0) / 2
+        weights = [abs(al) + abs(bl) for al, bl in zip(a, b)]
+        if sign < 0:  # |E| <= 1 bounds a periodic term: one scale per level
+            scale = lambda basis, s=mp.fsum([half] + weights): s
+        else:
+            scale = lambda basis, t=(half, weights): _series_abs_eval(*t,
+                                                                      basis)
+        levels.append((lambda basis, t=(a0, a, b): _series_eval(*t, basis),
+                       scale))
+        # one analytic derivative in coefficient space: l b_l onto E(lx),
+        # s l a_l onto O(lx)
+        a0, a, b = (mp.mpf(0), [l * v for l, v in enumerate(b, 1)],
+                    [sign * l * v for l, v in enumerate(a, 1)])
+    return (lambda x: [pair(l * x) for l in range(1, n + 1)]), levels
+
+
+def _derivative_ladder(poly, up_to):
+    """Evaluators for f, f', ..., f^(up_to): `_ladder`'s (value, scale)
+    pairs as functions of x, each taking its own point(x)."""
+    point, levels = _ladder(poly, up_to)
+    return [(lambda x, v=value: v(point(x)), lambda x, s=scale: s(point(x)))
+            for value, scale in levels]
 
 
 @dataclass(frozen=True)
@@ -239,16 +257,18 @@ def verify_roots(poly, claimed, tolerance, bits=None):
         raise InvalidConfigurationError("tolerance must be finite and > 0")
     family = poly.family
     with working(bits):
-        ladder = _derivative_ladder(poly, max(claimed.multiplicities))
-        lead = _leading_scale(poly, claimed, ladder[0][0])
+        point, ladder = _ladder(poly, max(claimed.multiplicities))
+        f = ladder[0][0]
+        lead = _leading_scale(poly, claimed, lambda x: f(point(x)))
         details = []
         for i, (r, a) in enumerate(zip(claimed.roots, claimed.multiplicities)):
+            at = point(r)  # shared by every derivative order
             for j in range(a + 1):
                 value_fn, scale_fn = ladder[j]
-                value = abs(value_fn(r))
+                value = abs(value_fn(at))
                 want_zero = j < a
                 if want_zero:
-                    bound = tolerance * max(scale_fn(r), mp.mpf(1))
+                    bound = tolerance * max(scale_fn(at), mp.mpf(1))
                     passed = value <= bound
                 else:
                     bound = tolerance * _predicted_alpha_derivative(

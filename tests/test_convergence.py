@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from multiroots import (
@@ -259,6 +260,45 @@ class TestEstimateOrder:
     def test_no_window_raises(self, errors):
         with pytest.raises(InsufficientDataError):
             estimate_order(errors)
+
+
+def last_run(values, floor):
+    """(start, end) of the last maximal run of strictly decreasing entries
+    above `floor` that holds at least MIN_WINDOW entries, or None."""
+    runs, start = [], 0
+    for k, v in enumerate(values):
+        if not (v > floor and k and values[k - 1] > floor
+                and v < values[k - 1]):
+            start = k
+        if v > floor and k - start + 1 >= MIN_WINDOW:
+            if runs and runs[-1][0] == start:
+                runs.pop()
+            runs.append((start, k))
+    return runs[-1] if runs else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(st.integers(1, 2**53),
+                                  st.integers(-120, 4)), max_size=14),
+       floor=st.sampled_from([None, "1e-40", "1e-120"]))
+def test_estimate_order_takes_the_two_log_formula(entries, floor):
+    """Each per-step order reuses the log of the step before it as its
+    denominator, and gives the bits of the formula that takes both logs at
+    every step, on the last decreasing run above the floor."""
+    errors, exponent = [], 0
+    for mantissa, step in entries:
+        exponent += step
+        errors.append(mp.ldexp(mantissa, exponent - 53))
+    window = last_run(errors, mp.mpf(0 if floor is None else floor))
+    if window is None:
+        with pytest.raises(InsufficientDataError):
+            estimate_order(errors, floor=floor)
+        return
+    est = estimate_order(errors, floor=floor)
+    orders = log_ratio_orders(errors, window)
+    assert est.window == window
+    assert est.per_step_orders == orders
+    assert est.order == orders[-1]
 
 
 BASE = ["q > 0", "q < 1", "c > 0", "d - 2c > 0"]

@@ -725,6 +725,43 @@ def _bits_number(rng, bits, low, high):
 
 
 @st.composite
+def stored_coefficient_forms(draw):
+    """A coefficient form of each family at 4096 bits, or a degree-1
+    algebraic one, whose memo limit of 2 evicts, and its points: every
+    coefficient and point fills its 4096 bits, so that 192 and 1024 bits
+    round each one."""
+    kind = draw(st.sampled_from([ALGEBRAIC, "linear", TRIGONOMETRIC,
+                                 EXPONENTIAL]))
+    n = 1 if kind == "linear" else draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    c = [_bits_number(rng, 4096, -2, 2) for _ in range(2 * n + 1)]
+    if kind in (ALGEBRAIC, "linear"):
+        poly = AlgebraicPoly(c[:n], precision_bits=4096)
+    else:
+        cls = TrigPoly if kind == TRIGONOMETRIC else ExpPoly
+        poly = cls(c[0], c[1:n + 1], c[n + 1:], precision_bits=4096)
+    return poly, [_bits_number(rng, 4096, -2, 2) for _ in range(6)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=stored_coefficient_forms())
+def test_no_constant_crosses_precisions(case):
+    """The mpf stages keep their constants per precision, beside the
+    fixed-point stages kept per scale.  One instance read at 192, 1024,
+    4096, 1024 and 192 bits, at a point every visit reads and one new to
+    it, with a fixed-point stage taken at a scale equal to the precision
+    first, gives the raw bits of a fresh instance at every kernel."""
+    poly, points = case
+    for visit, bits in enumerate((192, 1024, 4096, 1024, 192)):
+        poly.fixed_stage(bits)
+        for x in (points[0], points[visit + 1]):
+            for kernel, _ in KERNELS:
+                assert kernel(poly, x, bits)._mpf_ == \
+                    kernel(replace(poly), x, bits)._mpf_, \
+                    (kernel.__name__, visit, bits)
+
+
+@st.composite
 def coupling_pairs(draw, family):
     """(bits, a series of `family` and degree 1-12 at bits, x_i, x_j): any
     pair, a pair just above the collision threshold, for the

@@ -1,3 +1,7 @@
+import random
+from dataclasses import replace
+from importlib import resources
+
 import pytest
 from mpmath import mp
 
@@ -19,6 +23,10 @@ from multiroots import (
     verify_roots,
 )
 from multiroots.precision import ulps_apart
+from multiroots.report_io import load_problem
+from multiroots.verification import (CheckRecord, VerificationOutcome,
+                                     _leading_scale,
+                                     _predicted_alpha_derivative)
 from conftest import random_configuration
 
 EX1_ROOTS, EX1_MULTS = ("2", "3", "5"), (2, 3, 1)
@@ -168,6 +176,125 @@ class TestVerifyRoots:
         assert verify_roots(poly, cfg, "1e-10", bits=bits).passed
         with pytest.raises(InvalidConfigurationError, match="finite"):
             verify_roots(poly, cfg, tolerance, bits=bits)
+
+
+# the term-by-term reference: one call of each basis function per term,
+# derivative order and point
+REF_PAIR = {TRIGONOMETRIC: (mp.cos, mp.sin, -1),
+            EXPONENTIAL: (mp.cosh, mp.sinh, 1)}
+
+
+def ref_ladder(poly, up_to):
+    """(value, scale) functions of x for f, f', ..., f^(up_to)."""
+    lead = 1
+    if isinstance(poly, FactoredForm):
+        if poly.family == ALGEBRAIC:
+            lead, poly = poly.scale, replace(poly, scale=1)
+        poly = expand_from_roots(poly)
+    ladder = []
+    if poly.family == ALGEBRAIC:
+        coeffs = [lead * c for c in (mp.mpf(1),) + poly.coeffs]
+        for _ in range(up_to + 1):
+            ladder.append((
+                lambda x, cs=coeffs: mp.polyval(cs, x),
+                lambda x, cs=coeffs: mp.polyval([abs(c) for c in cs], abs(x))))
+            n = len(coeffs) - 1
+            coeffs = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
+        return ladder
+    even, odd, sign = REF_PAIR[poly.family]
+
+    def value(x, a0, a, b):
+        terms = [a0 / 2]
+        for l in range(1, len(a) + 1):
+            terms += [a[l - 1] * even(l * x), b[l - 1] * odd(l * x)]
+        return mp.fsum(terms)
+
+    def scale(x, a0, a, b):
+        terms = [abs(a0) / 2]
+        for l in range(1, len(a) + 1):
+            term = abs(a[l - 1]) + abs(b[l - 1])
+            terms.append(term * even(l * x) if sign > 0 else term)
+        return mp.fsum(terms)
+
+    a0, a, b = poly.a0, list(poly.even), list(poly.odd)
+    for _ in range(up_to + 1):
+        ladder.append((lambda x, t=(a0, a, b): value(x, *t),
+                       lambda x, t=(a0, a, b): scale(x, *t)))
+        a0, a, b = (mp.mpf(0), [l * v for l, v in enumerate(b, 1)],
+                    [sign * l * v for l, v in enumerate(a, 1)])
+    return ladder
+
+
+def ref_verify(poly, claimed, tolerance, bits):
+    """`verify_roots` on the reference ladder: each check evaluates its
+    derivative order at the root afresh."""
+    with mp.workprec(bits):
+        tolerance = mp.mpf(tolerance)
+        ladder = ref_ladder(poly, max(claimed.multiplicities))
+        lead = _leading_scale(poly, claimed, ladder[0][0])
+        details = []
+        for i, (r, a) in enumerate(zip(claimed.roots, claimed.multiplicities)):
+            for j in range(a + 1):
+                value_fn, scale_fn = ladder[j]
+                value = abs(value_fn(r))
+                if j < a:
+                    bound = tolerance * max(scale_fn(r), mp.mpf(1))
+                    passed = value <= bound
+                else:
+                    bound = tolerance * _predicted_alpha_derivative(
+                        poly.family, claimed, i, lead)
+                    passed = value > bound
+                details.append(CheckRecord(i, j, value, bound, j < a, passed))
+        return VerificationOutcome(
+            tuple(rec.value for rec in details if rec.derivative_order == 0),
+            all(rec.passed for rec in details), tuple(details))
+
+
+def assert_same_outcome(poly, claimed, tolerance, bits):
+    got = verify_roots(poly, claimed, tolerance, bits=bits)
+    want = ref_verify(poly, claimed, tolerance, bits)
+    assert str(got) == str(want)
+    assert got.passed == want.passed
+    assert [r._mpf_ for r in got.residuals] == \
+        [r._mpf_ for r in want.residuals]
+    for g, w in zip(got.details, want.details, strict=True):
+        assert (g.root_index, g.derivative_order, g.want_zero, g.passed) == \
+            (w.root_index, w.derivative_order, w.want_zero, w.passed)
+        assert (g.value._mpf_, g.bound._mpf_) == (w.value._mpf_, w.bound._mpf_)
+
+
+class TestVerifyRootsReference:
+    """verify_roots shares one basis per point among its derivative orders
+    and one periodic scale per order; every record keeps the bits of the
+    term-by-term evaluation."""
+
+    @pytest.mark.parametrize("bits", [192, 1024])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    def test_bundled_examples(self, name, bits):
+        problem = load_problem(
+            resources.files("multiroots.problems") / f"{name}.json", bits)
+        claimed = RootConfiguration(problem.truth(), problem.multiplicities,
+                                    precision_bits=bits)
+        assert_same_outcome(problem.poly, claimed, "1e-18", bits)
+
+    @pytest.mark.parametrize("bits", [192, 1024])
+    @pytest.mark.parametrize("family", [TRIGONOMETRIC, EXPONENTIAL])
+    def test_random_series_problems(self, family, bits):
+        rng = random.Random(bits + len(family))
+        for k in range(8):
+            cfg = random_configuration(rng, family, bits=bits)
+            form = FactoredForm(family, cfg, precision_bits=bits)
+            poly = expand_from_roots(form) if k % 4 else form
+            roots, mults = list(cfg.roots), list(cfg.multiplicities)
+            # the exact claim, a moved root, and a multiplicity too many
+            if k % 3 == 1:
+                with mp.workprec(bits):
+                    roots[k % len(roots)] += mp.mpf("1e-12")
+            elif k % 3 == 2:
+                mults[0] += 1
+                mults[-1] += 1
+            claimed = RootConfiguration(roots, mults, precision_bits=bits)
+            assert_same_outcome(poly, claimed, mp.mpf(2) ** (40 - bits), bits)
 
 
 class TestClassicalEhrlichStep:
